@@ -60,6 +60,24 @@ def _parse_assign(value: str, flag: str) -> dict:
     return data
 
 
+def _parse_fillings(value: str) -> dict:
+    data = _load_json(value, "--filling")
+    if not isinstance(data, dict):
+        raise ValueError("--filling: expected a JSON object of shape -> rows")
+    fillings = {}
+    for key, rows in data.items():
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(isinstance(v, str) for v in row)
+            for row in rows
+        ):
+            raise ValueError(
+                f"--filling {key!r}: expected rows of variable names, "
+                'e.g. [["s_1_1","t_1_1"]]'
+            )
+        fillings[_parse_shape(key)] = rows
+    return fillings
+
+
 def _tableau_json(t):
     return {"shape": list(shape_of(t)), "rows": [list(r) for r in t]}
 
@@ -76,13 +94,6 @@ def _emit(payload, as_json: bool, lines) -> None:
     else:
         for line in lines:
             print(line)
-
-
-def _jobs_default(value):
-    if value is not None:
-        return value
-    env = os.environ.get("SCHUR_ZETA_JOBS")
-    return int(env) if env else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--assign", required=True)
         q.add_argument("--cap", type=int, default=zeta.DEFAULT_SYM_CAP)
         q.add_argument("--allow-large", action="store_true")
-        q.add_argument("--jobs", type=int)
         q.add_argument("--json", action="store_true")
     q = vsub.add_parser("lr")
     q.add_argument("--mu", required=True)
@@ -160,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--filling", help="JSON map shape -> variable rows")
     q.add_argument("--cap", type=int, default=zeta.DEFAULT_SYM_CAP)
     q.add_argument("--allow-large", action="store_true")
-    q.add_argument("--jobs", type=int)
     q.add_argument("--json", action="store_true")
 
     p = sub.add_parser("selftest", help="run the acceptance grid")
@@ -315,28 +324,24 @@ def _report_exit(rep, args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    jobs = _jobs_default(args.jobs)
     assign = _parse_assign(args.assign, "--assign")
     if args.verify_command == "pieri-h":
         rep = zeta.verify_pieri_h(
             _parse_shape(args.lam), args.m, assign, args.n_trunc,
-            cap=args.cap, allow_large=args.allow_large, jobs=jobs,
+            cap=args.cap, allow_large=args.allow_large,
         )
         return _report_exit(rep, args)
     if args.verify_command == "pieri-e":
         rep = zeta.verify_pieri_e(
             _parse_shape(args.lam), args.n, assign, args.n_trunc,
-            cap=args.cap, allow_large=args.allow_large, jobs=jobs,
+            cap=args.cap, allow_large=args.allow_large,
         )
         return _report_exit(rep, args)
-    fillings = None
-    if args.filling:
-        raw = _load_json(args.filling, "--filling")
-        fillings = {_parse_shape(k): v for k, v in raw.items()}
+    fillings = _parse_fillings(args.filling) if args.filling else None
     rep = zeta.verify_lr(
         _parse_shape(args.mu), _parse_shape(args.nu), assign, args.n_trunc,
         variant=args.variant, fillings=fillings,
-        cap=args.cap, allow_large=args.allow_large, jobs=jobs,
+        cap=args.cap, allow_large=args.allow_large,
     )
     return _report_exit(rep, args)
 
@@ -383,7 +388,7 @@ def main(argv=None) -> int:
             return _cmd_verify(args)
         if args.command == "selftest":
             return _cmd_selftest(args)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -9,11 +9,10 @@ exact mode only: the truncated identities hold for every truncation level
 and every integer assignment, so equality is tested with zero tolerance.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import islice, permutations, product
+from itertools import permutations, product
 from math import factorial
 from typing import NamedTuple
 
@@ -370,25 +369,30 @@ def e_sym_spec(lam, n: int, unsafe: bool = False) -> SymSpec:
 
 @cache
 def _perm_weight_exact(bases: tuple, values: tuple) -> Fraction:
-    """Sum over all bijections of values onto bases of 1/prod(b**v)."""
-    counts: dict[int, int] = {}
-    for perm in permutations(values):
-        den = 1
-        for b, v in zip(bases, perm):
-            den *= b**v
-        counts[den] = counts.get(den, 0) + 1
-    return sum((Fraction(c, d) for d, c in sorted(counts.items())), Fraction(0))
+    """Sum over all bijections of values onto bases of 1/prod(b**v): the
+    permanent of [b_i ** -v_j], by subset DP over integers.
 
-
-@cache
-def _perm_weight_float(bases: tuple, values: tuple) -> float:
-    total = 0.0
-    for perm in permutations(values):
-        term = 1.0
-        for b, v in zip(bases, perm):
-            term *= float(b) ** -float(v)
-        total += term
-    return total
+    The denominators are cleared by vmax = max(values): row i holds
+    b_i ** (vmax - v_j), dp[mask] sums the products over the ways of giving
+    the first popcount(mask) bases the values in mask, and the result is
+    dp[full] / prod(b_i ** vmax).  O(2^k * k) work instead of O(k! * k).
+    """
+    k = len(values)
+    vmax = max(values, default=0)
+    rows = [[b ** (vmax - v) for v in values] for b in bases]
+    bits = [(j, 1 << j) for j in range(k)]
+    dp = [0] * (1 << k)
+    dp[0] = 1
+    for mask in range((1 << k) - 1):
+        acc = dp[mask]
+        row = rows[mask.bit_count()]
+        for j, bit in bits:
+            if not mask & bit:
+                dp[mask | bit] += acc * row[j]
+    den = 1
+    for b in bases:
+        den *= b**vmax
+    return Fraction(dp[-1], den)
 
 
 def _term_positions(factors, sym_vars):
@@ -414,44 +418,37 @@ def _term_positions(factors, sym_vars):
     return [pos[v] for v in sym_vars], fixed_cells
 
 
-def _term_sym_fast(coeff, factors, sym_vars, values, assign, n_trunc, exact):
+def _term_sym_fast(coeff, factors, sym_vars, values, assign, n_trunc):
     located = _term_positions(factors, sym_vars)
     if located is None:
         return None
     order, fixed_cells = located
     tab_lists = [cached_ssyt(as_partition(shape), n_trunc) for shape, _ in factors]
     if any(len(lst) == 0 for lst in tab_lists):
-        return Fraction(0) if exact else 0.0
+        return Fraction(0)
     values_key = tuple(sorted(values))
-    if exact:
-        buckets: dict[tuple, dict[int, int]] = {}
-        for combo in product(*tab_lists):
-            den = 1
-            for fi, i, j, var in fixed_cells:
-                den *= combo[fi][i][j] ** assign[var]
-            key = tuple(sorted(combo[fi][i][j] for fi, i, j in order))
-            buckets.setdefault(key, {})
-            buckets[key][den] = buckets[key].get(den, 0) + 1
-        total = Fraction(0)
-        for key, dens in buckets.items():
-            fixed_sum = sum(
-                (Fraction(c, d) for d, c in sorted(dens.items())), Fraction(0)
-            )
-            total += _perm_weight_exact(key, values_key) * fixed_sum
-        return coeff * total
-    buckets_f: dict[tuple, float] = {}
+    buckets: dict[tuple, dict[int, int]] = {}
     for combo in product(*tab_lists):
-        part = 1.0
+        den = 1
         for fi, i, j, var in fixed_cells:
-            part *= float(combo[fi][i][j]) ** -float(assign[var])
+            den *= combo[fi][i][j] ** assign[var]
         key = tuple(sorted(combo[fi][i][j] for fi, i, j in order))
-        buckets_f[key] = buckets_f.get(key, 0.0) + part
-    return coeff * sum(
-        _perm_weight_float(key, values_key) * fs for key, fs in buckets_f.items()
-    )
+        buckets.setdefault(key, {})
+        buckets[key][den] = buckets[key].get(den, 0) + 1
+    total = Fraction(0)
+    for key, dens in buckets.items():
+        fixed_sum = sum(
+            (Fraction(c, d) for d, c in sorted(dens.items())), Fraction(0)
+        )
+        total += _perm_weight_exact(key, values_key) * fixed_sum
+    return coeff * total
 
 
-def _check_spec_and_values(terms, spec, assign):
+def _check_spec_and_values(terms, spec, assign, n_trunc):
+    """Validate a symmetrized sum's inputs; True when every exponent is an
+    integer."""
+    if n_trunc < 1:
+        raise ValueError("truncation level must be >= 1")
     if set(spec.symmetrized) & spec.fixed:
         raise ValueError("symmetrized and fixed variable sets overlap")
     needed = set(spec.symmetrized)
@@ -467,50 +464,16 @@ def _check_spec_and_values(terms, spec, assign):
     return exact
 
 
-def _sym_sum_serial(terms, spec, assign, n_trunc, exact):
-    sym_vars = spec.symmetrized
-    values = tuple(assign[v] for v in sym_vars)
-    total = Fraction(0) if exact else 0.0
-    for coeff, factors in terms:
-        fast = _term_sym_fast(
-            coeff, factors, sym_vars, values, assign, n_trunc, exact
-        )
-        if fast is not None:
-            total += fast
-            continue
-        for perm in permutations(values):
-            local = dict(assign)
-            local.update(zip(sym_vars, perm))
-            term = coeff
-            for shape, rows in factors:
-                term *= eval_zeta_truncated(shape, rows, local, n_trunc)
-            total += term
-    return total
-
-
 def sym_sum_direct(terms, spec, assign, n_trunc: int):
     """Reference implementation: literal sum over all bijections of the
-    symmetrized values.  Slower than sym_sum but definitionally direct."""
-    exact = _check_spec_and_values(terms, spec, assign)
+    symmetrized values.  Slower than sym_sum but definitionally direct;
+    float exponents give a float sum."""
+    exact = _check_spec_and_values(terms, spec, assign, n_trunc)
     values = tuple(assign[v] for v in spec.symmetrized)
     total = Fraction(0) if exact else 0.0
     for perm in permutations(values):
         local = dict(assign)
         local.update(zip(spec.symmetrized, perm))
-        for coeff, factors in terms:
-            term = coeff
-            for shape, rows in factors:
-                term *= eval_zeta_truncated(shape, rows, local, n_trunc)
-            total += term
-    return total
-
-
-def _direct_block(args):
-    terms, sym_vars, values, assign, n_trunc, exact, start, stop = args
-    total = Fraction(0) if exact else 0.0
-    for perm in islice(permutations(values), start, stop):
-        local = dict(assign)
-        local.update(zip(sym_vars, perm))
         for coeff, factors in terms:
             term = coeff
             for shape, rows in factors:
@@ -526,15 +489,13 @@ def sym_sum(
     n_trunc: int,
     cap: int = DEFAULT_SYM_CAP,
     allow_large: bool = False,
-    jobs: int | None = None,
-):
+) -> Fraction:
     """Sum over all permutations of the symmetrized exponent values of
     sum(coeff * prod of truncated zeta factors) over the given terms.
 
-    Each term is (coeff, [(shape, var_rows), ...]).  Refuses more than
-    ``cap`` symmetrized variables unless allow_large is set.  jobs > 1
-    distributes permutation blocks over worker processes (results are
-    exact and independent of the worker count).
+    Each term is (coeff, [(shape, var_rows), ...]).  Exact only: every
+    exponent must be an integer >= 0.  Refuses more than ``cap``
+    symmetrized variables unless allow_large is set.
     """
     k = len(spec.symmetrized)
     if k > cap and not allow_large:
@@ -542,24 +503,24 @@ def sym_sum(
             f"{k} symmetrized variables means {k}! = {factorial(k)} "
             f"permutations; pass allow_large=True to proceed"
         )
-    exact = _check_spec_and_values(terms, spec, assign)
-    if jobs is None or jobs <= 1:
-        return _sym_sum_serial(terms, spec, assign, n_trunc, exact)
-    values = tuple(assign[v] for v in spec.symmetrized)
-    nperm = factorial(k)
-    terms = [
-        (coeff, [(as_partition(s), tuple(tuple(r) for r in rows)) for s, rows in factors])
-        for coeff, factors in terms
-    ]
-    block = max(1, -(-nperm // jobs))
-    payloads = [
-        (terms, spec.symmetrized, values, dict(assign), n_trunc, exact, lo, min(lo + block, nperm))
-        for lo in range(0, nperm, block)
-    ]
-    total = Fraction(0) if exact else 0.0
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_direct_block, payloads):
-            total += part
+    if not _check_spec_and_values(terms, spec, assign, n_trunc):
+        raise ValueError("sym_sum needs integer exponents; use sym_sum_direct")
+    sym_vars = spec.symmetrized
+    values = tuple(assign[v] for v in sym_vars)
+    total = Fraction(0)
+    for coeff, factors in terms:
+        fast = _term_sym_fast(coeff, factors, sym_vars, values, assign, n_trunc)
+        if fast is not None:
+            total += fast
+            continue
+        # a term the fast path cannot bucket: the literal permutation sum
+        for perm in permutations(values):
+            local = dict(assign)
+            local.update(zip(sym_vars, perm))
+            term = coeff
+            for shape, rows in factors:
+                term *= eval_zeta_truncated(shape, rows, local, n_trunc)
+            total += term
     return total
 
 
@@ -626,7 +587,6 @@ def verify_pieri_h(
     n_trunc: int,
     cap: int = DEFAULT_SYM_CAP,
     allow_large: bool = False,
-    jobs: int | None = None,
 ) -> IdentityReport:
     """Exact truncated check of the row-strip Pieri identity: the
     symmetrized product of zeta(lam) and zeta((m)) against the symmetrized
@@ -641,13 +601,13 @@ def verify_pieri_h(
     spec = h_sym_spec(lam, m)
     lhs = sym_sum(
         [(1, [(lam, s_rows), ((m,), (t_names,))])],
-        spec, assign, n_trunc, cap, allow_large, jobs,
+        spec, assign, n_trunc, cap, allow_large,
     )
     rhs_terms = [
         (1, [(grow_cols(lam, cols), horizontal_push_filling(lam, s_rows, t_names, cols))])
         for cols in horizontal_strip_cols(lam, m)
     ]
-    rhs = sym_sum(rhs_terms, spec, assign, n_trunc, cap, allow_large, jobs)
+    rhs = sym_sum(rhs_terms, spec, assign, n_trunc, cap, allow_large)
     return IdentityReport(lhs, rhs, lhs == rhs)
 
 
@@ -658,7 +618,6 @@ def verify_pieri_e(
     n_trunc: int,
     cap: int = DEFAULT_SYM_CAP,
     allow_large: bool = False,
-    jobs: int | None = None,
 ) -> IdentityReport:
     """Exact truncated check of the column-strip Pieri identity (conjugate
     of verify_pieri_h): zeta((1^n)) times zeta(lam) against the
@@ -674,13 +633,13 @@ def verify_pieri_e(
     s_col_rows = tuple((name,) for name in s_names)
     lhs = sym_sum(
         [(1, [(column, s_col_rows), (lam, t_rows)])],
-        spec, assign, n_trunc, cap, allow_large, jobs,
+        spec, assign, n_trunc, cap, allow_large,
     )
     rhs_terms = [
         (1, [(grow_rows(lam, rows), vertical_push_filling(lam, s_names, t_rows, rows))])
         for rows in vertical_strip_rows(lam, n)
     ]
-    rhs = sym_sum(rhs_terms, spec, assign, n_trunc, cap, allow_large, jobs)
+    rhs = sym_sum(rhs_terms, spec, assign, n_trunc, cap, allow_large)
     note = ""
     if n_trunc < n:
         note = (
@@ -717,7 +676,6 @@ def verify_lr(
     fillings=None,
     cap: int = DEFAULT_SYM_CAP,
     allow_large: bool = False,
-    jobs: int | None = None,
 ) -> IdentityReport:
     """Exact truncated check of the Littlewood-Richardson product formula:
     the fully symmetrized product of two Schur multiple zeta values against
@@ -733,7 +691,7 @@ def verify_lr(
     spec = SymSpec(tuple(all_vars), frozenset())
     lhs = sym_sum(
         [(1, [(mu, s_rows), (nu, t_rows)])],
-        spec, assign, n_trunc, cap, allow_large, jobs,
+        spec, assign, n_trunc, cap, allow_large,
     )
     overrides = {as_partition(k): tuple(tuple(r) for r in v) for k, v in (fillings or {}).items()}
     rhs_terms = []
@@ -749,7 +707,7 @@ def verify_lr(
         if tuple(len(r) for r in filling) != lam:
             raise ValueError(f"filling shape mismatch for {lam}")
         rhs_terms.append((coeff, [(lam, filling)]))
-    rhs = sym_sum(rhs_terms, spec, assign, n_trunc, cap, allow_large, jobs)
+    rhs = sym_sum(rhs_terms, spec, assign, n_trunc, cap, allow_large)
     return IdentityReport(lhs, rhs, lhs == rhs)
 
 

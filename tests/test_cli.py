@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from schurzeta import cli
 from schurzeta.zeta import IdentityReport
@@ -183,16 +184,31 @@ def test_zeta_eval_exact_rejects_float_exponents(capsys):
     assert code == 2 and "integer" in err
 
 
-def test_jobs_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("SCHUR_ZETA_JOBS", "2")
-    code, out, _ = run(
-        capsys,
-        [
-            "verify", "pieri-h", "--lambda", "1", "--m", "1",
-            "--n-trunc", "2", "--assign", '{"s_1_1":2,"t_1":3}',
-        ],
-    )
-    assert code == 0 and "45/32" in out
+LR_ASSIGN = '{"s_1_1":2,"s_2_1":3,"t_1_1":4,"t_1_2":5}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a filling that is not rows of variable names
+        ["verify", "lr", "--mu", "1,1", "--nu", "2", "--n-trunc", "3",
+         "--assign", LR_ASSIGN, "--filling", '{"2":5}'],
+        ["verify", "lr", "--mu", "1,1", "--nu", "2", "--n-trunc", "3",
+         "--assign", LR_ASSIGN, "--filling", '{"3,1":[["s_1_1",1,"t_1_1"],["t_1_2"]]}'],
+        # a DOT path in a directory that does not exist
+        ["crystal", "graph", "--shape", "1", "--n", "2",
+         "--dot", "{tmp}/missing/x.dot"],
+        # truncation level 0, which zeta eval also rejects
+        ["verify", "pieri-h", "--lambda", "1", "--m", "1",
+         "--n-trunc", "0", "--assign", '{"s_1_1":2,"t_1":3}'],
+    ],
+    ids=["filling-not-rows", "filling-not-names", "dot-unwritable", "n-trunc-0"],
+)
+def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_selftest_quick(capsys):

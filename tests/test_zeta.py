@@ -1,12 +1,16 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from schurzeta.tableaux import cached_ssyt
+from schurzeta.partitions import all_partitions
+from schurzeta.tableaux import cached_ssyt, lr_coefficient
 from schurzeta.zeta import (
     SymSpec,
+    _perm_weight_exact,
     canonical_filling,
     e_sym_spec,
     eval_zeta_limit,
@@ -251,15 +255,67 @@ def test_sym_sum_factorial_guard():
         sym_sum_direct(terms, spec, assign, 2)
 
 
-def test_sym_sum_jobs_deterministic():
-    lam, m = (2, 1), 2
-    s_rows = grid_vars(lam, "s")
-    t_names = seq_vars(m, "t")
-    spec = h_sym_spec(lam, m)
-    assign = {"s_1_1": 3, "s_1_2": 4, "s_2_1": 5, "t_1": 1, "t_2": 2}
-    terms = [(1, [(lam, s_rows), ((m,), (t_names,))])]
-    serial = sym_sum(terms, spec, assign, 3)
-    assert sym_sum(terms, spec, assign, 3, jobs=2) == serial
+def brute_perm_weight(bases, values):
+    """Oracle: the sum of 1/prod(b**v) over all k! orderings of values."""
+    counts = {}
+    for perm in permutations(values):
+        den = 1
+        for b, v in zip(bases, perm):
+            den *= b**v
+        counts[den] = counts.get(den, 0) + 1
+    return sum((Fraction(c, d) for d, c in sorted(counts.items())), Fraction(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 7).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.integers(1, 4), min_size=k, max_size=k),
+            st.lists(st.integers(0, 5), min_size=k, max_size=k),
+        )
+    )
+)
+def test_perm_weight_matches_brute_force(case):
+    # small ranges make repeated bases and repeated values common
+    bases, values = (tuple(x) for x in case)
+    assert _perm_weight_exact(bases, values) == brute_perm_weight(bases, values)
+
+
+def test_sym_sum_matches_direct_on_seven_variable_lr():
+    mu, nu, n_trunc = (2, 2), (2, 1), 3
+    s_rows, t_rows = grid_vars(mu, "s"), grid_vars(nu, "t")
+    names = [v for rows in (s_rows, t_rows) for r in rows for v in r]
+    assign = dict(zip(names, (3, 1, 4, 2, 5, 1, 2)))
+    spec = SymSpec(tuple(names), frozenset())
+    rep = verify_lr(mu, nu, assign, n_trunc)
+    lhs = sym_sum_direct([(1, [(mu, s_rows), (nu, t_rows)])], spec, assign, n_trunc)
+    rhs = sym_sum_direct(
+        [
+            (lr_coefficient(mu, nu, lam), [(lam, canonical_filling(lam, mu, nu))])
+            for lam in all_partitions(7)
+            if lr_coefficient(mu, nu, lam)
+        ],
+        spec, assign, n_trunc,
+    )
+    assert rep.equal and rep.lhs == lhs and rep.rhs == rhs
+
+
+def test_sym_sum_is_exact_only():
+    terms = [(1, [((1,), (("a",),)), ((1,), (("b",),))])]
+    spec = SymSpec(("a", "b"), frozenset())
+    assign = {"a": 2.0, "b": 3}
+    with pytest.raises(ValueError, match="integer"):
+        sym_sum(terms, spec, assign, 2)
+    # the direct oracle keeps float exponents
+    assert sym_sum_direct(terms, spec, assign, 2) == pytest.approx(2 * 1.25 * 1.125)
+
+
+@pytest.mark.parametrize("n_trunc", [0, -1])
+def test_sym_sum_rejects_truncation_below_one(n_trunc):
+    terms = [(1, [((1,), (("a",),))])]
+    spec = SymSpec(("a",), frozenset())
+    with pytest.raises(ValueError, match="truncation"):
+        sym_sum(terms, spec, {"a": 2}, n_trunc)
 
 
 def test_verify_pieri_h_examples():
