@@ -43,12 +43,21 @@ def _load_json(value: str, flag: str):
     raise ValueError(f"{flag}: {value!r} is neither inline JSON nor a file")
 
 
+def _is_json_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_tableau(value: str, flag: str):
     data = _load_json(value, flag)
-    rows = data["rows"] if isinstance(data, dict) else data
+    rows = data.get("rows") if isinstance(data, dict) else data
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(_is_json_int(x) for x in row)
+        for row in rows
+    ):
+        raise ValueError(f"{flag}: expected rows of integers, e.g. [[1,2],[3]]")
     t = tableaux.as_tableau(rows)
     if isinstance(data, dict) and "shape" in data:
-        if tuple(data["shape"]) != shape_of(t):
+        if data["shape"] != list(shape_of(t)):
             raise ValueError(f"{flag}: declared shape does not match rows")
     return t
 
@@ -272,7 +281,9 @@ def _cmd_zeta(args) -> int:
     if tuple(len(r) for r in exps) != shape:
         raise ValueError("--exponents rows must match --shape")
     flat = [x for row in exps for x in row]
-    if args.exact and not all(isinstance(x, int) for x in flat):
+    if not all(_is_json_int(x) or isinstance(x, float) for x in flat):
+        raise ValueError("--exponents: every exponent must be a number")
+    if args.exact and not all(_is_json_int(x) for x in flat):
         raise ValueError("--exact needs integer exponents")
     var_rows = zeta.grid_vars(shape, "x")
     assign = {

@@ -28,74 +28,77 @@ def _require_ssyt(t) -> Tableau:
     return t
 
 
-def row_insert(t, x: int) -> InsertionResult:
-    """Insert x by Schensted row bumping; returns the new tableau, the
-    bumping route, and the created cell."""
+def _checked_rows(t, word) -> tuple[list[list[int]], Word]:
+    """Validate a tableau and a word once; mutable rows for the bump folds."""
     t = _require_ssyt(t)
-    if x < 1:
-        raise ValueError(f"inserted value must be positive, got {x}")
-    rows = [list(row) for row in t]
+    letters = tuple(int(x) for x in word)
+    for x in letters:
+        if x < 1:
+            raise ValueError(f"inserted value must be positive, got {x}")
+    return [list(row) for row in t], letters
+
+
+def _row_bump(rows: list[list[int]], x: int) -> tuple[Cell, ...]:
+    """Row-insert x into rows in place; returns the bumping route."""
     route = []
     for i, row in enumerate(rows):
         pos = bisect_right(row, x)
+        route.append((i + 1, pos + 1))
         if pos == len(row):
             row.append(x)
-            route.append((i + 1, pos + 1))
-            return _finish(rows, route)
-        route.append((i + 1, pos + 1))
+            return tuple(route)
         x, row[pos] = row[pos], x
     rows.append([x])
     route.append((len(rows), 1))
-    return _finish(rows, route)
+    return tuple(route)
 
 
-def column_insert(x: int, t) -> InsertionResult:
-    """Insert x by dual Schensted column bumping (bump the topmost entry
-    greater than or equal to x)."""
-    t = _require_ssyt(t)
-    if x < 1:
-        raise ValueError(f"inserted value must be positive, got {x}")
-    rows = [list(row) for row in t]
+def _column_bump(rows: list[list[int]], x: int) -> tuple[Cell, ...]:
+    """Column-insert x into rows in place (bump the topmost entry greater
+    than or equal to x); returns the bumping route."""
     route = []
     j = 0
     while True:
         col = [row[j] for row in rows if len(row) > j]
         pos = bisect_left(col, x)
+        route.append((pos + 1, j + 1))
         if pos == len(col):
             if pos == len(rows):
                 rows.append([x])
             else:
                 rows[pos].append(x)
-            route.append((pos + 1, j + 1))
-            return _finish(rows, route)
-        route.append((pos + 1, j + 1))
+            return tuple(route)
         x, rows[pos][j] = rows[pos][j], x
         j += 1
 
 
-def _finish(rows, route) -> InsertionResult:
-    result = as_tableau(rows)  # rejects non-partition shapes
-    return InsertionResult(result, tuple(route), route[-1])
-
-
 def row_insert_word(t, word) -> tuple[Tableau, list[tuple[Cell, ...]]]:
-    """Left-to-right fold of row_insert over the word."""
-    t = _require_ssyt(t)
-    routes = []
-    for x in word:
-        t, route, _ = row_insert(t, x)
-        routes.append(route)
-    return t, routes
+    """Left-to-right fold of Schensted row insertion over the word; returns
+    the final tableau and one bumping route per letter."""
+    rows, letters = _checked_rows(t, word)
+    routes = [_row_bump(rows, x) for x in letters]
+    return tuple(tuple(row) for row in rows), routes
 
 
 def column_insert_word(word, t) -> tuple[Tableau, list[tuple[Cell, ...]]]:
-    """Fold of column_insert applying word[0] first, word[-1] last."""
-    t = _require_ssyt(t)
-    routes = []
-    for x in word:
-        t, route, _ = column_insert(x, t)
-        routes.append(route)
-    return t, routes
+    """Fold of column insertion applying word[0] first, word[-1] last."""
+    rows, letters = _checked_rows(t, word)
+    routes = [_column_bump(rows, x) for x in letters]
+    return tuple(tuple(row) for row in rows), routes
+
+
+def row_insert(t, x: int) -> InsertionResult:
+    """Insert x by Schensted row bumping; returns the new tableau, the
+    bumping route, and the created cell."""
+    result, (route,) = row_insert_word(t, (x,))
+    return InsertionResult(result, route, route[-1])
+
+
+def column_insert(x: int, t) -> InsertionResult:
+    """Insert x by dual Schensted column bumping (bump the topmost entry
+    greater than or equal to x)."""
+    result, (route,) = column_insert_word((x,), t)
+    return InsertionResult(result, route, route[-1])
 
 
 def column_word(t) -> Word:

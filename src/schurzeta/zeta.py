@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
-from math import factorial
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -184,7 +184,8 @@ def eval_zeta_truncated(shape, var_rows, assign, n_trunc: int):
     """Finite Schur multiple zeta sum over tableaux with entries <= n_trunc.
 
     Exact rational when every exponent is an integer, float otherwise;
-    zero when the shape has more rows than n_trunc.
+    zero when the shape has more rows than n_trunc.  Exponents must be
+    numbers >= 0 (not bools) in both modes.
     """
     shape = as_partition(shape)
     if n_trunc < 1:
@@ -193,9 +194,10 @@ def eval_zeta_truncated(shape, var_rows, assign, n_trunc: int):
     if shape != tuple(len(r) for r in exps):
         raise ValueError("shape and variable tableau differ")
     flat = tuple(x for row in exps for x in row)
+    for x in flat:
+        if isinstance(x, bool) or not isinstance(x, Real) or not x >= 0:
+            raise ValueError(f"exponents must be numbers >= 0, got {x!r}")
     if all(_is_exact_value(x) for x in flat):
-        if any(x < 0 for x in flat):
-            raise ValueError("integer exponents must be >= 0")
         return _zeta_exact(shape, flat, n_trunc)
     return _zeta_float(shape, tuple(float(x) for x in flat), n_trunc)
 
@@ -395,53 +397,54 @@ def _perm_weight_exact(bases: tuple, values: tuple) -> Fraction:
     return Fraction(dp[-1], den)
 
 
-def _term_positions(factors, sym_vars):
-    """Locate each symmetrized variable (once) and the fixed cells of a
-    product term; None when the fast path does not apply."""
-    pos: dict[str, tuple[int, int, int]] = {}
-    fixed_cells = []
-    symset = set(sym_vars)
-    for fi, (shape, rows) in enumerate(factors):
-        shape = as_partition(shape)
-        if shape != tuple(len(r) for r in rows):
-            raise ValueError("factor shape and variable tableau differ")
+def _sym_weight(tab_lists, var_rows, sym_vars, values, assign) -> Fraction:
+    """Sum over all bijections of values onto sym_vars of the product over
+    the factors of 1/prod(entry ** exponent), each factor's tableau running
+    over its list in tab_lists and filled with the variables of var_rows.
+
+    Per combination of tableaux, each symmetrized variable has one base:
+    the product of the entries in its cells, 1 when it has none.  So a
+    repeated or missing variable is one more base of the same permanent.
+    The combinations are bucketed by the sorted bases, with the fixed cells'
+    denominators counted per bucket, and each bucket costs one
+    _perm_weight_exact call.
+    """
+    index = {var: k for k, var in enumerate(sym_vars)}
+    sym_cells, fixed_cells = [], []
+    for fi, rows in enumerate(var_rows):
         for i, row in enumerate(rows):
             for j, var in enumerate(row):
-                if var in symset:
-                    if var in pos:
-                        return None
-                    pos[var] = (fi, i, j)
+                if var in index:
+                    sym_cells.append((fi, i, j, index[var]))
                 else:
-                    fixed_cells.append((fi, i, j, var))
-    if len(pos) != len(sym_vars):
-        return None
-    return [pos[v] for v in sym_vars], fixed_cells
-
-
-def _term_sym_fast(coeff, factors, sym_vars, values, assign, n_trunc):
-    located = _term_positions(factors, sym_vars)
-    if located is None:
-        return None
-    order, fixed_cells = located
-    tab_lists = [cached_ssyt(as_partition(shape), n_trunc) for shape, _ in factors]
-    if any(len(lst) == 0 for lst in tab_lists):
-        return Fraction(0)
-    values_key = tuple(sorted(values))
+                    fixed_cells.append((fi, i, j, assign[var]))
     buckets: dict[tuple, dict[int, int]] = {}
     for combo in product(*tab_lists):
         den = 1
-        for fi, i, j, var in fixed_cells:
-            den *= combo[fi][i][j] ** assign[var]
-        key = tuple(sorted(combo[fi][i][j] for fi, i, j in order))
-        buckets.setdefault(key, {})
-        buckets[key][den] = buckets[key].get(den, 0) + 1
+        for fi, i, j, ex in fixed_cells:
+            den *= combo[fi][i][j] ** ex
+        bases = [1] * len(sym_vars)
+        for fi, i, j, k in sym_cells:
+            bases[k] *= combo[fi][i][j]
+        dens = buckets.setdefault(tuple(sorted(bases)), {})
+        dens[den] = dens.get(den, 0) + 1
+    values_key = tuple(sorted(values))
     total = Fraction(0)
     for key, dens in buckets.items():
         fixed_sum = sum(
             (Fraction(c, d) for d, c in sorted(dens.items())), Fraction(0)
         )
         total += _perm_weight_exact(key, values_key) * fixed_sum
-    return coeff * total
+    return total
+
+
+def _require_cap(spec, cap, allow_large) -> None:
+    k = len(spec.symmetrized)
+    if k > cap and not allow_large:
+        raise ValueError(
+            f"{k} symmetrized variables exceed the cap of {cap} (each bucket "
+            f"costs a 2^{k}-state permanent); pass allow_large=True to proceed"
+        )
 
 
 def _check_spec_and_values(terms, spec, assign, n_trunc):
@@ -497,30 +500,22 @@ def sym_sum(
     exponent must be an integer >= 0.  Refuses more than ``cap``
     symmetrized variables unless allow_large is set.
     """
-    k = len(spec.symmetrized)
-    if k > cap and not allow_large:
-        raise ValueError(
-            f"{k} symmetrized variables means {k}! = {factorial(k)} "
-            f"permutations; pass allow_large=True to proceed"
-        )
+    _require_cap(spec, cap, allow_large)
     if not _check_spec_and_values(terms, spec, assign, n_trunc):
         raise ValueError("sym_sum needs integer exponents; use sym_sum_direct")
-    sym_vars = spec.symmetrized
-    values = tuple(assign[v] for v in sym_vars)
+    values = tuple(assign[v] for v in spec.symmetrized)
     total = Fraction(0)
     for coeff, factors in terms:
-        fast = _term_sym_fast(coeff, factors, sym_vars, values, assign, n_trunc)
-        if fast is not None:
-            total += fast
-            continue
-        # a term the fast path cannot bucket: the literal permutation sum
-        for perm in permutations(values):
-            local = dict(assign)
-            local.update(zip(sym_vars, perm))
-            term = coeff
-            for shape, rows in factors:
-                term *= eval_zeta_truncated(shape, rows, local, n_trunc)
-            total += term
+        tab_lists = []
+        for shape, rows in factors:
+            shape = as_partition(shape)
+            if shape != tuple(len(r) for r in rows):
+                raise ValueError("factor shape and variable tableau differ")
+            tab_lists.append(cached_ssyt(shape, n_trunc))
+        var_rows = [rows for _, rows in factors]
+        total += coeff * _sym_weight(
+            tab_lists, var_rows, spec.symmetrized, values, assign
+        )
     return total
 
 
@@ -711,24 +706,6 @@ def verify_lr(
     return IdentityReport(lhs, rhs, lhs == rhs)
 
 
-def _sym_monomial_sum(pairs, spec, assign, cap, allow_large):
-    k = len(spec.symmetrized)
-    if k > cap and not allow_large:
-        raise ValueError(
-            f"{k} symmetrized variables; pass allow_large=True to proceed"
-        )
-    values = tuple(assign[v] for v in spec.symmetrized)
-    total = Fraction(0)
-    for perm in permutations(values):
-        local = dict(assign)
-        local.update(zip(spec.symmetrized, perm))
-        term = Fraction(1)
-        for tab, rows in pairs:
-            term *= monomial(tab, rows, local)
-        total += term
-    return total
-
-
 def verify_insertion_term(
     left,
     right,
@@ -768,13 +745,9 @@ def verify_insertion_term(
         t_names = seq_vars(size, "t")
         require_exact(assign, _flatten(s_rows) + list(t_names))
         spec = h_sym_spec(lam, size)
-        lhs = _sym_monomial_sum(
-            [(left, s_rows), (right, (t_names,))], spec, assign, cap, allow_large
-        )
+        pair_rows = [s_rows, (t_names,)]
         filling = horizontal_push_filling(lam, s_rows, t_names, added)
-        rhs = _sym_monomial_sum([(result, filling)], spec, assign, cap, allow_large)
-        return InsertionTermReport(lhs, rhs, lhs == rhs, result, added)
-    if mode == "e":
+    elif mode == "e":
         if shape_of(left) != (1,) * size or shape_of(right) != lam:
             raise ValueError("mode e needs left a column of height size")
         result, _ = column_insert_word(column_word(left), right)
@@ -792,11 +765,14 @@ def verify_insertion_term(
         s_names = seq_vars(size, "s")
         require_exact(assign, _flatten(t_rows) + list(s_names))
         spec = e_sym_spec(lam, size)
-        s_col_rows = tuple((name,) for name in s_names)
-        lhs = _sym_monomial_sum(
-            [(left, s_col_rows), (right, t_rows)], spec, assign, cap, allow_large
-        )
+        pair_rows = [tuple((name,) for name in s_names), t_rows]
         filling = vertical_push_filling(lam, s_names, t_rows, added)
-        rhs = _sym_monomial_sum([(result, filling)], spec, assign, cap, allow_large)
-        return InsertionTermReport(lhs, rhs, lhs == rhs, result, added)
-    raise ValueError(f"mode must be 'h' or 'e', got {mode!r}")
+    else:
+        raise ValueError(f"mode must be 'h' or 'e', got {mode!r}")
+    _require_cap(spec, cap, allow_large)
+    values = tuple(assign[v] for v in spec.symmetrized)
+    lhs = _sym_weight(
+        [[left], [right]], pair_rows, spec.symmetrized, values, assign
+    )
+    rhs = _sym_weight([[result]], [filling], spec.symmetrized, values, assign)
+    return InsertionTermReport(lhs, rhs, lhs == rhs, result, added)

@@ -201,8 +201,21 @@ LR_ASSIGN = '{"s_1_1":2,"s_2_1":3,"t_1_1":4,"t_1_2":5}'
         # truncation level 0, which zeta eval also rejects
         ["verify", "pieri-h", "--lambda", "1", "--m", "1",
          "--n-trunc", "0", "--assign", '{"s_1_1":2,"t_1":3}'],
+        # an exponent that is not a number
+        ["zeta", "eval", "--shape", "1", "--exponents", "[[null]]", "--n", "3"],
+        # tableau rows that are not a list of rows
+        ["insert", "row", "--tableau", '{"rows":5}', "--word", "1"],
+        # a negative exponent, which exact mode also rejects
+        ["zeta", "eval", "--shape", "1", "--exponents", "[[-1.0]]",
+         "--float", "--n", "3"],
+        # JSON true is not the exponent 1
+        ["zeta", "eval", "--shape", "1", "--exponents", "[[true]]", "--n", "3"],
     ],
-    ids=["filling-not-rows", "filling-not-names", "dot-unwritable", "n-trunc-0"],
+    ids=[
+        "filling-not-rows", "filling-not-names", "dot-unwritable", "n-trunc-0",
+        "exponent-null", "tableau-rows-not-list", "float-exponent-negative",
+        "exponent-bool",
+    ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]

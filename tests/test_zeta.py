@@ -213,12 +213,51 @@ def test_sym_sum_fast_matches_direct():
 
 
 def test_sym_sum_fallback_when_variable_missing_from_term():
-    # symmetrize over a variable that one term does not contain: the
-    # bucketed path cannot apply and the direct definition takes over
+    # symmetrize over a variable that one term does not contain: it enters
+    # that term's permanent as a base of 1
     terms = [(1, [((1,), (("a",),))]), (2, [((1,), (("b",),))])]
     spec = SymSpec(("a", "b"), frozenset())
     assign = {"a": 2, "b": 3}
     assert sym_sum(terms, spec, assign, 2) == sym_sum_direct(terms, spec, assign, 2)
+
+
+KERNEL_TERMS = {
+    # a symmetrized variable in two cells of one factor
+    "repeated-in-factor": (
+        [(1, [((2, 1), (("a", "b"), ("a",)))])],
+        SymSpec(("a", "b"), frozenset()),
+    ),
+    # a symmetrized variable in both factors of one term
+    "repeated-across-factors": (
+        [(1, [((1,), (("a",),)), ((2,), (("a", "b"),))])],
+        SymSpec(("a", "b"), frozenset()),
+    ),
+    # each term misses a symmetrized variable, and c stays fixed
+    "missing-from-term": (
+        [(1, [((1,), (("a",),))]), (3, [((1, 1), (("b",), ("c",)))])],
+        SymSpec(("a", "b"), frozenset({"c"})),
+    ),
+    # all three at once, with d in no cell at all
+    "mixed": (
+        [
+            (2, [((2,), (("a", "a"),)), ((1, 1), (("c",), ("b",)))]),
+            (-1, [((1,), (("b",),))]),
+        ],
+        SymSpec(("a", "b", "d"), frozenset({"c"})),
+    ),
+}
+
+
+@pytest.mark.parametrize("n_trunc", [1, 2, 3])
+@pytest.mark.parametrize(
+    "values", [(1, 2, 3, 4), (2, 2, 1, 2), (3, 3, 3, 0)], ids=str
+)
+@pytest.mark.parametrize("case", sorted(KERNEL_TERMS))
+def test_sym_sum_repeated_and_missing_variables_match_direct(case, values, n_trunc):
+    terms, spec = KERNEL_TERMS[case]
+    assign = dict(zip("abcd", values))
+    assert sym_sum(terms, spec, assign, n_trunc) == \
+        sym_sum_direct(terms, spec, assign, n_trunc)
 
 
 def test_sym_sum_invariant_under_relabelling():
@@ -308,6 +347,14 @@ def test_sym_sum_is_exact_only():
         sym_sum(terms, spec, assign, 2)
     # the direct oracle keeps float exponents
     assert sym_sum_direct(terms, spec, assign, 2) == pytest.approx(2 * 1.25 * 1.125)
+
+
+@pytest.mark.parametrize("bad", [True, -1, -1.0, None, float("nan")], ids=repr)
+@pytest.mark.parametrize("value", [2, 2.0])
+def test_eval_zeta_truncated_rejects_bad_exponents_in_both_modes(bad, value):
+    rows = (("a", "b"),)
+    with pytest.raises(ValueError, match="exponents"):
+        eval_zeta_truncated((2,), rows, {"a": value, "b": bad}, 3)
 
 
 @pytest.mark.parametrize("n_trunc", [0, -1])
@@ -429,6 +476,55 @@ def test_verify_insertion_term_e_examples():
             assert rep.equal, (left, right)
     with pytest.raises(ValueError):
         verify_insertion_term(((1, 1),), ((1, 1),), (2,), 2, "e", assign)
+
+
+def brute_sym_monomial_sum(pairs, spec, assign):
+    """Oracle: the sum over all k! orderings of the symmetrized values of
+    the product of the pairs' monomials."""
+    total = Fraction(0)
+    for perm in permutations(assign[v] for v in spec.symmetrized):
+        local = dict(assign)
+        local.update(zip(spec.symmetrized, perm))
+        term = Fraction(1)
+        for tab, rows in pairs:
+            term *= monomial(tab, rows, local)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+def test_verify_insertion_term_matches_monomial_oracle(repeated):
+    # the tableau pairs of selftest criterion 10, with its distinct values
+    # and with repeated ones
+    lam, m = (2, 1), 2
+    s_rows, t_names = grid_vars(lam, "s"), seq_vars(m, "t")
+    names = [v for r in s_rows for v in r] + list(t_names)
+    values = (2, 1, 2, 1, 3) if repeated else range(1, 6)
+    assign = dict(zip(names, values))
+    spec = h_sym_spec(lam, m)
+    for left in cached_ssyt(lam, 3):
+        for right in cached_ssyt((m,), 3):
+            rep = verify_insertion_term(left, right, lam, m, "h", assign)
+            lhs = brute_sym_monomial_sum(
+                [(left, s_rows), (right, (t_names,))], spec, assign
+            )
+            filling = horizontal_push_filling(lam, s_rows, t_names, rep.added)
+            rhs = brute_sym_monomial_sum([(rep.tableau, filling)], spec, assign)
+            assert (rep.lhs, rep.rhs) == (lhs, rhs), (left, right)
+    lam, n = (2,), 2
+    t_rows, s_names = grid_vars(lam, "t"), seq_vars(n, "s")
+    names = [v for r in t_rows for v in r] + list(s_names)
+    values = (1, 1, 2, 1) if repeated else range(1, 5)
+    assign = dict(zip(names, values))
+    spec = e_sym_spec(lam, n)
+    s_col = tuple((name,) for name in s_names)
+    for left in cached_ssyt((1,) * n, 3):
+        for right in cached_ssyt(lam, 3):
+            rep = verify_insertion_term(left, right, lam, n, "e", assign)
+            lhs = brute_sym_monomial_sum([(left, s_col), (right, t_rows)], spec, assign)
+            filling = vertical_push_filling(lam, s_names, t_rows, rep.added)
+            rhs = brute_sym_monomial_sum([(rep.tableau, filling)], spec, assign)
+            assert (rep.lhs, rep.rhs) == (lhs, rhs), (left, right)
 
 
 def test_fault_injected_insertion_order_fails_loudly(monkeypatch):
