@@ -299,24 +299,32 @@ def criterion_monotone_and_limits(quick: bool = False, seed: int = 0) -> Criteri
         )
     rep = zeta.eval_zeta_limit((1,), rows, {"a": 2.0}, 1e-13)
     err1 = abs(rep.value - math.pi**2 / 6)
-    if not (rep.converged and err1 < 1e-6):
+    if not (rep.converged and err1 < 1e-6 and err1 <= rep.error_estimate):
         return CriterionResult(
             8, "truncation-monotone-limits", False,
-            f"limit missed zeta(2) by {err1:.2e}", time.perf_counter() - t0,
+            f"limit missed zeta(2) by {err1:.2e} (estimate "
+            f"{rep.error_estimate:.2e})", time.perf_counter() - t0,
         )
-    detail = f"monotone, 49/36 exact, zeta(2) within {err1:.1e}"
+    detail = (
+        f"monotone, 49/36 exact, zeta(2) within {err1:.1e} "
+        f"(estimate {rep.error_estimate:.1e})"
+    )
     if not quick:
         rep2 = zeta.eval_zeta_limit(
             (1, 1), (("a",), ("b",)), {"a": 1.0, "b": 2.0}, 1e-14
         )
         zeta3 = 1.2020569031595942854
         err2 = abs(rep2.value - zeta3)
-        if not (rep2.converged and err2 < 1e-6):
+        if not (rep2.converged and err2 < 1e-6 and err2 <= rep2.error_estimate):
             return CriterionResult(
                 8, "truncation-monotone-limits", False,
-                f"limit missed zeta(3) by {err2:.2e}", time.perf_counter() - t0,
+                f"limit missed zeta(3) by {err2:.2e} (estimate "
+                f"{rep2.error_estimate:.2e})", time.perf_counter() - t0,
             )
-        detail += f", zeta(3) within {err2:.1e} at level {rep2.levels}"
+        detail += (
+            f", zeta(3) within {err2:.1e} (estimate "
+            f"{rep2.error_estimate:.1e}) at level {rep2.levels}"
+        )
     return CriterionResult(
         8, "truncation-monotone-limits", True, detail, time.perf_counter() - t0
     )

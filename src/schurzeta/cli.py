@@ -2,7 +2,8 @@
 LR coefficients, zeta evaluation, identity verification, and the selftest.
 
 Exit codes: 0 when the requested checks pass, 1 on a verification
-mismatch, 2 on malformed input or violated preconditions.
+mismatch, 2 on malformed input or violated preconditions, 3 on an internal
+error (any other exception), so that a crash never reads as a mismatch.
 """
 
 import argparse
@@ -153,7 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode = q.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--float", dest="as_float", action="store_true")
-    q.add_argument("--tol", type=float, help="limit mode: stop below this increment")
+    q.add_argument(
+        "--tol", type=float,
+        help="limit mode: stop once the error estimate is below this",
+    )
     q.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="exact identity verification")
@@ -291,17 +295,21 @@ def _cmd_zeta(args) -> int:
         for i, row in enumerate(var_rows)
         for j, var in enumerate(row)
     }
-    if args.as_float and args.tol is not None:
+    if args.tol is not None:
+        if not args.as_float:
+            raise ValueError("--tol (limit mode) needs --float")
+        if args.n is not None:
+            raise ValueError("--tol (limit mode) and --n exclude each other")
         rep = zeta.eval_zeta_limit(shape, var_rows, assign, args.tol)
         payload = {
             "value": rep.value,
             "levels": rep.levels,
-            "last_increment": rep.last_increment,
+            "error_estimate": rep.error_estimate,
             "converged": rep.converged,
         }
         lines = [
-            f"{rep.value!r}  (level {rep.levels}, last increment "
-            f"{rep.last_increment:.3e}, converged={rep.converged})"
+            f"{rep.value!r}  (level {rep.levels}, error estimate "
+            f"{rep.error_estimate:.3e}, converged={rep.converged})"
         ]
         _emit(payload, args.json, lines)
         return 0
@@ -402,6 +410,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     raise AssertionError("unreachable")
 
 

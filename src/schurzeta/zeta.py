@@ -9,14 +9,14 @@ exact mode only: the truncated identities hold for every truncation level
 and every integer assignment, so equality is tested with zero tolerance.
 """
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 from numbers import Real
 from typing import NamedTuple
-
-import numpy as np
 
 from .insertion import column_insert_word, column_word, row_insert_word
 from .partitions import (
@@ -71,7 +71,7 @@ class InsertionTermReport:
 class LimitReport:
     value: float
     levels: int
-    last_increment: float
+    error_estimate: float
     converged: bool
 
 
@@ -219,7 +219,11 @@ def in_convergence_domain(shape, var_rows, assign) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# untruncated limit by level-incremental summation
+# untruncated limit by geometric-level extrapolation
+
+LIMIT_START = 16
+LIMIT_MAX_ORDER = 12
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _strip_predecessors(shape: Partition) -> list[Partition]:
@@ -247,16 +251,136 @@ def _strip_chains(shape: Partition) -> tuple[tuple[Partition, ...], ...]:
     return tuple(chains)
 
 
-def _chain_exponent_sums(chain, exps) -> list[float]:
+def _chain_exponent_sums(chain, exps) -> tuple[Fraction, ...]:
+    """Exponent sum of each strip of the chain, exact: a float converts to
+    Fraction without rounding."""
     sums = []
     for prev, cur in zip(chain, chain[1:]):
         prev_pad = prev + (0,) * (len(cur) - len(prev))
-        total = 0.0
+        total = Fraction(0)
         for i, (a, b) in enumerate(zip(prev_pad, cur)):
             for j in range(a, b):
-                total += float(exps[i][j])
+                total += Fraction(exps[i][j])
         sums.append(total)
-    return sums
+    return tuple(sums)
+
+
+def _tail_terms(steps, cutoff) -> dict[Fraction, int]:
+    """The powers N**beta (beta < 0, down to cutoff) in the expansion of a
+    chain's partial sum S(N) about its limit, each with the highest power of
+    log N that multiplies it (every lower log power occurs as well).
+
+    T_j(n), the sum over the first j steps with the last level at most n,
+    is the sum over a <= n of a**-e_j * T_{j-1}(a-1).  By Euler-Maclaurin a
+    summand a**g * log(a)**p brings n**(g+1-m) * log(n)**p for m >= 0, and
+    for g = -1 log(n)**(p+1) in place of n**0.  Terms below the cutoff only
+    feed terms below it.
+    """
+    grow = {Fraction(0): 0}
+    for e in steps:
+        nxt = {Fraction(0): 0}
+        for beta, p in grow.items():
+            top = beta + 1 - e
+            if top == 0:
+                nxt[top] = max(nxt[top], p + 1)
+                top -= 1
+            while top >= cutoff:
+                nxt[top] = max(nxt.get(top, 0), p)
+                top -= 1
+        grow = nxt
+    del grow[0]
+    return grow
+
+
+def _partial_sums(chains, stops):
+    """Yield S(N) for each N in the increasing stops, as an exact Fraction
+    of the float state: the sum over chains of multiplicity * T_k(N), where
+    T_j(n) = T_j(n-1) + n**-e_j * T_{j-1}(n-1) runs level by level with a
+    Neumaier compensation term (every term is positive, so its branch
+    compares the values themselves)."""
+    exponents = sorted({-float(e) for steps in chains for e in steps})
+    index = {ex: i for i, ex in enumerate(exponents)}
+    states = [
+        (mult, [index[-float(e)] for e in steps], [0.0] * len(steps), [0.0] * len(steps))
+        for steps, mult in chains.items()
+    ]
+    n = 0
+    for stop in stops:
+        while n < stop:
+            n += 1
+            x = float(n)
+            pw = [x**ex for ex in exponents]
+            for _, idx, sums, comps in states:
+                prev = 1.0
+                for j, i in enumerate(idx):
+                    s = sums[j]
+                    term = pw[i] * prev
+                    prev = s + comps[j]
+                    t = s + term
+                    if s >= term:
+                        comps[j] += (s - t) + term
+                    else:
+                        comps[j] += (term - t) + s
+                    sums[j] = t
+        yield sum(
+            (mult * (Fraction(sums[-1]) + Fraction(comps[-1]))
+             for mult, _, sums, comps in states),
+            Fraction(0),
+        )
+
+
+def _extrapolation_weights(groups) -> list[Fraction]:
+    """Weights w_t of the readings S(N0 * 2**t), t = 0..K, whose weighted
+    sum keeps the limit and cancels the K terms N**beta * log(N)**q, q <= p,
+    of the groups (beta, p).
+
+    log N is affine in t, so those terms span r**t * t**q with r = 2**beta,
+    and the weights solve sum w_t = 1, sum w_t * r**t * t**q = 0.  The
+    exact solution is the coefficient list of the polynomial
+    prod(((x - r) / (1 - r)) ** (p + 1)): it is 1 at x = 1, and each r is a
+    root of order p + 1, where (x d/dx)**q of it vanishes for q <= p.
+    """
+    weights = [Fraction(1)]
+    for beta, p in groups:
+        r = Fraction(Fraction(2) ** beta)  # float-rounded for a non-integer beta
+        for _ in range(p + 1):
+            shifted = [Fraction(0)] + weights
+            scaled = [r * w for w in weights] + [Fraction(0)]
+            weights = [(a - b) / (1 - r) for a, b in zip(shifted, scaled)]
+    return weights
+
+
+def _extrapolate(readings, groups, amplify):
+    """Limit from the last readings with as many term groups as they and
+    LIMIT_MAX_ORDER allow, the gap to the value with one group fewer, and
+    a rounding floor of the limit; None while not even one group fits.
+
+    Each term of S(N) carries a relative rounding error of at most
+    amplify * u, so a reading's error is the error of the first reading
+    used plus that of the increments after it.  The weights sum to 1: the
+    first reading's error passes once, and the increment from reading t-1
+    to t passes with the weight sum W_t of the readings from t on.
+    """
+    room = min(len(readings) - 1, LIMIT_MAX_ORDER)
+    used = size = 0
+    for _, p in groups:
+        if size + p + 1 > room:
+            break
+        used, size = used + 1, size + p + 1
+    if used == 0:
+        return None
+    weights = _extrapolation_weights(groups[:used])
+    tail = readings[-len(weights):]
+    limit = sum(w * s for w, s in zip(weights, tail))
+    lower = _extrapolation_weights(groups[: used - 1])
+    gap = limit - sum(w * s for w, s in zip(lower, readings[-len(lower):]))
+    spread = tail[0] + sum(
+        abs(sum(weights[t:])) * (tail[t] - tail[t - 1])
+        for t in range(1, len(tail))
+    )
+    value = float(limit)
+    floor = _UNIT_ROUNDOFF * (amplify * float(spread) + abs(value))
+    return value, abs(float(gap)), floor
 
 
 def eval_zeta_limit(
@@ -264,61 +388,64 @@ def eval_zeta_limit(
     var_rows,
     assign,
     tol: float,
-    max_level: int = 100_000_000,
-    chunk: int = 1 << 21,
+    max_level: int = 1 << 20,
 ) -> LimitReport:
-    """Evaluate the untruncated sum by increasing the entry bound until the
-    per-level increment drops below tol.
+    """Evaluate the untruncated sum as the limit of the truncated sums S(N).
 
-    The stopping rule is heuristic (the reported increment is not a bound
-    on the remaining tail); converged=False when max_level is reached
-    first.  Requires the exponents to lie in the convergence domain.
+    S(N) is summed level by level and read at N = LIMIT_START * 2**i.  Its
+    expansion about the limit runs over N**beta * log(N)**q, with the
+    powers fixed by the chains' exponent sums (_tail_terms), so an exact
+    linear solve over the last readings cancels the slowest terms.
+    error_estimate is the larger of two gaps, to the value with the last
+    group of terms left out and to the value one reading earlier, plus a
+    rounding floor; it is never 0, and converged means it is at most tol.
+    Levels double until then, until the gap falls below the rounding floor
+    (more levels cannot help), or until max_level, where the plain
+    S(max_level) is returned with converged=False and an error estimate
+    from the last extrapolation (inf if there was none).  Requires the
+    exponents to lie in the convergence domain.
     """
     shape = as_partition(shape)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if not in_convergence_domain(shape, var_rows, assign):
         raise ValueError("exponents outside the convergence domain")
     if not shape:
-        return LimitReport(1.0, 0, 0.0, True)
+        return LimitReport(1.0, 0, _UNIT_ROUNDOFF, True)
     exps = resolve_exponents(var_rows, assign)
-    chains = [
+    chains = Counter(
         _chain_exponent_sums(chain, exps) for chain in _strip_chains(shape)
-    ]
-    carries = [[0.0] * len(ch) for ch in chains]
-    warmup = sum(shape)
-    value = 0.0
-    level = 0
-    incr = np.zeros(1)
-    while level < max_level:
-        lo, hi = level + 1, min(level + chunk, max_level)
-        varr = np.arange(lo, hi + 1, dtype=np.float64)
-        incr = np.zeros(len(varr))
-        for steps, carry in zip(chains, carries):
-            start = carry.copy()  # values at level lo-1; carry mutates below
-            prev_arr = None
-            t = None
-            for j, exp_sum in enumerate(steps):
-                pw = varr ** (-exp_sum)
-                if j == 0:
-                    t = pw
-                else:
-                    shifted = np.empty_like(prev_arr)
-                    shifted[0] = start[j - 1]
-                    shifted[1:] = prev_arr[:-1]
-                    t = pw * shifted
-                prev_arr = np.cumsum(t)
-                prev_arr += start[j]
-                carry[j] = float(prev_arr[-1])
-            incr += t
-        hit = np.nonzero((incr < tol) & (varr > warmup))[0]
-        if len(hit):
-            stop = int(hit[0])
-            value += float(incr[: stop + 1].sum())
-            return LimitReport(value, lo + stop, float(incr[stop]), True)
-        value += float(incr.sum())
-        level = hi
-    return LimitReport(value, max_level, float(incr[-1]), False)
+    )
+    terms: dict[Fraction, int] = {}
+    for steps in chains:
+        # a chain's slowest power is at least 1 - sum(steps), and the
+        # groups a fit can use lie less than LIMIT_MAX_ORDER below it
+        for beta, p in _tail_terms(steps, -LIMIT_MAX_ORDER - sum(steps)).items():
+            terms[beta] = max(terms.get(beta, 0), p)
+    groups = sorted(terms.items(), reverse=True)
+    amplify = 4 * sum(shape)  # pow, product and operand rounding per step
+    stops = []
+    while (LIMIT_START << len(stops)) < max_level:
+        stops.append(LIMIT_START << len(stops))
+    stops.append(max_level)
+    readings: list[Fraction] = []
+    last = None  # (value, error estimate) of the latest extrapolation
+    for stop, total in zip(stops, _partial_sums(chains, stops)):
+        if stop != LIMIT_START << len(readings):
+            break
+        readings.append(total)
+        fit = _extrapolate(readings, groups, amplify)
+        if fit is None:
+            continue
+        value, gap, floor = fit
+        if last is not None:
+            gap = max(gap, abs(value - last[0]))
+        last = (value, gap + floor)
+        if gap + floor <= tol or gap <= floor:
+            return LimitReport(value, stop, gap + floor, gap + floor <= tol)
+    plain = float(total)
+    error = math.inf if last is None else abs(last[0] - plain) + last[1]
+    return LimitReport(plain, max_level, error, False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from schurzeta import cli
 from schurzeta.zeta import IdentityReport
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, argv):
@@ -52,6 +58,8 @@ def test_zeta_eval_float_limit(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["converged"] and abs(payload["value"] - 1.6449) < 1e-3
+    assert 0 < payload["error_estimate"] <= 1e-8
+    assert "last_increment" not in payload
 
 
 def test_zeta_eval_requires_level(capsys):
@@ -210,11 +218,22 @@ LR_ASSIGN = '{"s_1_1":2,"s_2_1":3,"t_1_1":4,"t_1_2":5}'
          "--float", "--n", "3"],
         # JSON true is not the exponent 1
         ["zeta", "eval", "--shape", "1", "--exponents", "[[true]]", "--n", "3"],
+        # a tolerance that is not a positive finite number
+        ["zeta", "eval", "--shape", "1", "--exponents", "[[2.0]]",
+         "--float", "--tol", "nan"],
+        ["zeta", "eval", "--shape", "1", "--exponents", "[[2.0]]",
+         "--float", "--tol", "inf"],
+        # --tol selects limit mode: it needs --float and excludes --n
+        ["zeta", "eval", "--shape", "1", "--exponents", "[[2]]",
+         "--tol", "1e-3", "--n", "2"],
+        ["zeta", "eval", "--shape", "1", "--exponents", "[[2]]",
+         "--float", "--tol", "1e-3", "--n", "2"],
     ],
     ids=[
         "filling-not-rows", "filling-not-names", "dot-unwritable", "n-trunc-0",
         "exponent-null", "tableau-rows-not-list", "float-exponent-negative",
-        "exponent-bool",
+        "exponent-bool", "tol-nan", "tol-inf", "tol-without-float",
+        "tol-with-n",
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
@@ -222,6 +241,32 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli.zeta, "verify_pieri_h", crash)
+    code, out, err = run(
+        capsys,
+        [
+            "verify", "pieri-h", "--lambda", "1", "--m", "1",
+            "--n-trunc", "2", "--assign", '{"s_1_1":2,"t_1":3}',
+        ],
+    )
+    assert code == 3 and out == ""
+    assert err == "error: internal: RuntimeError: boom\n"
+
+
+def test_cli_import_leaves_numpy_out():
+    code = "import sys, schurzeta.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_selftest_quick(capsys):

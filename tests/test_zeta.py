@@ -615,6 +615,78 @@ def test_eval_zeta_limit_matches_truncation_when_capped():
     assert eval_zeta_limit((), (), {}, 1e-6).value == 1.0
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_eval_zeta_limit_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        eval_zeta_limit((1,), (("a",),), {"a": 2.0}, tol)
+
+
+@pytest.mark.parametrize(
+    "shape, exps",
+    [
+        ((1,), [[2]]),
+        ((1, 1), [[1], [2]]),
+        ((2,), [[1, 3]]),
+        ((2, 1), [[1, 2], [3]]),
+        ((2, 2), [[1, 1], [2, 3]]),
+    ],
+)
+def test_limit_partial_sums_match_exact_truncation(shape, exps):
+    # below the first extrapolation level the evaluator returns the plain
+    # float partial sum S(N); it must agree with the exact Fraction path
+    # to the relative rounding the error estimate allows for (4u per cell)
+    rows = grid_vars(shape, "x")
+    assign_q = {v: e for vr, er in zip(rows, exps) for v, e in zip(vr, er)}
+    assign_f = {v: float(e) for v, e in assign_q.items()}
+    bound = 4 * sum(shape) * 2.0**-53
+    for n in range(1, 9):
+        rep = eval_zeta_limit(shape, rows, assign_f, 1e-30, max_level=n)
+        exact = float(eval_zeta_truncated(shape, rows, assign_q, n))
+        assert not rep.converged and rep.levels == n
+        assert abs(rep.value - exact) <= bound * exact
+
+
+def test_eval_zeta_limit_against_mpmath():
+    import mpmath as mp
+
+    mp.mp.dps = 30
+    cases = [
+        ((1,), (("a",),), {"a": 2.0}, 1e-13, mp.pi**2 / 6),
+        ((1, 1), (("a",), ("b",)), {"a": 1.0, "b": 2.0}, 1e-14, mp.zeta(3)),
+        ((2,), (("a", "b"),), {"a": 1.0, "b": 2.0}, 1e-14, 2 * mp.zeta(3)),
+        ((1,), (("a",),), {"a": 3.0}, 1e-13, mp.zeta(3)),
+        (
+            (2, 1), (("a", "b"), ("c",)), {"a": 2.0, "b": 2.0, "c": 2.0}, 1e-13,
+            mp.nsum(lambda a: a**-2 * mp.zeta(2, a) * mp.zeta(2, a + 1), [1, mp.inf]),
+        ),
+        # zeta(2,2) = (zeta(2)**2 - zeta(4)) / 2: the column of two 2s
+        ((1, 1), (("a",), ("b",)), {"a": 2.0, "b": 2.0}, 1e-13,
+         (mp.zeta(2) ** 2 - mp.zeta(4)) / 2),
+    ]
+    for shape, rows, assign, tol, ref in cases:
+        rep = eval_zeta_limit(shape, rows, assign, tol)
+        err = abs(mp.mpf(rep.value) - ref)
+        assert rep.converged, (shape, assign)
+        assert err <= rep.error_estimate <= tol, (shape, assign, err, rep)
+    # non-integer exponents: the two columns (a, b) and (b, a) cover every
+    # pair of distinct levels, so they add up to zeta(a)zeta(b) - zeta(a+b)
+    col = (("a",), ("b",))
+    for x, y in [(2.5, 1.5), (3.218, 3.09), (1.75, 2.0)]:
+        reps = [eval_zeta_limit((1, 1), col, {"a": u, "b": v}, 1e-12)
+                for u, v in ((x, y), (y, x))]
+        ref = mp.zeta(x) * mp.zeta(y) - mp.zeta(x + y)
+        err = abs(mp.mpf(reps[0].value) + reps[1].value - ref)
+        assert all(r.converged for r in reps)
+        assert err <= reps[0].error_estimate + reps[1].error_estimate
+
+
+def test_eval_zeta_limit_loose_tol_stays_within_it():
+    # the old per-level-increment rule stopped 0.031 short of zeta(2) here
+    rep = eval_zeta_limit((1,), (("a",),), {"a": 2.0}, 1e-3)
+    err = abs(rep.value - math.pi**2 / 6)
+    assert rep.converged and err <= rep.error_estimate <= 1e-3
+
+
 def test_pieri_identity_holds_across_small_grid():
     # identity truth for every assignment, including repeated values
     lam = (2,)
