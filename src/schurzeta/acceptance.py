@@ -153,17 +153,25 @@ def criterion_lr_triple_oracle(quick: bool = False, seed: int = 0) -> CriterionR
                 for nu in all_partitions(b, max_length=n):
                     counts = crystal.decompose_product(mu, nu, n)
                     fibers: dict = {}
+                    rights = [
+                        (right, reading_word(right), weight(right))
+                        for right in cached_ssyt(nu, n)
+                    ]
                     for left in cached_ssyt(mu, n):
-                        for right in cached_ssyt(nu, n):
-                            res, _ = insertion.row_insert_word(left, reading_word(right))
+                        left_weight = weight(left)
+                        for right, rw, right_weight in rights:
+                            # cached_ssyt tableaux and their words need no
+                            # re-validation before insertion
+                            res, _ = insertion._row_fold(left, rw)
                             # content identity behind the bijection
-                            if weight(res) != _weight_sum(weight(left), weight(right)):
+                            if weight(res) != _weight_sum(left_weight, right_weight):
                                 return CriterionResult(
                                     4, "lr-triple-oracle", False,
                                     f"content not preserved at {left},{right}",
                                     time.perf_counter() - t0,
                                 )
-                            fibers[shape_of(res)] = fibers.get(shape_of(res), 0) + 1
+                            lam = shape_of(res)
+                            fibers[lam] = fibers.get(lam, 0) + 1
                     for lam in all_partitions(a + b, max_length=n):
                         c = tableaux.lr_coefficient(mu, nu, lam)
                         if counts.get(lam, 0) != c:

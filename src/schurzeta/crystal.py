@@ -139,18 +139,27 @@ def weight_partition(word, n: int) -> Partition:
 
 def decompose_product(mu, nu, n: int) -> Counter:
     """Multiset of partitions labelling the components of the product of
-    the two tableau crystals, found by highest-weight search over all
-    concatenated reading words."""
+    the two tableau crystals, found by highest-weight search over the
+    concatenated reading words.
+
+    e_i acts on a letter of a suffix exactly when it acts there on the
+    whole word, so a word is highest weight only if every suffix is; only
+    right factors whose own reading word is highest weight are tried."""
     mu, nu = as_partition(mu), as_partition(nu)
     if len(mu) > n or len(nu) > n:
         raise ValueError(f"shapes {mu}, {nu} need at most {n} rows")
     if not mu and not nu:
         raise ValueError("at least one factor must be a nonempty shape")
+    # the empty tableau's word is empty, which is_highest_weight rejects
+    rights = [
+        rw for rw in map(reading_word, cached_ssyt(nu, n))
+        if not rw or is_highest_weight(rw, n)
+    ]
     out: Counter = Counter()
     for left in cached_ssyt(mu, n):
         lw = reading_word(left)
-        for right in cached_ssyt(nu, n):
-            word = lw + reading_word(right)
+        for rw in rights:
+            word = lw + rw
             if is_highest_weight(word, n):
                 out[weight_partition(word, n)] += 1
     return out

@@ -28,14 +28,14 @@ def _require_ssyt(t) -> Tableau:
     return t
 
 
-def _checked_rows(t, word) -> tuple[list[list[int]], Word]:
-    """Validate a tableau and a word once; mutable rows for the bump folds."""
+def _checked_rows(t, word) -> tuple[Tableau, Word]:
+    """Validate a tableau and a word once, for the unchecked folds."""
     t = _require_ssyt(t)
     letters = tuple(int(x) for x in word)
     for x in letters:
         if x < 1:
             raise ValueError(f"inserted value must be positive, got {x}")
-    return [list(row) for row in t], letters
+    return t, letters
 
 
 def _row_bump(rows: list[list[int]], x: int) -> tuple[Cell, ...]:
@@ -72,17 +72,24 @@ def _column_bump(rows: list[list[int]], x: int) -> tuple[Cell, ...]:
         j += 1
 
 
-def row_insert_word(t, word) -> tuple[Tableau, list[tuple[Cell, ...]]]:
-    """Left-to-right fold of Schensted row insertion over the word; returns
-    the final tableau and one bumping route per letter."""
-    rows, letters = _checked_rows(t, word)
+def _row_fold(t: Tableau, letters) -> tuple[Tableau, list[tuple[Cell, ...]]]:
+    """row_insert_word without its checks: t must be semistandard and the
+    letters positive integers, as for cached_ssyt tableaux and words."""
+    rows = [list(row) for row in t]
     routes = [_row_bump(rows, x) for x in letters]
     return tuple(tuple(row) for row in rows), routes
 
 
+def row_insert_word(t, word) -> tuple[Tableau, list[tuple[Cell, ...]]]:
+    """Left-to-right fold of Schensted row insertion over the word; returns
+    the final tableau and one bumping route per letter."""
+    return _row_fold(*_checked_rows(t, word))
+
+
 def column_insert_word(word, t) -> tuple[Tableau, list[tuple[Cell, ...]]]:
     """Fold of column insertion applying word[0] first, word[-1] last."""
-    rows, letters = _checked_rows(t, word)
+    t, letters = _checked_rows(t, word)
+    rows = [list(row) for row in t]
     routes = [_column_bump(rows, x) for x in letters]
     return tuple(tuple(row) for row in rows), routes
 

@@ -107,6 +107,8 @@ def cached_ssyt(shape: Partition, n: int) -> tuple[Tableau, ...]:
 
 def enumerate_ssyt(shape, n: int) -> list[Tableau]:
     """Materialized list of SSYT of shape with entries <= n."""
+    if n < 0:
+        raise ValueError(f"largest entry must be >= 0, got {n}")
     return list(cached_ssyt(as_partition(shape), n))
 
 

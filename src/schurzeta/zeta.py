@@ -180,23 +180,30 @@ def _zeta_float(shape: Partition, flat_exps: tuple, n_trunc: int) -> float:
     return total
 
 
+def _checked_exponents(shape: Partition, var_rows, assign) -> tuple[tuple, ...]:
+    """Resolved exponents of the shape's cells; each must be a finite
+    number >= 0 and not a bool."""
+    exps = resolve_exponents(var_rows, assign)
+    if shape != tuple(len(r) for r in exps):
+        raise ValueError("shape and variable tableau differ")
+    for row in exps:
+        for x in row:
+            if isinstance(x, bool) or not isinstance(x, Real) or not 0 <= x < math.inf:
+                raise ValueError(f"exponents must be finite numbers >= 0, got {x!r}")
+    return exps
+
+
 def eval_zeta_truncated(shape, var_rows, assign, n_trunc: int):
     """Finite Schur multiple zeta sum over tableaux with entries <= n_trunc.
 
     Exact rational when every exponent is an integer, float otherwise;
     zero when the shape has more rows than n_trunc.  Exponents must be
-    numbers >= 0 (not bools) in both modes.
+    finite numbers >= 0 (not bools) in both modes.
     """
     shape = as_partition(shape)
     if n_trunc < 1:
         raise ValueError("truncation level must be >= 1")
-    exps = resolve_exponents(var_rows, assign)
-    if shape != tuple(len(r) for r in exps):
-        raise ValueError("shape and variable tableau differ")
-    flat = tuple(x for row in exps for x in row)
-    for x in flat:
-        if isinstance(x, bool) or not isinstance(x, Real) or not x >= 0:
-            raise ValueError(f"exponents must be numbers >= 0, got {x!r}")
+    flat = tuple(x for row in _checked_exponents(shape, var_rows, assign) for x in row)
     if all(_is_exact_value(x) for x in flat):
         return _zeta_exact(shape, flat, n_trunc)
     return _zeta_float(shape, tuple(float(x) for x in flat), n_trunc)
@@ -402,17 +409,17 @@ def eval_zeta_limit(
     Levels double until then, until the gap falls below the rounding floor
     (more levels cannot help), or until max_level, where the plain
     S(max_level) is returned with converged=False and an error estimate
-    from the last extrapolation (inf if there was none).  Requires the
-    exponents to lie in the convergence domain.
+    from the last extrapolation (inf if there was none).  Requires finite
+    exponents in the convergence domain.
     """
     shape = as_partition(shape)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    exps = _checked_exponents(shape, var_rows, assign)
     if not in_convergence_domain(shape, var_rows, assign):
         raise ValueError("exponents outside the convergence domain")
     if not shape:
         return LimitReport(1.0, 0, _UNIT_ROUNDOFF, True)
-    exps = resolve_exponents(var_rows, assign)
     chains = Counter(
         _chain_exponent_sums(chain, exps) for chain in _strip_chains(shape)
     )

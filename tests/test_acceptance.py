@@ -5,9 +5,12 @@ pass/fail report per criterion, or `schurzeta selftest` for the same grid
 through the CLI.
 """
 
+from bisect import bisect_left
+
 import pytest
 
-from schurzeta import acceptance, tableaux, zeta
+from schurzeta import acceptance, crystal, insertion, tableaux, zeta
+from schurzeta.partitions import all_partitions
 
 CACHES = (
     tableaux.cached_ssyt,
@@ -41,3 +44,39 @@ def test_budgets():
     assert by_number[1].seconds < 60
     assert by_number[2].seconds < 60
     assert by_number[3].seconds < 120
+    assert by_number[4].seconds < 20
+
+
+def test_lr_triple_oracle_fails_on_weak_row_bump(monkeypatch):
+    # bumping the leftmost entry >= x moves equal entries down a row
+    assert acceptance.criterion_lr_triple_oracle(quick=True).passed
+    monkeypatch.setattr(insertion, "bisect_right", bisect_left)
+    result = acceptance.criterion_lr_triple_oracle(quick=True)
+    assert not result.passed and "insertion fiber" in result.detail
+
+
+def test_lr_triple_oracle_fails_on_false_highest_weight(monkeypatch):
+    # (1, 2, 2, 1) is mu=(2) times nu=(1,1); its right factor (2, 1) is
+    # highest weight, so the pruned search still tests the whole word
+    honest = crystal.is_highest_weight
+
+    def faulty(word, n):
+        return tuple(word) == (1, 2, 2, 1) or honest(word, n)
+
+    monkeypatch.setattr(crystal, "is_highest_weight", faulty)
+    result = acceptance.criterion_lr_triple_oracle(quick=True)
+    assert not result.passed and "(2,),(1, 1),(2, 2)" in result.detail
+
+
+def test_unchecked_row_fold_matches_row_insert_word():
+    n = 4
+    for a in (1, 2):
+        for b in (1, 2):
+            for mu in all_partitions(a, max_length=n):
+                for nu in all_partitions(b, max_length=n):
+                    for left in tableaux.cached_ssyt(mu, n):
+                        for right in tableaux.cached_ssyt(nu, n):
+                            rw = tableaux.reading_word(right)
+                            assert insertion._row_fold(left, rw) == (
+                                insertion.row_insert_word(left, rw)
+                            )

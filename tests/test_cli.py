@@ -228,12 +228,19 @@ LR_ASSIGN = '{"s_1_1":2,"s_2_1":3,"t_1_1":4,"t_1_2":5}'
          "--tol", "1e-3", "--n", "2"],
         ["zeta", "eval", "--shape", "1", "--exponents", "[[2]]",
          "--float", "--tol", "1e-3", "--n", "2"],
+        # JSON 1e400 parses to an infinite exponent
+        ["zeta", "eval", "--shape", "1,1", "--exponents", "[[1e400],[2]]",
+         "--float", "--tol", "1e-6"],
+        ["zeta", "eval", "--shape", "1", "--exponents", "[[1e400]]",
+         "--float", "--n", "3"],
+        # a negative largest entry
+        ["ssyt", "--shape", "-", "--n", "-1", "--count"],
     ],
     ids=[
         "filling-not-rows", "filling-not-names", "dot-unwritable", "n-trunc-0",
         "exponent-null", "tableau-rows-not-list", "float-exponent-negative",
         "exponent-bool", "tol-nan", "tol-inf", "tol-without-float",
-        "tol-with-n",
+        "tol-with-n", "limit-exponent-inf", "float-exponent-inf", "ssyt-n-negative",
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):

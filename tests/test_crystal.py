@@ -19,7 +19,7 @@ from schurzeta.crystal import (
     wt,
 )
 from schurzeta.partitions import all_partitions
-from schurzeta.tableaux import enumerate_ssyt, lr_coefficient
+from schurzeta.tableaux import enumerate_ssyt, lr_coefficient, reading_word
 
 
 def full_tensor_power(n, k):
@@ -95,14 +95,40 @@ def test_decompose_product_examples():
         decompose_product((1, 1, 1), (1,), 2)
 
 
+def brute_decompose_product(mu, nu, n):
+    """The unpruned search: every pair of tableaux, whole word tested."""
+    out = Counter()
+    for left in enumerate_ssyt(mu, n):
+        for right in enumerate_ssyt(nu, n):
+            word = reading_word(left) + reading_word(right)
+            if is_highest_weight(word, n):
+                out[weight_partition(word, n)] += 1
+    return out
+
+
+def test_decompose_product_matches_unpruned_search():
+    for n in range(1, 5):
+        for a in range(4):
+            for b in range(4):
+                if a == b == 0:
+                    continue
+                for mu in all_partitions(a, max_length=n):
+                    for nu in all_partitions(b, max_length=n):
+                        assert decompose_product(mu, nu, n) == (
+                            brute_decompose_product(mu, nu, n)
+                        ), (mu, nu, n)
+
+
 def test_decompose_product_matches_lr():
     for a in range(1, 4):
         for b in range(1, 4):
             for mu in all_partitions(a, max_length=4):
                 for nu in all_partitions(b, max_length=4):
                     counts = decompose_product(mu, nu, 4)
-                    for lam, mult in counts.items():
-                        assert mult == lr_coefficient(mu, nu, lam)
+                    lams = list(all_partitions(a + b, max_length=4))
+                    assert set(counts) <= set(lams)
+                    for lam in lams:
+                        assert counts[lam] == lr_coefficient(mu, nu, lam)
 
 
 def test_axioms_pass_exhaustively():

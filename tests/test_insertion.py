@@ -63,6 +63,11 @@ def test_row_insert_word_examples():
         for m in cached_ssyt(lam, 3):
             built, _ = row_insert_word((), reading_word(m))
             assert weight(built) == weight(m)
+    # the public fold still validates what the unchecked one trusts
+    with pytest.raises(ValueError):
+        row_insert_word(((2, 1),), (1,))
+    with pytest.raises(ValueError):
+        row_insert_word(((1,),), (2, 0))
 
 
 def test_insertion_results_are_ssyt_and_grow_by_one():

@@ -46,6 +46,8 @@ def test_enumerate_ssyt_examples():
     assert len(enumerate_ssyt((2, 1), 3)) == 8
     assert enumerate_ssyt((1, 1, 1), 2) == []
     assert enumerate_ssyt((), 3) == [()]
+    with pytest.raises(ValueError):
+        enumerate_ssyt((), -1)
 
 
 def test_enumerate_ssyt_matches_brute_force():

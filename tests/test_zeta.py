@@ -349,7 +349,9 @@ def test_sym_sum_is_exact_only():
     assert sym_sum_direct(terms, spec, assign, 2) == pytest.approx(2 * 1.25 * 1.125)
 
 
-@pytest.mark.parametrize("bad", [True, -1, -1.0, None, float("nan")], ids=repr)
+@pytest.mark.parametrize(
+    "bad", [True, -1, -1.0, None, float("nan"), float("inf")], ids=repr
+)
 @pytest.mark.parametrize("value", [2, 2.0])
 def test_eval_zeta_truncated_rejects_bad_exponents_in_both_modes(bad, value):
     rows = (("a", "b"),)
