@@ -6,6 +6,7 @@ of each grid (for smoke runs; the full grid is the acceptance gate).
 Assignments draw seeded values from 1..5, distinct while the pool lasts.
 """
 
+import functools
 import math
 import random
 import time
@@ -48,71 +49,84 @@ def _weight_sum(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+class _Fail(Exception):
+    """Raised by a criterion body; its message is the failure detail."""
+
+
+def _criterion(number: int, name: str):
+    """Make a criterion from a body that returns its pass detail or raises
+    _Fail(detail), timing the body.  Any other exception propagates, so a
+    crash never reads as a failed identity."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def run(quick: bool = False, seed: int = 0) -> CriterionResult:
+            t0 = time.perf_counter()
+            try:
+                passed, detail = True, body(quick=quick, seed=seed)
+            except _Fail as exc:
+                passed, detail = False, str(exc)
+            return CriterionResult(
+                number, name, passed, detail, time.perf_counter() - t0
+            )
+
+        return run
+
+    return wrap
+
+
 PIERI_SHAPES = [(1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1)]
 
 
-def criterion_pieri_h(quick: bool = False, seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+def _pieri_grid(quick, seed, verify, spec_of, sizes_of, names_of, label) -> str:
+    """One Pieri identity grid: every shape, both strip sizes sizes_of(lam)
+    whose symmetrized set has at most 6 variables, seeded assignments of
+    names_of(lam, size), and each truncation level."""
     shapes = [(1,), (2, 1)] if quick else PIERI_SHAPES
     levels = (2,) if quick else (2, 3)
     n_assign = 1 if quick else 3
     checked = 0
     for lam in shapes:
         lam = as_partition(lam)
-        for m in (lam[0], lam[0] + 1):
-            if len(zeta.h_sym_spec(lam, m).symmetrized) > 6:
+        for size in sizes_of(lam):
+            if len(spec_of(lam, size).symmetrized) > 6:
                 continue
-            names = _flat(grid_vars(lam, "s")) + list(seq_vars(m, "t"))
+            names = names_of(lam, size)
             for k in range(n_assign):
-                assign = seeded_assignment(names, seed * 1000 + 10 * k + m)
+                assign = seeded_assignment(names, seed * 1000 + 10 * k + size)
                 for n_trunc in levels:
-                    rep = zeta.verify_pieri_h(lam, m, assign, n_trunc)
+                    rep = verify(lam, size, assign, n_trunc)
                     if not rep.equal:
-                        return CriterionResult(
-                            1, "pieri-h-exact", False,
-                            f"mismatch at lam={lam} m={m} N={n_trunc} {assign}: "
-                            f"{rep.lhs} != {rep.rhs}",
-                            time.perf_counter() - t0,
+                        raise _Fail(
+                            f"mismatch at lam={lam} {label}={size} N={n_trunc} "
+                            f"{assign}: {rep.lhs} != {rep.rhs}"
                         )
                     checked += 1
-    return CriterionResult(
-        1, "pieri-h-exact", True,
-        f"{checked} exact identities", time.perf_counter() - t0,
+    return f"{checked} exact identities"
+
+
+@_criterion(1, "pieri-h-exact")
+def criterion_pieri_h(quick: bool = False, seed: int = 0):
+    return _pieri_grid(
+        quick, seed, zeta.verify_pieri_h, zeta.h_sym_spec,
+        lambda lam: (lam[0], lam[0] + 1),
+        lambda lam, m: _flat(grid_vars(lam, "s")) + list(seq_vars(m, "t")),
+        "m",
     )
 
 
-def criterion_pieri_e(quick: bool = False, seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
-    shapes = [(1,), (2, 1)] if quick else PIERI_SHAPES
-    levels = (2,) if quick else (2, 3)
-    n_assign = 1 if quick else 3
-    checked = 0
-    for lam in shapes:
-        lam = as_partition(lam)
-        for n in (len(lam), len(lam) + 1):
-            if len(zeta.e_sym_spec(lam, n).symmetrized) > 6:
-                continue
-            names = _flat(grid_vars(lam, "t")) + list(seq_vars(n, "s"))
-            for k in range(n_assign):
-                assign = seeded_assignment(names, seed * 1000 + 10 * k + n)
-                for n_trunc in levels:
-                    rep = zeta.verify_pieri_e(lam, n, assign, n_trunc)
-                    if not rep.equal:
-                        return CriterionResult(
-                            2, "pieri-e-exact", False,
-                            f"mismatch at lam={lam} n={n} N={n_trunc}: "
-                            f"{rep.lhs} != {rep.rhs}",
-                            time.perf_counter() - t0,
-                        )
-                    checked += 1
-    return CriterionResult(
-        2, "pieri-e-exact", True,
-        f"{checked} exact identities", time.perf_counter() - t0,
+@_criterion(2, "pieri-e-exact")
+def criterion_pieri_e(quick: bool = False, seed: int = 0):
+    return _pieri_grid(
+        quick, seed, zeta.verify_pieri_e, zeta.e_sym_spec,
+        lambda lam: (len(lam), len(lam) + 1),
+        lambda lam, n: _flat(grid_vars(lam, "t")) + list(seq_vars(n, "s")),
+        "n",
     )
 
 
-def criterion_lr(quick: bool = False, seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(3, "lr-exact")
+def criterion_lr(quick: bool = False, seed: int = 0):
     max_total = 3 if quick else 5
     levels = (2,) if quick else (2, 3)
     n_assign = 1 if quick else 2
@@ -128,21 +142,16 @@ def criterion_lr(quick: bool = False, seed: int = 0) -> CriterionResult:
                             r0 = zeta.verify_lr(mu, nu, assign, n_trunc, variant=0)
                             r1 = zeta.verify_lr(mu, nu, assign, n_trunc, variant=1)
                             if not (r0.equal and r1.equal and r0.rhs == r1.rhs):
-                                return CriterionResult(
-                                    3, "lr-exact", False,
+                                raise _Fail(
                                     f"mismatch at mu={mu} nu={nu} N={n_trunc}: "
-                                    f"{r0} vs {r1}",
-                                    time.perf_counter() - t0,
+                                    f"{r0} vs {r1}"
                                 )
                             checked += 1
-    return CriterionResult(
-        3, "lr-exact", True,
-        f"{checked} identities, two fillings each", time.perf_counter() - t0,
-    )
+    return f"{checked} identities, two fillings each"
 
 
-def criterion_lr_triple_oracle(quick: bool = False, seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(4, "lr-triple-oracle")
+def criterion_lr_triple_oracle(quick: bool = False, seed: int = 0):
     max_size = 2 if quick else 4
     n = 4
     checked = 0
@@ -165,46 +174,31 @@ def criterion_lr_triple_oracle(quick: bool = False, seed: int = 0) -> CriterionR
                             res, _ = insertion._row_fold(left, rw)
                             # content identity behind the bijection
                             if weight(res) != _weight_sum(left_weight, right_weight):
-                                return CriterionResult(
-                                    4, "lr-triple-oracle", False,
-                                    f"content not preserved at {left},{right}",
-                                    time.perf_counter() - t0,
-                                )
+                                raise _Fail(f"content not preserved at {left},{right}")
                             lam = shape_of(res)
                             fibers[lam] = fibers.get(lam, 0) + 1
                     for lam in all_partitions(a + b, max_length=n):
                         c = tableaux.lr_coefficient(mu, nu, lam)
                         if counts.get(lam, 0) != c:
-                            return CriterionResult(
-                                4, "lr-triple-oracle", False,
+                            raise _Fail(
                                 f"crystal multiplicity != Yamanouchi count at "
-                                f"{mu},{nu},{lam}: {counts.get(lam, 0)} != {c}",
-                                time.perf_counter() - t0,
+                                f"{mu},{nu},{lam}: {counts.get(lam, 0)} != {c}"
                             )
                         size = len(cached_ssyt(lam, n))
                         if fibers.get(lam, 0) != c * size:
-                            return CriterionResult(
-                                4, "lr-triple-oracle", False,
-                                f"insertion fiber != c * |B_lam| at {mu},{nu},{lam}",
-                                time.perf_counter() - t0,
+                            raise _Fail(
+                                f"insertion fiber != c * |B_lam| at {mu},{nu},{lam}"
                             )
                         if (mu, nu, lam) == ((2, 1), (2, 1), (3, 2, 1)):
                             spot = c
                         checked += 1
     if not quick and spot != 2:
-        return CriterionResult(
-            4, "lr-triple-oracle", False,
-            f"c_(21),(21)^(321) = {spot}, expected 2", time.perf_counter() - t0,
-        )
-    return CriterionResult(
-        4, "lr-triple-oracle", True,
-        f"{checked} coefficients agree across three routes",
-        time.perf_counter() - t0,
-    )
+        raise _Fail(f"c_(21),(21)^(321) = {spot}, expected 2")
+    return f"{checked} coefficients agree across three routes"
 
 
-def criterion_crystal_axioms(quick: bool = False, seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(5, "crystal-axioms")
+def criterion_crystal_axioms(quick: bool = False, seed: int = 0):
     max_n = 3 if quick else 4
     max_k = 3 if quick else 4
     cases = 0
@@ -215,11 +209,7 @@ def criterion_crystal_axioms(quick: bool = False, seed: int = 0) -> CriterionRes
                 words = [w + (x,) for w in words for x in range(1, n + 1)]
             bad = crystal.verify_crystal_axioms(words, n)
             if bad:
-                return CriterionResult(
-                    5, "crystal-axioms", False,
-                    f"violations on full tensor power n={n} k={k}: {bad[:3]}",
-                    time.perf_counter() - t0,
-                )
+                raise _Fail(f"violations on full tensor power n={n} k={k}: {bad[:3]}")
             cases += 1
     max_shape = 3 if quick else 4
     for size in range(1, max_shape + 1):
@@ -227,28 +217,16 @@ def criterion_crystal_axioms(quick: bool = False, seed: int = 0) -> CriterionRes
             image = {crystal.rr(t, 3) for t in enumerate_ssyt(lam, 3)}
             bad = crystal.verify_crystal_axioms(image, 3)
             if bad:
-                return CriterionResult(
-                    5, "crystal-axioms", False,
-                    f"violations on tableau component {lam}: {bad[:3]}",
-                    time.perf_counter() - t0,
-                )
+                raise _Fail(f"violations on tableau component {lam}: {bad[:3]}")
             component = crystal.connected_component(next(iter(image)), 3)
             if image != component:
-                return CriterionResult(
-                    5, "crystal-axioms", False,
-                    f"row-reading image of {lam} is not one component",
-                    time.perf_counter() - t0,
-                )
+                raise _Fail(f"row-reading image of {lam} is not one component")
             cases += 1
-    return CriterionResult(
-        5, "crystal-axioms", True,
-        f"{cases} closed sets pass A1/A2/seminormality",
-        time.perf_counter() - t0,
-    )
+    return f"{cases} closed sets pass A1/A2/seminormality"
 
 
-def criterion_regressions(quick: bool = False, seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(6, "worked-example-regressions")
+def criterion_regressions(quick: bool = False, seed: int = 0):
     skew = tableaux.SkewTableau((5, 3, 1), (1,), ((1, 1, 2, 3), (2, 2, 3), (3,)))
     ok = tableaux.reading_word(skew) == (3, 2, 2, 3, 1, 1, 2, 3)
     ok &= crystal.rr(((1, 1, 2), (2, 3), (4,)), 4) == (4, 2, 3, 1, 1, 2)
@@ -273,46 +251,42 @@ def criterion_regressions(quick: bool = False, seed: int = 0) -> CriterionResult
         ("s_3",),
         ("s_4",),
     )
-    return CriterionResult(
-        6, "worked-example-regressions", ok,
-        "reading word, row reading, pushed fillings byte-exact"
-        if ok else "structural mismatch against worked examples",
-        time.perf_counter() - t0,
-    )
+    if not ok:
+        raise _Fail("structural mismatch against worked examples")
+    return "reading word, row reading, pushed fillings byte-exact"
 
 
-def criterion_harmonic_spot(quick: bool = False, seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(7, "harmonic-product-spot")
+def criterion_harmonic_spot(quick: bool = False, seed: int = 0):
     rep = zeta.verify_pieri_h((1,), 1, {"s_1_1": 2, "t_1": 3}, 2)
-    ok = rep.equal and rep.lhs == Fraction(45, 32) and rep.rhs == Fraction(45, 32)
-    return CriterionResult(
-        7, "harmonic-product-spot", ok,
-        f"lhs={rep.lhs} rhs={rep.rhs}", time.perf_counter() - t0,
-    )
+    detail = f"lhs={rep.lhs} rhs={rep.rhs}"
+    if not (rep.equal and rep.lhs == Fraction(45, 32) and rep.rhs == Fraction(45, 32)):
+        raise _Fail(detail)
+    return detail
 
 
-def criterion_monotone_and_limits(quick: bool = False, seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+def _limit_check(label: str, rep, ref: float) -> float:
+    """The limit's error against ref; fails unless the evaluator converged
+    within 1e-6 and its error estimate covers the error."""
+    err = abs(rep.value - ref)
+    if not (rep.converged and err < 1e-6 and err <= rep.error_estimate):
+        raise _Fail(
+            f"limit missed {label} by {err:.2e} (estimate "
+            f"{rep.error_estimate:.2e})"
+        )
+    return err
+
+
+@_criterion(8, "truncation-monotone-limits")
+def criterion_monotone_and_limits(quick: bool = False, seed: int = 0):
     rows = (("a",),)
     vals = [zeta.eval_zeta_truncated((1,), rows, {"a": 2}, n) for n in range(1, 9)]
     if any(b < a for a, b in zip(vals, vals[1:])):
-        return CriterionResult(
-            8, "truncation-monotone-limits", False,
-            "truncated values not monotone", time.perf_counter() - t0,
-        )
+        raise _Fail("truncated values not monotone")
     if vals[2] != Fraction(49, 36):
-        return CriterionResult(
-            8, "truncation-monotone-limits", False,
-            f"level-3 value {vals[2]} != 49/36", time.perf_counter() - t0,
-        )
+        raise _Fail(f"level-3 value {vals[2]} != 49/36")
     rep = zeta.eval_zeta_limit((1,), rows, {"a": 2.0}, 1e-13)
-    err1 = abs(rep.value - math.pi**2 / 6)
-    if not (rep.converged and err1 < 1e-6 and err1 <= rep.error_estimate):
-        return CriterionResult(
-            8, "truncation-monotone-limits", False,
-            f"limit missed zeta(2) by {err1:.2e} (estimate "
-            f"{rep.error_estimate:.2e})", time.perf_counter() - t0,
-        )
+    err1 = _limit_check("zeta(2)", rep, math.pi**2 / 6)
     detail = (
         f"monotone, 49/36 exact, zeta(2) within {err1:.1e} "
         f"(estimate {rep.error_estimate:.1e})"
@@ -321,33 +295,16 @@ def criterion_monotone_and_limits(quick: bool = False, seed: int = 0) -> Criteri
         rep2 = zeta.eval_zeta_limit(
             (1, 1), (("a",), ("b",)), {"a": 1.0, "b": 2.0}, 1e-14
         )
-        zeta3 = 1.2020569031595942854
-        err2 = abs(rep2.value - zeta3)
-        if not (rep2.converged and err2 < 1e-6 and err2 <= rep2.error_estimate):
-            return CriterionResult(
-                8, "truncation-monotone-limits", False,
-                f"limit missed zeta(3) by {err2:.2e} (estimate "
-                f"{rep2.error_estimate:.2e})", time.perf_counter() - t0,
-            )
+        err2 = _limit_check("zeta(3)", rep2, 1.2020569031595942854)
         detail += (
             f", zeta(3) within {err2:.1e} (estimate "
             f"{rep2.error_estimate:.1e}) at level {rep2.levels}"
         )
-    return CriterionResult(
-        8, "truncation-monotone-limits", True, detail, time.perf_counter() - t0
-    )
+    return detail
 
 
-def _route_cols(route):
-    return [c for _, c in route]
-
-
-def _route_rows(route):
-    return [r for r, _ in route]
-
-
-def criterion_route_geometry(quick: bool = False, seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(9, "bumping-route-geometry")
+def criterion_route_geometry(quick: bool = False, seed: int = 0):
     rng = random.Random(seed)
     trials = 200 if quick else 1000
     shapes = [p for size in range(0, 7) for p in all_partitions(size, max_length=4)]
@@ -357,99 +314,65 @@ def criterion_route_geometry(quick: bool = False, seed: int = 0) -> CriterionRes
         tabs = cached_ssyt(lam, n)
         t = rng.choice(tabs)
         x = rng.randint(1, n)
-        cols = _route_cols(insertion.row_insert(t, x).route)
+        cols = [c for _, c in insertion.row_insert(t, x).route]
         if any(b > a for a, b in zip(cols, cols[1:])):
-            return CriterionResult(
-                9, "bumping-route-geometry", False,
-                f"row route not weakly left-moving: {t} <- {x}",
-                time.perf_counter() - t0,
-            )
-        rws = _route_rows(insertion.column_insert(x, t).route)
+            raise _Fail(f"row route not weakly left-moving: {t} <- {x}")
+        rws = [r for r, _ in insertion.column_insert(x, t).route]
         if any(b > a for a, b in zip(rws, rws[1:])):
-            return CriterionResult(
-                9, "bumping-route-geometry", False,
-                f"column route not weakly up-moving: {x} -> {t}",
-                time.perf_counter() - t0,
-            )
+            raise _Fail(f"column route not weakly up-moving: {x} -> {t}")
     # successive routes in the strip insertions: each route weakly shorter,
     # strictly right (rows) resp. strictly below (columns) of its predecessor
+    def row_routes(left, right):
+        return insertion.row_insert_word(left, reading_word(right))[1]
+
+    def column_routes(left, right):
+        return insertion.column_insert_word(insertion.column_word(left), right)[1]
+
     pieri = [(1,), (2,), (1, 1), (2, 1)] if not quick else [(1,), (2, 1)]
     pairs = 0
     for lam in pieri:
-        for m in (1, 2, 3):
-            for left in cached_ssyt(lam, 3):
-                for right in cached_ssyt((m,), 3):
-                    _, routes = insertion.row_insert_word(left, reading_word(right))
+        # (left shape, right shape, n, route axis, direction, routes)
+        runs = [(lam, (m,), 3, 1, "right", row_routes) for m in (1, 2, 3)]
+        runs += [((1,) * h, lam, 4, 0, "down", column_routes) for h in (1, 2, 3)]
+        for left_shape, right_shape, n, axis, way, routes_of in runs:
+            for left in cached_ssyt(left_shape, n):
+                for right in cached_ssyt(right_shape, n):
+                    routes = routes_of(left, right)
                     for r_prev, r_next in zip(routes, routes[1:]):
                         if len(r_next) > len(r_prev) or any(
-                            r_prev[k][1] >= r_next[k][1] for k in range(len(r_next))
+                            r_prev[k][axis] >= r_next[k][axis]
+                            for k in range(len(r_next))
                         ):
-                            return CriterionResult(
-                                9, "bumping-route-geometry", False,
-                                f"routes not strictly right-moving: {left}, {right}",
-                                time.perf_counter() - t0,
+                            raise _Fail(
+                                f"routes not strictly {way}-moving: {left}, {right}"
                             )
                         pairs += 1
-        for n in (1, 2, 3):
-            for left in cached_ssyt((1,) * n, 4):
-                for right in cached_ssyt(lam, 4):
-                    _, routes = insertion.column_insert_word(
-                        insertion.column_word(left), right
-                    )
-                    for r_prev, r_next in zip(routes, routes[1:]):
-                        if len(r_next) > len(r_prev) or any(
-                            r_prev[k][0] >= r_next[k][0] for k in range(len(r_next))
-                        ):
-                            return CriterionResult(
-                                9, "bumping-route-geometry", False,
-                                f"routes not strictly down-moving: {left}, {right}",
-                                time.perf_counter() - t0,
-                            )
-                        pairs += 1
-    return CriterionResult(
-        9, "bumping-route-geometry", True,
-        f"{trials} random insertions, {pairs} successive-route pairs",
-        time.perf_counter() - t0,
-    )
+    return f"{trials} random insertions, {pairs} successive-route pairs"
 
 
-def criterion_insertion_term_sweep(quick: bool = False, seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
-    checked = 0
-    lam, m = (2, 1), 2
-    h_names = _flat(grid_vars(lam, "s")) + list(seq_vars(m, "t"))
-    h_assign = {v: i + 1 for i, v in enumerate(h_names)}
-    lefts = cached_ssyt(lam, 3)
-    rights = cached_ssyt((m,), 3)
+@_criterion(10, "insertion-term-sweep")
+def criterion_insertion_term_sweep(quick: bool = False, seed: int = 0):
     step = 4 if quick else 1
-    for left in lefts[::step]:
-        for right in rights[::step]:
-            rep = zeta.verify_insertion_term(left, right, lam, m, "h", h_assign)
-            if not rep.equal:
-                return CriterionResult(
-                    10, "insertion-term-sweep", False,
-                    f"h-mode mismatch at {left}, {right}: {rep.lhs} != {rep.rhs}",
-                    time.perf_counter() - t0,
-                )
-            checked += 1
-    lam, n = (2,), 2
-    e_names = _flat(grid_vars(lam, "t")) + list(seq_vars(n, "s"))
-    e_assign = {v: i + 1 for i, v in enumerate(e_names)}
-    for left in cached_ssyt((1, 1), 3)[::step]:
-        for right in cached_ssyt(lam, 3)[::step]:
-            rep = zeta.verify_insertion_term(left, right, lam, n, "e", e_assign)
-            if not rep.equal:
-                return CriterionResult(
-                    10, "insertion-term-sweep", False,
-                    f"e-mode mismatch at {left}, {right}: {rep.lhs} != {rep.rhs}",
-                    time.perf_counter() - t0,
-                )
-            checked += 1
-    return CriterionResult(
-        10, "insertion-term-sweep", True,
-        f"{checked} tableau pairs, exact term equality",
-        time.perf_counter() - t0,
+    checked = 0
+    # (mode, lam, strip size, left shape, right shape, variable names)
+    sweeps = (
+        ("h", (2, 1), 2, (2, 1), (2,),
+         _flat(grid_vars((2, 1), "s")) + list(seq_vars(2, "t"))),
+        ("e", (2,), 2, (1, 1), (2,),
+         _flat(grid_vars((2,), "t")) + list(seq_vars(2, "s"))),
     )
+    for mode, lam, size, left_shape, right_shape, names in sweeps:
+        assign = {v: i + 1 for i, v in enumerate(names)}
+        for left in cached_ssyt(left_shape, 3)[::step]:
+            for right in cached_ssyt(right_shape, 3)[::step]:
+                rep = zeta.verify_insertion_term(left, right, lam, size, mode, assign)
+                if not rep.equal:
+                    raise _Fail(
+                        f"{mode}-mode mismatch at {left}, {right}: "
+                        f"{rep.lhs} != {rep.rhs}"
+                    )
+                checked += 1
+    return f"{checked} tableau pairs, exact term equality"
 
 
 CRITERIA = [

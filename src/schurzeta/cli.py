@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import acceptance, crystal, insertion, tableaux, zeta
@@ -172,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--n-trunc", type=int, required=True)
         q.add_argument("--assign", required=True)
         q.add_argument("--cap", type=int, default=zeta.DEFAULT_SYM_CAP)
-        q.add_argument("--allow-large", action="store_true")
         q.add_argument("--json", action="store_true")
     q = vsub.add_parser("lr")
     q.add_argument("--mu", required=True)
@@ -182,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--variant", type=int, default=0, choices=(0, 1))
     q.add_argument("--filling", help="JSON map shape -> variable rows")
     q.add_argument("--cap", type=int, default=zeta.DEFAULT_SYM_CAP)
-    q.add_argument("--allow-large", action="store_true")
     q.add_argument("--json", action="store_true")
 
     p = sub.add_parser("selftest", help="run the acceptance grid")
@@ -346,37 +345,25 @@ def _cmd_verify(args) -> int:
     assign = _parse_assign(args.assign, "--assign")
     if args.verify_command == "pieri-h":
         rep = zeta.verify_pieri_h(
-            _parse_shape(args.lam), args.m, assign, args.n_trunc,
-            cap=args.cap, allow_large=args.allow_large,
+            _parse_shape(args.lam), args.m, assign, args.n_trunc, cap=args.cap
         )
         return _report_exit(rep, args)
     if args.verify_command == "pieri-e":
         rep = zeta.verify_pieri_e(
-            _parse_shape(args.lam), args.n, assign, args.n_trunc,
-            cap=args.cap, allow_large=args.allow_large,
+            _parse_shape(args.lam), args.n, assign, args.n_trunc, cap=args.cap
         )
         return _report_exit(rep, args)
     fillings = _parse_fillings(args.filling) if args.filling else None
     rep = zeta.verify_lr(
         _parse_shape(args.mu), _parse_shape(args.nu), assign, args.n_trunc,
-        variant=args.variant, fillings=fillings,
-        cap=args.cap, allow_large=args.allow_large,
+        variant=args.variant, fillings=fillings, cap=args.cap,
     )
     return _report_exit(rep, args)
 
 
 def _cmd_selftest(args) -> int:
     results = acceptance.run_all(quick=args.quick, seed=args.seed)
-    payload = [
-        {
-            "number": r.number,
-            "name": r.name,
-            "passed": r.passed,
-            "detail": r.detail,
-            "seconds": round(r.seconds, 3),
-        }
-        for r in results
-    ]
+    payload = [{**asdict(r), "seconds": round(r.seconds, 3)} for r in results]
     lines = [f"seed {args.seed}" + ("  (quick subset)" if args.quick else "")]
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
@@ -389,31 +376,28 @@ def _cmd_selftest(args) -> int:
     return 0 if not failed else 1
 
 
+_COMMANDS = {
+    "ssyt": _cmd_ssyt,
+    "crystal": _cmd_crystal,
+    "insert": _cmd_insert,
+    "lr": _cmd_lr,
+    "zeta": _cmd_zeta,
+    "verify": _cmd_verify,
+    "selftest": _cmd_selftest,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "ssyt":
-            return _cmd_ssyt(args)
-        if args.command == "crystal":
-            return _cmd_crystal(args)
-        if args.command == "insert":
-            return _cmd_insert(args)
-        if args.command == "lr":
-            return _cmd_lr(args)
-        if args.command == "zeta":
-            return _cmd_zeta(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "selftest":
-            return _cmd_selftest(args)
+        return _COMMANDS[args.command](args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

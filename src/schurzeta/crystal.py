@@ -124,7 +124,8 @@ def connected_component(word, n: int) -> set[TensorWord]:
 
 
 def is_highest_weight(word, n: int) -> bool:
-    return all(e(i, word, n) is None for i in range(1, n))
+    w = _check_word(word, n)
+    return all(e(i, w, n) is None for i in range(1, n))
 
 
 def highest_weight_elements(words, n: int) -> list[TensorWord]:

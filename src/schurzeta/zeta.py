@@ -458,24 +458,23 @@ def eval_zeta_limit(
 # ---------------------------------------------------------------------------
 # symmetrized sums
 
-def h_sym_spec(lam, m: int, unsafe: bool = False) -> SymSpec:
+def h_sym_spec(lam, m: int) -> SymSpec:
     """Symmetrized variable set for the row-strip (h-type) Pieri identity.
 
     Symmetrized: t_1..t_r (r = first part), the column-1 entries down to the
     height of column 2, and every entry of columns 2..r.  The remaining
-    column-1 entries and t's beyond r stay fixed.  Needs m >= r unless
-    unsafe is set (then the t-run truncates to m).
+    column-1 entries and t's beyond r stay fixed.  Needs m >= r.
     """
     lam = as_partition(lam)
     r = lam[0] if lam else 0
     if m < 1:
         raise ValueError("strip size must be >= 1")
-    if m < r and not unsafe:
+    if m < r:
         raise ValueError(f"need m >= first part {r}, got m={m}")
     conj = conjugate(lam)
     c1 = conj[0] if conj else 0
     c2 = conj[1] if len(conj) > 1 else 0
-    sym = [f"t_{k}" for k in range(1, min(r, m) + 1)]
+    sym = [f"t_{k}" for k in range(1, r + 1)]
     sym += [f"s_{i}_1" for i in range(1, c2 + 1)]
     for j in range(2, r + 1):
         sym += [f"s_{i}_{j}" for i in range(1, conj[j - 1] + 1)]
@@ -484,17 +483,17 @@ def h_sym_spec(lam, m: int, unsafe: bool = False) -> SymSpec:
     return SymSpec(tuple(sym), frozenset(fixed))
 
 
-def e_sym_spec(lam, n: int, unsafe: bool = False) -> SymSpec:
+def e_sym_spec(lam, n: int) -> SymSpec:
     """Symmetrized variable set for the column-strip (e-type) Pieri
     identity; the conjugate mirror of h_sym_spec."""
     lam = as_partition(lam)
     s_len = len(lam)
     if n < 1:
         raise ValueError("strip size must be >= 1")
-    if n < s_len and not unsafe:
+    if n < s_len:
         raise ValueError(f"need n >= length {s_len}, got n={n}")
     l2 = lam[1] if len(lam) > 1 else 0
-    sym = [f"s_{k}" for k in range(1, min(s_len, n) + 1)]
+    sym = [f"s_{k}" for k in range(1, s_len + 1)]
     sym += [f"t_1_{j}" for j in range(1, l2 + 1)]
     for i in range(2, s_len + 1):
         sym += [f"t_{i}_{j}" for j in range(1, lam[i - 1] + 1)]
@@ -572,12 +571,12 @@ def _sym_weight(tab_lists, var_rows, sym_vars, values, assign) -> Fraction:
     return total
 
 
-def _require_cap(spec, cap, allow_large) -> None:
+def _require_cap(spec, cap) -> None:
     k = len(spec.symmetrized)
-    if k > cap and not allow_large:
+    if k > cap:
         raise ValueError(
             f"{k} symmetrized variables exceed the cap of {cap} (each bucket "
-            f"costs a 2^{k}-state permanent); pass allow_large=True to proceed"
+            f"costs a 2^{k}-state permanent); raise the cap (--cap) to proceed"
         )
 
 
@@ -625,16 +624,15 @@ def sym_sum(
     assign,
     n_trunc: int,
     cap: int = DEFAULT_SYM_CAP,
-    allow_large: bool = False,
 ) -> Fraction:
     """Sum over all permutations of the symmetrized exponent values of
     sum(coeff * prod of truncated zeta factors) over the given terms.
 
     Each term is (coeff, [(shape, var_rows), ...]).  Exact only: every
     exponent must be an integer >= 0.  Refuses more than ``cap``
-    symmetrized variables unless allow_large is set.
+    symmetrized variables.
     """
-    _require_cap(spec, cap, allow_large)
+    _require_cap(spec, cap)
     if not _check_spec_and_values(terms, spec, assign, n_trunc):
         raise ValueError("sym_sum needs integer exponents; use sym_sum_direct")
     values = tuple(assign[v] for v in spec.symmetrized)
@@ -715,28 +713,25 @@ def verify_pieri_h(
     assign,
     n_trunc: int,
     cap: int = DEFAULT_SYM_CAP,
-    allow_large: bool = False,
 ) -> IdentityReport:
     """Exact truncated check of the row-strip Pieri identity: the
     symmetrized product of zeta(lam) and zeta((m)) against the symmetrized
     sum of zeta over all one-horizontal-strip extensions with pushed
     fillings.  Holds for every truncation level and integer assignment."""
     lam = as_partition(lam)
-    if m < (lam[0] if lam else 0):
-        raise ValueError(f"need m >= first part of {lam}, got {m}")
+    spec = h_sym_spec(lam, m)
     s_rows = grid_vars(lam, "s")
     t_names = seq_vars(m, "t")
     require_exact(assign, _flatten(s_rows) + list(t_names))
-    spec = h_sym_spec(lam, m)
     lhs = sym_sum(
         [(1, [(lam, s_rows), ((m,), (t_names,))])],
-        spec, assign, n_trunc, cap, allow_large,
+        spec, assign, n_trunc, cap,
     )
     rhs_terms = [
         (1, [(grow_cols(lam, cols), horizontal_push_filling(lam, s_rows, t_names, cols))])
         for cols in horizontal_strip_cols(lam, m)
     ]
-    rhs = sym_sum(rhs_terms, spec, assign, n_trunc, cap, allow_large)
+    rhs = sym_sum(rhs_terms, spec, assign, n_trunc, cap)
     return IdentityReport(lhs, rhs, lhs == rhs)
 
 
@@ -746,29 +741,26 @@ def verify_pieri_e(
     assign,
     n_trunc: int,
     cap: int = DEFAULT_SYM_CAP,
-    allow_large: bool = False,
 ) -> IdentityReport:
     """Exact truncated check of the column-strip Pieri identity (conjugate
     of verify_pieri_h): zeta((1^n)) times zeta(lam) against the
     one-vertical-strip extensions."""
     lam = as_partition(lam)
-    if n < len(lam):
-        raise ValueError(f"need n >= length of {lam}, got {n}")
+    spec = e_sym_spec(lam, n)
     t_rows = grid_vars(lam, "t")
     s_names = seq_vars(n, "s")
     require_exact(assign, _flatten(t_rows) + list(s_names))
-    spec = e_sym_spec(lam, n)
     column = (1,) * n
     s_col_rows = tuple((name,) for name in s_names)
     lhs = sym_sum(
         [(1, [(column, s_col_rows), (lam, t_rows)])],
-        spec, assign, n_trunc, cap, allow_large,
+        spec, assign, n_trunc, cap,
     )
     rhs_terms = [
         (1, [(grow_rows(lam, rows), vertical_push_filling(lam, s_names, t_rows, rows))])
         for rows in vertical_strip_rows(lam, n)
     ]
-    rhs = sym_sum(rhs_terms, spec, assign, n_trunc, cap, allow_large)
+    rhs = sym_sum(rhs_terms, spec, assign, n_trunc, cap)
     note = ""
     if n_trunc < n:
         note = (
@@ -804,7 +796,6 @@ def verify_lr(
     variant: int = 0,
     fillings=None,
     cap: int = DEFAULT_SYM_CAP,
-    allow_large: bool = False,
 ) -> IdentityReport:
     """Exact truncated check of the Littlewood-Richardson product formula:
     the fully symmetrized product of two Schur multiple zeta values against
@@ -820,7 +811,7 @@ def verify_lr(
     spec = SymSpec(tuple(all_vars), frozenset())
     lhs = sym_sum(
         [(1, [(mu, s_rows), (nu, t_rows)])],
-        spec, assign, n_trunc, cap, allow_large,
+        spec, assign, n_trunc, cap,
     )
     overrides = {as_partition(k): tuple(tuple(r) for r in v) for k, v in (fillings or {}).items()}
     rhs_terms = []
@@ -836,7 +827,7 @@ def verify_lr(
         if tuple(len(r) for r in filling) != lam:
             raise ValueError(f"filling shape mismatch for {lam}")
         rhs_terms.append((coeff, [(lam, filling)]))
-    rhs = sym_sum(rhs_terms, spec, assign, n_trunc, cap, allow_large)
+    rhs = sym_sum(rhs_terms, spec, assign, n_trunc, cap)
     return IdentityReport(lhs, rhs, lhs == rhs)
 
 
@@ -848,7 +839,6 @@ def verify_insertion_term(
     mode: str,
     assign,
     cap: int = DEFAULT_SYM_CAP,
-    allow_large: bool = False,
 ) -> InsertionTermReport:
     """Term-level check behind the Pieri identities: insert one tableau
     into the other, locate the grown strip, and compare the symmetrized
@@ -903,7 +893,7 @@ def verify_insertion_term(
         filling = vertical_push_filling(lam, s_names, t_rows, added)
     else:
         raise ValueError(f"mode must be 'h' or 'e', got {mode!r}")
-    _require_cap(spec, cap, allow_large)
+    _require_cap(spec, cap)
     values = tuple(assign[v] for v in spec.symmetrized)
     lhs = _sym_weight(
         [[left], [right]], pair_rows, spec.symmetrized, values, assign

@@ -6,10 +6,11 @@ through the CLI.
 """
 
 from bisect import bisect_left
+from dataclasses import replace
 
 import pytest
 
-from schurzeta import acceptance, crystal, insertion, tableaux, zeta
+from schurzeta import acceptance, cli, crystal, insertion, tableaux, zeta
 from schurzeta.partitions import all_partitions
 
 CACHES = (
@@ -66,6 +67,62 @@ def test_lr_triple_oracle_fails_on_false_highest_weight(monkeypatch):
     monkeypatch.setattr(crystal, "is_highest_weight", faulty)
     result = acceptance.criterion_lr_triple_oracle(quick=True)
     assert not result.passed and "(2,),(1, 1),(2, 2)" in result.detail
+
+
+def test_criteria_keep_their_numbers_names_and_order():
+    assert [(r.number, r.name) for r in acceptance.run_all(quick=True)] == [
+        (1, "pieri-h-exact"),
+        (2, "pieri-e-exact"),
+        (3, "lr-exact"),
+        (4, "lr-triple-oracle"),
+        (5, "crystal-axioms"),
+        (6, "worked-example-regressions"),
+        (7, "harmonic-product-spot"),
+        (8, "truncation-monotone-limits"),
+        (9, "bumping-route-geometry"),
+        (10, "insertion-term-sweep"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "verifier, criterion, where",
+    [
+        ("verify_pieri_h", acceptance.criterion_pieri_h,
+         lambda args: f"lam={args[0]} m={args[1]} N={args[3]}"),
+        ("verify_pieri_e", acceptance.criterion_pieri_e,
+         lambda args: f"lam={args[0]} n={args[1]} N={args[3]}"),
+        ("verify_lr", acceptance.criterion_lr,
+         lambda args: f"mu={args[0]} nu={args[1]} N={args[3]}"),
+        ("verify_insertion_term", acceptance.criterion_insertion_term_sweep,
+         lambda args: f"h-mode mismatch at {args[0]}, {args[1]}"),
+    ],
+    ids=["pieri-h", "pieri-e", "lr", "insertion-term"],
+)
+def test_false_identity_fails_its_criterion_at_its_shape(
+    monkeypatch, verifier, criterion, where
+):
+    honest = getattr(zeta, verifier)
+    calls = []
+
+    def unequal(*args, **kwargs):
+        calls.append(args)
+        return replace(honest(*args, **kwargs), equal=False)
+
+    monkeypatch.setattr(zeta, verifier, unequal)
+    result = criterion(quick=True)
+    assert not result.passed and where(calls[0]) in result.detail
+    assert len(calls) <= 2  # the first identity (both LR fillings) fails
+
+
+def test_crash_in_a_criterion_is_not_a_failed_identity(monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(zeta, "verify_pieri_h", crash)
+    with pytest.raises(ZeroDivisionError):
+        acceptance.criterion_pieri_h(quick=True)
+    assert cli.main(["selftest", "--quick"]) == 3
+    assert "internal: ZeroDivisionError" in capsys.readouterr().err
 
 
 def test_unchecked_row_fold_matches_row_insert_word():

@@ -235,12 +235,16 @@ LR_ASSIGN = '{"s_1_1":2,"s_2_1":3,"t_1_1":4,"t_1_2":5}'
          "--float", "--n", "3"],
         # a negative largest entry
         ["ssyt", "--shape", "-", "--n", "-1", "--count"],
+        # more symmetrized variables (4) than the cap allows
+        ["verify", "lr", "--mu", "1,1", "--nu", "2", "--n-trunc", "2",
+         "--assign", LR_ASSIGN, "--cap", "3"],
     ],
     ids=[
         "filling-not-rows", "filling-not-names", "dot-unwritable", "n-trunc-0",
         "exponent-null", "tableau-rows-not-list", "float-exponent-negative",
         "exponent-bool", "tol-nan", "tol-inf", "tol-without-float",
         "tol-with-n", "limit-exponent-inf", "float-exponent-inf", "ssyt-n-negative",
+        "cap-exceeded",
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):

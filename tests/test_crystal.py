@@ -210,6 +210,11 @@ def test_operators_match_bracket_rule_oracle():
 def test_is_highest_weight():
     assert is_highest_weight((1, 1), 2)
     assert not is_highest_weight((1, 2), 2)
+    # n = 1 has no raising operator, but the word is still checked
+    assert is_highest_weight((1, 1), 1)
+    for word in ((5,), ()):
+        with pytest.raises(ValueError):
+            is_highest_weight(word, 1)
 
 
 def test_crystal_dot_output():
