@@ -7,6 +7,15 @@ dict mapping variable names to integers (exact mode, evaluated in
 arbitrary-precision rationals) or floats.  The identity checks run in
 exact mode only: the truncated identities hold for every truncation level
 and every integer assignment, so equality is tested with zero tolerance.
+
+Every truncated sum runs on one level engine.  A tableau with entries <= N
+is a chain of N horizontal strips, so a sum over tableaux is a DP over the
+levels a = 1..N.  Its state is a sub-shape of the factor's shape plus the
+count vector of the symmetrized values drawn so far: for distinct values
+of multiplicities m_i there are prod(m_i + 1) count vectors (2^k for k
+distinct values), and a factor has at most that many states per sub-shape,
+where an enumeration visits about N^|shape| tableaux.  The factors of a
+product run apart and are convolved over splits of the drawn counts.
 """
 
 import math
@@ -14,7 +23,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
+from operator import add, mul
 from numbers import Real
 from typing import NamedTuple
 
@@ -35,7 +45,6 @@ from .tableaux import (
     Tableau,
     as_tableau,
     cached_ssyt,
-    lr_coefficient,
     reading_word,
     shape_of,
 )
@@ -153,31 +162,179 @@ def monomial(tableau, var_rows, assign):
     return out
 
 
+# ---------------------------------------------------------------------------
+# the level engine
+#
+# Strip a of a tableau holds its entries a.  A fixed cell in it weighs
+# a**-e; a symmetrized cell draws a value v_i from the multiset not yet
+# drawn, at weight a**-v_i, and moves the count vector c to c + e_i.  Each
+# sequence of draws is one assignment of values to cells, so every
+# distinct assignment is counted once.
+
+
+@cache
+def _strip_graph(shape: Partition):
+    """(nodes, start, end, need, succ): the sub-shapes of shape, padded
+    with zeros to len(shape) rows; the indices of the empty shape and of
+    shape; per node the levels it still needs (the most cells it lacks in
+    one column); and per node the nodes one horizontal strip inside shape
+    away, the empty strip included, in order of need."""
+    rows = len(shape)
+    nodes = [()]
+    for part in shape:
+        nodes = [mu + (x,) for mu in nodes for x in range(min(mu[-1:] + (part,)) + 1)]
+    index = {mu: k for k, mu in enumerate(nodes)}
+    need = tuple(
+        max((sum(mu[i] <= j < shape[i] for i in range(rows)) for j in range(shape[0])), default=0)
+        if shape else 0
+        for mu in nodes
+    )
+    succ = tuple(
+        tuple(sorted(
+            (
+                index[nu]
+                for nu in product(*(
+                    range(mu[i], (min(shape[i], mu[i - 1]) if i else shape[0]) + 1)
+                    for i in range(rows)
+                ))
+            ),
+            key=need.__getitem__,
+        ))
+        for mu in nodes
+    )
+    return tuple(nodes), index[(0,) * rows], index[shape], need, succ
+
+
+def _node_sums(shape: Partition, kinds: tuple):
+    """(depth, fixed) per node of the strip graph, for the row-major cell
+    kinds: an exponent for a fixed cell, None for a symmetrized one.  depth
+    counts the node's symmetrized cells and fixed sums its fixed exponents,
+    so a strip from mu to nu has depth[nu] - depth[mu] symmetrized cells
+    and fixed exponent sum fixed[nu] - fixed[mu].  Not cached: float kinds
+    compare equal to integer ones, and would hand float sums to the exact
+    path."""
+    sym_prefix, fixed_prefix, start = [], [], 0
+    for part in shape:
+        row = kinds[start:start + part]
+        start += part
+        sym_prefix.append(list(accumulate((x is None for x in row), initial=0)))
+        fixed_prefix.append(list(accumulate((x or 0 for x in row), initial=0)))
+    nodes = _strip_graph(shape)[0]
+    depth = tuple(sum(p[x] for p, x in zip(sym_prefix, mu)) for mu in nodes)
+    fixed = tuple(sum(p[x] for p, x in zip(fixed_prefix, mu)) for mu in nodes)
+    return depth, fixed
+
+
+@cache
+def _count_layers(caps: tuple[int, ...]):
+    """(layers, moves) over the count vectors c <= caps: layers[k] lists
+    those with sum k, and moves[k][j] the pairs (i, index in layers[k + 1]
+    of c + e_i) for the j-th vector c of layers[k], over each value i drawn
+    fewer than caps[i] times."""
+    layers = [[] for _ in range(sum(caps) + 1)]
+    for c in product(*(range(m + 1) for m in caps)):
+        layers[sum(c)].append(c)
+    where = {c: j for layer in layers for j, c in enumerate(layer)}
+    moves = tuple(
+        tuple(
+            tuple((i, where[c[:i] + (x + 1,) + c[i + 1:]]) for i, x in enumerate(c) if x < caps[i])
+            for c in layer
+        )
+        for layer in layers
+    )
+    return tuple(map(tuple, layers)), moves
+
+
+@cache
+def _splits(caps: tuple[int, ...], k1: int, k2: int):
+    """(j1, j2, j) for each count vector c1 of layers[k1] and c2 of
+    layers[k2] with c1 + c2 <= caps, j the index of c1 + c2 in
+    layers[k1 + k2]: the convolution plan of two factors."""
+    layers, _ = _count_layers(caps)
+    where = {c: j for j, c in enumerate(layers[k1 + k2])}
+    return tuple(
+        (j1, j2, where[both])
+        for j1, c1 in enumerate(layers[k1])
+        for j2, c2 in enumerate(layers[k2])
+        if (both := tuple(map(add, c1, c2))) in where
+    )
+
+
+def _draw(vec, moves, q, size: int) -> list:
+    """One symmetrized cell: a weight vector over one layer of count
+    vectors, moved up a layer by drawing value i at weight q[i]."""
+    out = [0] * size
+    for x, targets in zip(vec, moves):
+        if x:
+            for i, j in targets:
+                out[j] += x * q[i]
+    return out
+
+
+def _levels(shape, kinds, n_trunc: int, values, caps, power) -> tuple[int, list]:
+    """The sum over the SSYT of shape with entries <= n_trunc, its cells of
+    the given kinds, as (k, vec): vec holds the sum per count vector of
+    layer k of _count_layers(caps), k the number of symmetrized cells, and
+    is empty when no SSYT exists.  values are distinct, drawn at most caps
+    times each; at level a the fixed exponent sum F of a strip weighs
+    power(a, F) and drawing value v weighs power(a, v).  Sub-shapes that
+    cannot fill shape in the levels left are pruned."""
+    if len(shape) > n_trunc:
+        return 0, []
+    _, start, end, need, succ = _strip_graph(shape)
+    depth, fixed = _node_sums(shape, kinds)
+    layers, moves = _count_layers(caps)
+    if depth[end] >= len(layers):
+        return 0, []
+    state = {start: [1]}
+    for a in range(1, n_trunc + 1):
+        spare = n_trunc - a
+        q = [power(a, v) for v in values]
+        weights = {}
+        nxt: dict[int, list] = {}
+        for mu, vec in state.items():
+            drawn = [vec]
+            for nu in succ[mu]:
+                if need[nu] > spare:
+                    break
+                r = depth[nu] - depth[mu]
+                while len(drawn) <= r:
+                    k = depth[mu] + len(drawn)
+                    drawn.append(_draw(drawn[-1], moves[k - 1], q, len(layers[k])))
+                f = fixed[nu] - fixed[mu]
+                w = weights.get(f)
+                if w is None:
+                    w = weights[f] = power(a, f)
+                src = drawn[r]
+                tgt = nxt.get(nu)
+                if tgt is None:
+                    nxt[nu] = [w * x for x in src]
+                else:
+                    for j, x in enumerate(src):
+                        tgt[j] += w * x
+        state = nxt
+    return depth[end], state[end]
+
+
+def _lcm_upto(n: int) -> int:
+    return math.lcm(*range(1, n + 1))
+
+
+@cache
+def _factor_sum(shape: Partition, kinds: tuple, n_trunc: int, values: tuple, caps: tuple):
+    """The exact level DP of one factor, cached: (F, k, vec) with F the
+    fixed exponent total and vec over layer k of the count vectors c, each
+    weight the sum for c scaled by L**(F + c . values), L = lcm(1..N).
+    Every level weight (L // a)**e is an integer."""
+    scale = _lcm_upto(n_trunc)
+    k, vec = _levels(shape, kinds, n_trunc, values, caps, lambda a, e: (scale // a) ** e)
+    return sum(x or 0 for x in kinds), k, tuple(vec)
+
+
 @cache
 def _zeta_exact(shape: Partition, flat_exps: tuple, n_trunc: int) -> Fraction:
-    counts: dict[int, int] = {}
-    for t in cached_ssyt(shape, n_trunc):
-        den = 1
-        idx = 0
-        for row in t:
-            for base in row:
-                den *= base ** flat_exps[idx]
-                idx += 1
-        counts[den] = counts.get(den, 0) + 1
-    return sum((Fraction(c, d) for d, c in sorted(counts.items())), Fraction(0))
-
-
-def _zeta_float(shape: Partition, flat_exps: tuple, n_trunc: int) -> float:
-    total = 0.0
-    for t in cached_ssyt(shape, n_trunc):
-        term = 1.0
-        idx = 0
-        for row in t:
-            for base in row:
-                term *= float(base) ** -float(flat_exps[idx])
-                idx += 1
-        total += term
-    return total
+    fixed, _, vec = _factor_sum(shape, flat_exps, n_trunc, (), ())
+    return Fraction(vec[0] if vec else 0, _lcm_upto(n_trunc) ** fixed)
 
 
 def _checked_exponents(shape: Partition, var_rows, assign) -> tuple[tuple, ...]:
@@ -206,7 +363,8 @@ def eval_zeta_truncated(shape, var_rows, assign, n_trunc: int):
     flat = tuple(x for row in _checked_exponents(shape, var_rows, assign) for x in row)
     if all(_is_exact_value(x) for x in flat):
         return _zeta_exact(shape, flat, n_trunc)
-    return _zeta_float(shape, tuple(float(x) for x in flat), n_trunc)
+    _, vec = _levels(shape, tuple(map(float, flat)), n_trunc, (), (), lambda a, e: a ** -e)
+    return float(vec[0]) if vec else 0.0
 
 
 def in_convergence_domain(shape, var_rows, assign) -> bool:
@@ -502,81 +660,99 @@ def e_sym_spec(lam, n: int) -> SymSpec:
     return SymSpec(tuple(sym), frozenset(fixed))
 
 
-@cache
-def _perm_weight_exact(bases: tuple, values: tuple) -> Fraction:
-    """Sum over all bijections of values onto bases of 1/prod(b**v): the
-    permanent of [b_i ** -v_j], by subset DP over integers.
+def _term_sum(factors, sym, assign, n_trunc: int, values: tuple, caps: tuple) -> Fraction:
+    """Sum over the distinct assignments of a value multiset (distinct
+    values with multiplicities caps) to the symmetrized variables sym of the
+    product of the term's truncated factors.
 
-    The denominators are cleared by vmax = max(values): row i holds
-    b_i ** (vmax - v_j), dp[mask] sums the products over the ways of giving
-    the first popcount(mask) bases the values in mask, and the result is
-    dp[full] / prod(b_i ** vmax).  O(2^k * k) work instead of O(k! * k).
+    A variable in one cell is drawn by its factor's level DP.  The factors
+    run on their own and are convolved over splits of the drawn counts.  A
+    variable in no cell takes a leftover value, in missing! / prod(left_i!)
+    ways.  A variable in several cells is fixed by an outer loop over its
+    value, which turns its cells into fixed cells and leaves one count
+    fewer to draw.
     """
-    k = len(values)
-    vmax = max(values, default=0)
-    rows = [[b ** (vmax - v) for v in values] for b in bases]
-    bits = [(j, 1 << j) for j in range(k)]
-    dp = [0] * (1 << k)
-    dp[0] = 1
-    for mask in range((1 << k) - 1):
-        acc = dp[mask]
-        row = rows[mask.bit_count()]
-        for j, bit in bits:
-            if not mask & bit:
-                dp[mask | bit] += acc * row[j]
+    flat = [_flatten(rows) for _, rows in factors]
+    uses = Counter(v for cells in flat for v in cells if v in sym)
+    repeated = [v for v, n in uses.items() if n > 1]
+    missing = len(sym) - len(uses)
+    sums: dict[int, int] = {}  # exponent total E -> numerator over L**E
+    for pick in product(range(len(values)), repeat=len(repeated)):
+        left = list(caps)
+        for i in pick:
+            left[i] -= 1
+        if min(left, default=0) < 0:
+            continue
+        left = tuple(left)
+        local = {v: values[i] for v, i in zip(repeated, pick)}
+        layers = _count_layers(left)[0]
+        fixed, depth, vec = 0, 0, (1,)
+        for (shape, _), cells in zip(factors, flat):
+            kinds = tuple(
+                local[v] if v in local else None if v in sym else assign[v] for v in cells
+            )
+            f, k, factor = _factor_sum(shape, kinds, n_trunc, values, left)
+            if not factor:  # no tableaux: the term is 0 for this pick
+                break
+            out = [0] * len(layers[depth + k])
+            for j1, j2, j in _splits(left, depth, k):
+                out[j] += vec[j1] * factor[j2]
+            fixed, depth, vec = fixed + f, depth + k, out
+        else:
+            for c, w in zip(layers[depth], vec):
+                if missing:
+                    ways = math.factorial(missing)
+                    for x, m in zip(c, left):
+                        ways //= math.factorial(m - x)
+                    w *= ways
+                e = fixed + sum(map(mul, c, values))
+                sums[e] = sums.get(e, 0) + w
+    if not sums:
+        return Fraction(0)
+    scale, top = _lcm_upto(n_trunc), max(sums)
+    return Fraction(sum(w * scale ** (top - e) for e, w in sums.items()), scale**top)
+
+
+def _permanent(bases, values) -> Fraction:
+    """Sum over all orderings of values of 1/prod(b ** v), the bases in
+    order: the permanent of [b ** -v].  It is the level engine's draw step
+    with one base per step: prod(m_i + 1) count vectors for the value
+    multiplicities m_i, times the m_i! orderings of equal values.  The
+    weights b ** (top - v) clear denominators by top = max(values)."""
+    distinct = sorted(set(values))
+    caps = tuple(values.count(v) for v in distinct)
+    layers, moves = _count_layers(caps)
+    top = max(values, default=0)
+    vec, den = [1], 1
+    for k, b in enumerate(bases):
+        vec = _draw(vec, moves[k], [b ** (top - v) for v in distinct], len(layers[k + 1]))
+        den *= b**top
+    return Fraction(vec[0] * math.prod(map(math.factorial, caps)), den)
+
+
+def _monomial_sym_sum(tabs, var_rows, sym, values, assign) -> Fraction:
+    """Sum over all orderings of values onto the variables sym of the
+    product of the tableaux's monomials.  A symmetrized variable's base is
+    the product of the entries in its cells, 1 when it has none."""
+    bases = dict.fromkeys(sym, 1)
     den = 1
-    for b in bases:
-        den *= b**vmax
-    return Fraction(dp[-1], den)
-
-
-def _sym_weight(tab_lists, var_rows, sym_vars, values, assign) -> Fraction:
-    """Sum over all bijections of values onto sym_vars of the product over
-    the factors of 1/prod(entry ** exponent), each factor's tableau running
-    over its list in tab_lists and filled with the variables of var_rows.
-
-    Per combination of tableaux, each symmetrized variable has one base:
-    the product of the entries in its cells, 1 when it has none.  So a
-    repeated or missing variable is one more base of the same permanent.
-    The combinations are bucketed by the sorted bases, with the fixed cells'
-    denominators counted per bucket, and each bucket costs one
-    _perm_weight_exact call.
-    """
-    index = {var: k for k, var in enumerate(sym_vars)}
-    sym_cells, fixed_cells = [], []
-    for fi, rows in enumerate(var_rows):
-        for i, row in enumerate(rows):
-            for j, var in enumerate(row):
-                if var in index:
-                    sym_cells.append((fi, i, j, index[var]))
+    for t, rows in zip(tabs, var_rows):
+        for trow, vrow in zip(t, rows):
+            for entry, var in zip(trow, vrow):
+                if var in bases:
+                    bases[var] *= entry
                 else:
-                    fixed_cells.append((fi, i, j, assign[var]))
-    buckets: dict[tuple, dict[int, int]] = {}
-    for combo in product(*tab_lists):
-        den = 1
-        for fi, i, j, ex in fixed_cells:
-            den *= combo[fi][i][j] ** ex
-        bases = [1] * len(sym_vars)
-        for fi, i, j, k in sym_cells:
-            bases[k] *= combo[fi][i][j]
-        dens = buckets.setdefault(tuple(sorted(bases)), {})
-        dens[den] = dens.get(den, 0) + 1
-    values_key = tuple(sorted(values))
-    total = Fraction(0)
-    for key, dens in buckets.items():
-        fixed_sum = sum(
-            (Fraction(c, d) for d, c in sorted(dens.items())), Fraction(0)
-        )
-        total += _perm_weight_exact(key, values_key) * fixed_sum
-    return total
+                    den *= entry ** assign[var]
+    return _permanent(tuple(bases.values()), values) / den
 
 
 def _require_cap(spec, cap) -> None:
     k = len(spec.symmetrized)
     if k > cap:
         raise ValueError(
-            f"{k} symmetrized variables exceed the cap of {cap} (each bucket "
-            f"costs a 2^{k}-state permanent); raise the cap (--cap) to proceed"
+            f"{k} symmetrized variables exceed the cap of {cap} (the level "
+            f"engine keeps a weight per sub-shape and count vector of drawn "
+            f"values, up to 2^{k} vectors); raise the cap (--cap) to proceed"
         )
 
 
@@ -585,6 +761,9 @@ def _check_spec_and_values(terms, spec, assign, n_trunc):
     integer."""
     if n_trunc < 1:
         raise ValueError("truncation level must be >= 1")
+    twice = sorted({v for v in spec.symmetrized if spec.symmetrized.count(v) > 1})
+    if twice:
+        raise ValueError(f"symmetrized variables named twice: {twice}")
     if set(spec.symmetrized) & spec.fixed:
         raise ValueError("symmetrized and fixed variable sets overlap")
     needed = set(spec.symmetrized)
@@ -635,20 +814,20 @@ def sym_sum(
     _require_cap(spec, cap)
     if not _check_spec_and_values(terms, spec, assign, n_trunc):
         raise ValueError("sym_sum needs integer exponents; use sym_sum_direct")
-    values = tuple(assign[v] for v in spec.symmetrized)
+    values = [assign[v] for v in spec.symmetrized]
+    distinct = tuple(sorted(set(values)))
+    caps = tuple(values.count(v) for v in distinct)
+    sym = frozenset(spec.symmetrized)
     total = Fraction(0)
     for coeff, factors in terms:
-        tab_lists = []
+        checked = []
         for shape, rows in factors:
             shape = as_partition(shape)
             if shape != tuple(len(r) for r in rows):
                 raise ValueError("factor shape and variable tableau differ")
-            tab_lists.append(cached_ssyt(shape, n_trunc))
-        var_rows = [rows for _, rows in factors]
-        total += coeff * _sym_weight(
-            tab_lists, var_rows, spec.symmetrized, values, assign
-        )
-    return total
+            checked.append((shape, rows))
+        total += coeff * _term_sum(checked, sym, assign, n_trunc, distinct, caps)
+    return total * math.prod(map(math.factorial, caps))
 
 
 # ---------------------------------------------------------------------------
@@ -788,6 +967,25 @@ def canonical_filling(lam, mu, nu, variant: int = 0) -> VarRows:
     return tuple(tuple(row) for row in grid)
 
 
+def _lr_expansion(mu: Partition, nu: Partition) -> Counter:
+    """The Littlewood-Richardson coefficients of s_mu * s_nu as a Counter
+    lam -> c, in one pass over the SSYT T of shape nu with entries <=
+    len(mu) + len(nu): T adds one to lam = mu + content(T) when mu plus the
+    content of every prefix of its reverse reading word (rows right to left,
+    top row first) is a partition, the crystal form of the rule."""
+    rows = len(mu) + len(nu)
+    out: Counter = Counter()
+    for t in cached_ssyt(nu, rows):
+        lam = list(mu) + [0] * (rows - len(mu))
+        for x in reversed(reading_word(t)):
+            lam[x - 1] += 1
+            if x > 1 and lam[x - 1] > lam[x - 2]:
+                break
+        else:
+            out[as_partition(lam)] += 1
+    return out
+
+
 def verify_lr(
     mu,
     nu,
@@ -814,9 +1012,10 @@ def verify_lr(
         spec, assign, n_trunc, cap,
     )
     overrides = {as_partition(k): tuple(tuple(r) for r in v) for k, v in (fillings or {}).items()}
+    expansion = _lr_expansion(mu, nu)
     rhs_terms = []
     for lam in all_partitions(sum(mu) + sum(nu)):
-        coeff = lr_coefficient(mu, nu, lam)
+        coeff = expansion[lam]
         if coeff == 0:
             continue
         filling = overrides.get(lam)
@@ -895,8 +1094,6 @@ def verify_insertion_term(
         raise ValueError(f"mode must be 'h' or 'e', got {mode!r}")
     _require_cap(spec, cap)
     values = tuple(assign[v] for v in spec.symmetrized)
-    lhs = _sym_weight(
-        [[left], [right]], pair_rows, spec.symmetrized, values, assign
-    )
-    rhs = _sym_weight([[result]], [filling], spec.symmetrized, values, assign)
+    lhs = _monomial_sym_sum([left, right], pair_rows, spec.symmetrized, values, assign)
+    rhs = _monomial_sym_sum([result], [filling], spec.symmetrized, values, assign)
     return InsertionTermReport(lhs, rhs, lhs == rhs, result, added)

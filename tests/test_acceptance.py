@@ -15,8 +15,11 @@ from schurzeta.partitions import all_partitions
 
 CACHES = (
     tableaux.cached_ssyt,
+    zeta._strip_graph,
+    zeta._count_layers,
+    zeta._splits,
+    zeta._factor_sum,
     zeta._zeta_exact,
-    zeta._perm_weight_exact,
     zeta._strip_chains,
 )
 

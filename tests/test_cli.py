@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurzeta import cli
 from schurzeta.zeta import IdentityReport
@@ -284,3 +288,119 @@ def test_selftest_quick(capsys):
     code, out, _ = run(capsys, ["selftest", "--quick", "--seed", "1"])
     assert code == 0
     assert "criteria passed" in out and "FAIL" not in out
+
+
+# --- argv fuzz: every command line ends in a defined exit ------------------
+
+SMALL_INT = st.one_of(st.integers(1, 4), st.integers(-2, 5)).map(str)
+SHAPE = st.sampled_from(["1", "2", "1,1", "2,1", "3", "", "-", "0", "1,2", "x", "2,,1", "-1"])
+WORD = st.sampled_from(["1", "2,1", "1,2,3", "3,1,2,1", "", "0", "a", "1,-1", "5"])
+VAR_NAMES = [f"{p}_{i}_{j}" for p in "st" for i in (1, 2, 3) for j in (1, 2, 3)]
+VAR_NAMES += [f"{p}_{k}" for p in "st" for k in (1, 2, 3, 4)]
+EXPONENT = st.one_of(
+    st.integers(-1, 5),
+    st.sampled_from([1.5, 2.0, 0.0, -1.0, float("nan"), float("inf")]),
+    st.booleans(),
+    st.none(),
+    st.just("2"),
+)
+JUNK_JSON = st.sampled_from(["{", "", "nope", "[]", "{}", "[[", "7"])
+ASSIGN = st.one_of(
+    st.fixed_dictionaries({v: st.integers(1, 5) for v in VAR_NAMES}).map(json.dumps),
+    st.dictionaries(st.sampled_from(VAR_NAMES), EXPONENT, max_size=8).map(json.dumps),
+    JUNK_JSON,
+)
+EXPONENT_ROWS = st.one_of(
+    st.lists(st.lists(EXPONENT, max_size=3), max_size=3).map(json.dumps),
+    JUNK_JSON,
+)
+TABLEAU = st.one_of(
+    st.lists(st.lists(st.integers(-1, 4), max_size=3), max_size=3).map(json.dumps),
+    st.sampled_from(['{"rows": [[1, 2]], "shape": [2]}', '{"rows": [[1]], "shape": [2]}']),
+    JUNK_JSON,
+)
+FILLING = st.one_of(
+    st.sampled_from([
+        '{"2": [["t_1_1", "s_1_1"]]}', '{"2": [["t_1_1", "t_1_1"]]}',
+        '{"1,1": [["s_1_1"], ["t_1_1"]]}', '{"x": [["s_1_1"]]}', '{"2": 1}',
+    ]),
+    JUNK_JSON,
+)
+TOL = st.sampled_from(["1e-3", "0", "-1", "nan", "inf", "x"])
+
+# (command words, [(flag, value strategy or None for a switch, required)])
+CLI_GRAMMAR = [
+    (["ssyt"],
+     [("--shape", SHAPE, True), ("--n", SMALL_INT, True), ("--count", None, False),
+      ("--json", None, False)]),
+    (["crystal", "graph"],
+     [("--shape", SHAPE, False), ("--word", WORD, False), ("--n", SMALL_INT, True),
+      ("--json", None, False)]),
+    (["insert", "row"],
+     [("--tableau", TABLEAU, True), ("--word", WORD, True), ("--routes", None, False),
+      ("--json", None, False)]),
+    (["insert", "column"],
+     [("--tableau", TABLEAU, True), ("--word", WORD, True), ("--routes", None, False),
+      ("--json", None, False)]),
+    (["lr"],
+     [("--mu", SHAPE, True), ("--nu", SHAPE, True), ("--lambda", SHAPE, False),
+      ("--json", None, False)]),
+    (["zeta", "eval"],
+     [("--shape", SHAPE, True), ("--exponents", EXPONENT_ROWS, True),
+      ("--n", SMALL_INT, False), ("--exact", None, False), ("--float", None, False),
+      ("--tol", TOL, False), ("--json", None, False)]),
+    (["zeta", "eval", "--shape", "2,1"],
+     [("--exponents", st.sampled_from(["[[2, 3], [4]]", "[[1.5, 2], [2.5]]", "[[1, 1], [0]]"]),
+       True),
+      ("--n", SMALL_INT, False), ("--exact", None, False), ("--float", None, False),
+      ("--tol", TOL, False), ("--json", None, False)]),
+    (["verify", "pieri-h"],
+     [("--lambda", SHAPE, True), ("--m", SMALL_INT, True), ("--n-trunc", SMALL_INT, True),
+      ("--assign", ASSIGN, True), ("--cap", SMALL_INT, False), ("--json", None, False)]),
+    (["verify", "pieri-e"],
+     [("--lambda", SHAPE, True), ("--n", SMALL_INT, True), ("--n-trunc", SMALL_INT, True),
+      ("--assign", ASSIGN, True), ("--cap", SMALL_INT, False), ("--json", None, False)]),
+    (["verify", "lr"],
+     [("--mu", SHAPE, True), ("--nu", SHAPE, True), ("--n-trunc", SMALL_INT, True),
+      ("--assign", ASSIGN, True), ("--variant", SMALL_INT, False),
+      ("--filling", FILLING, False), ("--cap", SMALL_INT, False), ("--json", None, False)]),
+    (["bogus"], []),
+]
+
+
+@st.composite
+def cli_argv(draw):
+    """A command line from CLI_GRAMMAR: the required flags and half of the
+    optional ones in any order, sometimes with a stray token."""
+    words, flags = draw(st.sampled_from(CLI_GRAMMAR))
+    argv = list(words)
+    for flag, values, required in draw(st.permutations(flags)):
+        if required or draw(st.booleans()):
+            argv.append(flag)
+            if values is not None:
+                argv.append(draw(values))
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "--n", "--json"])))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_cli_fuzz_ends_in_a_defined_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+            assert code == 2, argv
+            assert ": error: " in err.getvalue().splitlines()[-1], argv
+            return
+    lines = err.getvalue().splitlines()
+    if code in (0, 1):
+        assert lines == [], argv
+    elif code == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), argv
+    else:
+        assert code == 3 and len(lines) == 1, argv
+        assert lines[0].startswith("error: internal: "), argv

@@ -1,5 +1,7 @@
 import math
+import time
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 
 import pytest
@@ -10,7 +12,8 @@ from schurzeta.partitions import all_partitions
 from schurzeta.tableaux import cached_ssyt, lr_coefficient
 from schurzeta.zeta import (
     SymSpec,
-    _perm_weight_exact,
+    _lr_expansion,
+    _permanent,
     canonical_filling,
     e_sym_spec,
     eval_zeta_limit,
@@ -315,7 +318,211 @@ def brute_perm_weight(bases, values):
 def test_perm_weight_matches_brute_force(case):
     # small ranges make repeated bases and repeated values common
     bases, values = (tuple(x) for x in case)
-    assert _perm_weight_exact(bases, values) == brute_perm_weight(bases, values)
+    assert _permanent(bases, values) == brute_perm_weight(bases, values)
+
+
+@cache
+def subset_dp_permanent(bases, values):
+    """Oracle: the permanent of [b ** -v] by subset DP over integers, the
+    kernel of the enumerating engine.  dp[mask] sums the products over the
+    ways of giving the first popcount(mask) bases the values in mask, with
+    denominators cleared by vmax = max(values)."""
+    k = len(values)
+    vmax = max(values, default=0)
+    rows = [[b ** (vmax - v) for v in values] for b in bases]
+    dp = [0] * (1 << k)
+    dp[0] = 1
+    for mask in range((1 << k) - 1):
+        row = rows[mask.bit_count()]
+        for j in range(k):
+            if not mask >> j & 1:
+                dp[mask | 1 << j] += dp[mask] * row[j]
+    den = 1
+    for b in bases:
+        den *= b**vmax
+    return Fraction(dp[-1], den)
+
+
+def bucketed_sym_weight(tab_lists, var_rows, sym_vars, values, assign):
+    """Oracle: the sum over every combination of tableaux, bucketed by the
+    sorted bases of the symmetrized variables (the product of a variable's
+    entries, 1 when it has none), one permanent per bucket."""
+    index = {var: k for k, var in enumerate(sym_vars)}
+    buckets = {}
+    for combo in product(*tab_lists):
+        den = 1
+        bases = [1] * len(sym_vars)
+        for tab, rows in zip(combo, var_rows):
+            for trow, vrow in zip(tab, rows):
+                for entry, var in zip(trow, vrow):
+                    if var in index:
+                        bases[index[var]] *= entry
+                    else:
+                        den *= entry ** assign[var]
+        dens = buckets.setdefault(tuple(sorted(bases)), {})
+        dens[den] = dens.get(den, 0) + 1
+    key = tuple(sorted(values))
+    return sum(
+        (subset_dp_permanent(bases, key) * sum(Fraction(c, d) for d, c in dens.items())
+         for bases, dens in buckets.items()),
+        Fraction(0),
+    )
+
+
+def enumerating_sym_sum(terms, spec, assign, n_trunc):
+    """Oracle: sym_sum by enumerating the tableaux of every factor."""
+    values = tuple(assign[v] for v in spec.symmetrized)
+    return sum(
+        (coeff * bucketed_sym_weight(
+            [cached_ssyt(shape, n_trunc) for shape, _ in factors],
+            [rows for _, rows in factors], spec.symmetrized, values, assign,
+        ) for coeff, factors in terms),
+        Fraction(0),
+    )
+
+
+def enumerating_zeta(shape, flat_exps, n_trunc):
+    """Oracle: the truncated sum over the enumerated tableaux."""
+    total = Fraction(0)
+    for t in cached_ssyt(shape, n_trunc):
+        den = 1
+        for base, ex in zip((b for row in t for b in row), flat_exps):
+            den *= base**ex
+        total += Fraction(1, den)
+    return total
+
+
+SMALL_SHAPES = [p for size in range(6) for p in all_partitions(size)]
+CELL_NAMES = ("a", "b", "c", "d", "x", "y")
+
+
+@st.composite
+def small_sym_sums(draw):
+    """Terms of up to two factors with at most 5 cells per term, filled
+    from a, b, c, d (the first k symmetrized) and the fixed x, y, so
+    repeated and missing symmetrized variables are common."""
+    k = draw(st.integers(0, 4))
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        budget, factors = 5, []
+        for _ in range(draw(st.integers(0, 2))):
+            shape = draw(st.sampled_from([p for p in SMALL_SHAPES if sum(p) <= budget]))
+            budget -= sum(shape)
+            rows = tuple(
+                tuple(draw(st.sampled_from(CELL_NAMES)) for _ in range(part))
+                for part in shape
+            )
+            factors.append((shape, rows))
+        terms.append((draw(st.integers(-2, 3)), factors))
+    assign = {v: draw(st.integers(0, 5)) for v in CELL_NAMES}
+    spec = SymSpec(CELL_NAMES[:k], frozenset({"x", "y"}))
+    return terms, spec, assign, draw(st.integers(1, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_sym_sums())
+def test_level_engine_matches_enumerating_oracles(case):
+    terms, spec, assign, n_trunc = case
+    assert sym_sum(terms, spec, assign, n_trunc) == \
+        enumerating_sym_sum(terms, spec, assign, n_trunc)
+    for _, factors in terms:
+        for shape, rows in factors:
+            flat = tuple(assign[v] for row in rows for v in row)
+            assert eval_zeta_truncated(shape, rows, assign, n_trunc) == \
+                enumerating_zeta(shape, flat, n_trunc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(SMALL_SHAPES[1:]).flatmap(
+        lambda shape: st.tuples(
+            st.just(shape),
+            st.lists(st.integers(0, 5), min_size=sum(shape), max_size=sum(shape)),
+            st.integers(1, 30),
+        )
+    )
+)
+def test_float_truncation_matches_exact(case):
+    shape, exps, n_trunc = case
+    rows = grid_vars(shape, "x")
+    names = [v for row in rows for v in row]
+    exact = eval_zeta_truncated(shape, rows, dict(zip(names, exps)), n_trunc)
+    approx = eval_zeta_truncated(
+        shape, rows, {v: float(e) for v, e in zip(names, exps)}, n_trunc
+    )
+    assert isinstance(approx, float)
+    assert abs(approx - float(exact)) <= 1e-12 * float(exact)
+
+
+def test_float_truncation_at_level_thirty():
+    # 1,078,800 tableaux of shape (3,2) have entries <= 30
+    rows = grid_vars((3, 2), "x")
+    exps = dict(zip([v for row in rows for v in row], (2, 1, 3, 2, 2)))
+    exact = eval_zeta_truncated((3, 2), rows, exps, 30)
+    approx = eval_zeta_truncated(
+        (3, 2), rows, {v: float(e) for v, e in exps.items()}, 30
+    )
+    assert abs(approx - float(exact)) <= 1e-12 * float(exact)
+    ones = {v: 0 for v in exps}
+    assert eval_zeta_truncated((3, 2), rows, ones, 30) == 1078800
+
+
+def test_float_evaluation_leaves_the_exact_path_exact():
+    # 2.0 == 2 and both hash alike: a cache shared by the two paths would
+    # hand the float run's sums to the exact one
+    rows = grid_vars((2, 1), "x")
+    exps = {"x_1_1": 2, "x_1_2": 3, "x_2_1": 2}
+    approx = eval_zeta_truncated((2, 1), rows, {v: float(e) for v, e in exps.items()}, 7)
+    exact = eval_zeta_truncated((2, 1), rows, exps, 7)
+    assert isinstance(exact, Fraction)
+    assert exact == enumerating_zeta((2, 1), (2, 3, 2), 7)
+    assert abs(approx - float(exact)) <= 1e-12 * float(exact)
+
+
+def test_sym_sum_rejects_a_variable_named_twice():
+    terms = [(1, [((2,), (("a", "b"),))])]
+    spec = SymSpec(("a", "a"), frozenset())
+    for fn in (sym_sum, sym_sum_direct):
+        with pytest.raises(ValueError, match="twice"):
+            fn(terms, spec, {"a": 2, "b": 3}, 2)
+
+
+DEEP_VALUES = (3, 1, 4, 5, 2, 1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "label, check",
+    [
+        ("pieri-h (3,2) m=3 N=12", lambda assign: verify_pieri_h((3, 2), 3, assign, 12)),
+        ("pieri-e (2,2,1) n=3 N=8", lambda assign: verify_pieri_e((2, 2, 1), 3, assign, 8)),
+        ("lr (3,2)x(2,1) N=8", lambda assign: verify_lr((3, 2), (2, 1), assign, 8)),
+    ],
+)
+def test_deep_identities_verify_within_a_second(label, check):
+    # eight symmetrized variables; enumerating the tableaux took seconds
+    # to minutes at these levels
+    names = [f"s_{i}_{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
+    names += [f"t_{i}_{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
+    names += [f"{p}_{k}" for p in "st" for k in (1, 2, 3)]
+    assign = {v: DEEP_VALUES[k % len(DEEP_VALUES)] for k, v in enumerate(names)}
+    start = time.perf_counter()
+    rep = check(assign)
+    assert rep.equal, label
+    assert time.perf_counter() - start < 1.0, label
+
+
+def test_lr_expansion_matches_lr_coefficient():
+    # every pair of nonempty shapes of total size <= 6, against the skew
+    # Yamanouchi count of tableaux.lr_coefficient, zeros included
+    for total in range(2, 7):
+        for a in range(1, total):
+            for mu in all_partitions(a):
+                for nu in all_partitions(total - a):
+                    expansion = _lr_expansion(mu, nu)
+                    assert set(expansion) <= set(all_partitions(total))
+                    for lam in all_partitions(total):
+                        assert expansion[lam] == lr_coefficient(mu, nu, lam), (mu, nu, lam)
+    assert _lr_expansion((2, 1), (2, 1))[(3, 2, 1)] == 2
 
 
 def test_sym_sum_matches_direct_on_seven_variable_lr():
