@@ -8,14 +8,18 @@ arbitrary-precision rationals) or floats.  The identity checks run in
 exact mode only: the truncated identities hold for every truncation level
 and every integer assignment, so equality is tested with zero tolerance.
 
-Every truncated sum runs on one level engine.  A tableau with entries <= N
-is a chain of N horizontal strips, so a sum over tableaux is a DP over the
-levels a = 1..N.  Its state is a sub-shape of the factor's shape plus the
-count vector of the symmetrized values drawn so far: for distinct values
-of multiplicities m_i there are prod(m_i + 1) count vectors (2^k for k
-distinct values), and a factor has at most that many states per sub-shape,
-where an enumeration visits about N^|shape| tableaux.  The factors of a
-product run apart and are convolved over splits of the drawn counts.
+Every sum over tableaux walks one strip graph (_strip_graph): its nodes
+are the sub-shapes of the shape and its edges the horizontal strips
+between them.  A tableau with entries <= N is a path of N strips through
+it, one per level, so a sum over tableaux is a DP over the levels
+a = 1..N.  The exact sums keep per sub-shape a weight per count vector of
+the symmetrized values drawn so far: for distinct values of
+multiplicities m_i there are prod(m_i + 1) count vectors (2^k for k
+distinct values), where an enumeration visits about N^|shape| tableaux.
+The factors of a product run apart and are convolved over splits of the
+drawn counts.  Float truncation and the untruncated limit walk the same
+graph in compensated floats, one sum per sub-shape, and the limit's tail
+terms follow from the same strips' exponent sums.
 """
 
 import math
@@ -140,16 +144,13 @@ def require_exact(assign, names) -> None:
 
 
 def monomial(tableau, var_rows, assign):
-    """1 / prod(entry ** exponent) over the cells; exact for int exponents."""
+    """1 / prod(entry ** exponent) over the cells; exact for int exponents.
+    Exponents must be finite numbers >= 0 (not bools)."""
     t = as_tableau(tableau)
-    exps = resolve_exponents(var_rows, assign)
-    if shape_of(t) != tuple(len(r) for r in exps):
-        raise ValueError("tableau and variable tableau shapes differ")
+    exps = _checked_exponents(shape_of(t), var_rows, assign)
     if any(v < 1 for row in t for v in row):
         raise ValueError("tableau entries must be positive")
     if all(_is_exact_value(x) for row in exps for x in row):
-        if any(x < 0 for row in exps for x in row):
-            raise ValueError("integer exponents must be >= 0")
         den = 1
         for trow, erow in zip(t, exps):
             for base, ex in zip(trow, erow):
@@ -210,9 +211,9 @@ def _node_sums(shape: Partition, kinds: tuple):
     kinds: an exponent for a fixed cell, None for a symmetrized one.  depth
     counts the node's symmetrized cells and fixed sums its fixed exponents,
     so a strip from mu to nu has depth[nu] - depth[mu] symmetrized cells
-    and fixed exponent sum fixed[nu] - fixed[mu].  Not cached: float kinds
-    compare equal to integer ones, and would hand float sums to the exact
-    path."""
+    and fixed exponent sum fixed[nu] - fixed[mu].  Not cached: the float
+    walks pass Fraction kinds, which hash and compare equal to integer ones,
+    and a shared cache would hand Fraction sums to the exact path."""
     sym_prefix, fixed_prefix, start = [], [], 0
     for part in shape:
         row = kinds[start:start + part]
@@ -271,16 +272,17 @@ def _draw(vec, moves, q, size: int) -> list:
     return out
 
 
-def _levels(shape, kinds, n_trunc: int, values, caps, power) -> tuple[int, list]:
+def _levels(shape, kinds, n_trunc: int, values, caps) -> tuple[int, list]:
     """The sum over the SSYT of shape with entries <= n_trunc, its cells of
-    the given kinds, as (k, vec): vec holds the sum per count vector of
-    layer k of _count_layers(caps), k the number of symmetrized cells, and
-    is empty when no SSYT exists.  values are distinct, drawn at most caps
-    times each; at level a the fixed exponent sum F of a strip weighs
-    power(a, F) and drawing value v weighs power(a, v).  Sub-shapes that
-    cannot fill shape in the levels left are pruned."""
+    the given kinds (integer exponents or None), as (k, vec): vec holds the sum per count vector
+    of layer k of _count_layers(caps), k the number of symmetrized cells,
+    and is empty when no SSYT exists.  values are distinct, drawn at most
+    caps times each; at level a the fixed exponent sum F of a strip weighs
+    (L // a)**F and drawing value v weighs (L // a)**v, L = lcm(1..N).
+    Sub-shapes that cannot fill shape in the levels left are pruned."""
     if len(shape) > n_trunc:
         return 0, []
+    scale = _lcm_upto(n_trunc)
     _, start, end, need, succ = _strip_graph(shape)
     depth, fixed = _node_sums(shape, kinds)
     layers, moves = _count_layers(caps)
@@ -289,7 +291,8 @@ def _levels(shape, kinds, n_trunc: int, values, caps, power) -> tuple[int, list]
     state = {start: [1]}
     for a in range(1, n_trunc + 1):
         spare = n_trunc - a
-        q = [power(a, v) for v in values]
+        base = scale // a
+        q = [base**v for v in values]
         weights = {}
         nxt: dict[int, list] = {}
         for mu, vec in state.items():
@@ -304,7 +307,7 @@ def _levels(shape, kinds, n_trunc: int, values, caps, power) -> tuple[int, list]
                 f = fixed[nu] - fixed[mu]
                 w = weights.get(f)
                 if w is None:
-                    w = weights[f] = power(a, f)
+                    w = weights[f] = base**f
                 src = drawn[r]
                 tgt = nxt.get(nu)
                 if tgt is None:
@@ -326,8 +329,7 @@ def _factor_sum(shape: Partition, kinds: tuple, n_trunc: int, values: tuple, cap
     fixed exponent total and vec over layer k of the count vectors c, each
     weight the sum for c scaled by L**(F + c . values), L = lcm(1..N).
     Every level weight (L // a)**e is an integer."""
-    scale = _lcm_upto(n_trunc)
-    k, vec = _levels(shape, kinds, n_trunc, values, caps, lambda a, e: (scale // a) ** e)
+    k, vec = _levels(shape, kinds, n_trunc, values, caps)
     return sum(x or 0 for x in kinds), k, tuple(vec)
 
 
@@ -363,24 +365,23 @@ def eval_zeta_truncated(shape, var_rows, assign, n_trunc: int):
     flat = tuple(x for row in _checked_exponents(shape, var_rows, assign) for x in row)
     if all(_is_exact_value(x) for x in flat):
         return _zeta_exact(shape, flat, n_trunc)
-    _, vec = _levels(shape, tuple(map(float, flat)), n_trunc, (), (), lambda a, e: a ** -e)
-    return float(vec[0]) if vec else 0.0
+    return float(next(_partial_sums(shape, tuple(map(Fraction, flat)), (n_trunc,))))
 
 
 def in_convergence_domain(shape, var_rows, assign) -> bool:
-    """Real parts >= 1 everywhere and > 1 at every corner cell."""
+    """Real parts >= 1 everywhere and > 1 at every corner cell.  Exponents
+    must be finite numbers >= 0 (not bools)."""
     shape = as_partition(shape)
-    exps = resolve_exponents(var_rows, assign)
-    if shape != tuple(len(r) for r in exps):
-        raise ValueError("shape and variable tableau differ")
+    return _in_domain(shape, _checked_exponents(shape, var_rows, assign))
+
+
+def _in_domain(shape: Partition, exps) -> bool:
     corner_set = set(corners(shape))
-    for i, row in enumerate(exps):
-        for j, v in enumerate(row):
-            if v < 1:
-                return False
-            if (i + 1, j + 1) in corner_set and not v > 1:
-                return False
-    return True
+    return all(
+        v > 1 if (i + 1, j + 1) in corner_set else v >= 1
+        for i, row in enumerate(exps)
+        for j, v in enumerate(row)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -391,107 +392,83 @@ LIMIT_MAX_ORDER = 12
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _strip_predecessors(shape: Partition) -> list[Partition]:
-    bounds = [
-        (shape[i + 1] if i + 1 < len(shape) else 0, shape[i])
-        for i in range(len(shape))
-    ]
-    out = []
-    for combo in product(*[range(lo, hi + 1) for lo, hi in bounds]):
-        if combo != shape:
-            out.append(as_partition(combo))
+def _tail_terms(shape: Partition, kinds: tuple, cutoff) -> dict[Fraction, int]:
+    """The powers N**beta (beta < 0, down to cutoff) in the expansion of the
+    partial sum S(N) about its limit, each with the highest power of log N
+    that multiplies it (every lower log power occurs as well).  kinds are
+    the row-major cell exponents as Fractions.
+
+    T_nu(n), the sum over the SSYT of the sub-shape nu with entries <= n, is
+    the sum over a <= n and strips mu -> nu of a**-e * T_mu(a-1), e the
+    strip's exponent sum.  By Euler-Maclaurin a summand a**g * log(a)**p
+    brings n**(g+1-m) * log(n)**p for m >= 0, and for g = -1 log(n)**(p+1)
+    in place of n**0.  Terms below the cutoff only feed terms below it.  The
+    strip graph's nodes run in increasing order, so every strip into mu is
+    merged before mu feeds its own strips; a merge keeps the highest log
+    power per beta.  Every exponent is >= 1, so each beta written is < 0
+    apart from the n**0 term, and a beta < 0 already holding p or more has
+    every beta - 1, beta - 2, ... down to the cutoff holding p or more: a
+    run of terms stops there.
+    """
+    nodes, start, end, _, succ = _strip_graph(shape)
+    _, fixed = _node_sums(shape, kinds)
+    grow: list[dict] = [{} for _ in nodes]
+    grow[start][Fraction(0)] = 0
+    for mu, terms in enumerate(grow):
+        for nu in succ[mu]:
+            if nu == mu:
+                continue
+            e, nxt = fixed[nu] - fixed[mu], grow[nu]
+            nxt.setdefault(Fraction(0), 0)
+            for beta, p in terms.items():
+                top = beta + 1 - e
+                if top == 0:
+                    nxt[top] = max(nxt[top], p + 1)
+                    top -= 1
+                while top >= cutoff and nxt.get(top, -1) < p:
+                    nxt[top] = p
+                    top -= 1
+    out = grow[end]
+    del out[0]
     return out
 
 
-@cache
-def _strip_chains(shape: Partition) -> tuple[tuple[Partition, ...], ...]:
-    """Chains () = m0 < m1 < ... < mk = shape whose steps are nonempty
-    horizontal strips; SSYT of the shape biject with (chain, level) data."""
-    if not shape:
-        return (((),),)
-    chains = []
-    for prev in _strip_predecessors(shape):
-        for c in _strip_chains(prev):
-            chains.append(c + (shape,))
-    return tuple(chains)
-
-
-def _chain_exponent_sums(chain, exps) -> tuple[Fraction, ...]:
-    """Exponent sum of each strip of the chain, exact: a float converts to
-    Fraction without rounding."""
-    sums = []
-    for prev, cur in zip(chain, chain[1:]):
-        prev_pad = prev + (0,) * (len(cur) - len(prev))
-        total = Fraction(0)
-        for i, (a, b) in enumerate(zip(prev_pad, cur)):
-            for j in range(a, b):
-                total += Fraction(exps[i][j])
-        sums.append(total)
-    return tuple(sums)
-
-
-def _tail_terms(steps, cutoff) -> dict[Fraction, int]:
-    """The powers N**beta (beta < 0, down to cutoff) in the expansion of a
-    chain's partial sum S(N) about its limit, each with the highest power of
-    log N that multiplies it (every lower log power occurs as well).
-
-    T_j(n), the sum over the first j steps with the last level at most n,
-    is the sum over a <= n of a**-e_j * T_{j-1}(a-1).  By Euler-Maclaurin a
-    summand a**g * log(a)**p brings n**(g+1-m) * log(n)**p for m >= 0, and
-    for g = -1 log(n)**(p+1) in place of n**0.  Terms below the cutoff only
-    feed terms below it.
-    """
-    grow = {Fraction(0): 0}
-    for e in steps:
-        nxt = {Fraction(0): 0}
-        for beta, p in grow.items():
-            top = beta + 1 - e
-            if top == 0:
-                nxt[top] = max(nxt[top], p + 1)
-                top -= 1
-            while top >= cutoff:
-                nxt[top] = max(nxt.get(top, 0), p)
-                top -= 1
-        grow = nxt
-    del grow[0]
-    return grow
-
-
-def _partial_sums(chains, stops):
+def _partial_sums(shape: Partition, kinds: tuple, stops):
     """Yield S(N) for each N in the increasing stops, as an exact Fraction
-    of the float state: the sum over chains of multiplicity * T_k(N), where
-    T_j(n) = T_j(n-1) + n**-e_j * T_{j-1}(n-1) runs level by level with a
+    of the float state; kinds are the row-major cell exponents as Fractions.
+
+    T_nu(n) = T_nu(n-1) + sum over the nonempty strips mu -> nu of
+    n**-e * T_mu(n-1) runs level by level over the strip graph, e the
+    strip's exponent sum, and S(N) = T_shape(N).  The strips run in
+    decreasing mu: a strict sub-shape has the smaller index, so each strip
+    reads T_mu(n-1) before anything adds to T_mu.  Each sub-shape keeps a
     Neumaier compensation term (every term is positive, so its branch
     compares the values themselves)."""
-    exponents = sorted({-float(e) for steps in chains for e in steps})
+    nodes, start, end, _, succ = _strip_graph(shape)
+    _, fixed = _node_sums(shape, kinds)
+    strips = [(mu, nu, -float(fixed[nu] - fixed[mu]))
+              for mu in reversed(range(len(nodes))) for nu in succ[mu] if nu != mu]
+    exponents = sorted({ex for _, _, ex in strips})
     index = {ex: i for i, ex in enumerate(exponents)}
-    states = [
-        (mult, [index[-float(e)] for e in steps], [0.0] * len(steps), [0.0] * len(steps))
-        for steps, mult in chains.items()
-    ]
+    strips = [(mu, nu, index[ex]) for mu, nu, ex in strips]
+    sums, comps = [0.0] * len(nodes), [0.0] * len(nodes)
+    sums[start] = 1.0
     n = 0
     for stop in stops:
         while n < stop:
             n += 1
             x = float(n)
             pw = [x**ex for ex in exponents]
-            for _, idx, sums, comps in states:
-                prev = 1.0
-                for j, i in enumerate(idx):
-                    s = sums[j]
-                    term = pw[i] * prev
-                    prev = s + comps[j]
-                    t = s + term
-                    if s >= term:
-                        comps[j] += (s - t) + term
-                    else:
-                        comps[j] += (term - t) + s
-                    sums[j] = t
-        yield sum(
-            (mult * (Fraction(sums[-1]) + Fraction(comps[-1]))
-             for mult, _, sums, comps in states),
-            Fraction(0),
-        )
+            for mu, nu, i in strips:
+                s = sums[nu]
+                term = pw[i] * (sums[mu] + comps[mu])
+                t = s + term
+                if s >= term:
+                    comps[nu] += (s - t) + term
+                else:
+                    comps[nu] += (term - t) + s
+                sums[nu] = t
+        yield Fraction(sums[end]) + Fraction(comps[end])
 
 
 def _extrapolation_weights(groups) -> list[Fraction]:
@@ -559,7 +536,7 @@ def eval_zeta_limit(
 
     S(N) is summed level by level and read at N = LIMIT_START * 2**i.  Its
     expansion about the limit runs over N**beta * log(N)**q, with the
-    powers fixed by the chains' exponent sums (_tail_terms), so an exact
+    powers fixed by the strips' exponent sums (_tail_terms), so an exact
     linear solve over the last readings cancels the slowest terms.
     error_estimate is the larger of two gaps, to the value with the last
     group of terms left out and to the value one reading earlier, plus a
@@ -574,19 +551,14 @@ def eval_zeta_limit(
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     exps = _checked_exponents(shape, var_rows, assign)
-    if not in_convergence_domain(shape, var_rows, assign):
+    if not _in_domain(shape, exps):
         raise ValueError("exponents outside the convergence domain")
     if not shape:
         return LimitReport(1.0, 0, _UNIT_ROUNDOFF, True)
-    chains = Counter(
-        _chain_exponent_sums(chain, exps) for chain in _strip_chains(shape)
-    )
-    terms: dict[Fraction, int] = {}
-    for steps in chains:
-        # a chain's slowest power is at least 1 - sum(steps), and the
-        # groups a fit can use lie less than LIMIT_MAX_ORDER below it
-        for beta, p in _tail_terms(steps, -LIMIT_MAX_ORDER - sum(steps)).items():
-            terms[beta] = max(terms.get(beta, 0), p)
+    kinds = tuple(Fraction(x) for row in exps for x in row)
+    # the slowest power is at least 1 - sum(kinds), and the groups a fit
+    # can use lie less than LIMIT_MAX_ORDER below it
+    terms = _tail_terms(shape, kinds, -LIMIT_MAX_ORDER - sum(kinds))
     groups = sorted(terms.items(), reverse=True)
     amplify = 4 * sum(shape)  # pow, product and operand rounding per step
     stops = []
@@ -595,7 +567,7 @@ def eval_zeta_limit(
     stops.append(max_level)
     readings: list[Fraction] = []
     last = None  # (value, error estimate) of the latest extrapolation
-    for stop, total in zip(stops, _partial_sums(chains, stops)):
+    for stop, total in zip(stops, _partial_sums(shape, kinds, stops)):
         if stop != LIMIT_START << len(readings):
             break
         readings.append(total)

@@ -20,7 +20,6 @@ CACHES = (
     zeta._splits,
     zeta._factor_sum,
     zeta._zeta_exact,
-    zeta._strip_chains,
 )
 
 

@@ -1,5 +1,7 @@
 import math
+import random
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
@@ -8,12 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurzeta.partitions import all_partitions
+from schurzeta.partitions import all_partitions, as_partition
 from schurzeta.tableaux import cached_ssyt, lr_coefficient
 from schurzeta.zeta import (
+    LIMIT_MAX_ORDER,
     SymSpec,
     _lr_expansion,
+    _partial_sums,
     _permanent,
+    _tail_terms,
     canonical_filling,
     e_sym_spec,
     eval_zeta_limit,
@@ -73,6 +78,18 @@ def test_monomial_examples():
         monomial(((0,),), (("a",),), {"a": 1})
 
 
+@pytest.mark.parametrize(
+    "bad", [-1, -1.0, True, float("nan"), float("inf"), "x", None], ids=repr
+)
+def test_monomial_and_domain_reject_bad_exponents(bad):
+    # the checks of eval_zeta_truncated: -1.0 gave 2.0, True gave 0.5, nan
+    # gave nan, and the domain test raised TypeError on "x"
+    with pytest.raises(ValueError, match="exponents"):
+        monomial(((2,),), (("a",),), {"a": bad})
+    with pytest.raises(ValueError, match="exponents"):
+        in_convergence_domain((1,), (("a",),), {"a": bad})
+
+
 def test_eval_zeta_truncated_examples():
     assert eval_zeta_truncated((1,), (("a",),), {"a": 2}, 3) == Fraction(49, 36)
     assert eval_zeta_truncated(
@@ -121,6 +138,8 @@ def test_in_convergence_domain_examples():
     )
     assert not in_convergence_domain((1,), (("a",),), {"a": 1})
     assert in_convergence_domain((2,), (("a", "b"),), {"a": 1, "b": 1.5})
+    with pytest.raises(ValueError, match="differ"):
+        in_convergence_domain((2,), (("a",),), {"a": 2})
 
 
 def test_horizontal_push_filling_examples():
@@ -796,6 +815,110 @@ def test_harmonic_product_against_double_sum_oracle():
                 assert lhs == brute == col + row
 
 
+def brute_strip_chains(shape):
+    """Oracle: the chains () = m0 < m1 < ... < mk = shape whose steps are
+    nonempty horizontal strips; the SSYT of the shape biject with (chain,
+    levels) data."""
+    if not shape:
+        return [((),)]
+    bounds = [(shape[i + 1] if i + 1 < len(shape) else 0, shape[i]) for i in range(len(shape))]
+    return [
+        chain + (shape,)
+        for prev in product(*(range(lo, hi + 1) for lo, hi in bounds))
+        if prev != shape
+        for chain in brute_strip_chains(as_partition(prev))
+    ]
+
+
+def chain_exponent_sums(chain, exps):
+    """Oracle: the exact exponent sum of each strip of the chain."""
+    sums = []
+    for prev, cur in zip(chain, chain[1:]):
+        prev = prev + (0,) * (len(cur) - len(prev))
+        sums.append(sum(
+            (Fraction(exps[i][j]) for i, (a, b) in enumerate(zip(prev, cur)) for j in range(a, b)),
+            Fraction(0),
+        ))
+    return tuple(sums)
+
+
+def chain_tail_terms(steps, cutoff, one):
+    """Oracle: the tail powers N**beta (down to cutoff) of one chain with
+    strip exponent sums steps, each with its highest log power; steps,
+    cutoff and the returned beta count in units of 1 / one."""
+    grow = {0: 0}
+    for e in steps:
+        nxt = {0: 0}
+        for beta, p in grow.items():
+            top = beta + one - e
+            if top == 0:
+                nxt[top] = max(nxt[top], p + 1)
+                top -= one
+            while top >= cutoff:
+                nxt[top] = max(nxt.get(top, 0), p)
+                top -= one
+        grow = nxt
+    del grow[0]
+    return grow
+
+
+def chain_partial_sums(chains, stops):
+    """Oracle: S(N) at the stops as the sum over chains (a Counter of their
+    strip exponent sums) of multiplicity * T_k(N), each chain's
+    T_j(n) = T_j(n-1) + n**-e_j * T_{j-1}(n-1) run with its own Neumaier
+    compensation."""
+    states = [(mult, [-float(e) for e in steps], [0.0] * len(steps), [0.0] * len(steps))
+              for steps, mult in chains.items()]
+    n = 0
+    for stop in stops:
+        while n < stop:
+            n += 1
+            for _, exps, sums, comps in states:
+                prev = 1.0
+                for j, ex in enumerate(exps):
+                    s, term = sums[j], float(n) ** ex * prev
+                    prev = s + comps[j]
+                    t = s + term
+                    comps[j] += (s - t) + term if s >= term else (term - t) + s
+                    sums[j] = t
+        yield sum((mult * (Fraction(sums[-1]) + Fraction(comps[-1]))
+                   for mult, _, sums, comps in states), Fraction(0))
+
+
+def test_strip_graph_walks_match_chain_oracles():
+    # every shape of size <= 6, five seeded exponent draws each: the
+    # graph's tail terms are the union over chains, and its S(N) agrees
+    # with the chains' to the rounding the limit's error estimate allows,
+    # read at every N <= 8 and at 12, 16, ..., 64.
+    # The exponents are quarters, so the chain oracle counts in quarters.
+    rng = random.Random(8)
+    cases = 0
+    for size in range(1, 7):
+        for shape in all_partitions(size):
+            for _ in range(5):
+                kinds = tuple(Fraction(rng.choice((1, 1.25, 1.5, 2, 2.5, 3))) for _ in range(size))
+                exps, start = [], 0
+                for part in shape:
+                    exps.append(kinds[start:start + part])
+                    start += part
+                chains = Counter(chain_exponent_sums(c, exps) for c in brute_strip_chains(shape))
+                cutoff = -LIMIT_MAX_ORDER - sum(kinds)
+                union = {}
+                for steps in chains:
+                    quarters = [int(4 * e) for e in steps]
+                    for beta, p in chain_tail_terms(quarters, int(4 * cutoff), 4).items():
+                        union[Fraction(beta, 4)] = max(union.get(Fraction(beta, 4), 0), p)
+                assert _tail_terms(shape, kinds, cutoff) == union, (shape, kinds)
+                bound = 4 * size * 2.0**-53
+                stops = (*range(1, 9), 12, 16, 24, 32, 48, 64)
+                for n, graph, chain in zip(
+                    stops, _partial_sums(shape, kinds, stops), chain_partial_sums(chains, stops)
+                ):
+                    assert abs(graph - chain) <= bound * chain, (shape, kinds, n)
+                cases += 1
+    assert cases == 145
+
+
 def test_eval_zeta_limit_basics():
     rep = eval_zeta_limit((1,), (("a",),), {"a": 2.0}, 1e-6)
     # stopping increment 1e-6 puts the tail below 1/999
@@ -851,6 +974,31 @@ def test_limit_partial_sums_match_exact_truncation(shape, exps):
         exact = float(eval_zeta_truncated(shape, rows, assign_q, n))
         assert not rep.converged and rep.levels == n
         assert abs(rep.value - exact) <= bound * exact
+        approx = eval_zeta_truncated(shape, rows, assign_f, n)
+        assert abs(approx - exact) <= bound * exact
+
+
+@pytest.mark.parametrize(
+    "shape, exps",
+    [
+        ((3, 2), [[1, 1.5, 2], [1.25, 2.5]]),
+        ((4, 2), [[1, 1.25, 1.5, 2], [2, 3]]),
+    ],
+)
+def test_eval_zeta_limit_on_larger_shapes(shape, exps):
+    # (4,2) has 96 strip chains; walking them took about 2.5 s on a 2-vCPU VM
+    rows = grid_vars(shape, "x")
+    assign = {v: e for vr, er in zip(rows, exps) for v, e in zip(vr, er)}
+    start = time.perf_counter()
+    rep = eval_zeta_limit(shape, rows, assign, 1e-12)
+    assert time.perf_counter() - start < 1.0, shape
+    assert rep.converged and rep.error_estimate <= 1e-12
+    bound = 4 * sum(shape) * 2.0**-53
+    for n in range(5, 9):
+        capped = eval_zeta_limit(shape, rows, assign, 1e-12, max_level=n)
+        approx = eval_zeta_truncated(shape, rows, assign, n)
+        assert not capped.converged and capped.levels == n
+        assert abs(capped.value - approx) <= bound * approx
 
 
 def test_eval_zeta_limit_against_mpmath():
