@@ -38,19 +38,22 @@ def _checked_rows(t, word) -> tuple[Tableau, Word]:
     return t, letters
 
 
-def _row_bump(rows: list[list[int]], x: int) -> tuple[Cell, ...]:
-    """Row-insert x into rows in place; returns the bumping route."""
+def _row_bump(t: Tableau, x: int) -> tuple[Tableau, tuple[Cell, ...]]:
+    """Row-insert x into t; returns the new tableau, which shares the rows
+    the route does not reach with t, and the bumping route."""
+    rows = []
     route = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(t):
         pos = bisect_right(row, x)
         route.append((i + 1, pos + 1))
         if pos == len(row):
-            row.append(x)
-            return tuple(route)
-        x, row[pos] = row[pos], x
-    rows.append([x])
+            rows.append(row + (x,))
+            return (*rows, *t[i + 1:]), tuple(route)
+        rows.append(row[:pos] + (x,) + row[pos + 1:])
+        x = row[pos]
+    rows.append((x,))
     route.append((len(rows), 1))
-    return tuple(route)
+    return tuple(rows), tuple(route)
 
 
 def _column_bump(rows: list[list[int]], x: int) -> tuple[Cell, ...]:
@@ -75,9 +78,44 @@ def _column_bump(rows: list[list[int]], x: int) -> tuple[Cell, ...]:
 def _row_fold(t: Tableau, letters) -> tuple[Tableau, list[tuple[Cell, ...]]]:
     """row_insert_word without its checks: t must be semistandard and the
     letters positive integers, as for cached_ssyt tableaux and words."""
-    rows = [list(row) for row in t]
-    routes = [_row_bump(rows, x) for x in letters]
-    return tuple(tuple(row) for row in rows), routes
+    routes = []
+    for x in letters:
+        t, route = _row_bump(t, x)
+        routes.append(route)
+    return t, routes
+
+
+def _shared_prefixes(words) -> list[int]:
+    """For each word, the length of the prefix it shares with the word
+    before it (0 for the first).  Sorted words put every shared prefix next
+    to its continuations, so _prefix_fold inserts each distinct prefix once."""
+    shared = []
+    prev: Word = ()
+    for word in words:
+        k = 0
+        for a, b in zip(prev, word):
+            if a != b:
+                break
+            k += 1
+        shared.append(k)
+        prev = word
+    return shared
+
+
+def _prefix_fold(t: Tableau, words, shared) -> list[Tableau]:
+    """_row_fold(t, word)[0] for every word, in order, where shared is
+    _shared_prefixes(words): the tableau after each common prefix is kept
+    and reused instead of inserting the prefix again."""
+    stack = [t]  # stack[k]: t after the first k letters of the last word
+    results = []
+    for word, k in zip(words, shared):
+        del stack[k + 1:]
+        s = stack[k]
+        for x in word[k:]:
+            s = _row_bump(s, x)[0]
+            stack.append(s)
+        results.append(s)
+    return results
 
 
 def row_insert_word(t, word) -> tuple[Tableau, list[tuple[Cell, ...]]]:

@@ -22,7 +22,7 @@ class SkewTableau(NamedTuple):
 
 
 def shape_of(t: Tableau) -> Partition:
-    return tuple(len(row) for row in t)
+    return tuple(map(len, t))
 
 
 def as_tableau(rows) -> Tableau:

@@ -5,6 +5,7 @@ pass/fail report per criterion, or `schurzeta selftest` for the same grid
 through the CLI.
 """
 
+import random
 from bisect import bisect_left
 from dataclasses import replace
 
@@ -139,3 +140,50 @@ def test_unchecked_row_fold_matches_row_insert_word():
                             assert insertion._row_fold(left, rw) == (
                                 insertion.row_insert_word(left, rw)
                             )
+
+
+def test_shared_prefixes_are_measured_against_the_previous_word():
+    words = [(1, 2), (1, 2, 3), (1,), (2,), (), (2, 1)]
+    assert insertion._shared_prefixes(words) == [0, 2, 1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+def test_prefix_fold_matches_row_insert_word(order):
+    # right factors of sizes 1..3 mixed, so that some reading words are
+    # prefixes of others
+    n = 4
+    shapes = [p for a in (1, 2, 3) for p in all_partitions(a, max_length=n)]
+    words = sorted(
+        tableaux.reading_word(right)
+        for nu in shapes
+        for right in tableaux.cached_ssyt(nu, n)
+    )
+    if order == "shuffled":
+        random.Random(0).shuffle(words)
+    assert any(w[: len(v)] == v for v in words for w in words if len(v) < len(w))
+    shared = insertion._shared_prefixes(words)
+    for mu in shapes:
+        for left in tableaux.cached_ssyt(mu, n):
+            assert insertion._prefix_fold(left, words, shared) == [
+                insertion.row_insert_word(left, w)[0] for w in words
+            ]
+
+
+def test_lr_triple_oracle_fails_on_lost_content(monkeypatch):
+    # one folded result has an entry raised by one: same shape, new content
+    honest = insertion._prefix_fold
+    corrupted = []
+
+    def faulty(t, words, shared):
+        results = honest(t, words, shared)
+        if not corrupted:
+            (first, *rest) = results[1]
+            results[1] = ((*first[:-1], first[-1] + 1), *rest)
+            corrupted.append((t, insertion.row_insert_word((), words[1])[0]))
+        return results
+
+    monkeypatch.setattr(insertion, "_prefix_fold", faulty)
+    result = acceptance.criterion_lr_triple_oracle(quick=True)
+    left, right = corrupted[0]
+    assert not result.passed
+    assert result.detail == f"content not preserved at {left},{right}"

@@ -274,6 +274,23 @@ def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
     assert err == "error: internal: RuntimeError: boom\n"
 
 
+def test_internal_key_error_is_not_bad_input(capsys, monkeypatch):
+    # a lookup bug inside a verifier is a crash, not malformed input
+    def crash(*args, **kwargs):
+        return {}["lam"]
+
+    monkeypatch.setattr(cli.zeta, "verify_pieri_h", crash)
+    code, out, err = run(
+        capsys,
+        [
+            "verify", "pieri-h", "--lambda", "1", "--m", "1",
+            "--n-trunc", "2", "--assign", '{"s_1_1":2,"t_1":3}',
+        ],
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal: KeyError")
+
+
 def test_cli_import_leaves_numpy_out():
     code = "import sys, schurzeta.cli; print('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(SRC))
