@@ -71,20 +71,26 @@ def _criterion(number: int, name: str):
 PIERI_SHAPES = [(1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1)]
 
 
-def _pieri_grid(quick, seed, verify, spec_of, sizes_of, names_of, label) -> str:
-    """One Pieri identity grid: every shape, both strip sizes sizes_of(lam)
-    whose symmetrized set has at most 6 variables, seeded assignments of
-    names_of(lam, size), and each truncation level."""
+def _pieri_grid(quick, seed, mode) -> str:
+    """One Pieri identity grid, mode "h" (row strips of size m) or "e"
+    (column strips of size n): every shape, the two strip sizes from the
+    shape's side along the strip whose symmetrized set has at most 6
+    variables, seeded assignments of the identity's variables, and each
+    truncation level."""
+    verify = zeta.verify_pieri_h if mode == "h" else zeta.verify_pieri_e
+    label = "m" if mode == "h" else "n"
     shapes = [(1,), (2, 1)] if quick else PIERI_SHAPES
     levels = (2,) if quick else (2, 3)
     n_assign = 1 if quick else 3
     checked = 0
     for lam in shapes:
         lam = as_partition(lam)
-        for size in sizes_of(lam):
-            if len(spec_of(lam, size).symmetrized) > 6:
+        side = lam[0] if mode == "h" else len(lam)
+        for size in (side, side + 1):
+            spec, factors, _ = zeta._pieri_setup(lam, size, mode)
+            if len(spec.symmetrized) > 6:
                 continue
-            names = names_of(lam, size)
+            names = [v for _, rows in factors for v in _flat(rows)]
             for k in range(n_assign):
                 assign = seeded_assignment(names, seed * 1000 + 10 * k + size)
                 for n_trunc in levels:
@@ -100,22 +106,12 @@ def _pieri_grid(quick, seed, verify, spec_of, sizes_of, names_of, label) -> str:
 
 @_criterion(1, "pieri-h-exact")
 def criterion_pieri_h(quick: bool = False, seed: int = 0):
-    return _pieri_grid(
-        quick, seed, zeta.verify_pieri_h, zeta.h_sym_spec,
-        lambda lam: (lam[0], lam[0] + 1),
-        lambda lam, m: _flat(grid_vars(lam, "s")) + list(seq_vars(m, "t")),
-        "m",
-    )
+    return _pieri_grid(quick, seed, "h")
 
 
 @_criterion(2, "pieri-e-exact")
 def criterion_pieri_e(quick: bool = False, seed: int = 0):
-    return _pieri_grid(
-        quick, seed, zeta.verify_pieri_e, zeta.e_sym_spec,
-        lambda lam: (len(lam), len(lam) + 1),
-        lambda lam, n: _flat(grid_vars(lam, "t")) + list(seq_vars(n, "s")),
-        "n",
-    )
+    return _pieri_grid(quick, seed, "e")
 
 
 @_criterion(3, "lr-exact")

@@ -3,14 +3,16 @@ routes.
 
 Row insertion bumps the leftmost entry strictly greater than the incoming
 value; column insertion bumps the topmost entry greater than or equal to
-it, which keeps columns strict and rows weak.  Routes record one cell per
-visited row (resp. column), ending at the newly created cell.
+it, which keeps columns strict and rows weak.  Column insertion runs as row
+insertion on the transposed tableau, bumping the leftmost entry greater
+than or equal to the value.  Routes record one cell per visited row (resp.
+column), ending at the newly created cell.
 """
 
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
-from .tableaux import Tableau, Word, as_tableau, is_ssyt
+from .tableaux import Tableau, Word, as_tableau, is_ssyt, transpose
 
 Cell = tuple[int, int]
 
@@ -38,13 +40,18 @@ def _checked_rows(t, word) -> tuple[Tableau, Word]:
     return t, letters
 
 
-def _row_bump(t: Tableau, x: int) -> tuple[Tableau, tuple[Cell, ...]]:
-    """Row-insert x into t; returns the new tableau, which shares the rows
-    the route does not reach with t, and the bumping route."""
+def _row_bump(
+    t: Tableau, x: int, weak: bool = False
+) -> tuple[Tableau, tuple[Cell, ...]]:
+    """Row-insert x into t, bumping the leftmost entry greater than x, or
+    greater than or equal to x when weak; returns the new tableau, which
+    shares the rows the route does not reach with t, and the bumping route.
+    The weak bump on the transpose is column insertion."""
+    find = bisect_left if weak else bisect_right
     rows = []
     route = []
     for i, row in enumerate(t):
-        pos = bisect_right(row, x)
+        pos = find(row, x)
         route.append((i + 1, pos + 1))
         if pos == len(row):
             rows.append(row + (x,))
@@ -56,31 +63,14 @@ def _row_bump(t: Tableau, x: int) -> tuple[Tableau, tuple[Cell, ...]]:
     return tuple(rows), tuple(route)
 
 
-def _column_bump(rows: list[list[int]], x: int) -> tuple[Cell, ...]:
-    """Column-insert x into rows in place (bump the topmost entry greater
-    than or equal to x); returns the bumping route."""
-    route = []
-    j = 0
-    while True:
-        col = [row[j] for row in rows if len(row) > j]
-        pos = bisect_left(col, x)
-        route.append((pos + 1, j + 1))
-        if pos == len(col):
-            if pos == len(rows):
-                rows.append([x])
-            else:
-                rows[pos].append(x)
-            return tuple(route)
-        x, rows[pos][j] = rows[pos][j], x
-        j += 1
-
-
-def _row_fold(t: Tableau, letters) -> tuple[Tableau, list[tuple[Cell, ...]]]:
+def _row_fold(
+    t: Tableau, letters, weak: bool = False
+) -> tuple[Tableau, list[tuple[Cell, ...]]]:
     """row_insert_word without its checks: t must be semistandard and the
     letters positive integers, as for cached_ssyt tableaux and words."""
     routes = []
     for x in letters:
-        t, route = _row_bump(t, x)
+        t, route = _row_bump(t, x, weak)
         routes.append(route)
     return t, routes
 
@@ -125,11 +115,11 @@ def row_insert_word(t, word) -> tuple[Tableau, list[tuple[Cell, ...]]]:
 
 
 def column_insert_word(word, t) -> tuple[Tableau, list[tuple[Cell, ...]]]:
-    """Fold of column insertion applying word[0] first, word[-1] last."""
+    """Fold of column insertion applying word[0] first, word[-1] last: the
+    weak row fold on the transpose, routes swapped back to (row, column)."""
     t, letters = _checked_rows(t, word)
-    rows = [list(row) for row in t]
-    routes = [_column_bump(rows, x) for x in letters]
-    return tuple(tuple(row) for row in rows), routes
+    result, routes = _row_fold(transpose(t), letters, weak=True)
+    return transpose(result), [tuple((i, j) for j, i in route) for route in routes]
 
 
 def row_insert(t, x: int) -> InsertionResult:

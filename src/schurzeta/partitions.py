@@ -62,12 +62,9 @@ def contains(outer: Partition, inner: Partition) -> bool:
 
 
 def is_horizontal_strip(outer: Partition, inner: Partition) -> bool:
-    """True when outer/inner has at most one cell per column."""
-    if not contains(outer, inner):
-        return False
-    co, ci = conjugate(outer), conjugate(inner)
-    ci = ci + (0,) * (len(co) - len(ci))
-    return all(a - b in (0, 1) for a, b in zip(co, ci))
+    """True when outer/inner has at most one cell per column: a vertical
+    strip between the conjugates."""
+    return is_vertical_strip(conjugate(outer), conjugate(inner))
 
 
 def is_vertical_strip(outer: Partition, inner: Partition) -> bool:

@@ -25,6 +25,20 @@ def shape_of(t: Tableau) -> Partition:
     return tuple(map(len, t))
 
 
+def transpose(rows) -> tuple[tuple, ...]:
+    """The conjugate filling: row j lists column j top to bottom.  Works
+    for tableaux and variable tableaux alike; the row lengths must weakly
+    decrease, so the result has the conjugate shape."""
+    shape = shape_of(rows)
+    if list(shape) != sorted(shape, reverse=True):
+        raise ValueError(f"row lengths must weakly decrease, got {shape}")
+    cols = [[] for _ in range(shape[0] if shape else 0)]
+    for row in rows:
+        for col, x in zip(cols, row):
+            col.append(x)
+    return tuple(map(tuple, cols))
+
+
 def as_tableau(rows) -> Tableau:
     t = tuple(tuple(int(x) for x in row) for row in rows)
     as_partition(shape_of(t))

@@ -41,9 +41,7 @@ from .partitions import (
     conjugate,
     corners,
     grow_cols,
-    grow_rows,
     horizontal_strip_cols,
-    vertical_strip_rows,
 )
 from .tableaux import (
     Tableau,
@@ -51,6 +49,7 @@ from .tableaux import (
     cached_ssyt,
     reading_word,
     shape_of,
+    transpose,
 )
 
 VarRows = tuple[tuple[str, ...], ...]
@@ -333,12 +332,6 @@ def _factor_sum(shape: Partition, kinds: tuple, n_trunc: int, values: tuple, cap
     return sum(x or 0 for x in kinds), k, tuple(vec)
 
 
-@cache
-def _zeta_exact(shape: Partition, flat_exps: tuple, n_trunc: int) -> Fraction:
-    fixed, _, vec = _factor_sum(shape, flat_exps, n_trunc, (), ())
-    return Fraction(vec[0] if vec else 0, _lcm_upto(n_trunc) ** fixed)
-
-
 def _checked_exponents(shape: Partition, var_rows, assign) -> tuple[tuple, ...]:
     """Resolved exponents of the shape's cells; each must be a finite
     number >= 0 and not a bool."""
@@ -364,7 +357,8 @@ def eval_zeta_truncated(shape, var_rows, assign, n_trunc: int):
         raise ValueError("truncation level must be >= 1")
     flat = tuple(x for row in _checked_exponents(shape, var_rows, assign) for x in row)
     if all(_is_exact_value(x) for x in flat):
-        return _zeta_exact(shape, flat, n_trunc)
+        fixed, _, vec = _factor_sum(shape, flat, n_trunc, (), ())
+        return Fraction(vec[0] if vec else 0, _lcm_upto(n_trunc) ** fixed)
     return float(next(_partial_sums(shape, tuple(map(Fraction, flat)), (n_trunc,))))
 
 
@@ -588,6 +582,24 @@ def eval_zeta_limit(
 # ---------------------------------------------------------------------------
 # symmetrized sums
 
+def _row_strip_spec(s_rows: VarRows, t_names) -> SymSpec:
+    """The symmetrized set of a row strip t_names on the shape of s_rows,
+    by position, r its first part: the first r strip variables, column 1 of
+    s_rows down to the height of column 2, and every entry of columns
+    2..r.  The rest of column 1 and the strip variables beyond r stay
+    fixed.  Needs a strip of at least r cells."""
+    cols = transpose(s_rows)
+    r = len(cols)
+    if not t_names:
+        raise ValueError("strip size must be >= 1")
+    if len(t_names) < r:
+        raise ValueError(f"need strip size >= {r}, got {len(t_names)}")
+    first = cols[0] if cols else ()
+    c2 = len(cols[1]) if r > 1 else 0
+    sym = (*t_names[:r], *first[:c2], *_flatten(cols[1:]))
+    return SymSpec(sym, frozenset((*first[c2:], *t_names[r:])))
+
+
 def h_sym_spec(lam, m: int) -> SymSpec:
     """Symmetrized variable set for the row-strip (h-type) Pieri identity.
 
@@ -595,41 +607,13 @@ def h_sym_spec(lam, m: int) -> SymSpec:
     height of column 2, and every entry of columns 2..r.  The remaining
     column-1 entries and t's beyond r stay fixed.  Needs m >= r.
     """
-    lam = as_partition(lam)
-    r = lam[0] if lam else 0
-    if m < 1:
-        raise ValueError("strip size must be >= 1")
-    if m < r:
-        raise ValueError(f"need m >= first part {r}, got m={m}")
-    conj = conjugate(lam)
-    c1 = conj[0] if conj else 0
-    c2 = conj[1] if len(conj) > 1 else 0
-    sym = [f"t_{k}" for k in range(1, r + 1)]
-    sym += [f"s_{i}_1" for i in range(1, c2 + 1)]
-    for j in range(2, r + 1):
-        sym += [f"s_{i}_{j}" for i in range(1, conj[j - 1] + 1)]
-    fixed = [f"s_{i}_1" for i in range(c2 + 1, c1 + 1)]
-    fixed += [f"t_{k}" for k in range(r + 1, m + 1)]
-    return SymSpec(tuple(sym), frozenset(fixed))
+    return _pieri_setup(as_partition(lam), m, "h")[0]
 
 
 def e_sym_spec(lam, n: int) -> SymSpec:
     """Symmetrized variable set for the column-strip (e-type) Pieri
-    identity; the conjugate mirror of h_sym_spec."""
-    lam = as_partition(lam)
-    s_len = len(lam)
-    if n < 1:
-        raise ValueError("strip size must be >= 1")
-    if n < s_len:
-        raise ValueError(f"need n >= length {s_len}, got n={n}")
-    l2 = lam[1] if len(lam) > 1 else 0
-    sym = [f"s_{k}" for k in range(1, s_len + 1)]
-    sym += [f"t_1_{j}" for j in range(1, l2 + 1)]
-    for i in range(2, s_len + 1):
-        sym += [f"t_{i}_{j}" for j in range(1, lam[i - 1] + 1)]
-    fixed = [f"t_1_{j}" for j in range(l2 + 1, (lam[0] if lam else 0) + 1)]
-    fixed += [f"s_{k}" for k in range(s_len + 1, n + 1)]
-    return SymSpec(tuple(sym), frozenset(fixed))
+    identity; the conjugate mirror of h_sym_spec.  Needs n >= len(lam)."""
+    return _pieri_setup(as_partition(lam), n, "e")[0]
 
 
 def _term_sum(factors, sym, assign, n_trunc: int, values: tuple, caps: tuple) -> Fraction:
@@ -813,7 +797,7 @@ def horizontal_push_filling(lam, s_rows: VarRows, t_names, cols) -> VarRows:
     lam = as_partition(lam)
     cols = tuple(sorted(int(c) for c in cols))
     if len(t_names) != len(cols):
-        raise ValueError("one new variable per grown column required")
+        raise ValueError("one new variable per strip cell required")
     if tuple(len(r) for r in s_rows) != lam:
         raise ValueError("variable tableau does not match the shape")
     new_shape = grow_cols(lam, cols)
@@ -826,36 +810,69 @@ def horizontal_push_filling(lam, s_rows: VarRows, t_names, cols) -> VarRows:
             ti = i + 1 if (j + 1) in colset else i
             grid[ti][j] = var
     if any(v is None for row in grid for v in row):
-        raise ValueError(f"columns {cols} do not tile the grown shape")
+        raise ValueError(f"strip {cols} does not tile the grown shape")
     return tuple(tuple(row) for row in grid)
 
 
 def vertical_push_filling(lam, s_names, t_rows: VarRows, rows) -> VarRows:
     """Filling of the shape grown at the given rows: the k-th new variable
     sits in column 1 of the k-th grown row, and every existing entry in a
-    grown row slides right one column."""
+    grown row slides right one column.  The transpose of the horizontal
+    push on the conjugate shape."""
     lam = as_partition(lam)
-    rows = tuple(sorted(int(k) for k in rows))
-    if len(s_names) != len(rows):
-        raise ValueError("one new variable per grown row required")
-    if tuple(len(r) for r in t_rows) != lam:
-        raise ValueError("variable tableau does not match the shape")
-    new_shape = grow_rows(lam, rows)
-    rowset = set(rows)
-    grid: list[list] = [[None] * part for part in new_shape]
-    for idx, k in enumerate(rows):
-        grid[k - 1][0] = s_names[idx]
-    for i, row in enumerate(t_rows):
-        shift = 1 if (i + 1) in rowset else 0
-        for j, var in enumerate(row):
-            grid[i][j + shift] = var
-    if any(v is None for row in grid for v in row):
-        raise ValueError(f"rows {rows} do not tile the grown shape")
-    return tuple(tuple(row) for row in grid)
+    return transpose(horizontal_push_filling(conjugate(lam), transpose(t_rows), s_names, rows))
 
 
 # ---------------------------------------------------------------------------
 # identity verifiers
+
+
+@cache
+def _pieri_setup(lam: Partition, size: int, mode: str):
+    """(spec, factors, extensions) of the Pieri identity of lam and a strip
+    of size cells: the symmetrized set, the left-hand side's factors as
+    (shape, var_rows), and per strip index set (columns for mode "h", rows
+    for "e"), in order, (strip, grown shape, pushed filling).  Cached.
+
+    Mode "h" multiplies zeta(lam) in s_i_j by a row in t_1..t_size.  Mode
+    "e", a column in s_1..s_size times zeta(lam) in t_i_j, is its conjugate
+    mirror: the row-strip rules run on the transposed t_i_j tableau, of
+    shape conj(lam), with the s's as the strip, and orient transposes the
+    variable tableaux they give back."""
+    if mode == "h":
+        s_rows, t_names, orient = grid_vars(lam, "s"), seq_vars(size, "t"), lambda rows: rows
+    else:
+        s_rows, t_names, orient = transpose(grid_vars(lam, "t")), seq_vars(size, "s"), transpose
+    spec = _row_strip_spec(s_rows, t_names)
+    shape = shape_of(s_rows)
+    factors = tuple((shape_of(rows), rows) for rows in map(orient, (s_rows, (t_names,))))
+    extensions = []
+    for strip in horizontal_strip_cols(shape, size):
+        rows = orient(horizontal_push_filling(shape, s_rows, t_names, strip))
+        extensions.append((strip, shape_of(rows), rows))
+    return spec, factors, tuple(extensions)
+
+
+def _vacuous_note(factors, n_trunc: int) -> str:
+    """The note of an identity with a left-hand factor of more rows than
+    n_trunc: no tableau with entries <= n_trunc fills it, nor any shape on
+    the right, each of which contains it, so both sides are empty sums."""
+    rows = max(len(shape) for shape, _ in factors)
+    if rows <= n_trunc:
+        return ""
+    return (
+        f"vacuous: truncation {n_trunc} < {rows} rows of a left-hand factor, "
+        "both sides are empty sums"
+    )
+
+
+def _verify_pieri(lam, size: int, mode: str, assign, n_trunc: int, cap: int) -> IdentityReport:
+    spec, factors, extensions = _pieri_setup(as_partition(lam), size, mode)
+    require_exact(assign, [v for _, rows in factors for v in _flatten(rows)])
+    lhs = sym_sum([(1, factors)], spec, assign, n_trunc, cap)
+    rhs_terms = [(1, [(grown, rows)]) for _, grown, rows in extensions]
+    rhs = sym_sum(rhs_terms, spec, assign, n_trunc, cap)
+    return IdentityReport(lhs, rhs, lhs == rhs, _vacuous_note(factors, n_trunc))
 
 
 def verify_pieri_h(
@@ -869,21 +886,7 @@ def verify_pieri_h(
     symmetrized product of zeta(lam) and zeta((m)) against the symmetrized
     sum of zeta over all one-horizontal-strip extensions with pushed
     fillings.  Holds for every truncation level and integer assignment."""
-    lam = as_partition(lam)
-    spec = h_sym_spec(lam, m)
-    s_rows = grid_vars(lam, "s")
-    t_names = seq_vars(m, "t")
-    require_exact(assign, _flatten(s_rows) + list(t_names))
-    lhs = sym_sum(
-        [(1, [(lam, s_rows), ((m,), (t_names,))])],
-        spec, assign, n_trunc, cap,
-    )
-    rhs_terms = [
-        (1, [(grow_cols(lam, cols), horizontal_push_filling(lam, s_rows, t_names, cols))])
-        for cols in horizontal_strip_cols(lam, m)
-    ]
-    rhs = sym_sum(rhs_terms, spec, assign, n_trunc, cap)
-    return IdentityReport(lhs, rhs, lhs == rhs)
+    return _verify_pieri(lam, m, "h", assign, n_trunc, cap)
 
 
 def verify_pieri_e(
@@ -896,29 +899,7 @@ def verify_pieri_e(
     """Exact truncated check of the column-strip Pieri identity (conjugate
     of verify_pieri_h): zeta((1^n)) times zeta(lam) against the
     one-vertical-strip extensions."""
-    lam = as_partition(lam)
-    spec = e_sym_spec(lam, n)
-    t_rows = grid_vars(lam, "t")
-    s_names = seq_vars(n, "s")
-    require_exact(assign, _flatten(t_rows) + list(s_names))
-    column = (1,) * n
-    s_col_rows = tuple((name,) for name in s_names)
-    lhs = sym_sum(
-        [(1, [(column, s_col_rows), (lam, t_rows)])],
-        spec, assign, n_trunc, cap,
-    )
-    rhs_terms = [
-        (1, [(grow_rows(lam, rows), vertical_push_filling(lam, s_names, t_rows, rows))])
-        for rows in vertical_strip_rows(lam, n)
-    ]
-    rhs = sym_sum(rhs_terms, spec, assign, n_trunc, cap)
-    note = ""
-    if n_trunc < n:
-        note = (
-            f"vacuous: truncation {n_trunc} < column height {n}, "
-            "both sides are empty sums"
-        )
-    return IdentityReport(lhs, rhs, lhs == rhs, note)
+    return _verify_pieri(lam, n, "e", assign, n_trunc, cap)
 
 
 def canonical_filling(lam, mu, nu, variant: int = 0) -> VarRows:
@@ -974,15 +955,11 @@ def verify_lr(
     mu, nu = as_partition(mu), as_partition(nu)
     if not mu or not nu:
         raise ValueError("both shapes must be nonempty")
-    s_rows = grid_vars(mu, "s")
-    t_rows = grid_vars(nu, "t")
-    all_vars = _flatten(s_rows) + _flatten(t_rows)
+    factors = [(mu, grid_vars(mu, "s")), (nu, grid_vars(nu, "t"))]
+    all_vars = [v for _, rows in factors for v in _flatten(rows)]
     require_exact(assign, all_vars)
     spec = SymSpec(tuple(all_vars), frozenset())
-    lhs = sym_sum(
-        [(1, [(mu, s_rows), (nu, t_rows)])],
-        spec, assign, n_trunc, cap,
-    )
+    lhs = sym_sum([(1, factors)], spec, assign, n_trunc, cap)
     overrides = {as_partition(k): tuple(tuple(r) for r in v) for k, v in (fillings or {}).items()}
     expansion = _lr_expansion(mu, nu)
     rhs_terms = []
@@ -999,7 +976,7 @@ def verify_lr(
             raise ValueError(f"filling shape mismatch for {lam}")
         rhs_terms.append((coeff, [(lam, filling)]))
     rhs = sym_sum(rhs_terms, spec, assign, n_trunc, cap)
-    return IdentityReport(lhs, rhs, lhs == rhs)
+    return IdentityReport(lhs, rhs, lhs == rhs, _vacuous_note(factors, n_trunc))
 
 
 def verify_insertion_term(
@@ -1023,49 +1000,32 @@ def verify_insertion_term(
     """
     lam = as_partition(lam)
     left, right = as_tableau(left), as_tableau(right)
-    if mode == "h":
-        if shape_of(left) != lam or shape_of(right) != (size,):
-            raise ValueError("mode h needs left of shape lam, right one row")
-        result, _ = row_insert_word(left, reading_word(right))
-        new_shape = shape_of(result)
-        co, cn = conjugate(lam), conjugate(new_shape)
-        co = co + (0,) * (len(cn) - len(co))
-        added = tuple(j + 1 for j, (a, b) in enumerate(zip(co, cn)) if b > a)
-        if len(added) != size or grow_cols(lam, added) != new_shape:
-            raise RuntimeError(
-                f"insertion produced {new_shape}, not a horizontal-strip "
-                f"extension of {lam}"
-            )
-        s_rows = grid_vars(lam, "s")
-        t_names = seq_vars(size, "t")
-        require_exact(assign, _flatten(s_rows) + list(t_names))
-        spec = h_sym_spec(lam, size)
-        pair_rows = [s_rows, (t_names,)]
-        filling = horizontal_push_filling(lam, s_rows, t_names, added)
-    elif mode == "e":
-        if shape_of(left) != (1,) * size or shape_of(right) != lam:
-            raise ValueError("mode e needs left a column of height size")
-        result, _ = column_insert_word(column_word(left), right)
-        new_shape = shape_of(result)
-        lam_pad = lam + (0,) * (len(new_shape) - len(lam))
-        added = tuple(
-            i + 1 for i, (a, b) in enumerate(zip(lam_pad, new_shape)) if b > a
-        )
-        if len(added) != size or grow_rows(lam, added) != new_shape:
-            raise RuntimeError(
-                f"insertion produced {new_shape}, not a vertical-strip "
-                f"extension of {lam}"
-            )
-        t_rows = grid_vars(lam, "t")
-        s_names = seq_vars(size, "s")
-        require_exact(assign, _flatten(t_rows) + list(s_names))
-        spec = e_sym_spec(lam, size)
-        pair_rows = [tuple((name,) for name in s_names), t_rows]
-        filling = vertical_push_filling(lam, s_names, t_rows, added)
-    else:
+    if mode not in ("h", "e"):
         raise ValueError(f"mode must be 'h' or 'e', got {mode!r}")
+    spec, factors, extensions = _pieri_setup(lam, size, mode)
+    # the pair in factor order, the tableau of shape lam first
+    pair = [left, right] if mode == "h" else [right, left]
+    if [shape_of(t) for t in pair] != [shape for shape, _ in factors]:
+        raise ValueError(
+            "mode h needs left of shape lam and right a row of size cells, "
+            "mode e left a column of size cells and right of shape lam"
+        )
+    if mode == "h":
+        result, _ = row_insert_word(left, reading_word(right))
+    else:
+        result, _ = column_insert_word(column_word(left), right)
+    new_shape = shape_of(result)
+    for added, grown, filling in extensions:
+        if grown == new_shape:
+            break
+    else:
+        raise RuntimeError(
+            f"insertion produced {new_shape}, not a "
+            f"{'horizontal' if mode == 'h' else 'vertical'}-strip extension of {lam}"
+        )
+    require_exact(assign, [v for _, rows in factors for v in _flatten(rows)])
     _require_cap(spec, cap)
     values = tuple(assign[v] for v in spec.symmetrized)
-    lhs = _monomial_sym_sum([left, right], pair_rows, spec.symmetrized, values, assign)
+    lhs = _monomial_sym_sum(pair, [rows for _, rows in factors], spec.symmetrized, values, assign)
     rhs = _monomial_sym_sum([result], [filling], spec.symmetrized, values, assign)
     return InsertionTermReport(lhs, rhs, lhs == rhs, result, added)

@@ -20,7 +20,7 @@ CACHES = (
     zeta._count_layers,
     zeta._splits,
     zeta._factor_sum,
-    zeta._zeta_exact,
+    zeta._pieri_setup,
 )
 
 

@@ -1,4 +1,6 @@
 import random
+from bisect import bisect_left
+from itertools import product
 
 import pytest
 
@@ -185,3 +187,40 @@ def test_column_word_validation():
     assert column_word(((3,), (5,))) == (3, 5)
     with pytest.raises(ValueError):
         column_word(((1, 2),))
+
+
+def oracle_column_insert_word(word, t):
+    """Oracle: column insertion by its own bump, bumping the topmost entry
+    greater than or equal to x down each column in place."""
+    rows = [list(row) for row in t]
+    routes = []
+    for x in word:
+        route = []
+        j = 0
+        while True:
+            col = [row[j] for row in rows if len(row) > j]
+            pos = bisect_left(col, x)
+            route.append((pos + 1, j + 1))
+            if pos == len(col):
+                if pos == len(rows):
+                    rows.append([x])
+                else:
+                    rows[pos].append(x)
+                break
+            x, rows[pos][j] = rows[pos][j], x
+            j += 1
+        routes.append(tuple(route))
+    return tuple(tuple(row) for row in rows), routes
+
+
+def test_column_insert_word_matches_in_place_column_bump():
+    # every SSYT with |lam| <= 4 and entries <= 4, every word of at most 3
+    # letters: the transposed weak row bump gives the same tableau and routes
+    words = [w for k in range(4) for w in product(range(1, 5), repeat=k)]
+    tableaux = [
+        t for size in range(5) for lam in all_partitions(size)
+        for t in cached_ssyt(lam, 4)
+    ]
+    for t in tableaux:
+        for word in words:
+            assert column_insert_word(word, t) == oracle_column_insert_word(word, t), (word, t)

@@ -162,3 +162,12 @@ def test_all_partitions_counts():
     for n, count in enumerate(expected):
         assert len(all_partitions(n)) == count
     assert all_partitions(4, max_length=2) == [(4,), (3, 1), (2, 2)]
+
+
+def test_is_horizontal_strip_means_one_cell_per_column():
+    shapes = [p for size in range(7) for p in all_partitions(size)]
+    for outer in shapes:
+        for inner in shapes:
+            skew = set(cells(outer)) - set(cells(inner))
+            direct = contains(outer, inner) and len({j for _, j in skew}) == len(skew)
+            assert is_horizontal_strip(outer, inner) == direct, (outer, inner)

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from schurzeta.crystal import decompose_product
-from schurzeta.partitions import all_partitions, cells
+from schurzeta.partitions import all_partitions, cells, conjugate
 from schurzeta.tableaux import (
     SkewTableau,
     cached_ssyt,
@@ -15,8 +15,10 @@ from schurzeta.tableaux import (
     lr_coefficient,
     reading_word,
     shape_of,
+    transpose,
     weight,
 )
+from schurzeta.zeta import grid_vars
 
 
 def brute_ssyt(shape, n):
@@ -142,3 +144,19 @@ def test_lr_cardinality_identity():
 def test_shape_of():
     assert shape_of(((1, 2), (2,))) == (2, 1)
     assert shape_of(()) == ()
+
+
+def test_transpose_is_an_involution_onto_the_conjugate_shape():
+    for size in range(5):
+        for lam in all_partitions(size):
+            fillings = [grid_vars(lam, "x"), *cached_ssyt(lam, 4)]
+            for t in fillings:
+                flipped = transpose(t)
+                assert shape_of(flipped) == conjugate(lam)
+                assert transpose(flipped) == t
+                assert all(
+                    flipped[j - 1][i - 1] == t[i - 1][j - 1] for i, j in cells(lam)
+                )
+    assert transpose(((1, 2), (3,))) == ((1, 3), (2,))
+    with pytest.raises(ValueError):
+        transpose(((1,), (2, 3)))

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurzeta.partitions import all_partitions, as_partition
+from schurzeta.partitions import (
+    all_partitions,
+    as_partition,
+    conjugate,
+    grow_cols,
+    grow_rows,
+    horizontal_strip_cols,
+    vertical_strip_rows,
+)
 from schurzeta.tableaux import cached_ssyt, lr_coefficient
 from schurzeta.zeta import (
     LIMIT_MAX_ORDER,
@@ -18,6 +26,7 @@ from schurzeta.zeta import (
     _lr_expansion,
     _partial_sums,
     _permanent,
+    _pieri_setup,
     _tail_terms,
     canonical_filling,
     e_sym_spec,
@@ -233,8 +242,9 @@ def test_sym_sum_fast_matches_direct():
 
 
 def test_sym_sum_fallback_when_variable_missing_from_term():
-    # symmetrize over a variable that one term does not contain: it enters
-    # that term's permanent as a base of 1
+    # symmetrize over a variable that one term does not contain: it takes a
+    # value the term's cells leave over, in missing! / prod(left_i!) ways
+    # (zeta._term_sum)
     terms = [(1, [((1,), (("a",),))]), (2, [((1,), (("b",),))])]
     spec = SymSpec(("a", "b"), frozenset())
     assign = {"a": 2, "b": 3}
@@ -631,6 +641,25 @@ def test_verify_pieri_e_vacuous_note():
         (1,), 3, {"s_1": 2, "s_2": 3, "s_3": 4, "t_1_1": 5}, 2
     )
     assert rep.equal and rep.lhs == Fraction(0) and "vacuous" in rep.note
+
+
+def test_verify_pieri_h_vacuous_note():
+    # lam has more rows than the truncation: both sides are empty sums
+    assign = {"s_1_1": 2, "s_2_1": 3, "s_3_1": 4, "t_1": 5}
+    rep = verify_pieri_h((1, 1, 1), 1, assign, 2)
+    assert rep.equal and rep.lhs == rep.rhs == Fraction(0)
+    assert "vacuous" in rep.note
+    rep = verify_pieri_h((1, 1, 1), 1, assign, 3)
+    assert rep.equal and rep.lhs > 0 and rep.note == ""
+
+
+def test_verify_lr_vacuous_note():
+    assign = {"s_1_1": 2, "s_2_1": 3, "s_3_1": 4, "t_1_1": 5}
+    rep = verify_lr((1, 1, 1), (1,), assign, 2)
+    assert rep.equal and rep.lhs == rep.rhs == Fraction(0)
+    assert "vacuous" in rep.note
+    rep = verify_lr((1, 1, 1), (1,), assign, 3)
+    assert rep.equal and rep.lhs > 0 and rep.note == ""
 
 
 def test_canonical_filling_examples():
@@ -1050,3 +1079,78 @@ def test_pieri_identity_holds_across_small_grid():
         assign = dict(zip(names, values))
         for n in (1, 2, 3):
             assert verify_pieri_h(lam, 2, assign, n).equal
+
+
+def oracle_h_sym_spec(lam, m):
+    """Oracle: the h-type symmetrized set written out by variable name."""
+    r = lam[0] if lam else 0
+    conj = conjugate(lam)
+    c1 = conj[0] if conj else 0
+    c2 = conj[1] if len(conj) > 1 else 0
+    sym = [f"t_{k}" for k in range(1, r + 1)]
+    sym += [f"s_{i}_1" for i in range(1, c2 + 1)]
+    for j in range(2, r + 1):
+        sym += [f"s_{i}_{j}" for i in range(1, conj[j - 1] + 1)]
+    fixed = [f"s_{i}_1" for i in range(c2 + 1, c1 + 1)]
+    fixed += [f"t_{k}" for k in range(r + 1, m + 1)]
+    return SymSpec(tuple(sym), frozenset(fixed))
+
+
+def oracle_e_sym_spec(lam, n):
+    """Oracle: the e-type symmetrized set written out by variable name."""
+    s_len = len(lam)
+    l2 = lam[1] if len(lam) > 1 else 0
+    sym = [f"s_{k}" for k in range(1, s_len + 1)]
+    sym += [f"t_1_{j}" for j in range(1, l2 + 1)]
+    for i in range(2, s_len + 1):
+        sym += [f"t_{i}_{j}" for j in range(1, lam[i - 1] + 1)]
+    fixed = [f"t_1_{j}" for j in range(l2 + 1, (lam[0] if lam else 0) + 1)]
+    fixed += [f"s_{k}" for k in range(s_len + 1, n + 1)]
+    return SymSpec(tuple(sym), frozenset(fixed))
+
+
+def oracle_vertical_push_filling(lam, s_names, t_rows, rows):
+    """Oracle: the vertical push cell by cell, without the transpose."""
+    rows = tuple(sorted(rows))
+    grid = [[None] * part for part in grow_rows(lam, rows)]
+    for name, k in zip(s_names, rows):
+        grid[k - 1][0] = name
+    for i, row in enumerate(t_rows):
+        shift = 1 if (i + 1) in rows else 0
+        for j, var in enumerate(row):
+            grid[i][j + shift] = var
+    assert all(v is not None for row in grid for v in row)
+    return tuple(tuple(row) for row in grid)
+
+
+PIERI_ORACLE_SHAPES = [lam for size in range(1, 7) for lam in all_partitions(size)]
+
+
+@pytest.mark.parametrize("mode", ["h", "e"])
+def test_pieri_setup_matches_hand_written_rules(mode):
+    # every shape with |lam| <= 6 and every strip size from the shape's side
+    # along the strip to two more: the spec in order, the left-hand factors,
+    # the strip sets in order and every grown shape and pushed filling
+    for lam in PIERI_ORACLE_SHAPES:
+        side = lam[0] if mode == "h" else len(lam)
+        for size in range(side, side + 3):
+            spec, factors, extensions = _pieri_setup(lam, size, mode)
+            if mode == "h":
+                s_rows, t_names = grid_vars(lam, "s"), seq_vars(size, "t")
+                assert spec == h_sym_spec(lam, size) == oracle_h_sym_spec(lam, size)
+                assert factors == ((lam, s_rows), ((size,), (t_names,)))
+                assert extensions == tuple(
+                    (cols, grow_cols(lam, cols), horizontal_push_filling(lam, s_rows, t_names, cols))
+                    for cols in horizontal_strip_cols(lam, size)
+                )
+                continue
+            t_rows, s_names = grid_vars(lam, "t"), seq_vars(size, "s")
+            assert spec == e_sym_spec(lam, size) == oracle_e_sym_spec(lam, size)
+            column = tuple((name,) for name in s_names)
+            assert factors == ((lam, t_rows), ((1,) * size, column))
+            expected = []
+            for rows in vertical_strip_rows(lam, size):
+                filling = oracle_vertical_push_filling(lam, s_names, t_rows, rows)
+                assert vertical_push_filling(lam, s_names, t_rows, rows) == filling
+                expected.append((rows, grow_rows(lam, rows), filling))
+            assert extensions == tuple(expected)
