@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import crystal, insertion, tableaux, zeta
 from .partitions import all_partitions, as_partition
 from .tableaux import cached_ssyt, enumerate_ssyt, reading_word, shape_of
-from .zeta import grid_vars, seq_vars
+from .zeta import _flatten, grid_vars, seq_vars
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,6 @@ def seeded_assignment(names, seed: int, lo: int = 1, hi: int = 5) -> dict:
         rng.shuffle(block)
         pool.extend(block)
     return dict(zip(names, pool))
-
-
-def _flat(rows):
-    return [v for row in rows for v in row]
 
 
 class _Fail(Exception):
@@ -74,9 +70,8 @@ PIERI_SHAPES = [(1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1)]
 def _pieri_grid(quick, seed, mode) -> str:
     """One Pieri identity grid, mode "h" (row strips of size m) or "e"
     (column strips of size n): every shape, the two strip sizes from the
-    shape's side along the strip whose symmetrized set has at most 6
-    variables, seeded assignments of the identity's variables, and each
-    truncation level."""
+    shape's side along the strip, seeded assignments of the identity's
+    variables, and each truncation level."""
     verify = zeta.verify_pieri_h if mode == "h" else zeta.verify_pieri_e
     label = "m" if mode == "h" else "n"
     shapes = [(1,), (2, 1)] if quick else PIERI_SHAPES
@@ -87,10 +82,8 @@ def _pieri_grid(quick, seed, mode) -> str:
         lam = as_partition(lam)
         side = lam[0] if mode == "h" else len(lam)
         for size in (side, side + 1):
-            spec, factors, _ = zeta._pieri_setup(lam, size, mode)
-            if len(spec.symmetrized) > 6:
-                continue
-            names = [v for _, rows in factors for v in _flat(rows)]
+            _, factors, _ = zeta._pieri_setup(lam, size, mode)
+            names = [v for _, rows in factors for v in _flatten(rows)]
             for k in range(n_assign):
                 assign = seeded_assignment(names, seed * 1000 + 10 * k + size)
                 for n_trunc in levels:
@@ -124,7 +117,7 @@ def criterion_lr(quick: bool = False, seed: int = 0):
         for a in range(1, total):
             for mu in all_partitions(a):
                 for nu in all_partitions(total - a):
-                    names = _flat(grid_vars(mu, "s")) + _flat(grid_vars(nu, "t"))
+                    names = _flatten(grid_vars(mu, "s")) + _flatten(grid_vars(nu, "t"))
                     for k in range(n_assign):
                         assign = seeded_assignment(names, seed * 1000 + 7 * k + total)
                         for n_trunc in levels:
@@ -373,9 +366,9 @@ def criterion_insertion_term_sweep(quick: bool = False, seed: int = 0):
     # (mode, lam, strip size, left shape, right shape, variable names)
     sweeps = (
         ("h", (2, 1), 2, (2, 1), (2,),
-         _flat(grid_vars((2, 1), "s")) + list(seq_vars(2, "t"))),
+         _flatten(grid_vars((2, 1), "s")) + list(seq_vars(2, "t"))),
         ("e", (2,), 2, (1, 1), (2,),
-         _flat(grid_vars((2,), "t")) + list(seq_vars(2, "s"))),
+         _flatten(grid_vars((2,), "t")) + list(seq_vars(2, "s"))),
     )
     for mode, lam, size, left_shape, right_shape, names in sweeps:
         assign = {v: i + 1 for i, v in enumerate(names)}

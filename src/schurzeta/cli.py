@@ -172,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument("--n", type=int, required=True)
         q.add_argument("--n-trunc", type=int, required=True)
         q.add_argument("--assign", required=True)
-        q.add_argument("--cap", type=int, default=zeta.DEFAULT_SYM_CAP)
         q.add_argument("--json", action="store_true")
     q = vsub.add_parser("lr")
     q.add_argument("--mu", required=True)
@@ -181,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--assign", required=True)
     q.add_argument("--variant", type=int, default=0, choices=(0, 1))
     q.add_argument("--filling", help="JSON map shape -> variable rows")
-    q.add_argument("--cap", type=int, default=zeta.DEFAULT_SYM_CAP)
     q.add_argument("--json", action="store_true")
 
     p = sub.add_parser("selftest", help="run the acceptance grid")
@@ -344,20 +342,15 @@ def _report_exit(rep, args) -> int:
 def _cmd_verify(args) -> int:
     assign = _parse_assign(args.assign, "--assign")
     if args.verify_command == "pieri-h":
-        rep = zeta.verify_pieri_h(
-            _parse_shape(args.lam), args.m, assign, args.n_trunc, cap=args.cap
+        rep = zeta.verify_pieri_h(_parse_shape(args.lam), args.m, assign, args.n_trunc)
+    elif args.verify_command == "pieri-e":
+        rep = zeta.verify_pieri_e(_parse_shape(args.lam), args.n, assign, args.n_trunc)
+    else:
+        fillings = _parse_fillings(args.filling) if args.filling else None
+        rep = zeta.verify_lr(
+            _parse_shape(args.mu), _parse_shape(args.nu), assign, args.n_trunc,
+            variant=args.variant, fillings=fillings,
         )
-        return _report_exit(rep, args)
-    if args.verify_command == "pieri-e":
-        rep = zeta.verify_pieri_e(
-            _parse_shape(args.lam), args.n, assign, args.n_trunc, cap=args.cap
-        )
-        return _report_exit(rep, args)
-    fillings = _parse_fillings(args.filling) if args.filling else None
-    rep = zeta.verify_lr(
-        _parse_shape(args.mu), _parse_shape(args.nu), assign, args.n_trunc,
-        variant=args.variant, fillings=fillings, cap=args.cap,
-    )
     return _report_exit(rep, args)
 
 

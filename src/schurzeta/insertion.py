@@ -12,7 +12,7 @@ column), ending at the newly created cell.
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
-from .tableaux import Tableau, Word, as_tableau, is_ssyt, transpose
+from .tableaux import Tableau, Word, _semistandard, as_tableau, transpose
 
 Cell = tuple[int, int]
 
@@ -23,16 +23,11 @@ class InsertionResult(NamedTuple):
     new_cell: Cell
 
 
-def _require_ssyt(t) -> Tableau:
-    t = as_tableau(t)
-    if not is_ssyt(t):
-        raise ValueError(f"not a semistandard tableau: {t}")
-    return t
-
-
 def _checked_rows(t, word) -> tuple[Tableau, Word]:
     """Validate a tableau and a word once, for the unchecked folds."""
-    t = _require_ssyt(t)
+    t = as_tableau(t)
+    if not _semistandard(t):
+        raise ValueError(f"not a semistandard tableau: {t}")
     letters = tuple(int(x) for x in word)
     for x in letters:
         if x < 1:

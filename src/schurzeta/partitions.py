@@ -111,12 +111,17 @@ def grow_rows(p: Partition, rows) -> Partition:
     """Add one cell to each listed row (1-indexed, distinct); error when the
     result is not weakly decreasing."""
     p = as_partition(p)
-    given = tuple(int(k) for k in rows)
+    return _grow(p, rows, p, "row")
+
+
+def _grow(parts: Partition, index, p: Partition, noun: str) -> Partition:
+    """parts, the rows or columns (noun) of p, grown at each index."""
+    given = tuple(int(k) for k in index)
     if not given or len(set(given)) != len(given) or any(k < 1 for k in given):
-        raise ValueError(f"row set must be nonempty distinct positive, got {given}")
-    grown = _grown_or_none(p, tuple(sorted(given)))
+        raise ValueError(f"{noun} set must be nonempty distinct positive, got {given}")
+    grown = _grown_or_none(parts, tuple(sorted(given)))
     if grown is None:
-        raise ValueError(f"growing rows {given} of {p} does not give a partition")
+        raise ValueError(f"growing {noun}s {given} of {p} does not give a partition")
     return grown
 
 
@@ -128,7 +133,8 @@ def horizontal_strip_cols(p: Partition, m: int) -> list[tuple[int, ...]]:
 
 def grow_cols(p: Partition, cols) -> Partition:
     """Add one cell to each listed column; conjugate of grow_rows."""
-    return conjugate(grow_rows(conjugate(p), cols))
+    p = as_partition(p)
+    return conjugate(_grow(conjugate(p), cols, p, "column"))
 
 
 @cache

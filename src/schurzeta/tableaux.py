@@ -51,6 +51,11 @@ def is_ssyt(t) -> bool:
         t = as_tableau(t)
     except (ValueError, TypeError):
         return False
+    return _semistandard(t)
+
+
+def _semistandard(t: Tableau) -> bool:
+    """is_ssyt of a tableau that as_tableau has already normalized."""
     for row in t:
         for a, b in zip(row, row[1:]):
             if b < a:
@@ -133,8 +138,8 @@ def enumerate_skew_ssyt(outer, inner, n: int, weight=None) -> list[SkewTableau]:
     if not contains(outer, inner):
         raise ValueError(f"inner {inner} not contained in outer {outer}")
     inner_pad = inner + (0,) * (len(outer) - len(inner))
-    cap = list(weight) if weight is not None else None
-    if cap is not None and sum(cap) != sum(outer) - sum(inner):
+    quota = list(weight) if weight is not None else None
+    if quota is not None and sum(quota) != sum(outer) - sum(inner):
         return []
     order = [
         (i, j)
@@ -142,7 +147,7 @@ def enumerate_skew_ssyt(outer, inner, n: int, weight=None) -> list[SkewTableau]:
         for j in range(inner_pad[i], outer[i])
     ]
     grid = {}
-    counts = [0] * (len(cap) if cap is not None else 0)
+    counts = [0] * (len(quota) if quota is not None else 0)
     out = []
 
     def below(i: int, j: int) -> int:
@@ -168,17 +173,17 @@ def enumerate_skew_ssyt(outer, inner, n: int, weight=None) -> list[SkewTableau]:
         if (i - 1, j) in grid:
             lo = max(lo, grid[(i - 1, j)] + 1)
         hi = n - below(i, j)
-        if cap is not None:
-            hi = min(hi, len(cap))
+        if quota is not None:
+            hi = min(hi, len(quota))
         for v in range(lo, hi + 1):
-            if cap is not None and counts[v - 1] >= cap[v - 1]:
+            if quota is not None and counts[v - 1] >= quota[v - 1]:
                 continue
             grid[(i, j)] = v
-            if cap is not None:
+            if quota is not None:
                 counts[v - 1] += 1
             fill(idx + 1)
             del grid[(i, j)]
-            if cap is not None:
+            if quota is not None:
                 counts[v - 1] -= 1
 
     fill(0)

@@ -35,7 +35,6 @@ from typing import NamedTuple
 from .insertion import column_insert_word, column_word, row_insert_word
 from .partitions import (
     Partition,
-    all_partitions,
     as_partition,
     cells,
     conjugate,
@@ -54,7 +53,11 @@ from .tableaux import (
 
 VarRows = tuple[tuple[str, ...], ...]
 
-DEFAULT_SYM_CAP = 8
+# The most predicted work (_sym_work) a symmetrized sum may take on.  On a
+# 2-core VM with Python 3.11 a unit costs 1-5 us up to N = 10 and about
+# 10 us at N = 20-24, as the integer weights grow with N, so the largest
+# identities admitted there take about 10 s.
+WORK_LIMIT = 2_000_000
 
 
 class SymSpec(NamedTuple):
@@ -246,6 +249,16 @@ def _count_layers(caps: tuple[int, ...]):
 
 
 @cache
+def _layer_sizes(caps: tuple[int, ...]) -> tuple[int, ...]:
+    """len(layers[k]) of _count_layers(caps) for each k without building
+    the layers: the coefficients of prod(1 + x + ... + x**m) over caps."""
+    sizes = [1]
+    for m in caps:
+        sizes = [sum(sizes[max(0, k - m):k + 1]) for k in range(len(sizes) + m)]
+    return tuple(sizes)
+
+
+@cache
 def _splits(caps: tuple[int, ...], k1: int, k2: int):
     """(j1, j2, j) for each count vector c1 of layers[k1] and c2 of
     layers[k2] with c1 + c2 <= caps, j the index of c1 + c2 in
@@ -285,8 +298,6 @@ def _levels(shape, kinds, n_trunc: int, values, caps) -> tuple[int, list]:
     _, start, end, need, succ = _strip_graph(shape)
     depth, fixed = _node_sums(shape, kinds)
     layers, moves = _count_layers(caps)
-    if depth[end] >= len(layers):
-        return 0, []
     state = {start: [1]}
     for a in range(1, n_trunc + 1):
         spare = n_trunc - a
@@ -616,10 +627,11 @@ def e_sym_spec(lam, n: int) -> SymSpec:
     return _pieri_setup(as_partition(lam), n, "e")[0]
 
 
-def _term_sum(factors, sym, assign, n_trunc: int, values: tuple, caps: tuple) -> Fraction:
+def _term_sum(factors, flat, uses, sym, assign, n_trunc: int, values, caps) -> Fraction:
     """Sum over the distinct assignments of a value multiset (distinct
     values with multiplicities caps) to the symmetrized variables sym of the
-    product of the term's truncated factors.
+    product of the term's truncated factors, flat their cells and uses the
+    cell count of each variable of sym in them.
 
     A variable in one cell is drawn by its factor's level DP.  The factors
     run on their own and are convolved over splits of the drawn counts.  A
@@ -628,8 +640,6 @@ def _term_sum(factors, sym, assign, n_trunc: int, values: tuple, caps: tuple) ->
     value, which turns its cells into fixed cells and leaves one count
     fewer to draw.
     """
-    flat = [_flatten(rows) for _, rows in factors]
-    uses = Counter(v for cells in flat for v in cells if v in sym)
     repeated = [v for v, n in uses.items() if n > 1]
     missing = len(sym) - len(uses)
     sums: dict[int, int] = {}  # exponent total E -> numerator over L**E
@@ -648,21 +658,18 @@ def _term_sum(factors, sym, assign, n_trunc: int, values: tuple, caps: tuple) ->
                 local[v] if v in local else None if v in sym else assign[v] for v in cells
             )
             f, k, factor = _factor_sum(shape, kinds, n_trunc, values, left)
-            if not factor:  # no tableaux: the term is 0 for this pick
-                break
             out = [0] * len(layers[depth + k])
             for j1, j2, j in _splits(left, depth, k):
                 out[j] += vec[j1] * factor[j2]
             fixed, depth, vec = fixed + f, depth + k, out
-        else:
-            for c, w in zip(layers[depth], vec):
-                if missing:
-                    ways = math.factorial(missing)
-                    for x, m in zip(c, left):
-                        ways //= math.factorial(m - x)
-                    w *= ways
-                e = fixed + sum(map(mul, c, values))
-                sums[e] = sums.get(e, 0) + w
+        for c, w in zip(layers[depth], vec):
+            if missing:
+                ways = math.factorial(missing)
+                for x, m in zip(c, left):
+                    ways //= math.factorial(m - x)
+                w *= ways
+            e = fixed + sum(map(mul, c, values))
+            sums[e] = sums.get(e, 0) + w
     if not sums:
         return Fraction(0)
     scale, top = _lcm_upto(n_trunc), max(sums)
@@ -702,14 +709,29 @@ def _monomial_sym_sum(tabs, var_rows, sym, values, assign) -> Fraction:
     return _permanent(tuple(bases.values()), values) / den
 
 
-def _require_cap(spec, cap) -> None:
-    k = len(spec.symmetrized)
-    if k > cap:
-        raise ValueError(
-            f"{k} symmetrized variables exceed the cap of {cap} (the level "
-            f"engine keeps a weight per sub-shape and count vector of drawn "
-            f"values, up to 2^{k} vectors); raise the cap (--cap) to proceed"
-        )
+def _sym_work(terms, n_trunc: int, caps: tuple) -> int:
+    """The predicted work of _term_sum over the terms, from the shapes and
+    the value multiplicities caps alone: the level DPs' prod(m_i + 1) count
+    vectors times the sub-shapes of the largest factor times n_trunc, plus
+    the convolution pairs |layer d| * |layer k| per factor of k drawn cells
+    after d, each times the value picks of a term's repeated variables."""
+    sizes = _layer_sizes(caps)
+    units = pairs = 0
+    for _, factors, flat, uses in terms:
+        picks = len(caps) ** sum(n > 1 for n in uses.values())
+        nodes = max((len(_strip_graph(shape)[0]) for shape, _ in factors), default=1)
+        units = max(units, picks * nodes)
+        depth = 0
+        for cells in flat:
+            k = sum(uses[v] == 1 for v in cells)
+            pairs += picks * sizes[depth] * sizes[k]
+            depth += k
+    return math.prod(m + 1 for m in caps) * units * n_trunc + pairs
+
+
+def _require_work(work: int) -> None:
+    if work > WORK_LIMIT:
+        raise ValueError(f"predicted work of {work:,} units exceeds the limit of {WORK_LIMIT:,}")
 
 
 def _check_spec_and_values(terms, spec, assign, n_trunc):
@@ -753,36 +775,37 @@ def sym_sum_direct(terms, spec, assign, n_trunc: int):
     return total
 
 
-def sym_sum(
-    terms,
-    spec: SymSpec,
-    assign,
-    n_trunc: int,
-    cap: int = DEFAULT_SYM_CAP,
-) -> Fraction:
+def sym_sum(terms, spec: SymSpec, assign, n_trunc: int) -> Fraction:
     """Sum over all permutations of the symmetrized exponent values of
     sum(coeff * prod of truncated zeta factors) over the given terms.
 
     Each term is (coeff, [(shape, var_rows), ...]).  Exact only: every
-    exponent must be an integer >= 0.  Refuses more than ``cap``
-    symmetrized variables.
+    exponent must be an integer >= 0.  Refuses a sum whose predicted work
+    (_sym_work) exceeds WORK_LIMIT before any of it is done.
     """
-    _require_cap(spec, cap)
     if not _check_spec_and_values(terms, spec, assign, n_trunc):
         raise ValueError("sym_sum needs integer exponents; use sym_sum_direct")
     values = [assign[v] for v in spec.symmetrized]
     distinct = tuple(sorted(set(values)))
     caps = tuple(values.count(v) for v in distinct)
     sym = frozenset(spec.symmetrized)
-    total = Fraction(0)
+    checked = []
     for coeff, factors in terms:
-        checked = []
+        shapes = []
         for shape, rows in factors:
             shape = as_partition(shape)
             if shape != tuple(len(r) for r in rows):
                 raise ValueError("factor shape and variable tableau differ")
-            checked.append((shape, rows))
-        total += coeff * _term_sum(checked, sym, assign, n_trunc, distinct, caps)
+            shapes.append((shape, rows))
+        # a term with a factor of more rows than n_trunc is an empty sum
+        if all(len(shape) <= n_trunc for shape, _ in shapes):
+            flat = [_flatten(rows) for _, rows in shapes]
+            uses = Counter(v for cells in flat for v in cells if v in sym)
+            checked.append((coeff, shapes, flat, uses))
+    _require_work(_sym_work(checked, n_trunc, caps))
+    total = Fraction(0)
+    for coeff, *term in checked:
+        total += coeff * _term_sum(*term, sym, assign, n_trunc, distinct, caps)
     return total * math.prod(map(math.factorial, caps))
 
 
@@ -866,40 +889,28 @@ def _vacuous_note(factors, n_trunc: int) -> str:
     )
 
 
-def _verify_pieri(lam, size: int, mode: str, assign, n_trunc: int, cap: int) -> IdentityReport:
+def _verify_pieri(lam, size: int, mode: str, assign, n_trunc: int) -> IdentityReport:
     spec, factors, extensions = _pieri_setup(as_partition(lam), size, mode)
     require_exact(assign, [v for _, rows in factors for v in _flatten(rows)])
-    lhs = sym_sum([(1, factors)], spec, assign, n_trunc, cap)
+    lhs = sym_sum([(1, factors)], spec, assign, n_trunc)
     rhs_terms = [(1, [(grown, rows)]) for _, grown, rows in extensions]
-    rhs = sym_sum(rhs_terms, spec, assign, n_trunc, cap)
+    rhs = sym_sum(rhs_terms, spec, assign, n_trunc)
     return IdentityReport(lhs, rhs, lhs == rhs, _vacuous_note(factors, n_trunc))
 
 
-def verify_pieri_h(
-    lam,
-    m: int,
-    assign,
-    n_trunc: int,
-    cap: int = DEFAULT_SYM_CAP,
-) -> IdentityReport:
+def verify_pieri_h(lam, m: int, assign, n_trunc: int) -> IdentityReport:
     """Exact truncated check of the row-strip Pieri identity: the
     symmetrized product of zeta(lam) and zeta((m)) against the symmetrized
     sum of zeta over all one-horizontal-strip extensions with pushed
     fillings.  Holds for every truncation level and integer assignment."""
-    return _verify_pieri(lam, m, "h", assign, n_trunc, cap)
+    return _verify_pieri(lam, m, "h", assign, n_trunc)
 
 
-def verify_pieri_e(
-    lam,
-    n: int,
-    assign,
-    n_trunc: int,
-    cap: int = DEFAULT_SYM_CAP,
-) -> IdentityReport:
+def verify_pieri_e(lam, n: int, assign, n_trunc: int) -> IdentityReport:
     """Exact truncated check of the column-strip Pieri identity (conjugate
     of verify_pieri_h): zeta((1^n)) times zeta(lam) against the
     one-vertical-strip extensions."""
-    return _verify_pieri(lam, n, "e", assign, n_trunc, cap)
+    return _verify_pieri(lam, n, "e", assign, n_trunc)
 
 
 def canonical_filling(lam, mu, nu, variant: int = 0) -> VarRows:
@@ -946,7 +957,6 @@ def verify_lr(
     n_trunc: int,
     variant: int = 0,
     fillings=None,
-    cap: int = DEFAULT_SYM_CAP,
 ) -> IdentityReport:
     """Exact truncated check of the Littlewood-Richardson product formula:
     the fully symmetrized product of two Schur multiple zeta values against
@@ -959,14 +969,10 @@ def verify_lr(
     all_vars = [v for _, rows in factors for v in _flatten(rows)]
     require_exact(assign, all_vars)
     spec = SymSpec(tuple(all_vars), frozenset())
-    lhs = sym_sum([(1, factors)], spec, assign, n_trunc, cap)
+    lhs = sym_sum([(1, factors)], spec, assign, n_trunc)
     overrides = {as_partition(k): tuple(tuple(r) for r in v) for k, v in (fillings or {}).items()}
-    expansion = _lr_expansion(mu, nu)
     rhs_terms = []
-    for lam in all_partitions(sum(mu) + sum(nu)):
-        coeff = expansion[lam]
-        if coeff == 0:
-            continue
+    for lam, coeff in _lr_expansion(mu, nu).items():
         filling = overrides.get(lam)
         if filling is None:
             filling = canonical_filling(lam, mu, nu, variant)
@@ -975,7 +981,7 @@ def verify_lr(
         if tuple(len(r) for r in filling) != lam:
             raise ValueError(f"filling shape mismatch for {lam}")
         rhs_terms.append((coeff, [(lam, filling)]))
-    rhs = sym_sum(rhs_terms, spec, assign, n_trunc, cap)
+    rhs = sym_sum(rhs_terms, spec, assign, n_trunc)
     return IdentityReport(lhs, rhs, lhs == rhs, _vacuous_note(factors, n_trunc))
 
 
@@ -986,7 +992,6 @@ def verify_insertion_term(
     size: int,
     mode: str,
     assign,
-    cap: int = DEFAULT_SYM_CAP,
 ) -> InsertionTermReport:
     """Term-level check behind the Pieri identities: insert one tableau
     into the other, locate the grown strip, and compare the symmetrized
@@ -1024,8 +1029,9 @@ def verify_insertion_term(
             f"{'horizontal' if mode == 'h' else 'vertical'}-strip extension of {lam}"
         )
     require_exact(assign, [v for _, rows in factors for v in _flatten(rows)])
-    _require_cap(spec, cap)
     values = tuple(assign[v] for v in spec.symmetrized)
+    # each monomial sum draws len(values) times over every count vector
+    _require_work(math.prod(m + 1 for m in Counter(values).values()) * len(values))
     lhs = _monomial_sym_sum(pair, [rows for _, rows in factors], spec.symmetrized, values, assign)
     rhs = _monomial_sym_sum([result], [filling], spec.symmetrized, values, assign)
     return InsertionTermReport(lhs, rhs, lhs == rhs, result, added)

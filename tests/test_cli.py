@@ -239,16 +239,12 @@ LR_ASSIGN = '{"s_1_1":2,"s_2_1":3,"t_1_1":4,"t_1_2":5}'
          "--float", "--n", "3"],
         # a negative largest entry
         ["ssyt", "--shape", "-", "--n", "-1", "--count"],
-        # more symmetrized variables (4) than the cap allows
-        ["verify", "lr", "--mu", "1,1", "--nu", "2", "--n-trunc", "2",
-         "--assign", LR_ASSIGN, "--cap", "3"],
     ],
     ids=[
         "filling-not-rows", "filling-not-names", "dot-unwritable", "n-trunc-0",
         "exponent-null", "tableau-rows-not-list", "float-exponent-negative",
         "exponent-bool", "tol-nan", "tol-inf", "tol-without-float",
         "tol-with-n", "limit-exponent-inf", "float-exponent-inf", "ssyt-n-negative",
-        "cap-exceeded",
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
@@ -256,6 +252,18 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_work_guard_refusal_exits_2_naming_the_predicted_count(capsys):
+    names = [f"{p}_1_{j}" for p in "st" for j in range(1, 8)]
+    assign = json.dumps({v: k + 1 for k, v in enumerate(names)})
+    code, out, err = run(
+        capsys,
+        ["verify", "lr", "--mu", "7", "--nu", "7", "--n-trunc", "1", "--assign", assign],
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: predicted work of 11,913,128 units exceeds the limit")
+    assert err.count("\n") == 1
 
 
 def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
@@ -373,14 +381,14 @@ CLI_GRAMMAR = [
       ("--tol", TOL, False), ("--json", None, False)]),
     (["verify", "pieri-h"],
      [("--lambda", SHAPE, True), ("--m", SMALL_INT, True), ("--n-trunc", SMALL_INT, True),
-      ("--assign", ASSIGN, True), ("--cap", SMALL_INT, False), ("--json", None, False)]),
+      ("--assign", ASSIGN, True), ("--json", None, False)]),
     (["verify", "pieri-e"],
      [("--lambda", SHAPE, True), ("--n", SMALL_INT, True), ("--n-trunc", SMALL_INT, True),
-      ("--assign", ASSIGN, True), ("--cap", SMALL_INT, False), ("--json", None, False)]),
+      ("--assign", ASSIGN, True), ("--json", None, False)]),
     (["verify", "lr"],
      [("--mu", SHAPE, True), ("--nu", SHAPE, True), ("--n-trunc", SMALL_INT, True),
       ("--assign", ASSIGN, True), ("--variant", SMALL_INT, False),
-      ("--filling", FILLING, False), ("--cap", SMALL_INT, False), ("--json", None, False)]),
+      ("--filling", FILLING, False), ("--json", None, False)]),
     (["bogus"], []),
 ]
 

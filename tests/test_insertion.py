@@ -35,6 +35,23 @@ def weight_sum(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+def test_row_insert_converts_the_tableau_once(monkeypatch):
+    import schurzeta.insertion as imod
+    import schurzeta.tableaux as tmod
+
+    calls = []
+    convert = tmod.as_tableau
+
+    def counted(rows):
+        calls.append(rows)
+        return convert(rows)
+
+    monkeypatch.setattr(tmod, "as_tableau", counted)
+    monkeypatch.setattr(imod, "as_tableau", counted)
+    assert row_insert(((1, 2), (3,)), 1).tableau == ((1, 1), (2,), (3,))
+    assert len(calls) == 1
+
+
 def test_row_insert_examples():
     r = row_insert((), 1)
     assert r.tableau == ((1,),) and r.route == ((1, 1),) and r.new_cell == (1, 1)

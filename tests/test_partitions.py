@@ -112,6 +112,10 @@ def test_grow_cols_examples():
     assert grow_cols((3, 2, 1, 1), (1, 3, 4)) == (4, 3, 1, 1, 1)
     assert grow_cols((1,), (2,)) == (2,)
     assert grow_cols((2, 1), (1, 3)) == (3, 1, 1)
+    with pytest.raises(ValueError, match=r"growing columns \(5,\) of \(3, 1\)"):
+        grow_cols((3, 1), (5,))
+    with pytest.raises(ValueError, match="column set"):
+        grow_cols((3, 1), (2, 2))
 
 
 def test_grow_rows_bijects_onto_vertical_strip_extensions():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schurzeta.zeta as zmod
 from schurzeta.partitions import (
     all_partitions,
     as_partition,
@@ -312,16 +313,86 @@ def test_sym_sum_invariant_under_relabelling():
     assert base == renamed
 
 
-def test_sym_sum_factorial_guard():
+def test_sym_sum_work_guard_admits_its_limit(monkeypatch):
     names = tuple(f"v_{k}" for k in range(4))
     rows = ((names[0], names[1]), (names[2],))
     terms = [(1, [((2, 1), rows)])]
     spec = SymSpec(names[:3], frozenset())
     assign = {v: 2 for v in names}
-    with pytest.raises(ValueError):
-        sym_sum(terms, spec, assign, 2, cap=2)
-    assert sym_sum(terms, spec, assign, 2, cap=3) == \
-        sym_sum_direct(terms, spec, assign, 2)
+    seen = []
+    guard = zmod._require_work
+    monkeypatch.setattr(zmod, "_require_work", lambda work: seen.append(work) or guard(work))
+    expected = sym_sum_direct(terms, spec, assign, 2)
+    assert sym_sum(terms, spec, assign, 2) == expected
+    (work,) = seen
+    monkeypatch.setattr(zmod, "WORK_LIMIT", work)
+    assert sym_sum(terms, spec, assign, 2) == expected
+    monkeypatch.setattr(zmod, "WORK_LIMIT", work - 1)
+    with pytest.raises(ValueError, match=f"predicted work of {work:,} units"):
+        sym_sum(terms, spec, assign, 2)
+
+
+def _distinct(names):
+    return {v: k + 1 for k, v in enumerate(names)}
+
+
+WIDE = tuple(f"v_{k}" for k in range(30))
+
+
+@pytest.mark.parametrize(
+    "label, call, work",
+    [
+        # C(14,7) + C(14,7)**2 convolution pairs of the left side, plus
+        # 2**14 count vectors * 8 sub-shapes of (7) * N
+        ("lr (7)x(7) N=1",
+         lambda: verify_lr((7,), (7,), _distinct(seq_vars(7, "s_1") + seq_vars(7, "t_1")), 1),
+         3432 + 3432**2 + 2**14 * 8),
+        # 2**30 count vectors * 31 sub-shapes of (30) * N, plus one pair
+        ("sym_sum of 30 variables",
+         lambda: sym_sum([(1, [((30,), (WIDE,))])], SymSpec(WIDE, frozenset()), _distinct(WIDE), 2),
+         2**30 * 31 * 2 + 1),
+    ],
+)
+def test_work_guard_refuses_large_sums_before_building_them(label, call, work):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"predicted work of {work:,} units"):
+        call()
+    assert time.perf_counter() - start < 0.5, label
+
+
+def test_insertion_term_work_guard(monkeypatch):
+    # four distinct symmetrized values: 2**4 count vectors times 4 draws
+    assign = {"s_1_1": 2, "s_1_2": 5, "t_1": 3, "t_2": 4}
+    args = (((1, 2),), ((1, 3),), (2,), 2, "h", assign)
+    monkeypatch.setattr(zmod, "WORK_LIMIT", 64)
+    assert verify_insertion_term(*args).equal
+    monkeypatch.setattr(zmod, "WORK_LIMIT", 63)
+    with pytest.raises(ValueError, match="predicted work of 64 units"):
+        verify_insertion_term(*args)
+
+
+def test_nine_variable_lr_verifies():
+    names = [v for rows in (grid_vars((3, 2), "s"), grid_vars((2, 2), "t")) for r in rows for v in r]
+    rep = verify_lr((3, 2), (2, 2), _distinct(names), 3)
+    assert rep.equal and rep.lhs > 0
+
+
+@pytest.mark.parametrize("caps", [(), (1,), (2, 3), (1, 1, 1), (3, 1, 2, 2)])
+def test_layer_sizes_count_the_layers(caps):
+    assert zmod._layer_sizes(caps) == tuple(map(len, zmod._count_layers(caps)[0]))
+
+
+def test_vacuous_terms_run_no_level_dp(monkeypatch):
+    # the column (1,1,1) has more rows than N = 2: every term of both sides
+    # is 0 from its shapes alone
+    calls = []
+    levels = zmod._levels
+    monkeypatch.setattr(zmod, "_levels", lambda *args: calls.append(args) or levels(*args))
+    zmod._factor_sum.cache_clear()
+    _, factors, _ = _pieri_setup((1,), 3, "e")
+    rep = verify_pieri_e((1,), 3, _distinct([v for _, rows in factors for r in rows for v in r]), 2)
+    assert rep.equal and rep.lhs == 0 and rep.note
+    assert calls == []
 
 
 def brute_perm_weight(bases, values):
