@@ -257,18 +257,12 @@ def _cmd_insert(args) -> int:
 
 def _cmd_lr(args) -> int:
     mu, nu = _parse_shape(args.mu), _parse_shape(args.nu)
+    expansion = zeta._lr_expansion(mu, nu)
     if args.lam is not None:
-        lam = _parse_shape(args.lam)
-        c = tableaux.lr_coefficient(mu, nu, lam)
+        c = expansion.get(_parse_shape(args.lam), 0)
         _emit({"coefficient": c}, args.json, [str(c)])
         return 0
-    from .partitions import all_partitions
-
-    table = {}
-    for lam in all_partitions(sum(mu) + sum(nu)):
-        c = tableaux.lr_coefficient(mu, nu, lam)
-        if c:
-            table[",".join(str(x) for x in lam)] = c
+    table = {",".join(map(str, lam)): c for lam, c in sorted(expansion.items(), reverse=True)}
     lines = [f"{k} {v}" for k, v in table.items()]
     _emit(table, args.json, lines)
     return 0

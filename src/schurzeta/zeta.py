@@ -16,10 +16,10 @@ a = 1..N.  The exact sums keep per sub-shape a weight per count vector of
 the symmetrized values drawn so far: for distinct values of
 multiplicities m_i there are prod(m_i + 1) count vectors (2^k for k
 distinct values), where an enumeration visits about N^|shape| tableaux.
-The factors of a product run apart and are convolved over splits of the
-drawn counts.  Float truncation and the untruncated limit walk the same
-graph in compensated floats, one sum per sub-shape, and the limit's tail
-terms follow from the same strips' exponent sums.
+A product is one walk: each factor's DP starts from the count vectors the
+factors before it drew.  Float truncation and the untruncated limit walk
+the same graph in compensated floats, one sum per sub-shape, and the
+limit's tail terms follow from the same strips' exponent sums.
 """
 
 import math
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, permutations, product
-from operator import add, mul
+from operator import mul
 from numbers import Real
 from typing import NamedTuple
 
@@ -248,31 +248,6 @@ def _count_layers(caps: tuple[int, ...]):
     return tuple(map(tuple, layers)), moves
 
 
-@cache
-def _layer_sizes(caps: tuple[int, ...]) -> tuple[int, ...]:
-    """len(layers[k]) of _count_layers(caps) for each k without building
-    the layers: the coefficients of prod(1 + x + ... + x**m) over caps."""
-    sizes = [1]
-    for m in caps:
-        sizes = [sum(sizes[max(0, k - m):k + 1]) for k in range(len(sizes) + m)]
-    return tuple(sizes)
-
-
-@cache
-def _splits(caps: tuple[int, ...], k1: int, k2: int):
-    """(j1, j2, j) for each count vector c1 of layers[k1] and c2 of
-    layers[k2] with c1 + c2 <= caps, j the index of c1 + c2 in
-    layers[k1 + k2]: the convolution plan of two factors."""
-    layers, _ = _count_layers(caps)
-    where = {c: j for j, c in enumerate(layers[k1 + k2])}
-    return tuple(
-        (j1, j2, where[both])
-        for j1, c1 in enumerate(layers[k1])
-        for j2, c2 in enumerate(layers[k2])
-        if (both := tuple(map(add, c1, c2))) in where
-    )
-
-
 def _draw(vec, moves, q, size: int) -> list:
     """One symmetrized cell: a weight vector over one layer of count
     vectors, moved up a layer by drawing value i at weight q[i]."""
@@ -284,21 +259,25 @@ def _draw(vec, moves, q, size: int) -> list:
     return out
 
 
-def _levels(shape, kinds, n_trunc: int, values, caps) -> tuple[int, list]:
+def _levels(shape, kinds, n_trunc: int, values, caps, layer: int, init) -> tuple[int, list]:
     """The sum over the SSYT of shape with entries <= n_trunc, its cells of
-    the given kinds (integer exponents or None), as (k, vec): vec holds the sum per count vector
-    of layer k of _count_layers(caps), k the number of symmetrized cells,
-    and is empty when no SSYT exists.  values are distinct, drawn at most
-    caps times each; at level a the fixed exponent sum F of a strip weighs
-    (L // a)**F and drawing value v weighs (L // a)**v, L = lcm(1..N).
-    Sub-shapes that cannot fill shape in the levels left are pruned."""
+    the given kinds (integer exponents or None), started from the weight
+    vector init over layer `layer` of _count_layers(caps), as (k, out): out
+    holds the sum per count vector of layer k, k = layer plus the number of
+    symmetrized cells, and is empty when no SSYT exists.  values are
+    distinct, drawn at most caps times each; at level a the fixed exponent
+    sum F of a strip weighs (L // a)**F and drawing value v weighs
+    (L // a)**v, L = lcm(1..N).  Linear in init, and a draw stops at caps,
+    so out pairs each count vector of init with every count vector the
+    shape draws on top of it within caps.  Sub-shapes that cannot fill
+    shape in the levels left are pruned."""
     if len(shape) > n_trunc:
-        return 0, []
+        return layer, []
     scale = _lcm_upto(n_trunc)
     _, start, end, need, succ = _strip_graph(shape)
     depth, fixed = _node_sums(shape, kinds)
     layers, moves = _count_layers(caps)
-    state = {start: [1]}
+    state = {start: list(init)}
     for a in range(1, n_trunc + 1):
         spare = n_trunc - a
         base = scale // a
@@ -312,7 +291,7 @@ def _levels(shape, kinds, n_trunc: int, values, caps) -> tuple[int, list]:
                     break
                 r = depth[nu] - depth[mu]
                 while len(drawn) <= r:
-                    k = depth[mu] + len(drawn)
+                    k = layer + depth[mu] + len(drawn)
                     drawn.append(_draw(drawn[-1], moves[k - 1], q, len(layers[k])))
                 f = fixed[nu] - fixed[mu]
                 w = weights.get(f)
@@ -326,7 +305,7 @@ def _levels(shape, kinds, n_trunc: int, values, caps) -> tuple[int, list]:
                     for j, x in enumerate(src):
                         tgt[j] += w * x
         state = nxt
-    return depth[end], state[end]
+    return layer + depth[end], state[end]
 
 
 def _lcm_upto(n: int) -> int:
@@ -334,13 +313,19 @@ def _lcm_upto(n: int) -> int:
 
 
 @cache
-def _factor_sum(shape: Partition, kinds: tuple, n_trunc: int, values: tuple, caps: tuple):
-    """The exact level DP of one factor, cached: (F, k, vec) with F the
-    fixed exponent total and vec over layer k of the count vectors c, each
-    weight the sum for c scaled by L**(F + c . values), L = lcm(1..N).
-    Every level weight (L // a)**e is an integer."""
-    k, vec = _levels(shape, kinds, n_trunc, values, caps)
-    return sum(x or 0 for x in kinds), k, tuple(vec)
+def _product_sum(factors: tuple, n_trunc: int, values: tuple, caps: tuple):
+    """The exact level DP of a product of factors (shape, kinds), cached
+    per prefix: (F, k, vec) with F the fixed exponent total and vec over
+    layer k of the count vectors c, each weight the sum for c scaled by
+    L**(F + c . values), L = lcm(1..N).  Each factor's walk starts from the
+    vector of the factors before it.  Every level weight (L // a)**e is an
+    integer."""
+    if not factors:
+        return 0, 0, (1,)
+    fixed, layer, vec = _product_sum(factors[:-1], n_trunc, values, caps)
+    shape, kinds = factors[-1]
+    k, vec = _levels(shape, kinds, n_trunc, values, caps, layer, vec)
+    return fixed + sum(x or 0 for x in kinds), k, tuple(vec)
 
 
 def _checked_exponents(shape: Partition, var_rows, assign) -> tuple[tuple, ...]:
@@ -368,7 +353,7 @@ def eval_zeta_truncated(shape, var_rows, assign, n_trunc: int):
         raise ValueError("truncation level must be >= 1")
     flat = tuple(x for row in _checked_exponents(shape, var_rows, assign) for x in row)
     if all(_is_exact_value(x) for x in flat):
-        fixed, _, vec = _factor_sum(shape, flat, n_trunc, (), ())
+        fixed, _, vec = _product_sum(((shape, flat),), n_trunc, (), ())
         return Fraction(vec[0] if vec else 0, _lcm_upto(n_trunc) ** fixed)
     return float(next(_partial_sums(shape, tuple(map(Fraction, flat)), (n_trunc,))))
 
@@ -633,12 +618,12 @@ def _term_sum(factors, flat, uses, sym, assign, n_trunc: int, values, caps) -> F
     product of the term's truncated factors, flat their cells and uses the
     cell count of each variable of sym in them.
 
-    A variable in one cell is drawn by its factor's level DP.  The factors
-    run on their own and are convolved over splits of the drawn counts.  A
-    variable in no cell takes a leftover value, in missing! / prod(left_i!)
-    ways.  A variable in several cells is fixed by an outer loop over its
-    value, which turns its cells into fixed cells and leaves one count
-    fewer to draw.
+    A variable in one cell is drawn by the level DP, one walk per product:
+    each factor's walk starts from the count vectors the factors before it
+    drew.  A variable in no cell takes a leftover value, in
+    missing! / prod(left_i!) ways.  A variable in several cells is fixed by
+    an outer loop over its value, which turns its cells into fixed cells
+    and leaves one count fewer to draw.
     """
     repeated = [v for v, n in uses.items() if n > 1]
     missing = len(sym) - len(uses)
@@ -651,18 +636,13 @@ def _term_sum(factors, flat, uses, sym, assign, n_trunc: int, values, caps) -> F
             continue
         left = tuple(left)
         local = {v: values[i] for v, i in zip(repeated, pick)}
-        layers = _count_layers(left)[0]
-        fixed, depth, vec = 0, 0, (1,)
-        for (shape, _), cells in zip(factors, flat):
-            kinds = tuple(
-                local[v] if v in local else None if v in sym else assign[v] for v in cells
-            )
-            f, k, factor = _factor_sum(shape, kinds, n_trunc, values, left)
-            out = [0] * len(layers[depth + k])
-            for j1, j2, j in _splits(left, depth, k):
-                out[j] += vec[j1] * factor[j2]
-            fixed, depth, vec = fixed + f, depth + k, out
-        for c, w in zip(layers[depth], vec):
+        kinds = (
+            tuple(local[v] if v in local else None if v in sym else assign[v] for v in cells)
+            for cells in flat
+        )
+        term = tuple((shape, k) for (shape, _), k in zip(factors, kinds))
+        fixed, depth, vec = _product_sum(term, n_trunc, values, left)
+        for c, w in zip(_count_layers(left)[0][depth], vec):
             if missing:
                 ways = math.factorial(missing)
                 for x, m in zip(c, left):
@@ -711,22 +691,16 @@ def _monomial_sym_sum(tabs, var_rows, sym, values, assign) -> Fraction:
 
 def _sym_work(terms, n_trunc: int, caps: tuple) -> int:
     """The predicted work of _term_sum over the terms, from the shapes and
-    the value multiplicities caps alone: the level DPs' prod(m_i + 1) count
-    vectors times the sub-shapes of the largest factor times n_trunc, plus
-    the convolution pairs |layer d| * |layer k| per factor of k drawn cells
-    after d, each times the value picks of a term's repeated variables."""
-    sizes = _layer_sizes(caps)
-    units = pairs = 0
-    for _, factors, flat, uses in terms:
+    the value multiplicities caps alone: the level DP's prod(m_i + 1) count
+    vectors times n_trunc times the largest, over the terms, of the value
+    picks of a term's repeated variables times the summed sub-shapes of its
+    factors."""
+    units = 0
+    for _, factors, _, uses in terms:
         picks = len(caps) ** sum(n > 1 for n in uses.values())
-        nodes = max((len(_strip_graph(shape)[0]) for shape, _ in factors), default=1)
+        nodes = sum(len(_strip_graph(shape)[0]) for shape, _ in factors)
         units = max(units, picks * nodes)
-        depth = 0
-        for cells in flat:
-            k = sum(uses[v] == 1 for v in cells)
-            pairs += picks * sizes[depth] * sizes[k]
-            depth += k
-    return math.prod(m + 1 for m in caps) * units * n_trunc + pairs
+    return math.prod(m + 1 for m in caps) * units * n_trunc
 
 
 def _require_work(work: int) -> None:
@@ -961,7 +935,8 @@ def verify_lr(
     """Exact truncated check of the Littlewood-Richardson product formula:
     the fully symmetrized product of two Schur multiple zeta values against
     the coefficient-weighted symmetrized sum over all shapes of the right
-    size.  ``fillings`` may override the canonical filling per shape."""
+    size.  ``fillings`` may override the canonical filling per shape of
+    the expansion; a filling for any other shape is a ValueError."""
     mu, nu = as_partition(mu), as_partition(nu)
     if not mu or not nu:
         raise ValueError("both shapes must be nonempty")
@@ -969,10 +944,13 @@ def verify_lr(
     all_vars = [v for _, rows in factors for v in _flatten(rows)]
     require_exact(assign, all_vars)
     spec = SymSpec(tuple(all_vars), frozenset())
-    lhs = sym_sum([(1, factors)], spec, assign, n_trunc)
     overrides = {as_partition(k): tuple(tuple(r) for r in v) for k, v in (fillings or {}).items()}
+    expansion = _lr_expansion(mu, nu)
+    stray = sorted(overrides.keys() - expansion.keys())
+    if stray:
+        raise ValueError(f"fillings for shapes outside the expansion: {stray}")
     rhs_terms = []
-    for lam, coeff in _lr_expansion(mu, nu).items():
+    for lam, coeff in expansion.items():
         filling = overrides.get(lam)
         if filling is None:
             filling = canonical_filling(lam, mu, nu, variant)
@@ -981,6 +959,7 @@ def verify_lr(
         if tuple(len(r) for r in filling) != lam:
             raise ValueError(f"filling shape mismatch for {lam}")
         rhs_terms.append((coeff, [(lam, filling)]))
+    lhs = sym_sum([(1, factors)], spec, assign, n_trunc)
     rhs = sym_sum(rhs_terms, spec, assign, n_trunc)
     return IdentityReport(lhs, rhs, lhs == rhs, _vacuous_note(factors, n_trunc))
 

@@ -18,8 +18,7 @@ CACHES = (
     tableaux.cached_ssyt,
     zeta._strip_graph,
     zeta._count_layers,
-    zeta._splits,
-    zeta._factor_sum,
+    zeta._product_sum,
     zeta._pieri_setup,
 )
 

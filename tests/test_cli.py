@@ -207,6 +207,9 @@ LR_ASSIGN = '{"s_1_1":2,"s_2_1":3,"t_1_1":4,"t_1_2":5}'
          "--assign", LR_ASSIGN, "--filling", '{"2":5}'],
         ["verify", "lr", "--mu", "1,1", "--nu", "2", "--n-trunc", "3",
          "--assign", LR_ASSIGN, "--filling", '{"3,1":[["s_1_1",1,"t_1_1"],["t_1_2"]]}'],
+        # a filling for a shape outside the expansion, which would go unused
+        ["verify", "lr", "--mu", "1", "--nu", "1", "--n-trunc", "2",
+         "--assign", '{"s_1_1":2,"t_1_1":3}', "--filling", '{"5": [["s_1_1"]]}'],
         # a DOT path in a directory that does not exist
         ["crystal", "graph", "--shape", "1", "--n", "2",
          "--dot", "{tmp}/missing/x.dot"],
@@ -241,7 +244,8 @@ LR_ASSIGN = '{"s_1_1":2,"s_2_1":3,"t_1_1":4,"t_1_2":5}'
         ["ssyt", "--shape", "-", "--n", "-1", "--count"],
     ],
     ids=[
-        "filling-not-rows", "filling-not-names", "dot-unwritable", "n-trunc-0",
+        "filling-not-rows", "filling-not-names", "filling-outside-expansion",
+        "dot-unwritable", "n-trunc-0",
         "exponent-null", "tableau-rows-not-list", "float-exponent-negative",
         "exponent-bool", "tol-nan", "tol-inf", "tol-without-float",
         "tol-with-n", "limit-exponent-inf", "float-exponent-inf", "ssyt-n-negative",
@@ -259,10 +263,10 @@ def test_work_guard_refusal_exits_2_naming_the_predicted_count(capsys):
     assign = json.dumps({v: k + 1 for k, v in enumerate(names)})
     code, out, err = run(
         capsys,
-        ["verify", "lr", "--mu", "7", "--nu", "7", "--n-trunc", "1", "--assign", assign],
+        ["verify", "lr", "--mu", "7", "--nu", "7", "--n-trunc", "8", "--assign", assign],
     )
     assert code == 2 and out == ""
-    assert err.startswith("error: predicted work of 11,913,128 units exceeds the limit")
+    assert err.startswith("error: predicted work of 2,097,152 units exceeds the limit")
     assert err.count("\n") == 1
 
 

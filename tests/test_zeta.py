@@ -276,6 +276,17 @@ KERNEL_TERMS = {
         ],
         SymSpec(("a", "b", "d"), frozenset({"c"})),
     ),
+    # three factors in one walk: c fixed and a repeated in each, b drawn in
+    # the first and d in the third, so the third walk starts from the counts
+    # the first drew
+    "three-factors": (
+        [(1, [
+            ((2, 1), (("b", "c"), ("a",))),
+            ((1, 1), (("a",), ("c",))),
+            ((2, 1), (("a", "d"), ("c",))),
+        ])],
+        SymSpec(("a", "b", "d"), frozenset({"c"})),
+    ),
 }
 
 
@@ -284,8 +295,12 @@ KERNEL_TERMS = {
     "values", [(1, 2, 3, 4), (2, 2, 1, 2), (3, 3, 3, 0)], ids=str
 )
 @pytest.mark.parametrize("case", sorted(KERNEL_TERMS))
-def test_sym_sum_repeated_and_missing_variables_match_direct(case, values, n_trunc):
+@pytest.mark.parametrize("order", ["given", "reversed"])
+def test_sym_sum_repeated_and_missing_variables_match_direct(order, case, values, n_trunc):
     terms, spec = KERNEL_TERMS[case]
+    if order == "reversed":
+        # each factor's walk starts from what the factors before it drew
+        terms = [(coeff, factors[::-1]) for coeff, factors in terms]
     assign = dict(zip("abcd", values))
     assert sym_sum(terms, spec, assign, n_trunc) == \
         sym_sum_direct(terms, spec, assign, n_trunc)
@@ -342,15 +357,14 @@ WIDE = tuple(f"v_{k}" for k in range(30))
 @pytest.mark.parametrize(
     "label, call, work",
     [
-        # C(14,7) + C(14,7)**2 convolution pairs of the left side, plus
-        # 2**14 count vectors * 8 sub-shapes of (7) * N
-        ("lr (7)x(7) N=1",
-         lambda: verify_lr((7,), (7,), _distinct(seq_vars(7, "s_1") + seq_vars(7, "t_1")), 1),
-         3432 + 3432**2 + 2**14 * 8),
-        # 2**30 count vectors * 31 sub-shapes of (30) * N, plus one pair
+        # 2**14 count vectors * 16 sub-shapes of (7) and (7) on the left * N
+        ("lr (7)x(7) N=8",
+         lambda: verify_lr((7,), (7,), _distinct(seq_vars(7, "s_1") + seq_vars(7, "t_1")), 8),
+         2**14 * 16 * 8),
+        # 2**30 count vectors * 31 sub-shapes of (30) * N
         ("sym_sum of 30 variables",
          lambda: sym_sum([(1, [((30,), (WIDE,))])], SymSpec(WIDE, frozenset()), _distinct(WIDE), 2),
-         2**30 * 31 * 2 + 1),
+         2**30 * 31 * 2),
     ],
 )
 def test_work_guard_refuses_large_sums_before_building_them(label, call, work):
@@ -371,15 +385,19 @@ def test_insertion_term_work_guard(monkeypatch):
         verify_insertion_term(*args)
 
 
+def test_thirteen_distinct_values_lr_verifies_at_n_1():
+    # 2**13 count vectors * 15 sub-shapes of (7) and (6) * N: the product
+    # is one walk, with no pairing of the factors' count vectors after it
+    start = time.perf_counter()
+    rep = verify_lr((7,), (6,), _distinct(seq_vars(7, "s_1") + seq_vars(6, "t_1")), 1)
+    assert rep.equal and rep.lhs > 0
+    assert time.perf_counter() - start < 1.0
+
+
 def test_nine_variable_lr_verifies():
     names = [v for rows in (grid_vars((3, 2), "s"), grid_vars((2, 2), "t")) for r in rows for v in r]
     rep = verify_lr((3, 2), (2, 2), _distinct(names), 3)
     assert rep.equal and rep.lhs > 0
-
-
-@pytest.mark.parametrize("caps", [(), (1,), (2, 3), (1, 1, 1), (3, 1, 2, 2)])
-def test_layer_sizes_count_the_layers(caps):
-    assert zmod._layer_sizes(caps) == tuple(map(len, zmod._count_layers(caps)[0]))
 
 
 def test_vacuous_terms_run_no_level_dp(monkeypatch):
@@ -388,7 +406,7 @@ def test_vacuous_terms_run_no_level_dp(monkeypatch):
     calls = []
     levels = zmod._levels
     monkeypatch.setattr(zmod, "_levels", lambda *args: calls.append(args) or levels(*args))
-    zmod._factor_sum.cache_clear()
+    zmod._product_sum.cache_clear()
     _, factors, _ = _pieri_setup((1,), 3, "e")
     rep = verify_pieri_e((1,), 3, _distinct([v for _, rows in factors for r in rows for v in r]), 2)
     assert rep.equal and rep.lhs == 0 and rep.note
@@ -768,6 +786,10 @@ def test_verify_lr_filling_choices_agree():
     bad = {(2,): (("t_1_1", "t_1_1"),)}
     with pytest.raises(ValueError):
         verify_lr((1,), (1,), {"s_1_1": 2, "t_1_1": 3}, 2, fillings=bad)
+    # a filling for a shape outside the expansion would never be used
+    stray = {(5,): (("s_1_1",),)}
+    with pytest.raises(ValueError, match=r"outside the expansion: \[\(5,\)\]"):
+        verify_lr((1,), (1,), {"s_1_1": 2, "t_1_1": 3}, 2, fillings=stray)
 
 
 def test_verify_insertion_term_h_examples():
