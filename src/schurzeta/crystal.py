@@ -7,6 +7,7 @@ role of the absent value outside the crystal.
 """
 
 from collections import Counter
+from itertools import accumulate
 
 from .partitions import Partition, as_partition
 from .tableaux import Tableau, cached_ssyt, is_ssyt, reading_word
@@ -138,31 +139,51 @@ def weight_partition(word, n: int) -> Partition:
     return as_partition(wt(word, n))
 
 
+def _extend_phi(word: TensorWord, phi: list[int]) -> list[int] | None:
+    """Extend phi, the vector (phi_1, .., phi_n) of a highest-weight word
+    after index 0, which is unused, in place to word followed by that
+    word: by the tensor-product rule, scanning word from the right, a
+    letter x takes one from phi_(x-1) and adds one to phi_x.  None when
+    some e_i acts, that is when a letter i + 1 meets phi_i = 0, e's own
+    test.  phi_n counts the letters n."""
+    for x in reversed(word):
+        if x > 1:
+            if not phi[x - 1]:
+                return None
+            phi[x - 1] -= 1
+        phi[x] += 1
+    return phi
+
+
 def decompose_product(mu, nu, n: int) -> Counter:
     """Multiset of partitions labelling the components of the product of
     the two tableau crystals, found by highest-weight search over the
     concatenated reading words.
 
-    e_i acts on a letter of a suffix exactly when it acts there on the
-    whole word, so a word is highest weight only if every suffix is; only
-    right factors whose own reading word is highest weight are tried."""
+    e_i acts on a word exactly when it acts on a letter of some suffix,
+    so a word is highest weight only if every suffix is.  One
+    tensor-rule scan per right word (_extend_phi) gives its phi vector
+    and drops the right words some e_i acts on; each left word then
+    extends each kept vector.  A highest-weight word of weight lam has
+    phi_i = lam_i - lam_(i+1), so lam is read off the final vector."""
     mu, nu = as_partition(mu), as_partition(nu)
     if len(mu) > n or len(nu) > n:
         raise ValueError(f"shapes {mu}, {nu} need at most {n} rows")
     if not mu and not nu:
         raise ValueError("at least one factor must be a nonempty shape")
-    # the empty tableau's word is empty, which is_highest_weight rejects
-    rights = [
-        rw for rw in map(reading_word, cached_ssyt(nu, n))
-        if not rw or is_highest_weight(rw, n)
-    ]
+    tops = []
+    for right in cached_ssyt(nu, n):
+        phi = _extend_phi(reading_word(right), [0] * (n + 1))
+        if phi is not None:
+            tops.append(phi)
     out: Counter = Counter()
     for left in cached_ssyt(mu, n):
         lw = reading_word(left)
-        for rw in rights:
-            word = lw + rw
-            if is_highest_weight(word, n):
-                out[weight_partition(word, n)] += 1
+        for top in tops:
+            phi = _extend_phi(lw, top.copy())
+            if phi is not None:
+                lam = list(accumulate(reversed(phi[1:])))[::-1]
+                out[tuple(x for x in lam if x)] += 1
     return out
 
 

@@ -6,6 +6,7 @@ increase left to right, columns strictly increase top to bottom).  Skew
 tableaux carry outer/inner shapes plus the entries of the skew cells only.
 """
 
+from collections import Counter
 from functools import cache
 from typing import NamedTuple
 
@@ -232,3 +233,55 @@ def lr_coefficient(mu, nu, lam) -> int:
         return 0
     fillings = enumerate_skew_ssyt(lam, mu, len(nu) if nu else 1, weight=nu)
     return sum(1 for st in fillings if is_yamanouchi(reading_word(st)))
+
+
+def lr_fillings(outer, inner) -> Counter:
+    """Counter nu -> the number of skew SSYT of shape outer/inner with
+    weight nu whose reading word is Yamanouchi; empty when inner is not
+    inside outer.
+
+    The cells are filled in reverse reading order, rows top to bottom and
+    each row right to left, so every partial filling holds a suffix of the
+    reading word.  A cell takes a value at most its right neighbour and
+    greater than the cell above, both filled before it, and a value v > 1
+    is skipped once its count would exceed the count of v - 1: every
+    partial filling is then a Yamanouchi suffix, and every complete one
+    is counted."""
+    outer, inner = as_partition(outer), as_partition(inner)
+    out: Counter = Counter()
+    if not contains(outer, inner):
+        return out
+    inner_pad = inner + (0,) * (len(outer) - len(inner))
+    order = [
+        (i, j)
+        for i in range(len(outer))
+        for j in range(outer[i] - 1, inner_pad[i] - 1, -1)
+    ]
+    grid: dict[tuple[int, int], int] = {}
+    # counts[v] for the letters v = 1 .. len(counts) - 1 placed so far,
+    # each at least 1 and at most the count before it; index 0 is unused
+    counts = [0]
+
+    def fill(idx: int) -> None:
+        if idx == len(order):
+            out[tuple(counts[1:])] += 1
+            return
+        i, j = order[idx]
+        lo = grid.get((i - 1, j), 0) + 1
+        hi = min(grid.get((i, j + 1), len(counts)), len(counts))
+        for v in range(lo, hi + 1):
+            # a new letter always fits: the letter before it occurs
+            if v == len(counts):
+                counts.append(0)
+            elif v > 1 and counts[v] == counts[v - 1]:
+                continue
+            counts[v] += 1
+            grid[i, j] = v
+            fill(idx + 1)
+            counts[v] -= 1
+            if not counts[v]:
+                counts.pop()
+        grid.pop((i, j), None)
+
+    fill(0)
+    return out

@@ -59,16 +59,39 @@ def test_lr_triple_oracle_fails_on_weak_row_bump(monkeypatch):
 
 
 def test_lr_triple_oracle_fails_on_false_highest_weight(monkeypatch):
-    # (1, 2, 2, 1) is mu=(2) times nu=(1,1); its right factor (2, 1) is
-    # highest weight, so the pruned search still tests the whole word
-    honest = crystal.is_highest_weight
+    # (1, 2, 2, 1) is mu=(2) times nu=(1,1): its right factor (2, 1) is
+    # highest weight and leaves phi_1 = 0, so e_1 acts on the left factor's
+    # 2; the fault lets the whole word through, at its weight (2, 2)
+    honest = crystal._extend_phi
+    n = 4
+    right = honest((2, 1), [0] * (n + 1))
 
-    def faulty(word, n):
-        return tuple(word) == (1, 2, 2, 1) or honest(word, n)
+    def faulty(word, phi):
+        if tuple(word) == (1, 2) and phi == right:
+            return honest((2, 2, 1, 1), [0] * (n + 1))
+        return honest(word, phi)
 
-    monkeypatch.setattr(crystal, "is_highest_weight", faulty)
+    monkeypatch.setattr(crystal, "_extend_phi", faulty)
     result = acceptance.criterion_lr_triple_oracle(quick=True)
     assert not result.passed and "(2,),(1, 1),(2, 2)" in result.detail
+
+
+def test_lr_triple_oracle_fails_on_miscounted_filling(monkeypatch):
+    # one extra Yamanouchi filling of (2, 1)/(1,) of weight (1, 1)
+    honest = tableaux.lr_fillings
+
+    def faulty(outer, inner):
+        out = honest(outer, inner)
+        if (outer, inner) == ((2, 1), (1,)):
+            out[1, 1] += 1
+        return out
+
+    monkeypatch.setattr(tableaux, "lr_fillings", faulty)
+    result = acceptance.criterion_lr_triple_oracle(quick=True)
+    assert not result.passed
+    assert result.detail.startswith(
+        "crystal multiplicity != Yamanouchi count at (1,),(1, 1),(2, 1): 1 != 2"
+    )
 
 
 def test_criteria_keep_their_numbers_names_and_order():

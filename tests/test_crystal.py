@@ -107,9 +107,10 @@ def brute_decompose_product(mu, nu, n):
 
 
 def test_decompose_product_matches_unpruned_search():
+    # every pair of shapes of criterion 4, and the empty shape
     for n in range(1, 5):
-        for a in range(4):
-            for b in range(4):
+        for a in range(5):
+            for b in range(5):
                 if a == b == 0:
                     continue
                 for mu in all_partitions(a, max_length=n):

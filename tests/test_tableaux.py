@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from schurzeta.crystal import decompose_product
-from schurzeta.partitions import all_partitions, cells, conjugate
+from schurzeta.partitions import all_partitions, cells, conjugate, contains
 from schurzeta.tableaux import (
     SkewTableau,
     cached_ssyt,
@@ -13,6 +13,7 @@ from schurzeta.tableaux import (
     is_ssyt,
     is_yamanouchi,
     lr_coefficient,
+    lr_fillings,
     reading_word,
     shape_of,
     transpose,
@@ -111,6 +112,46 @@ def test_lr_coefficient_examples():
     assert lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == 2
     assert lr_coefficient((1,), (1,), (3,)) == 0
     assert lr_coefficient((2,), (1,), (1, 1, 1)) == 0
+
+
+def test_lr_fillings_examples():
+    assert lr_fillings((3, 2, 1), (2, 1)) == {
+        (3,): 1, (2, 1): 2, (1, 1, 1): 1
+    }
+    assert lr_fillings((2,), (2,)) == {(): 1}
+    assert lr_fillings((1,), (2,)) == {}
+
+
+def test_lr_fillings_match_lr_coefficient():
+    # every triple of criterion 4: sizes 1..4 at most 4 rows
+    triples = [
+        (mu, nu, lam)
+        for a in range(1, 5)
+        for b in range(1, 5)
+        for mu in all_partitions(a, max_length=4)
+        for nu in all_partitions(b, max_length=4)
+        for lam in all_partitions(a + b, max_length=4)
+    ]
+    assert len(triples) == 1162
+    # 5-row outer shapes, empty inner shapes, and inner shapes not inside
+    triples += [
+        (mu, nu, lam)
+        for size in range(1, 7)
+        for lam in all_partitions(size)
+        if len(lam) == 5 or size <= 3
+        for a in range(size + 1)
+        for mu in all_partitions(a)
+        for nu in all_partitions(size - a)
+    ]
+    assert any(not mu for mu, _, _ in triples)
+    assert any(not contains(lam, mu) for mu, _, lam in triples)
+    fillings = {}
+    for mu, nu, lam in triples:
+        if (lam, mu) not in fillings:
+            fillings[lam, mu] = lr_fillings(lam, mu)
+        assert fillings[lam, mu][nu] == lr_coefficient(mu, nu, lam), (mu, nu, lam)
+    for (lam, mu), counts in fillings.items():
+        assert all(sum(nu) == sum(lam) - sum(mu) for nu in counts)
 
 
 def test_lr_symmetry_with_crystal_referee():

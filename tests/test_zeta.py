@@ -374,6 +374,18 @@ def test_work_guard_refuses_large_sums_before_building_them(label, call, work):
     assert time.perf_counter() - start < 0.5, label
 
 
+def test_work_guard_refuses_either_side_before_any_level_dp():
+    # the left side, 2**14 * 16 * 3 = 786,432 units, is admitted; the right
+    # side is refused before the left side's DP runs
+    assign = _distinct(seq_vars(7, "s_1") + seq_vars(7, "t_1"))
+    zmod._product_sum.cache_clear()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="predicted work of 2,211,840 units"):
+        verify_lr((7,), (7,), assign, 3)
+    assert time.perf_counter() - start < 0.05
+    assert zmod._product_sum.cache_info().misses == 0
+
+
 def test_insertion_term_work_guard(monkeypatch):
     # four distinct symmetrized values: 2**4 count vectors times 4 draws
     assign = {"s_1_1": 2, "s_1_2": 5, "t_1": 3, "t_2": 4}
