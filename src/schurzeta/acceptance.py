@@ -29,11 +29,14 @@ class CriterionResult:
     seconds: float
 
 
-def seeded_assignment(names, seed: int, lo: int = 1, hi: int = 5) -> dict:
+VALUES = range(1, 6)
+
+
+def seeded_assignment(names, seed: int) -> dict:
     rng = random.Random(seed)
     pool: list[int] = []
     while len(pool) < len(names):
-        block = list(range(lo, hi + 1))
+        block = list(VALUES)
         rng.shuffle(block)
         pool.extend(block)
     return dict(zip(names, pool))

@@ -4,13 +4,15 @@ combinatorial Littlewood-Richardson coefficient.
 A tableau is a tuple of row tuples of positive integers (rows weakly
 increase left to right, columns strictly increase top to bottom).  Skew
 tableaux carry outer/inner shapes plus the entries of the skew cells only.
+A straight shape is the skew shape over the empty inner shape: one filler
+enumerates both, and one check tests both.
 """
 
 from collections import Counter
 from functools import cache
 from typing import NamedTuple
 
-from .partitions import Partition, as_partition, conjugate, contains
+from .partitions import Partition, as_partition, contains
 
 Tableau = tuple[tuple[int, ...], ...]
 Word = tuple[int, ...]
@@ -55,15 +57,22 @@ def is_ssyt(t) -> bool:
     return _semistandard(t)
 
 
-def _semistandard(t: Tableau) -> bool:
-    """is_ssyt of a tableau that as_tableau has already normalized."""
-    for row in t:
+def _semistandard(rows, inner: Partition = ()) -> bool:
+    """Whether integer rows, row i filling columns inner[i]+1 onwards
+    (inner padded with zeros), are positive, weakly increase along each
+    row and strictly down each column.  The shapes are not checked."""
+    for row in rows:
         for a, b in zip(row, row[1:]):
             if b < a:
                 return False
         if row and row[0] < 1:
             return False
-    for upper, lower in zip(t, t[1:]):
+    below = rows[1:]
+    if inner:
+        # drop the cells of each lower row that sit below the inner shape
+        pad = inner + (0,) * (len(rows) - len(inner))
+        below = [row[p - q:] for row, p, q in zip(below, pad, pad[1:])]
+    for upper, lower in zip(rows, below):
         for a, b in zip(upper, lower):
             if b <= a:
                 return False
@@ -74,55 +83,73 @@ def is_skew_ssyt(st: SkewTableau) -> bool:
     outer, inner = as_partition(st.outer), as_partition(st.inner)
     if not contains(outer, inner):
         return False
-    inner_pad = inner + (0,) * (len(outer) - len(inner))
-    if tuple(len(r) for r in st.rows) != tuple(o - i for o, i in zip(outer, inner_pad)):
+    try:
+        rows = tuple(tuple(int(x) for x in row) for row in st.rows)
+    except (ValueError, TypeError):
         return False
-    grid = {}
-    for i, row in enumerate(st.rows):
-        for off, v in enumerate(row):
-            if v < 1:
-                return False
-            grid[(i, inner_pad[i] + off)] = v
-    for (i, j), v in grid.items():
-        if (i, j - 1) in grid and v < grid[(i, j - 1)]:
-            return False
-        if (i - 1, j) in grid and v <= grid[(i - 1, j)]:
-            return False
-    return True
+    inner_pad = inner + (0,) * (len(outer) - len(inner))
+    if shape_of(rows) != tuple(o - i for o, i in zip(outer, inner_pad)):
+        return False
+    return _semistandard(rows, inner)
+
+
+def _skew_fillings(outer: Partition, inner: Partition, n: int, weight=None) -> list[Tableau]:
+    """Rows of every skew SSYT of outer/inner (inner inside outer) with
+    entries in 1..n, of the given weight when one is given, in row-major
+    lexicographic order.
+
+    The skew cells fill one flat list in row-major order.  Each cell
+    holds the indices of its left neighbour and of the cell above (-1,
+    whose value 0 bounds nothing, when there is none) and the stop of its
+    range: one past n less the skew cells below it in its column."""
+    inner_pad = inner + (0,) * (len(outer) - len(inner))
+    index: dict[tuple[int, int], int] = {}
+    cells, bounds = [], []
+    for i, (a, b) in enumerate(zip(inner_pad, outer)):
+        bounds.append((len(cells), len(cells) + b - a))
+        for j in range(a, b):
+            index[i, j] = len(cells)
+            below = sum(1 for k in range(i + 1, len(outer)) if inner_pad[k] <= j < outer[k])
+            top = n - below if weight is None else min(n - below, len(weight))
+            cells.append((index.get((i, j - 1), -1), index.get((i - 1, j), -1), top + 1))
+    size = len(cells)
+    vals = [0] * (size + 1)
+    # room[v]: how many more v's the weight allows
+    room = None if weight is None else [0, *weight]
+    out = []
+
+    def fill(k: int) -> None:
+        if k == size:
+            out.append(tuple([tuple(vals[a:b]) for a, b in bounds]))
+            return
+        left, up, stop = cells[k]
+        lo = vals[up] + 1
+        if vals[left] > lo:
+            lo = vals[left]
+        # no room test per value without a weight: cached_ssyt's hot loop
+        if room is None:
+            for v in range(lo, stop):
+                vals[k] = v
+                fill(k + 1)
+            return
+        for v in range(lo, stop):
+            if room[v] > 0:
+                vals[k] = v
+                room[v] -= 1
+                fill(k + 1)
+                room[v] += 1
+
+    if weight is None or sum(weight) == size:
+        fill(0)
+    return out
 
 
 @cache
 def cached_ssyt(shape: Partition, n: int) -> tuple[Tableau, ...]:
     """All SSYT of the given shape with entries in 1..n, row-major
-    lexicographic order.  Cached; treat the result as immutable."""
-    shape = as_partition(shape)
-    if not shape:
-        return ((),)
-    if len(shape) > n:
-        return ()
-    conj = conjugate(shape)
-    rows = [[0] * part for part in shape]
-    order = [(i, j) for i, part in enumerate(shape) for j in range(part)]
-    out = []
-
-    def fill(idx: int) -> None:
-        if idx == len(order):
-            out.append(tuple(tuple(r) for r in rows))
-            return
-        i, j = order[idx]
-        lo = 1
-        if j > 0:
-            lo = rows[i][j - 1]
-        if i > 0:
-            lo = max(lo, rows[i - 1][j] + 1)
-        # leave room for the strictly increasing column below
-        hi = n - (conj[j] - 1 - i)
-        for v in range(lo, hi + 1):
-            rows[i][j] = v
-            fill(idx + 1)
-
-    fill(0)
-    return tuple(out)
+    lexicographic order: the skew fillings over the empty inner shape.
+    Cached; treat the result as immutable."""
+    return tuple(_skew_fillings(as_partition(shape), (), n))
 
 
 def enumerate_ssyt(shape, n: int) -> list[Tableau]:
@@ -138,57 +165,7 @@ def enumerate_skew_ssyt(outer, inner, n: int, weight=None) -> list[SkewTableau]:
     outer, inner = as_partition(outer), as_partition(inner)
     if not contains(outer, inner):
         raise ValueError(f"inner {inner} not contained in outer {outer}")
-    inner_pad = inner + (0,) * (len(outer) - len(inner))
-    quota = list(weight) if weight is not None else None
-    if quota is not None and sum(quota) != sum(outer) - sum(inner):
-        return []
-    order = [
-        (i, j)
-        for i in range(len(outer))
-        for j in range(inner_pad[i], outer[i])
-    ]
-    grid = {}
-    counts = [0] * (len(quota) if quota is not None else 0)
-    out = []
-
-    def below(i: int, j: int) -> int:
-        c = 0
-        k = i + 1
-        while k < len(outer) and inner_pad[k] <= j < outer[k]:
-            c += 1
-            k += 1
-        return c
-
-    def fill(idx: int) -> None:
-        if idx == len(order):
-            rows = tuple(
-                tuple(grid[(i, j)] for j in range(inner_pad[i], outer[i]))
-                for i in range(len(outer))
-            )
-            out.append(SkewTableau(outer, inner, rows))
-            return
-        i, j = order[idx]
-        lo = 1
-        if (i, j - 1) in grid:
-            lo = grid[(i, j - 1)]
-        if (i - 1, j) in grid:
-            lo = max(lo, grid[(i - 1, j)] + 1)
-        hi = n - below(i, j)
-        if quota is not None:
-            hi = min(hi, len(quota))
-        for v in range(lo, hi + 1):
-            if quota is not None and counts[v - 1] >= quota[v - 1]:
-                continue
-            grid[(i, j)] = v
-            if quota is not None:
-                counts[v - 1] += 1
-            fill(idx + 1)
-            del grid[(i, j)]
-            if quota is not None:
-                counts[v - 1] -= 1
-
-    fill(0)
-    return out
+    return [SkewTableau(outer, inner, rows) for rows in _skew_fillings(outer, inner, n, weight)]
 
 
 def reading_word(t) -> Word:

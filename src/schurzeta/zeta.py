@@ -952,6 +952,21 @@ def _lr_expansion(mu: Partition, nu: Partition) -> Counter:
     return out
 
 
+@cache
+def _lr_setup(mu: Partition, nu: Partition, variant: int):
+    """(spec, factors, terms) of the Littlewood-Richardson identity of mu
+    and nu: the symmetrized set of all their variables, the left-hand
+    side's factors as (shape, var_rows), and per shape of the expansion,
+    in order, (lam, coefficient, canonical filling).  Cached."""
+    factors = ((mu, grid_vars(mu, "s")), (nu, grid_vars(nu, "t")))
+    spec = SymSpec(tuple(v for _, rows in factors for v in _flatten(rows)), frozenset())
+    terms = tuple(
+        (lam, coeff, canonical_filling(lam, mu, nu, variant))
+        for lam, coeff in _lr_expansion(mu, nu).items()
+    )
+    return spec, factors, terms
+
+
 def verify_lr(
     mu,
     nu,
@@ -968,24 +983,20 @@ def verify_lr(
     mu, nu = as_partition(mu), as_partition(nu)
     if not mu or not nu:
         raise ValueError("both shapes must be nonempty")
-    factors = [(mu, grid_vars(mu, "s")), (nu, grid_vars(nu, "t"))]
-    all_vars = [v for _, rows in factors for v in _flatten(rows)]
-    require_exact(assign, all_vars)
-    spec = SymSpec(tuple(all_vars), frozenset())
+    spec, factors, terms = _lr_setup(mu, nu, variant)
+    require_exact(assign, spec.symmetrized)
     overrides = {as_partition(k): tuple(tuple(r) for r in v) for k, v in (fillings or {}).items()}
-    expansion = _lr_expansion(mu, nu)
-    stray = sorted(overrides.keys() - expansion.keys())
+    stray = sorted(overrides.keys() - {lam for lam, _, _ in terms})
     if stray:
         raise ValueError(f"fillings for shapes outside the expansion: {stray}")
     rhs_terms = []
-    for lam, coeff in expansion.items():
-        filling = overrides.get(lam)
-        if filling is None:
-            filling = canonical_filling(lam, mu, nu, variant)
-        if sorted(_flatten(filling)) != sorted(all_vars):
-            raise ValueError(f"filling for {lam} must use every variable once")
-        if tuple(len(r) for r in filling) != lam:
-            raise ValueError(f"filling shape mismatch for {lam}")
+    for lam, coeff, filling in terms:
+        if lam in overrides:
+            filling = overrides[lam]
+            if sorted(_flatten(filling)) != sorted(spec.symmetrized):
+                raise ValueError(f"filling for {lam} must use every variable once")
+            if tuple(len(r) for r in filling) != lam:
+                raise ValueError(f"filling shape mismatch for {lam}")
         rhs_terms.append((coeff, [(lam, filling)]))
     lhs, rhs = _sym_sides([(1, factors)], rhs_terms, spec, assign, n_trunc)
     return IdentityReport(lhs, rhs, lhs == rhs, _vacuous_note(factors, n_trunc))

@@ -20,6 +20,7 @@ CACHES = (
     zeta._count_layers,
     zeta._product_sum,
     zeta._pieri_setup,
+    zeta._lr_setup,
 )
 
 

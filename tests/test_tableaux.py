@@ -1,9 +1,11 @@
+import sys
 from itertools import product
 
 import pytest
 
+from schurzeta import tableaux
 from schurzeta.crystal import decompose_product
-from schurzeta.partitions import all_partitions, cells, conjugate, contains
+from schurzeta.partitions import all_partitions, as_partition, cells, conjugate, contains
 from schurzeta.tableaux import (
     SkewTableau,
     cached_ssyt,
@@ -20,6 +22,64 @@ from schurzeta.tableaux import (
     weight,
 )
 from schurzeta.zeta import grid_vars
+
+
+def skew_oracle(st):
+    """Definitional skew SSYT test: place every entry in its cell and compare
+    each cell with its left neighbour and the cell above it."""
+    outer, inner = as_partition(st.outer), as_partition(st.inner)
+    if not contains(outer, inner):
+        return False
+    inner_pad = inner + (0,) * (len(outer) - len(inner))
+    if tuple(len(r) for r in st.rows) != tuple(o - i for o, i in zip(outer, inner_pad)):
+        return False
+    grid = {}
+    for i, row in enumerate(st.rows):
+        for off, v in enumerate(row):
+            if v < 1:
+                return False
+            grid[(i, inner_pad[i] + off)] = v
+    for (i, j), v in grid.items():
+        if (i, j - 1) in grid and v < grid[(i, j - 1)]:
+            return False
+        if (i - 1, j) in grid and v <= grid[(i - 1, j)]:
+            return False
+    return True
+
+
+def skew_fillings(outer, inner, values):
+    """Every filling of the cells of outer/inner by the values, rows of the
+    skew cells only, in row-major lexicographic order."""
+    inner_pad = inner + (0,) * (len(outer) - len(inner))
+    lengths = [o - i for o, i in zip(outer, inner_pad)]
+    for flat in product(values, repeat=sum(lengths)):
+        rows, start = [], 0
+        for length in lengths:
+            rows.append(flat[start:start + length])
+            start += length
+        yield tuple(rows)
+
+
+def skew_pairs(max_size):
+    """(outer, inner) for every outer of size <= max_size and every inner
+    inside it."""
+    for size in range(max_size + 1):
+        for outer in all_partitions(size):
+            for a in range(size + 1):
+                for inner in all_partitions(a):
+                    if contains(outer, inner):
+                        yield outer, inner
+
+
+def compositions(total, parts):
+    """Every vector of parts nonnegative integers summing to total."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first, *rest)
 
 
 def brute_ssyt(shape, n):
@@ -54,9 +114,78 @@ def test_enumerate_ssyt_examples():
 
 
 def test_enumerate_ssyt_matches_brute_force():
-    for shape in [(1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1)]:
-        for n in (1, 2, 3):
-            assert enumerate_ssyt(shape, n) == brute_ssyt(shape, n)
+    # 4-row shapes at n = 4 leave no room in their first column
+    for size in range(1, 6):
+        for shape in all_partitions(size):
+            for n in (1, 2, 3, 4):
+                assert enumerate_ssyt(shape, n) == brute_ssyt(shape, n), (shape, n)
+
+
+def padded_weight(st, parts):
+    """The weight of st as a vector of the given length, or None when an
+    entry exceeds it."""
+    w = weight(st)
+    if len(w) > parts:
+        return None
+    return w + (0,) * (parts - len(w))
+
+
+def test_enumerate_skew_ssyt_matches_brute_force():
+    for outer, inner in skew_pairs(5):
+        size = sum(outer) - sum(inner)
+        for n in (0, 1, 2, 3):
+            brute = [
+                SkewTableau(outer, inner, rows)
+                for rows in skew_fillings(outer, inner, range(1, n + 1))
+                if skew_oracle(SkewTableau(outer, inner, rows))
+            ]
+            assert enumerate_skew_ssyt(outer, inner, n) == brute, (outer, inner, n)
+            for parts in range(n + 1):
+                for w in compositions(size, parts):
+                    want = [st for st in brute if padded_weight(st, parts) == w]
+                    got = enumerate_skew_ssyt(outer, inner, n, weight=w)
+                    assert got == want, (outer, inner, n, w)
+            assert enumerate_skew_ssyt(outer, inner, n, weight=(size + 1,)) == []
+
+
+def test_fillings_have_no_dead_ends():
+    # each cell's range leaves room for the column below it, so when some
+    # tableau exists every partial filling the search visits completes
+    fill_calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal fill_calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "fill" and code.co_filename == tableaux.__file__:
+            fill_calls += 1
+
+    for outer, inner in skew_pairs(5):
+        for n in (1, 2, 3, 4):
+            fill_calls = 0
+            sys.setprofile(profile)
+            try:
+                found = enumerate_skew_ssyt(outer, inner, n)
+            finally:
+                sys.setprofile(None)
+            size = sum(outer) - sum(inner)
+            if found:
+                assert fill_calls <= 1 + size * len(found), (outer, inner, n)
+
+
+def test_semistandard_checks_match_the_oracle():
+    for outer, inner in skew_pairs(5):
+        for rows in skew_fillings(outer, inner, range(4)):
+            st = SkewTableau(outer, inner, rows)
+            expected = skew_oracle(st)
+            assert is_skew_ssyt(st) == expected, st
+            if not inner:
+                assert is_ssyt(rows) == expected, rows
+
+
+def test_is_skew_ssyt_rejects_non_integer_entries():
+    assert not is_skew_ssyt(SkewTableau((2,), (), ((1, "a"),)))
+    assert not is_skew_ssyt(SkewTableau((2, 1), (1,), ((None,), (2,))))
+    assert not is_ssyt(((1, "a"),))
 
 
 def test_enumeration_monotone_and_clean():
