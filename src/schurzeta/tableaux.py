@@ -161,10 +161,15 @@ def enumerate_ssyt(shape, n: int) -> list[Tableau]:
 
 def enumerate_skew_ssyt(outer, inner, n: int, weight=None) -> list[SkewTableau]:
     """All skew SSYT of shape outer/inner over 1..n, optionally restricted
-    to a given weight vector."""
+    to a given weight vector, a tuple of integers >= 0."""
     outer, inner = as_partition(outer), as_partition(inner)
     if not contains(outer, inner):
         raise ValueError(f"inner {inner} not contained in outer {outer}")
+    if weight is not None and not (
+        isinstance(weight, tuple)
+        and all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in weight)
+    ):
+        raise ValueError(f"weight must be a tuple of integers >= 0, got {weight!r}")
     return [SkewTableau(outer, inner, rows) for rows in _skew_fillings(outer, inner, n, weight)]
 
 

@@ -8,17 +8,20 @@ arbitrary-precision rationals) or floats.  The identity checks run in
 exact mode only: the truncated identities hold for every truncation level
 and every integer assignment, so equality is tested with zero tolerance.
 
-Every sum over tableaux walks one strip graph (_strip_graph): its nodes
-are the sub-shapes of the shape and its edges the horizontal strips
+Every sum over tableaux walks strip graphs (_strip_graph): the nodes of
+a shape's graph are its sub-shapes and its edges the horizontal strips
 between them.  A tableau with entries <= N is a path of N strips through
 it, one per level, so a sum over tableaux is a DP over the levels
-a = 1..N.  The exact sums keep per sub-shape a weight per count vector of
-the symmetrized values drawn so far: for distinct values of
-multiplicities m_i there are prod(m_i + 1) count vectors (2^k for k
-distinct values), where an enumeration visits about N^|shape| tableaux.
-A product is one walk: each factor's DP starts from the count vectors the
-factors before it drew.  Float truncation and the untruncated limit walk
-the same graph in compensated floats, one sum per sub-shape, and the
+a = 1..N.  The exact sums keep per node a weight per count vector of the
+symmetrized values drawn so far: for distinct values of multiplicities
+m_i there are prod(m_i + 1) count vectors (2^k for k distinct values),
+where an enumeration visits about N^|shape| tableaux.  A side of an
+identity is one walk: the last factors of its terms share their
+sub-shapes in one union graph (_walk_graph), whose node is a sub-shape
+with the labels of its cells, and start from the count vectors the
+factors before them drew; a product walks the factor with fewer
+sub-shapes first.  Float truncation and the untruncated limit walk one
+shape's graph in compensated floats, one sum per sub-shape, and the
 limit's tail terms follow from the same strips' exponent sums.
 """
 
@@ -54,9 +57,9 @@ from .tableaux import (
 VarRows = tuple[tuple[str, ...], ...]
 
 # The most predicted work (_sym_work) a symmetrized sum may take on.  On a
-# 2-core VM with Python 3.11 a unit costs 1-5 us up to N = 10 and about
-# 10 us at N = 20-24, as the integer weights grow with N, so the largest
-# identities admitted there take about 10 s.
+# 2-core VM with Python 3.11 a unit costs 0.2-0.6 us up to N = 10 and
+# about 1 us at N = 20-24, as the integer weights grow with N, so the
+# largest identities admitted there take a few seconds.
 WORK_LIMIT = 2_000_000
 
 
@@ -208,24 +211,60 @@ def _strip_graph(shape: Partition):
     return tuple(nodes), index[(0,) * rows], index[shape], need, succ
 
 
-def _node_sums(shape: Partition, kinds: tuple):
-    """(depth, fixed) per node of the strip graph, for the row-major cell
-    kinds: an exponent for a fixed cell, None for a symmetrized one.  depth
-    counts the node's symmetrized cells and fixed sums its fixed exponents,
-    so a strip from mu to nu has depth[nu] - depth[mu] symmetrized cells
-    and fixed exponent sum fixed[nu] - fixed[mu].  Not cached: the float
-    walks pass Fraction kinds, which hash and compare equal to integer ones,
-    and a shared cache would hand Fraction sums to the exact path."""
-    sym_prefix, fixed_prefix, start = [], [], 0
+def _node_sums(shape: Partition, kinds: tuple) -> tuple:
+    """The exponent sum per node of the strip graph, for the row-major
+    cell exponents kinds, so a strip from mu to nu has exponent sum
+    fixed[nu] - fixed[mu].  The float walks' kinds are Fractions."""
+    prefix, start = [], 0
     for part in shape:
-        row = kinds[start:start + part]
+        prefix.append(list(accumulate(kinds[start:start + part], initial=0)))
         start += part
-        sym_prefix.append(list(accumulate((x is None for x in row), initial=0)))
-        fixed_prefix.append(list(accumulate((x or 0 for x in row), initial=0)))
-    nodes = _strip_graph(shape)[0]
-    depth = tuple(sum(p[x] for p, x in zip(sym_prefix, mu)) for mu in nodes)
-    fixed = tuple(sum(p[x] for p, x in zip(fixed_prefix, mu)) for mu in nodes)
-    return depth, fixed
+    return tuple(sum(p[x] for p, x in zip(prefix, mu)) for mu in _strip_graph(shape)[0])
+
+
+@cache
+def _walk_graph(ends: tuple):
+    """(start, at, depth, labels, need, succ): the union of the strip graphs
+    of the ends (shape, labels), labels the row-major labels of the cells:
+    None for a drawn cell, the fixed variable's name otherwise.  A node is
+    a sub-shape with the labels of its cells, kept as its nonempty label
+    rows, so ends that contain the same sub-shape labelled alike share its
+    node.  start is the empty shape's node and at[i] the node of end i; per
+    node, depth counts its drawn cells, labels lists its fixed labels, need
+    is the fewest levels in which an end that holds the node can still be
+    filled from it, and succ lists the nodes one horizontal strip away,
+    the empty strip included, in order of need.  A strip joins two nodes of
+    one end, and the labels of a node fix those of every node inside it,
+    so every path into at[i] is a tableau of end i alone."""
+    index: dict[tuple, int] = {}
+    need: list[int] = []
+    succ: list[set] = []
+    at = []
+    for shape, labels in ends:
+        nodes, _, end, node_need, node_succ = _strip_graph(shape)
+        rows = [labels[a - b:a] for a, b in zip(accumulate(shape), shape)]
+        ids = []
+        for mu, n in zip(nodes, node_need):
+            key = tuple(row[:x] for row, x in zip(rows, mu) if x)
+            k = index.setdefault(key, len(need))
+            if k == len(need):
+                need.append(n)
+                succ.append(set())
+            elif n < need[k]:
+                need[k] = n
+            ids.append(k)
+        for k, nus in zip(ids, node_succ):
+            succ[k].update(ids[nu] for nu in nus)
+        at.append(ids[end])
+    keys = list(index)
+    return (
+        index[()],
+        tuple(at),
+        tuple(sum(x is None for row in key for x in row) for key in keys),
+        tuple(tuple(x for row in key for x in row if x is not None) for key in keys),
+        tuple(need),
+        tuple(tuple(sorted(nus, key=need.__getitem__)) for nus in succ),
+    )
 
 
 @cache
@@ -259,23 +298,22 @@ def _draw(vec, moves, q, size: int) -> list:
     return out
 
 
-def _levels(shape, kinds, n_trunc: int, values, caps, layer: int, init) -> tuple[int, list]:
-    """The sum over the SSYT of shape with entries <= n_trunc, its cells of
-    the given kinds (integer exponents or None), started from the weight
-    vector init over layer `layer` of _count_layers(caps), as (k, out): out
-    holds the sum per count vector of layer k, k = layer plus the number of
-    symmetrized cells, and is empty when no SSYT exists.  values are
+def _levels(ends, exps, n_trunc: int, values, caps, layer: int, init) -> list:
+    """Per end (shape, labels), the sum over its SSYT with entries <=
+    n_trunc, one walk over the union of the ends' strip graphs
+    (_walk_graph) started from the weight vector init over layer `layer` of
+    _count_layers(caps): (k, out) per end, out the sum per count vector of
+    layer k, k = layer plus the end's drawn cells, and empty when no SSYT
+    exists.  exps maps each fixed label to its exponent.  values are
     distinct, drawn at most caps times each; at level a the fixed exponent
     sum F of a strip weighs (L // a)**F and drawing value v weighs
     (L // a)**v, L = lcm(1..N).  Linear in init, and a draw stops at caps,
     so out pairs each count vector of init with every count vector the
-    shape draws on top of it within caps.  Sub-shapes that cannot fill
-    shape in the levels left are pruned."""
-    if len(shape) > n_trunc:
-        return layer, []
+    end draws on top of it within caps.  Nodes that no end can fill in the
+    levels left are pruned."""
     scale = _lcm_upto(n_trunc)
-    _, start, end, need, succ = _strip_graph(shape)
-    depth, fixed = _node_sums(shape, kinds)
+    start, at, depth, labels, need, succ = _walk_graph(ends)
+    fixed = [sum(map(exps.__getitem__, names)) for names in labels]
     layers, moves = _count_layers(caps)
     state = {start: list(init)}
     for a in range(1, n_trunc + 1):
@@ -305,27 +343,40 @@ def _levels(shape, kinds, n_trunc: int, values, caps, layer: int, init) -> tuple
                     for j, x in enumerate(src):
                         tgt[j] += w * x
         state = nxt
-    return layer + depth[end], state[end]
+    return [(layer + depth[e], state.get(e, [])) for e in at]
 
 
 def _lcm_upto(n: int) -> int:
     return math.lcm(*range(1, n + 1))
 
 
+def _fixed_pairs(factors, exps) -> tuple:
+    """The (label, exponent) pairs of the factors' fixed labels, in order
+    of first appearance: with the factors, the key of their walk."""
+    return tuple({x: exps[x] for _, labels in factors for x in labels if x is not None}.items())
+
+
 @cache
-def _product_sum(factors: tuple, n_trunc: int, values: tuple, caps: tuple):
-    """The exact level DP of a product of factors (shape, kinds), cached
-    per prefix: (F, k, vec) with F the fixed exponent total and vec over
+def _product_sum(prefix: tuple, ends: tuple, fixed: tuple, n_trunc: int, values: tuple, caps: tuple):
+    """The exact level DP of the product of the factors prefix with each of
+    the ends, factors as (shape, labels) and fixed their _fixed_pairs: per
+    end (F, k, vec) with F the product's fixed exponent total and vec over
     layer k of the count vectors c, each weight the sum for c scaled by
-    L**(F + c . values), L = lcm(1..N).  Each factor's walk starts from the
-    vector of the factors before it.  Every level weight (L // a)**e is an
-    integer."""
-    if not factors:
-        return 0, 0, (1,)
-    fixed, layer, vec = _product_sum(factors[:-1], n_trunc, values, caps)
-    shape, kinds = factors[-1]
-    k, vec = _levels(shape, kinds, n_trunc, values, caps, layer, vec)
-    return fixed + sum(x or 0 for x in kinds), k, tuple(vec)
+    L**(F + c . values), L = lcm(1..N).  The ends are one walk (_levels)
+    from the vector of the prefix, whose own walk is cached the same way,
+    one factor at a time.  Every level weight (L // a)**e is an integer."""
+    exps = dict(fixed)
+    if prefix:
+        ((total, layer, init),) = _product_sum(
+            prefix[:-1], prefix[-1:], _fixed_pairs(prefix, exps), n_trunc, values, caps
+        )
+    else:
+        total, layer, init = 0, 0, (1,)
+    walks = _levels(ends, exps, n_trunc, values, caps, layer, init)
+    return tuple(
+        (total + sum(exps[x] for x in labels if x is not None), k, tuple(vec))
+        for (_, labels), (k, vec) in zip(ends, walks)
+    )
 
 
 def _checked_exponents(shape: Partition, var_rows, assign) -> tuple[tuple, ...]:
@@ -353,7 +404,10 @@ def eval_zeta_truncated(shape, var_rows, assign, n_trunc: int):
         raise ValueError("truncation level must be >= 1")
     flat = tuple(x for row in _checked_exponents(shape, var_rows, assign) for x in row)
     if all(_is_exact_value(x) for x in flat):
-        fixed, _, vec = _product_sum(((shape, flat),), n_trunc, (), ())
+        labels = tuple(_flatten(var_rows))
+        ((fixed, _, vec),) = _product_sum(
+            (), ((shape, labels),), tuple(dict(zip(labels, flat)).items()), n_trunc, (), ()
+        )
         return Fraction(vec[0] if vec else 0, _lcm_upto(n_trunc) ** fixed)
     return float(next(_partial_sums(shape, tuple(map(Fraction, flat)), (n_trunc,))))
 
@@ -401,7 +455,7 @@ def _tail_terms(shape: Partition, kinds: tuple, cutoff) -> dict[Fraction, int]:
     run of terms stops there.
     """
     nodes, start, end, _, succ = _strip_graph(shape)
-    _, fixed = _node_sums(shape, kinds)
+    fixed = _node_sums(shape, kinds)
     grow: list[dict] = [{} for _ in nodes]
     grow[start][Fraction(0)] = 0
     for mu, terms in enumerate(grow):
@@ -435,7 +489,7 @@ def _partial_sums(shape: Partition, kinds: tuple, stops):
     Neumaier compensation term (every term is positive, so its branch
     compares the values themselves)."""
     nodes, start, end, _, succ = _strip_graph(shape)
-    _, fixed = _node_sums(shape, kinds)
+    fixed = _node_sums(shape, kinds)
     strips = [(mu, nu, -float(fixed[nu] - fixed[mu]))
               for mu in reversed(range(len(nodes))) for nu in succ[mu] if nu != mu]
     exponents = sorted({ex for _, _, ex in strips})
@@ -612,44 +666,50 @@ def e_sym_spec(lam, n: int) -> SymSpec:
     return _pieri_setup(as_partition(lam), n, "e")[0]
 
 
-def _term_sum(factors, flat, uses, sym, assign, n_trunc: int, values, caps) -> Fraction:
+def _terms_sum(checked, sym, assign, n_trunc: int, values, caps) -> Fraction:
     """Sum over the distinct assignments of a value multiset (distinct
-    values with multiplicities caps) to the symmetrized variables sym of the
-    product of the term's truncated factors, flat their cells and uses the
-    cell count of each variable of sym in them.
+    values with multiplicities caps) to the symmetrized variables sym of
+    sum(coeff * the product of the term's truncated factors) over the
+    checked terms of a _SymPlan.
 
-    A variable in one cell is drawn by the level DP, one walk per product:
-    each factor's walk starts from the count vectors the factors before it
-    drew.  A variable in no cell takes a leftover value, in
-    missing! / prod(left_i!) ways.  A variable in several cells is fixed by
-    an outer loop over its value, which turns its cells into fixed cells
-    and leaves one count fewer to draw.
+    A variable in one cell is drawn by the level DP.  A variable in no cell
+    of a term takes a leftover value, in missing! / prod(left_i!) ways.  A
+    variable in several cells is fixed by an outer loop over its value,
+    which turns its cells into fixed cells and leaves one count fewer to
+    draw.  The products that agree in all but their last factor, in the
+    counts left to draw, in the outer loop's values and in missing are one
+    _product_sum: one walk over the union of their last factors' strip
+    graphs, started from the vector of the factors before.
     """
-    repeated = [v for v, n in uses.items() if n > 1]
-    missing = len(sym) - len(uses)
+    groups: dict[tuple, dict] = {}
+    for coeff, factors, uses in checked:
+        repeated = [v for v, n in uses.items() if n > 1]
+        missing = len(sym) - len(uses)
+        *prefix, last = factors or [((), ())]
+        for pick in product(range(len(values)), repeat=len(repeated)):
+            left = list(caps)
+            for i in pick:
+                left[i] -= 1
+            if min(left, default=0) < 0:
+                continue
+            local = tuple((v, values[i]) for v, i in zip(repeated, pick))
+            ends = groups.setdefault((tuple(prefix), tuple(left), local, missing), {})
+            ends[last] = ends.get(last, 0) + coeff
     sums: dict[int, int] = {}  # exponent total E -> numerator over L**E
-    for pick in product(range(len(values)), repeat=len(repeated)):
-        left = list(caps)
-        for i in pick:
-            left[i] -= 1
-        if min(left, default=0) < 0:
-            continue
-        left = tuple(left)
-        local = {v: values[i] for v, i in zip(repeated, pick)}
-        kinds = (
-            tuple(local[v] if v in local else None if v in sym else assign[v] for v in cells)
-            for cells in flat
-        )
-        term = tuple((shape, k) for (shape, _), k in zip(factors, kinds))
-        fixed, depth, vec = _product_sum(term, n_trunc, values, left)
-        for c, w in zip(_count_layers(left)[0][depth], vec):
-            if missing:
-                ways = math.factorial(missing)
-                for x, m in zip(c, left):
-                    ways //= math.factorial(m - x)
-                w *= ways
-            e = fixed + sum(map(mul, c, values))
-            sums[e] = sums.get(e, 0) + w
+    for (prefix, left, local, missing), ends in groups.items():
+        exps = {**assign, **dict(local)}
+        fixed = _fixed_pairs(prefix + tuple(ends), exps)
+        walks = _product_sum(prefix, tuple(ends), fixed, n_trunc, values, left)
+        layers = _count_layers(left)[0]
+        for coeff, (total, depth, vec) in zip(ends.values(), walks):
+            for c, w in zip(layers[depth], vec):
+                if missing:
+                    ways = math.factorial(missing)
+                    for x, m in zip(c, left):
+                        ways //= math.factorial(m - x)
+                    w *= ways
+                e = total + sum(map(mul, c, values))
+                sums[e] = sums.get(e, 0) + coeff * w
     if not sums:
         return Fraction(0)
     scale, top = _lcm_upto(n_trunc), max(sums)
@@ -690,13 +750,13 @@ def _monomial_sym_sum(tabs, var_rows, sym, values, assign) -> Fraction:
 
 
 def _sym_work(terms, n_trunc: int, caps: tuple) -> int:
-    """The predicted work of _term_sum over the terms, from the shapes and
+    """The predicted work of _terms_sum over the terms, from the shapes and
     the value multiplicities caps alone: the level DP's prod(m_i + 1) count
     vectors times n_trunc times the largest, over the terms, of the value
     picks of a term's repeated variables times the summed sub-shapes of its
     factors."""
     units = 0
-    for _, factors, _, uses in terms:
+    for _, factors, uses in terms:
         picks = len(caps) ** sum(n > 1 for n in uses.values())
         nodes = sum(len(_strip_graph(shape)[0]) for shape, _ in factors)
         units = max(units, picks * nodes)
@@ -751,8 +811,10 @@ def sym_sum_direct(terms, spec, assign, n_trunc: int):
 
 class _SymPlan(tuple):
     """A symmetrized sum that _sym_plan has checked and admitted: (terms as
-    (coeff, factors, cells, uses), the symmetrized variables, the distinct
-    values, their multiplicities)."""
+    (coeff, factors, uses), the symmetrized variables, the distinct values,
+    their multiplicities).  A term's factors are (shape, labels) in the
+    order of their walk, the fewest sub-shapes first, and uses counts the
+    cells of each symmetrized variable in them."""
 
     __slots__ = ()
 
@@ -773,12 +835,17 @@ def _sym_plan(terms, spec: SymSpec, assign, n_trunc: int) -> _SymPlan:
             shape = as_partition(shape)
             if shape != tuple(len(r) for r in rows):
                 raise ValueError("factor shape and variable tableau differ")
-            shapes.append((shape, rows))
+            shapes.append((shape, _flatten(rows)))
         # a term with a factor of more rows than n_trunc is an empty sum
         if all(len(shape) <= n_trunc for shape, _ in shapes):
-            flat = [_flatten(rows) for _, rows in shapes]
-            uses = Counter(v for cells in flat for v in cells if v in sym)
-            checked.append((coeff, shapes, flat, uses))
+            uses = Counter(v for _, cells in shapes for v in cells if v in sym)
+            # a cell is drawn (None) when its variable is symmetrized and
+            # fills no other cell, else labelled by its variable
+            walk = sorted(
+                ((shape, tuple(None if uses[v] == 1 else v for v in cells)) for shape, cells in shapes),
+                key=lambda factor: len(_strip_graph(factor[0])[0]),
+            )
+            checked.append((coeff, walk, uses))
     _require_work(_sym_work(checked, n_trunc, caps))
     return _SymPlan((checked, sym, distinct, caps))
 
@@ -796,10 +863,7 @@ def sym_sum(terms, spec: SymSpec, assign, n_trunc: int) -> Fraction:
     if not isinstance(terms, _SymPlan):
         terms = _sym_plan(terms, spec, assign, n_trunc)
     checked, sym, distinct, caps = terms
-    total = Fraction(0)
-    for coeff, *term in checked:
-        total += coeff * _term_sum(*term, sym, assign, n_trunc, distinct, caps)
-    return total * math.prod(map(math.factorial, caps))
+    return _terms_sum(checked, sym, assign, n_trunc, distinct, caps) * math.prod(map(math.factorial, caps))
 
 
 def _sym_sides(lhs_terms, rhs_terms, spec: SymSpec, assign, n_trunc: int):

@@ -17,6 +17,7 @@ from schurzeta.partitions import all_partitions
 CACHES = (
     tableaux.cached_ssyt,
     zeta._strip_graph,
+    zeta._walk_graph,
     zeta._count_layers,
     zeta._product_sum,
     zeta._pieri_setup,

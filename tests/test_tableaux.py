@@ -210,6 +210,16 @@ def test_enumerate_skew_examples():
         enumerate_skew_ssyt((1,), (2,), 3)
 
 
+@pytest.mark.parametrize(
+    "bad", [(2, -1), (1.0,), (True,), [1], (1, "1")], ids=str
+)
+def test_enumerate_skew_ssyt_rejects_a_weight_not_of_nonnegative_integers(bad):
+    # only the weight's sum used to be compared with the skew size, so
+    # (2, -1) gave the one tableau of (1,) of weight (1,)
+    with pytest.raises(ValueError, match="weight"):
+        enumerate_skew_ssyt((1,), (), 2, weight=bad)
+
+
 def test_skew_enumeration_validates():
     for st in enumerate_skew_ssyt((3, 2, 1), (1, 1), 3):
         assert is_skew_ssyt(st)

@@ -7,7 +7,7 @@ from functools import cache
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import schurzeta.zeta as zmod
@@ -245,7 +245,7 @@ def test_sym_sum_fast_matches_direct():
 def test_sym_sum_fallback_when_variable_missing_from_term():
     # symmetrize over a variable that one term does not contain: it takes a
     # value the term's cells leave over, in missing! / prod(left_i!) ways
-    # (zeta._term_sum)
+    # (zeta._terms_sum)
     terms = [(1, [((1,), (("a",),))]), (2, [((1,), (("b",),))])]
     spec = SymSpec(("a", "b"), frozenset())
     assign = {"a": 2, "b": 3}
@@ -423,6 +423,129 @@ def test_vacuous_terms_run_no_level_dp(monkeypatch):
     rep = verify_pieri_e((1,), 3, _distinct([v for _, rows in factors for r in rows for v in r]), 2)
     assert rep.equal and rep.lhs == 0 and rep.note
     assert calls == []
+
+
+def _spy_levels(monkeypatch):
+    """Record the ends of every level walk, from cold caches."""
+    calls = []
+    levels = zmod._levels
+    monkeypatch.setattr(
+        zmod, "_levels", lambda ends, *args: calls.append(ends) or levels(ends, *args)
+    )
+    zmod._product_sum.cache_clear()
+    zmod._walk_graph.cache_clear()
+    return calls
+
+
+def test_pieri_right_side_is_one_walk(monkeypatch):
+    # the six strip shapes of (3,2) and a row of 3 share one union graph;
+    # the left side walks (3) first, the factor with fewer sub-shapes,
+    # then (3,2)
+    calls = _spy_levels(monkeypatch)
+    _, factors, extensions = _pieri_setup((3, 2), 3, "h")
+    names = [v for _, rows in factors for r in rows for v in r]
+    assert verify_pieri_h((3, 2), 3, _distinct(names), 4).equal
+    assert [[shape for shape, _ in ends] for ends in calls] == [
+        [(3,)], [(3, 2)], [grown for _, grown, _ in extensions],
+    ]
+    assert len(extensions) == 6
+
+
+def test_a_product_walks_its_factor_with_fewer_sub_shapes_first(monkeypatch):
+    # (3,1) has 7 sub-shapes and (4,2) has 12
+    names = (grid_vars((4, 2), "s"), grid_vars((3, 1), "t"))
+    spec = SymSpec(tuple(v for rows in names for r in rows for v in r), frozenset())
+    assign = _distinct(spec.symmetrized)
+    factors = [((4, 2), names[0]), ((3, 1), names[1])]
+    sums = []
+    for order in (factors, factors[::-1]):
+        calls = _spy_levels(monkeypatch)
+        sums.append(sym_sum([(1, order)], spec, assign, 3))
+        assert [[shape for shape, _ in ends] for ends in calls] == [[(3, 1)], [(4, 2)]]
+        monkeypatch.undo()
+    assert sums[0] == sums[1]
+
+
+SHARED_TERMS = {
+    # last factors of one, two and three rows in one walk
+    "row-counts": (
+        [
+            (1, [((2,), (("a", "b"),))]),
+            (2, [((1, 1), (("a",), ("b",)))]),
+            (-1, [((2, 1), (("a", "c"), ("b",)))]),
+        ],
+        SymSpec(("a", "b", "c"), frozenset()),
+    ),
+    # cell (1, 2) fixed to x in one term and to y in the other: the two
+    # ends share the sub-shapes that leave it out
+    "fixed-cell-differs": (
+        [(1, [((2, 1), (("a", "x"), ("b",)))]), (1, [((2, 1), (("a", "y"), ("b",)))])],
+        SymSpec(("a", "b"), frozenset({"x", "y"})),
+    ),
+    # (1,1,1) has more rows than N = 2, so its term is empty
+    "vacuous": (
+        [(1, [((1, 1, 1), (("a",), ("b",), ("c",)))]), (3, [((2,), (("a", "b"),))])],
+        SymSpec(("a", "b", "c"), frozenset()),
+    ),
+    # a fills two cells of its term, b is missing from it, d from both
+    "repeated-missing": (
+        [(1, [((2,), (("a", "a"),))]), (2, [((1, 1), (("b",), ("a",)))])],
+        SymSpec(("a", "b", "d"), frozenset()),
+    ),
+    # both products walk (1,) first, then their last factors as one walk
+    "shared-prefix": (
+        [
+            (1, [((2,), (("b", "c"),)), ((1,), (("a",),))]),
+            (2, [((1,), (("a",),)), ((1, 1), (("b",), ("c",)))]),
+        ],
+        SymSpec(("a", "b", "c"), frozenset()),
+    ),
+}
+
+
+@st.composite
+def shared_sym_sums(draw):
+    """Two to six terms of up to two factors drawn from a pool of four, so
+    that terms share prefixes and last factors, filled from a, b, c, d (the
+    first k symmetrized) and the fixed x, y."""
+    k = draw(st.integers(0, 4))
+    pool = []
+    for _ in range(4):
+        shape = draw(st.sampled_from([p for p in SMALL_SHAPES if 0 < sum(p) <= 3]))
+        rows = tuple(
+            tuple(draw(st.sampled_from(CELL_NAMES)) for _ in range(part))
+            for part in shape
+        )
+        pool.append((shape, rows))
+    terms = [
+        (draw(st.integers(-2, 3)), draw(st.lists(st.sampled_from(pool), max_size=2)))
+        for _ in range(draw(st.integers(2, 6)))
+    ]
+    assign = {v: draw(st.integers(0, 4)) for v in CELL_NAMES}
+    spec = SymSpec(CELL_NAMES[:k], frozenset({"x", "y"}))
+    return terms, spec, assign, draw(st.integers(1, 4))
+
+
+def _shared_example(case, values, n_trunc):
+    terms, spec = SHARED_TERMS[case]
+    return terms, spec, {**dict(zip("abcd", values)), "x": 2, "y": 3}, n_trunc
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_sym_sums())
+@example(_shared_example("row-counts", (1, 2, 3, 0), 3))
+@example(_shared_example("fixed-cell-differs", (2, 2, 0, 0), 3))
+@example(_shared_example("vacuous", (1, 2, 1, 0), 2))
+@example(_shared_example("repeated-missing", (2, 1, 0, 2), 3))
+@example(_shared_example("shared-prefix", (3, 1, 2, 0), 3))
+def test_a_sum_of_terms_is_the_sum_of_its_one_term_sums(case):
+    # the terms of a sum share walks; each term alone walks by itself
+    terms, spec, assign, n_trunc = case
+    total = sym_sum(terms, spec, assign, n_trunc)
+    assert total == sum(
+        (sym_sum([term], spec, assign, n_trunc) for term in terms), Fraction(0)
+    )
+    assert total == sym_sum_direct(terms, spec, assign, n_trunc)
 
 
 def brute_perm_weight(bases, values):
