@@ -209,12 +209,10 @@ def is_yamanouchi(word) -> bool:
 
 def lr_coefficient(mu, nu, lam) -> int:
     """Number of skew SSYT of shape lam/mu with weight nu whose reading
-    word is Yamanouchi; 0 on size mismatch or when mu is not inside lam."""
-    mu, nu, lam = as_partition(mu), as_partition(nu), as_partition(lam)
-    if not contains(lam, mu) or sum(lam) != sum(mu) + sum(nu):
-        return 0
-    fillings = enumerate_skew_ssyt(lam, mu, len(nu) if nu else 1, weight=nu)
-    return sum(1 for st in fillings if is_yamanouchi(reading_word(st)))
+    word is Yamanouchi (lr_fillings); 0 on size mismatch or when mu is not
+    inside lam."""
+    nu = as_partition(nu)
+    return lr_fillings(lam, mu)[nu]
 
 
 def lr_fillings(outer, inner) -> Counter:

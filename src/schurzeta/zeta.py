@@ -20,9 +20,12 @@ identity is one walk: the last factors of its terms share their
 sub-shapes in one union graph (_walk_graph), whose node is a sub-shape
 with the labels of its cells, and start from the count vectors the
 factors before them drew; a product walks the factor with fewer
-sub-shapes first.  Float truncation and the untruncated limit walk one
-shape's graph in compensated floats, one sum per sub-shape, and the
-limit's tail terms follow from the same strips' exponent sums.
+sub-shapes first.  The shapes and fillings of an identity's sides fix
+their plan (_SymPlan), so a verifier builds it once per identity and
+checks only the assignment and the truncation level per call.  Float
+truncation and the untruncated limit walk one shape's graph in
+compensated floats, one sum per sub-shape, and the limit's tail terms
+follow from the same strips' exponent sums.
 """
 
 import math
@@ -400,8 +403,7 @@ def eval_zeta_truncated(shape, var_rows, assign, n_trunc: int):
     finite numbers >= 0 (not bools) in both modes.
     """
     shape = as_partition(shape)
-    if n_trunc < 1:
-        raise ValueError("truncation level must be >= 1")
+    _require_level(n_trunc)
     flat = tuple(x for row in _checked_exponents(shape, var_rows, assign) for x in row)
     if all(_is_exact_value(x) for x in flat):
         labels = tuple(_flatten(var_rows))
@@ -666,50 +668,45 @@ def e_sym_spec(lam, n: int) -> SymSpec:
     return _pieri_setup(as_partition(lam), n, "e")[0]
 
 
-def _terms_sum(checked, sym, assign, n_trunc: int, values, caps) -> Fraction:
+def _terms_sum(plan: "_SymPlan", assign, n_trunc: int, values, caps) -> Fraction:
     """Sum over the distinct assignments of a value multiset (distinct
-    values with multiplicities caps) to the symmetrized variables sym of
-    sum(coeff * the product of the term's truncated factors) over the
-    checked terms of a _SymPlan.
+    values with multiplicities caps) to the symmetrized variables of
+    sum(coeff * the product of the term's truncated factors) over the terms
+    of the plan, those with more rows than n_trunc left out as empty sums.
 
     A variable in one cell is drawn by the level DP.  A variable in no cell
     of a term takes a leftover value, in missing! / prod(left_i!) ways.  A
     variable in several cells is fixed by an outer loop over its value,
     which turns its cells into fixed cells and leaves one count fewer to
-    draw.  The products that agree in all but their last factor, in the
-    counts left to draw, in the outer loop's values and in missing are one
-    _product_sum: one walk over the union of their last factors' strip
-    graphs, started from the vector of the factors before.
+    draw.  Each group of the plan is one _product_sum per pick of those
+    values: one walk over the union of its last factors' strip graphs,
+    started from the vector of the factors before.
     """
-    groups: dict[tuple, dict] = {}
-    for coeff, factors, uses in checked:
-        repeated = [v for v, n in uses.items() if n > 1]
-        missing = len(sym) - len(uses)
-        *prefix, last = factors or [((), ())]
+    sums: dict[int, int] = {}  # exponent total E -> numerator over L**E
+    for prefix, missing, repeated, group in plan.groups:
+        ends = [(last, coeff) for last, coeff, rows in group if rows <= n_trunc]
+        if not ends:
+            continue
+        lasts = tuple(last for last, _ in ends)
         for pick in product(range(len(values)), repeat=len(repeated)):
             left = list(caps)
             for i in pick:
                 left[i] -= 1
             if min(left, default=0) < 0:
                 continue
-            local = tuple((v, values[i]) for v, i in zip(repeated, pick))
-            ends = groups.setdefault((tuple(prefix), tuple(left), local, missing), {})
-            ends[last] = ends.get(last, 0) + coeff
-    sums: dict[int, int] = {}  # exponent total E -> numerator over L**E
-    for (prefix, left, local, missing), ends in groups.items():
-        exps = {**assign, **dict(local)}
-        fixed = _fixed_pairs(prefix + tuple(ends), exps)
-        walks = _product_sum(prefix, tuple(ends), fixed, n_trunc, values, left)
-        layers = _count_layers(left)[0]
-        for coeff, (total, depth, vec) in zip(ends.values(), walks):
-            for c, w in zip(layers[depth], vec):
-                if missing:
-                    ways = math.factorial(missing)
-                    for x, m in zip(c, left):
-                        ways //= math.factorial(m - x)
-                    w *= ways
-                e = total + sum(map(mul, c, values))
-                sums[e] = sums.get(e, 0) + coeff * w
+            left = tuple(left)
+            exps = {**assign, **{v: values[i] for v, i in zip(repeated, pick)}}
+            walks = _product_sum(prefix, lasts, _fixed_pairs(prefix + lasts, exps), n_trunc, values, left)
+            layers = _count_layers(left)[0]
+            for (_, coeff), (total, depth, vec) in zip(ends, walks):
+                for c, w in zip(layers[depth], vec):
+                    if missing:
+                        ways = math.factorial(missing)
+                        for x, m in zip(c, left):
+                            ways //= math.factorial(m - x)
+                        w *= ways
+                    e = total + sum(map(mul, c, values))
+                    sums[e] = sums.get(e, 0) + coeff * w
     if not sums:
         return Fraction(0)
     scale, top = _lcm_upto(n_trunc), max(sums)
@@ -749,17 +746,13 @@ def _monomial_sym_sum(tabs, var_rows, sym, values, assign) -> Fraction:
     return _permanent(tuple(bases.values()), values) / den
 
 
-def _sym_work(terms, n_trunc: int, caps: tuple) -> int:
-    """The predicted work of _terms_sum over the terms, from the shapes and
-    the value multiplicities caps alone: the level DP's prod(m_i + 1) count
-    vectors times n_trunc times the largest, over the terms, of the value
-    picks of a term's repeated variables times the summed sub-shapes of its
-    factors."""
-    units = 0
-    for _, factors, uses in terms:
-        picks = len(caps) ** sum(n > 1 for n in uses.values())
-        nodes = sum(len(_strip_graph(shape)[0]) for shape, _ in factors)
-        units = max(units, picks * nodes)
+def _sym_work(plan: "_SymPlan", n_trunc: int, caps: tuple) -> int:
+    """The predicted work of _terms_sum over the plan's terms of at most
+    n_trunc rows, from the shapes and the value multiplicities caps alone:
+    the level DP's prod(m_i + 1) count vectors times n_trunc times the
+    largest, over the terms, of the value picks of a term's repeated
+    variables times the summed sub-shapes of its factors."""
+    units = max((len(caps) ** r * nodes for rows, r, nodes in plan.sizes if rows <= n_trunc), default=0)
     return math.prod(m + 1 for m in caps) * units * n_trunc
 
 
@@ -768,11 +761,15 @@ def _require_work(work: int) -> None:
         raise ValueError(f"predicted work of {work:,} units exceeds the limit of {WORK_LIMIT:,}")
 
 
-def _check_spec_and_values(terms, spec, assign, n_trunc):
+def _require_level(n_trunc) -> None:
+    """A truncation level is an integer >= 1, not a bool."""
+    if not _is_exact_value(n_trunc) or n_trunc < 1:
+        raise ValueError(f"truncation level must be an integer >= 1, got {n_trunc!r}")
+
+
+def _check_spec_and_values(terms, spec, assign):
     """Validate a symmetrized sum's inputs; True when every exponent is an
     integer."""
-    if n_trunc < 1:
-        raise ValueError("truncation level must be >= 1")
     twice = sorted({v for v in spec.symmetrized if spec.symmetrized.count(v) > 1})
     if twice:
         raise ValueError(f"symmetrized variables named twice: {twice}")
@@ -795,7 +792,8 @@ def sym_sum_direct(terms, spec, assign, n_trunc: int):
     """Reference implementation: literal sum over all bijections of the
     symmetrized values.  Slower than sym_sum but definitionally direct;
     float exponents give a float sum."""
-    exact = _check_spec_and_values(terms, spec, assign, n_trunc)
+    _require_level(n_trunc)
+    exact = _check_spec_and_values(terms, spec, assign)
     values = tuple(assign[v] for v in spec.symmetrized)
     total = Fraction(0) if exact else 0.0
     for perm in permutations(values):
@@ -809,45 +807,88 @@ def sym_sum_direct(terms, spec, assign, n_trunc: int):
     return total
 
 
-class _SymPlan(tuple):
-    """A symmetrized sum that _sym_plan has checked and admitted: (terms as
-    (coeff, factors, uses), the symmetrized variables, the distinct values,
-    their multiplicities).  A term's factors are (shape, labels) in the
-    order of their walk, the fewest sub-shapes first, and uses counts the
-    cells of each symmetrized variable in them."""
+class _SymPlan(NamedTuple):
+    """The structure of a symmetrized sum, fixed by its terms and spec
+    alone and built without looking at an assignment or a truncation level
+    (_sym_plan).  Per call only the assignment and the level are checked
+    against it.
 
-    __slots__ = ()
+    names lists every variable the sum needs: those of its cells in order
+    of first use, then the symmetrized ones in no cell.  sizes gives per
+    term (rows, repeated, nodes): the most rows of its factors, which make
+    it an empty sum below that truncation level; the number of its
+    symmetrized variables in more than one cell; and the summed sub-shapes
+    of its factors.  groups are the walks of _terms_sum, one per (prefix,
+    missing, repeated) of the terms: the factors before their last, the
+    number of symmetrized variables in none of their cells and the names of
+    those in several.  Each group ends with its last factors as (factor,
+    coeff, rows), the coefficients of equal last factors added.  A factor
+    is (shape, labels) with labels its row-major cell labels: None for a
+    symmetrized variable in one cell, which the level DP draws, the
+    variable's name otherwise.  A term's factors are in the order of its
+    walk, the fewest sub-shapes first."""
+
+    names: tuple[str, ...]
+    sizes: tuple[tuple[int, int, int], ...]
+    groups: tuple
 
 
-def _sym_plan(terms, spec: SymSpec, assign, n_trunc: int) -> _SymPlan:
-    """Check a symmetrized sum and refuse it when its predicted work
-    (_sym_work) exceeds WORK_LIMIT, before any of it is done."""
-    if not _check_spec_and_values(terms, spec, assign, n_trunc):
-        raise ValueError("sym_sum needs integer exponents; use sym_sum_direct")
+def _sym_plan(terms, spec: SymSpec) -> _SymPlan:
+    """The one structure builder: the _SymPlan of terms (coeff, [(shape,
+    var_rows), ...]) under spec.  It checks nothing; each shape must be the
+    Partition of its var_rows' row lengths."""
+    sym = frozenset(spec.symmetrized)
+    sizes = []
+    groups: dict[tuple, dict] = {}
+    for coeff, factors in terms:
+        cells = [(shape, _flatten(rows)) for shape, rows in factors]
+        uses = Counter(v for _, labels in cells for v in labels if v in sym)
+        repeated = tuple(v for v, n in uses.items() if n > 1)
+        rows = max((len(shape) for shape, _ in cells), default=0)
+        sizes.append((rows, len(repeated), sum(len(_strip_graph(shape)[0]) for shape, _ in cells)))
+        walk = sorted(
+            ((shape, tuple(None if uses[v] == 1 else v for v in labels)) for shape, labels in cells),
+            key=lambda factor: len(_strip_graph(factor[0])[0]),
+        )
+        *prefix, last = walk or [((), ())]
+        ends = groups.setdefault((tuple(prefix), len(sym) - len(uses), repeated), {})
+        ends[last] = ends.get(last, 0) + coeff
+    names = [v for _, factors in terms for _, rows in factors for v in _flatten(rows)]
+    return _SymPlan(
+        tuple(dict.fromkeys(names + list(spec.symmetrized))),
+        tuple(sizes),
+        tuple(
+            (prefix, missing, repeated, tuple(
+                (last, coeff, max(len(shape) for shape, _ in (*prefix, last)))
+                for last, coeff in ends.items()
+            ))
+            for (prefix, missing, repeated), ends in groups.items()
+        ),
+    )
+
+
+def _draws(spec: SymSpec, assign) -> tuple[tuple, tuple]:
+    """(values, caps): the distinct values of the symmetrized variables in
+    increasing order and their multiplicities."""
     values = [assign[v] for v in spec.symmetrized]
     distinct = tuple(sorted(set(values)))
-    caps = tuple(values.count(v) for v in distinct)
-    sym = frozenset(spec.symmetrized)
-    checked = []
-    for coeff, factors in terms:
-        shapes = []
-        for shape, rows in factors:
-            shape = as_partition(shape)
-            if shape != tuple(len(r) for r in rows):
-                raise ValueError("factor shape and variable tableau differ")
-            shapes.append((shape, _flatten(rows)))
-        # a term with a factor of more rows than n_trunc is an empty sum
-        if all(len(shape) <= n_trunc for shape, _ in shapes):
-            uses = Counter(v for _, cells in shapes for v in cells if v in sym)
-            # a cell is drawn (None) when its variable is symmetrized and
-            # fills no other cell, else labelled by its variable
-            walk = sorted(
-                ((shape, tuple(None if uses[v] == 1 else v for v in cells)) for shape, cells in shapes),
-                key=lambda factor: len(_strip_graph(factor[0])[0]),
-            )
-            checked.append((coeff, walk, uses))
-    _require_work(_sym_work(checked, n_trunc, caps))
-    return _SymPlan((checked, sym, distinct, caps))
+    return distinct, tuple(values.count(v) for v in distinct)
+
+
+def _admit(plans, spec: SymSpec, assign, n_trunc: int) -> None:
+    """Refuse the first of the plans whose predicted work (_sym_work)
+    exceeds WORK_LIMIT, before any of their DPs runs."""
+    caps = _draws(spec, assign)[1]
+    for plan in plans:
+        _require_work(_sym_work(plan, n_trunc, caps))
+
+
+def _checked_factor(shape, rows):
+    """(shape, rows) with shape a Partition of the row lengths of rows."""
+    shape = as_partition(shape)
+    if shape != tuple(len(r) for r in rows):
+        raise ValueError("factor shape and variable tableau differ")
+    return shape, rows
 
 
 def sym_sum(terms, spec: SymSpec, assign, n_trunc: int) -> Fraction:
@@ -855,25 +896,23 @@ def sym_sum(terms, spec: SymSpec, assign, n_trunc: int) -> Fraction:
     sum(coeff * prod of truncated zeta factors) over the given terms.
 
     Each term is (coeff, [(shape, var_rows), ...]).  Exact only: every
-    exponent must be an integer >= 0.  Refuses a sum whose predicted work
-    (_sym_work) exceeds WORK_LIMIT before any of it is done.  terms may
-    also be the _sym_plan of the terms for the same spec, assign and
-    n_trunc, which is summed without checking it again.
+    exponent must be an integer >= 0.  The terms, spec, assignment and
+    n_trunc are checked in full, planned by _sym_plan, and refused when
+    their predicted work (_sym_work) exceeds WORK_LIMIT, before any of the
+    sum is done.  terms may also be a _SymPlan of the same spec that the
+    caller has already checked against assign and n_trunc and admitted
+    (_verify), which is summed without any check.
     """
     if not isinstance(terms, _SymPlan):
-        terms = _sym_plan(terms, spec, assign, n_trunc)
-    checked, sym, distinct, caps = terms
-    return _terms_sum(checked, sym, assign, n_trunc, distinct, caps) * math.prod(map(math.factorial, caps))
-
-
-def _sym_sides(lhs_terms, rhs_terms, spec: SymSpec, assign, n_trunc: int):
-    """(lhs, rhs): the sym_sum of each side of an identity, both sides
-    checked and their work guarded before either side's DP runs.  The
-    left side is planned first, so a refusal names its count when both
-    sides exceed the limit.  Both sums go through sym_sum, the one entry
-    point of a symmetrized sum, which the benchmark's tracer wraps."""
-    lhs, rhs = (_sym_plan(terms, spec, assign, n_trunc) for terms in (lhs_terms, rhs_terms))
-    return sym_sum(lhs, spec, assign, n_trunc), sym_sum(rhs, spec, assign, n_trunc)
+        _require_level(n_trunc)
+        if not _check_spec_and_values(terms, spec, assign):
+            raise ValueError("sym_sum needs integer exponents; use sym_sum_direct")
+        terms = _sym_plan(
+            [(coeff, [_checked_factor(*factor) for factor in factors]) for coeff, factors in terms], spec
+        )
+        _admit((terms,), spec, assign, n_trunc)
+    values, caps = _draws(spec, assign)
+    return _terms_sum(terms, assign, n_trunc, values, caps) * math.prod(map(math.factorial, caps))
 
 
 # ---------------------------------------------------------------------------
@@ -943,11 +982,21 @@ def _pieri_setup(lam: Partition, size: int, mode: str):
     return spec, factors, tuple(extensions)
 
 
-def _vacuous_note(factors, n_trunc: int) -> str:
+@cache
+def _pieri_plans(lam: Partition, size: int, mode: str):
+    """(spec, lhs, rhs): the symmetrized set of the Pieri identity of
+    _pieri_setup and the _SymPlans of its two sides, planned once per
+    identity.  Cached."""
+    spec, factors, extensions = _pieri_setup(lam, size, mode)
+    rhs = [(1, [(grown, rows)]) for _, grown, rows in extensions]
+    return spec, _sym_plan([(1, factors)], spec), _sym_plan(rhs, spec)
+
+
+def _vacuous_note(lhs: _SymPlan, n_trunc: int) -> str:
     """The note of an identity with a left-hand factor of more rows than
     n_trunc: no tableau with entries <= n_trunc fills it, nor any shape on
     the right, each of which contains it, so both sides are empty sums."""
-    rows = max(len(shape) for shape, _ in factors)
+    rows = max(rows for rows, _, _ in lhs.sizes)
     if rows <= n_trunc:
         return ""
     return (
@@ -956,12 +1005,20 @@ def _vacuous_note(factors, n_trunc: int) -> str:
     )
 
 
-def _verify_pieri(lam, size: int, mode: str, assign, n_trunc: int) -> IdentityReport:
-    spec, factors, extensions = _pieri_setup(as_partition(lam), size, mode)
-    require_exact(assign, [v for _, rows in factors for v in _flatten(rows)])
-    rhs_terms = [(1, [(grown, rows)]) for _, grown, rows in extensions]
-    lhs, rhs = _sym_sides([(1, factors)], rhs_terms, spec, assign, n_trunc)
-    return IdentityReport(lhs, rhs, lhs == rhs, _vacuous_note(factors, n_trunc))
+def _verify(spec: SymSpec, lhs: _SymPlan, rhs: _SymPlan, assign, n_trunc: int) -> IdentityReport:
+    """The report of an identity from the plans of its sides, which are
+    built once per identity.  Per call only the level and the assignment
+    are checked: n_trunc must be an integer >= 1 and every variable of the
+    left side, which the right side's terms use as well, an integer >= 1.
+    Both sides' work is then guarded before either side's DP runs, the left
+    side first, so a refusal names its count when both sides exceed the
+    limit.  Both sums go through sym_sum, the one entry point of a
+    symmetrized sum, which the benchmark's tracer wraps."""
+    _require_level(n_trunc)
+    require_exact(assign, lhs.names)
+    _admit((lhs, rhs), spec, assign, n_trunc)
+    left, right = sym_sum(lhs, spec, assign, n_trunc), sym_sum(rhs, spec, assign, n_trunc)
+    return IdentityReport(left, right, left == right, _vacuous_note(lhs, n_trunc))
 
 
 def verify_pieri_h(lam, m: int, assign, n_trunc: int) -> IdentityReport:
@@ -969,14 +1026,14 @@ def verify_pieri_h(lam, m: int, assign, n_trunc: int) -> IdentityReport:
     symmetrized product of zeta(lam) and zeta((m)) against the symmetrized
     sum of zeta over all one-horizontal-strip extensions with pushed
     fillings.  Holds for every truncation level and integer assignment."""
-    return _verify_pieri(lam, m, "h", assign, n_trunc)
+    return _verify(*_pieri_plans(as_partition(lam), m, "h"), assign, n_trunc)
 
 
 def verify_pieri_e(lam, n: int, assign, n_trunc: int) -> IdentityReport:
     """Exact truncated check of the column-strip Pieri identity (conjugate
     of verify_pieri_h): zeta((1^n)) times zeta(lam) against the
     one-vertical-strip extensions."""
-    return _verify_pieri(lam, n, "e", assign, n_trunc)
+    return _verify(*_pieri_plans(as_partition(lam), n, "e"), assign, n_trunc)
 
 
 def canonical_filling(lam, mu, nu, variant: int = 0) -> VarRows:
@@ -1031,6 +1088,16 @@ def _lr_setup(mu: Partition, nu: Partition, variant: int):
     return spec, factors, terms
 
 
+@cache
+def _lr_plans(mu: Partition, nu: Partition, variant: int):
+    """(spec, lhs, rhs): the symmetrized set of the Littlewood-Richardson
+    identity of _lr_setup and the _SymPlans of its two sides, the right one
+    with the canonical fillings, planned once per identity.  Cached."""
+    spec, factors, terms = _lr_setup(mu, nu, variant)
+    rhs = [(coeff, [(lam, filling)]) for lam, coeff, filling in terms]
+    return spec, _sym_plan([(1, factors)], spec), _sym_plan(rhs, spec)
+
+
 def verify_lr(
     mu,
     nu,
@@ -1043,27 +1110,29 @@ def verify_lr(
     the fully symmetrized product of two Schur multiple zeta values against
     the coefficient-weighted symmetrized sum over all shapes of the right
     size.  ``fillings`` may override the canonical filling per shape of
-    the expansion; a filling for any other shape is a ValueError."""
+    the expansion; a filling for any other shape is a ValueError.  The
+    right side with overrides is planned anew on each call."""
     mu, nu = as_partition(mu), as_partition(nu)
     if not mu or not nu:
         raise ValueError("both shapes must be nonempty")
-    spec, factors, terms = _lr_setup(mu, nu, variant)
-    require_exact(assign, spec.symmetrized)
-    overrides = {as_partition(k): tuple(tuple(r) for r in v) for k, v in (fillings or {}).items()}
-    stray = sorted(overrides.keys() - {lam for lam, _, _ in terms})
-    if stray:
-        raise ValueError(f"fillings for shapes outside the expansion: {stray}")
-    rhs_terms = []
-    for lam, coeff, filling in terms:
-        if lam in overrides:
-            filling = overrides[lam]
-            if sorted(_flatten(filling)) != sorted(spec.symmetrized):
-                raise ValueError(f"filling for {lam} must use every variable once")
-            if tuple(len(r) for r in filling) != lam:
-                raise ValueError(f"filling shape mismatch for {lam}")
-        rhs_terms.append((coeff, [(lam, filling)]))
-    lhs, rhs = _sym_sides([(1, factors)], rhs_terms, spec, assign, n_trunc)
-    return IdentityReport(lhs, rhs, lhs == rhs, _vacuous_note(factors, n_trunc))
+    spec, lhs, rhs = _lr_plans(mu, nu, variant)
+    if fillings:
+        terms = _lr_setup(mu, nu, variant)[2]
+        overrides = {as_partition(k): tuple(tuple(r) for r in v) for k, v in fillings.items()}
+        stray = sorted(overrides.keys() - {lam for lam, _, _ in terms})
+        if stray:
+            raise ValueError(f"fillings for shapes outside the expansion: {stray}")
+        rhs_terms = []
+        for lam, coeff, filling in terms:
+            if lam in overrides:
+                filling = overrides[lam]
+                if sorted(_flatten(filling)) != sorted(spec.symmetrized):
+                    raise ValueError(f"filling for {lam} must use every variable once")
+                if tuple(len(r) for r in filling) != lam:
+                    raise ValueError(f"filling shape mismatch for {lam}")
+            rhs_terms.append((coeff, [(lam, filling)]))
+        rhs = _sym_plan(rhs_terms, spec)
+    return _verify(spec, lhs, rhs, assign, n_trunc)
 
 
 def verify_insertion_term(

@@ -22,6 +22,8 @@ CACHES = (
     zeta._product_sum,
     zeta._pieri_setup,
     zeta._lr_setup,
+    zeta._pieri_plans,
+    zeta._lr_plans,
 )
 
 

@@ -261,7 +261,18 @@ def test_lr_fillings_examples():
     assert lr_fillings((1,), (2,)) == {}
 
 
-def test_lr_fillings_match_lr_coefficient():
+def yamanouchi_oracle(mu, nu, lam):
+    """Definitional LR coefficient: the skew SSYT of shape lam/mu with
+    weight nu whose reading word is Yamanouchi; 0 on size mismatch or when
+    mu is not inside lam."""
+    mu, nu, lam = as_partition(mu), as_partition(nu), as_partition(lam)
+    if not contains(lam, mu) or sum(lam) != sum(mu) + sum(nu):
+        return 0
+    fillings = enumerate_skew_ssyt(lam, mu, len(nu) if nu else 1, weight=nu)
+    return sum(1 for st in fillings if is_yamanouchi(reading_word(st)))
+
+
+def test_lr_fillings_match_the_yamanouchi_oracle():
     # every triple of criterion 4: sizes 1..4 at most 4 rows
     triples = [
         (mu, nu, lam)
@@ -272,12 +283,12 @@ def test_lr_fillings_match_lr_coefficient():
         for lam in all_partitions(a + b, max_length=4)
     ]
     assert len(triples) == 1162
-    # 5-row outer shapes, empty inner shapes, and inner shapes not inside
+    # every triple of total size <= 6, empty shapes and inner shapes not
+    # inside included
     triples += [
         (mu, nu, lam)
-        for size in range(1, 7)
+        for size in range(7)
         for lam in all_partitions(size)
-        if len(lam) == 5 or size <= 3
         for a in range(size + 1)
         for mu in all_partitions(a)
         for nu in all_partitions(size - a)
@@ -288,9 +299,12 @@ def test_lr_fillings_match_lr_coefficient():
     for mu, nu, lam in triples:
         if (lam, mu) not in fillings:
             fillings[lam, mu] = lr_fillings(lam, mu)
-        assert fillings[lam, mu][nu] == lr_coefficient(mu, nu, lam), (mu, nu, lam)
+        expected = yamanouchi_oracle(mu, nu, lam)
+        assert fillings[lam, mu][nu] == expected == lr_coefficient(mu, nu, lam), (mu, nu, lam)
     for (lam, mu), counts in fillings.items():
         assert all(sum(nu) == sum(lam) - sum(mu) for nu in counts)
+    # a size mismatch is 0, not an error
+    assert lr_coefficient((1,), (2,), (2,)) == 0
 
 
 def test_lr_symmetry_with_crystal_referee():

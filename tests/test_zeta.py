@@ -7,10 +7,11 @@ from functools import cache
 from itertools import permutations, product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import schurzeta.zeta as zmod
+from schurzeta import partitions, tableaux
 from schurzeta.partitions import (
     all_partitions,
     as_partition,
@@ -817,12 +818,42 @@ def test_eval_zeta_truncated_rejects_bad_exponents_in_both_modes(bad, value):
         eval_zeta_truncated((2,), rows, {"a": value, "b": bad}, 3)
 
 
-@pytest.mark.parametrize("n_trunc", [0, -1])
-def test_sym_sum_rejects_truncation_below_one(n_trunc):
-    terms = [(1, [((1,), (("a",),))])]
-    spec = SymSpec(("a",), frozenset())
-    with pytest.raises(ValueError, match="truncation"):
-        sym_sum(terms, spec, {"a": 2}, n_trunc)
+_ONE_CELL = ([(1, [((1,), (("a",),))])], SymSpec(("a",), frozenset()))
+# per public entry with a truncation level: the call of (assign, n_trunc)
+# and an assignment it admits
+PUBLIC_ENTRIES = {
+    "sym_sum": (lambda a, n: sym_sum(*_ONE_CELL, a, n), {"a": 2}),
+    "sym_sum_direct": (lambda a, n: sym_sum_direct(*_ONE_CELL, a, n), {"a": 2}),
+    "eval_zeta_truncated": (lambda a, n: eval_zeta_truncated((1,), (("a",),), a, n), {"a": 2}),
+    "verify_pieri_h": (
+        lambda a, n: verify_pieri_h((2,), 2, a, n), {"s_1_1": 2, "s_1_2": 3, "t_1": 4, "t_2": 5}
+    ),
+    "verify_pieri_e": (lambda a, n: verify_pieri_e((1,), 2, a, n), {"t_1_1": 2, "s_1": 3, "s_2": 4}),
+    "verify_lr": (lambda a, n: verify_lr((1,), (1,), a, n), {"s_1_1": 2, "t_1_1": 3}),
+}
+
+
+@pytest.mark.parametrize("n_trunc", [0, -1, 2.5, 2.0, "3", True, None], ids=repr)
+@pytest.mark.parametrize("entry", sorted(PUBLIC_ENTRIES))
+def test_public_entries_reject_a_truncation_level_not_an_integer_above_zero(entry, n_trunc):
+    call, assign = PUBLIC_ENTRIES[entry]
+    with pytest.raises(ValueError, match="truncation level"):
+        call(assign, n_trunc)
+
+
+@pytest.mark.parametrize("bad", [None, 0, 2.0, True], ids=repr)
+@pytest.mark.parametrize("entry", ["verify_pieri_e", "verify_pieri_h", "verify_lr"])
+def test_verifiers_check_every_variable_on_every_call(entry, bad):
+    # the identity is planned by the first call; each later call still
+    # checks every variable, None standing for a missing one
+    call, assign = PUBLIC_ENTRIES[entry]
+    assert call(assign, 2).equal
+    for var in assign:
+        broken = {v: x for v, x in assign.items() if v != var}
+        if bad is not None:
+            broken[var] = bad
+        with pytest.raises(ValueError, match="missing variable|integer exponents >= 1"):
+            call(broken, 2)
 
 
 def test_verify_pieri_h_examples():
@@ -1382,3 +1413,95 @@ def test_pieri_setup_matches_hand_written_rules(mode):
                 assert vertical_push_filling(lam, s_names, t_rows, rows) == filling
                 expected.append((rows, grow_rows(lam, rows), filling))
             assert extensions == tuple(expected)
+
+
+def test_a_verifier_plans_its_identity_once(monkeypatch):
+    # after a warm-up, a call with another assignment and another N checks
+    # only the assignment and the level: no spec check, no new plan, and
+    # no as_partition call beyond the boundary's one per shape argument
+    h_names = [v for rows in (grid_vars((3, 1), "s"), (seq_vars(3, "t"),)) for r in rows for v in r]
+    lr_names = [v for prefix in "st" for r in grid_vars((2, 1), prefix) for v in r]
+    calls = Counter()
+    for module, name in [
+        (zmod, "_check_spec_and_values"), (zmod, "_sym_plan"),
+        (zmod, "as_partition"), (partitions, "as_partition"), (tableaux, "as_partition"),
+    ]:
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _f=fn, _n=name: calls.update([_n]) or _f(*a))
+    zmod._pieri_plans.cache_clear()
+    zmod._lr_plans.cache_clear()
+    assert verify_pieri_h((3, 1), 3, _distinct(h_names), 3).equal
+    assert verify_lr((2, 1), (2, 1), _distinct(lr_names), 3).equal
+    assert calls["_sym_plan"] == 4 and calls["_check_spec_and_values"] == 0
+    plans = zmod._pieri_plans.cache_info(), zmod._lr_plans.cache_info()
+
+    calls.clear()
+    rep = verify_pieri_h((3, 1), 3, {v: 1 + k % 2 for k, v in enumerate(h_names)}, 4)
+    assert rep.equal and rep.lhs > 0
+    assert calls == {"as_partition": 1}
+    calls.clear()
+    rep = verify_lr((2, 1), (2, 1), {v: 3 - k % 3 for k, v in enumerate(lr_names)}, 2)
+    assert rep.equal and rep.lhs > 0
+    assert calls == {"as_partition": 2}
+    after = zmod._pieri_plans.cache_info(), zmod._lr_plans.cache_info()
+    assert [(a.hits - b.hits, a.misses - b.misses) for a, b in zip(after, plans)] == [(1, 0), (1, 0)]
+
+
+@st.composite
+def planned_identities(draw):
+    """A Pieri-h, Pieri-e or LR identity of at most five cells, the terms
+    of both its sides built afresh from the public filling rules, values
+    from 1..3 so that they repeat, and N from 1 to 4, below the row count
+    of a tall shape."""
+    kind = draw(st.sampled_from(["h", "e", "lr"]))
+    n_trunc = draw(st.integers(1, 4))
+    if kind == "lr":
+        mu = draw(st.sampled_from([p for p in SMALL_SHAPES if 0 < sum(p) <= 4]))
+        nu = draw(st.sampled_from([p for p in SMALL_SHAPES if 0 < sum(p) <= 5 - sum(mu)]))
+        s_rows, t_rows = grid_vars(mu, "s"), grid_vars(nu, "t")
+        names = tuple(v for rows in (s_rows, t_rows) for r in rows for v in r)
+        spec = SymSpec(names, frozenset())
+        lhs = [(1, [(mu, s_rows), (nu, t_rows)])]
+        expansion = [lam for lam in all_partitions(len(names)) if lr_coefficient(mu, nu, lam)]
+        rhs = [(lr_coefficient(mu, nu, lam), [(lam, canonical_filling(lam, mu, nu))]) for lam in expansion]
+        override = draw(st.sampled_from([None, *expansion]))
+        fillings = None if override is None else {override: canonical_filling(override, mu, nu)}
+        verify = lambda assign: verify_lr(mu, nu, assign, n_trunc, fillings=fillings)  # noqa: E731
+    else:
+        lam = draw(st.sampled_from([p for p in SMALL_SHAPES if 0 < sum(p) <= 4]))
+        side = lam[0] if kind == "h" else len(lam)
+        assume(sum(lam) + side <= 5)
+        size = draw(st.integers(side, 5 - sum(lam)))
+        if kind == "h":
+            s_rows, t_names = grid_vars(lam, "s"), seq_vars(size, "t")
+            spec = oracle_h_sym_spec(lam, size)
+            lhs = [(1, [(lam, s_rows), ((size,), (t_names,))])]
+            rhs = [
+                (1, [(grow_cols(lam, cols), horizontal_push_filling(lam, s_rows, t_names, cols))])
+                for cols in horizontal_strip_cols(lam, size)
+            ]
+            verify = lambda assign: verify_pieri_h(lam, size, assign, n_trunc)  # noqa: E731
+        else:
+            t_rows, s_names = grid_vars(lam, "t"), seq_vars(size, "s")
+            spec = oracle_e_sym_spec(lam, size)
+            lhs = [(1, [((1,) * size, tuple((v,) for v in s_names)), (lam, t_rows)])]
+            rhs = [
+                (1, [(grow_rows(lam, rows), oracle_vertical_push_filling(lam, s_names, t_rows, rows))])
+                for rows in vertical_strip_rows(lam, size)
+            ]
+            verify = lambda assign: verify_pieri_e(lam, size, assign, n_trunc)  # noqa: E731
+        names = tuple(v for _, factors in lhs for _, rows in factors for r in rows for v in r)
+    assign = {v: draw(st.integers(1, 3)) for v in names}
+    return verify, lhs, rhs, spec, assign, n_trunc
+
+
+@settings(max_examples=80, deadline=None)
+@given(planned_identities())
+def test_verifiers_match_fully_checked_sums_on_fresh_terms(case):
+    # the verifiers sum cached plans; public sym_sum checks and plans the
+    # same identity afresh, and sym_sum_direct sums it by permutations
+    verify, lhs, rhs, spec, assign, n_trunc = case
+    rep = verify(assign)
+    assert rep.lhs == sym_sum(lhs, spec, assign, n_trunc) == sym_sum_direct(lhs, spec, assign, n_trunc)
+    assert rep.rhs == sym_sum(rhs, spec, assign, n_trunc) == sym_sum_direct(rhs, spec, assign, n_trunc)
+    assert rep.equal
