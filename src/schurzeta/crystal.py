@@ -15,18 +15,30 @@ from .tableaux import Tableau, cached_ssyt, is_ssyt, reading_word
 TensorWord = tuple[int, ...]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_n(n: int) -> None:
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+
+
 def _check_word(word, n: int) -> TensorWord:
+    _check_n(n)
     w = tuple(word)
     if not w:
         raise ValueError("tensor words must be nonempty")
-    if any(not 1 <= x <= n for x in w):
-        raise ValueError(f"letters must lie in 1..{n}, got {w}")
+    for x in w:
+        # type() first: plain ints skip the call
+        if not (type(x) is int or _is_int(x)) or not 1 <= x <= n:
+            raise ValueError(f"letters must be integers in 1..{n}, got {w}")
     return w
 
 
 def _check_index(i: int, n: int) -> None:
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"operator index {i} outside 1..{n - 1}")
+    if not _is_int(i) or not 1 <= i <= n - 1:
+        raise ValueError(f"operator index {i!r} outside 1..{n - 1}")
 
 
 def wt(word, n: int) -> tuple[int, ...]:
@@ -38,45 +50,53 @@ def wt(word, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _pairing(letter: int, i: int) -> int:
-    # <wt(letter), alpha_i^vee> for a single letter
-    return (letter == i) - (letter == i + 1)
-
-
 def _suffix_phi(w: TensorWord, i: int) -> list[int]:
-    """phi_i of every suffix; index k holds phi of w[k:], last entry 0."""
+    """phi_i of every suffix; index k holds phi of w[k:], last entry 0.
+    Scanning from the right, a letter i adds one and a letter i + 1
+    cancels one if there is one."""
     out = [0] * (len(w) + 1)
+    c = 0
     for k in range(len(w) - 1, -1, -1):
         x = w[k]
-        out[k] = max(int(x == i), out[k + 1] + _pairing(x, i))
+        if x == i:
+            c += 1
+        elif x == i + 1 and c:
+            c -= 1
+        out[k] = c
     return out
 
 
 def _suffix_eps(w: TensorWord, i: int) -> int:
-    # eps(x (x) y) = max{eps(y), eps(x) - <wt(y), alpha_i^vee>}
-    eps_suf = 0
-    pair_suf = 0
-    for k in range(len(w) - 1, -1, -1):
-        x = w[k]
-        eps_suf = max(eps_suf, int(x == i + 1) - pair_suf)
-        pair_suf += _pairing(x, i)
-    return eps_suf
+    """eps_i of w: the letters i + 1 left with no letter i to their
+    right to cancel, by the same scan as _suffix_phi."""
+    c = out = 0
+    for x in reversed(w):
+        if x == i:
+            c += 1
+        elif x == i + 1:
+            if c:
+                c -= 1
+            else:
+                out += 1
+    return out
 
 
 def phi(i: int, word, n: int) -> int:
+    w = _check_word(word, n)
     _check_index(i, n)
-    return _suffix_phi(_check_word(word, n), i)[0]
+    return _suffix_phi(w, i)[0]
 
 
 def eps(i: int, word, n: int) -> int:
+    w = _check_word(word, n)
     _check_index(i, n)
-    return _suffix_eps(_check_word(word, n), i)
+    return _suffix_eps(w, i)
 
 
 def f(i: int, word, n: int) -> TensorWord | None:
     """Lowering operator on the tensor power; None when it vanishes."""
-    _check_index(i, n)
     w = _check_word(word, n)
+    _check_index(i, n)
     suf = _suffix_phi(w, i)
     for k, x in enumerate(w):
         if suf[k + 1] <= (x == i + 1):
@@ -89,8 +109,8 @@ def f(i: int, word, n: int) -> TensorWord | None:
 
 def e(i: int, word, n: int) -> TensorWord | None:
     """Raising operator on the tensor power; None when it vanishes."""
-    _check_index(i, n)
     w = _check_word(word, n)
+    _check_index(i, n)
     suf = _suffix_phi(w, i)
     for k, x in enumerate(w):
         if suf[k + 1] < (x == i + 1):
@@ -131,6 +151,7 @@ def is_highest_weight(word, n: int) -> bool:
 
 def highest_weight_elements(words, n: int) -> list[TensorWord]:
     """Elements killed by every raising operator, in sorted order."""
+    _check_n(n)
     return sorted(w for w in words if is_highest_weight(w, n))
 
 
@@ -166,6 +187,7 @@ def decompose_product(mu, nu, n: int) -> Counter:
     and drops the right words some e_i acts on; each left word then
     extends each kept vector.  A highest-weight word of weight lam has
     phi_i = lam_i - lam_(i+1), so lam is read off the final vector."""
+    _check_n(n)
     mu, nu = as_partition(mu), as_partition(nu)
     if len(mu) > n or len(nu) > n:
         raise ValueError(f"shapes {mu}, {nu} need at most {n} rows")
@@ -187,18 +209,44 @@ def decompose_product(mu, nu, n: int) -> Counter:
     return out
 
 
+class _Stored(dict):
+    """fn of a key, evaluated the first time the key is looked up."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        out = self[key] = self.fn(key)
+        return out
+
+
 def verify_crystal_axioms(words, n: int, ops=None) -> list[str]:
     """Check the crystal axioms and seminormality on a closed set of words.
 
     Returns a list of violation descriptions; empty means the set passes.
     ``ops`` may override (f, e, eps, phi) for fault injection.
+
+    Within one call each of the four operators is evaluated at most once
+    per (i, word), and ``wt`` once per word; the f- and e-strings follow
+    the stored results.  Every evaluation still goes through ``ops``, in
+    the order of the first time the checks ask for it, and the store is
+    dropped when the call returns.
     """
-    f_op, e_op, eps_op, phi_op = ops if ops is not None else (f, e, eps, phi)
+    _check_n(n)
     words = set(tuple(w) for w in words)
     alpha = [
         tuple((k == i - 1) - (k == i) for k in range(n)) for i in range(1, n)
     ]
     bad: list[str] = []
+
+    def stored(op):
+        return _Stored(lambda key: op(*key, n))
+
+    f_at, e_at, eps_at, phi_at = map(
+        stored, ops if ops is not None else (f, e, eps, phi)
+    )
+    wt_at = _Stored(lambda w: wt(w, n))
 
     def vec_add(a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -206,44 +254,44 @@ def verify_crystal_axioms(words, n: int, ops=None) -> list[str]:
     for w in sorted(words):
         for i in range(1, n):
             ai = alpha[i - 1]
-            fw = f_op(i, w, n)
-            ew = e_op(i, w, n)
+            fw = f_at[i, w]
+            ew = e_at[i, w]
             if fw is not None:
                 if fw not in words:
                     bad.append(f"closure: f_{i}{w} left the set")
-                if e_op(i, fw, n) != w:
+                if e_at[i, fw] != w:
                     bad.append(f"A1: e_{i}(f_{i}{w}) != {w}")
-                if wt(fw, n) != vec_add(wt(w, n), tuple(-x for x in ai)):
+                if wt_at[fw] != vec_add(wt_at[w], tuple(-x for x in ai)):
                     bad.append(f"A1: wt(f_{i}{w}) != wt{w} - alpha_{i}")
-                if eps_op(i, fw, n) != eps_op(i, w, n) + 1:
+                if eps_at[i, fw] != eps_at[i, w] + 1:
                     bad.append(f"A1: eps increment wrong at f_{i}{w}")
-                if phi_op(i, fw, n) != phi_op(i, w, n) - 1:
+                if phi_at[i, fw] != phi_at[i, w] - 1:
                     bad.append(f"A1: phi increment wrong at f_{i}{w}")
             if ew is not None:
                 if ew not in words:
                     bad.append(f"closure: e_{i}{w} left the set")
-                if f_op(i, ew, n) != w:
+                if f_at[i, ew] != w:
                     bad.append(f"A1: f_{i}(e_{i}{w}) != {w}")
-                if wt(ew, n) != vec_add(wt(w, n), ai):
+                if wt_at[ew] != vec_add(wt_at[w], ai):
                     bad.append(f"A1: wt(e_{i}{w}) != wt{w} + alpha_{i}")
-            wv = wt(w, n)
-            if phi_op(i, w, n) != (wv[i - 1] - wv[i]) + eps_op(i, w, n):
+            wv = wt_at[w]
+            if phi_at[i, w] != (wv[i - 1] - wv[i]) + eps_at[i, w]:
                 bad.append(f"A2: phi != <wt,alpha^vee> + eps at {w}, i={i}")
             k, cur = 0, w
             while True:
-                cur = f_op(i, cur, n)
+                cur = f_at[i, cur]
                 if cur is None or k > len(w) + 1:
                     break
                 k += 1
-            if phi_op(i, w, n) != k:
+            if phi_at[i, w] != k:
                 bad.append(f"seminormal: phi_{i}{w} != f-string length {k}")
             k, cur = 0, w
             while True:
-                cur = e_op(i, cur, n)
+                cur = e_at[i, cur]
                 if cur is None or k > len(w) + 1:
                     break
                 k += 1
-            if eps_op(i, w, n) != k:
+            if eps_at[i, w] != k:
                 bad.append(f"seminormal: eps_{i}{w} != e-string length {k}")
     return bad
 
@@ -254,6 +302,7 @@ def crystal_dot(words, n: int, label=None) -> str:
     Nodes are labelled by the space-separated letters unless ``label`` maps
     a word to a custom string.
     """
+    _check_n(n)
     words = sorted(set(tuple(w) for w in words))
     index = {w: k for k, w in enumerate(words)}
     if label is None:

@@ -52,6 +52,7 @@ def test_budgets():
     assert by_number[2].seconds < 60
     assert by_number[3].seconds < 120
     assert by_number[4].seconds < 20
+    assert by_number[5].seconds < 2
 
 
 def test_lr_triple_oracle_fails_on_weak_row_bump(monkeypatch):

@@ -164,6 +164,139 @@ def test_fault_injection_reports_violation():
     assert any("A1" in v for v in violations)
 
 
+def axioms_oracle(words, n: int, ops=None) -> list[str]:
+    """The axiom check evaluating every operator afresh at each use."""
+    f_op, e_op, eps_op, phi_op = ops if ops is not None else (f, e, eps, phi)
+    words = set(tuple(w) for w in words)
+    alpha = [
+        tuple((k == i - 1) - (k == i) for k in range(n)) for i in range(1, n)
+    ]
+    bad: list[str] = []
+
+    def vec_add(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    for w in sorted(words):
+        for i in range(1, n):
+            ai = alpha[i - 1]
+            fw = f_op(i, w, n)
+            ew = e_op(i, w, n)
+            if fw is not None:
+                if fw not in words:
+                    bad.append(f"closure: f_{i}{w} left the set")
+                if e_op(i, fw, n) != w:
+                    bad.append(f"A1: e_{i}(f_{i}{w}) != {w}")
+                if wt(fw, n) != vec_add(wt(w, n), tuple(-x for x in ai)):
+                    bad.append(f"A1: wt(f_{i}{w}) != wt{w} - alpha_{i}")
+                if eps_op(i, fw, n) != eps_op(i, w, n) + 1:
+                    bad.append(f"A1: eps increment wrong at f_{i}{w}")
+                if phi_op(i, fw, n) != phi_op(i, w, n) - 1:
+                    bad.append(f"A1: phi increment wrong at f_{i}{w}")
+            if ew is not None:
+                if ew not in words:
+                    bad.append(f"closure: e_{i}{w} left the set")
+                if f_op(i, ew, n) != w:
+                    bad.append(f"A1: f_{i}(e_{i}{w}) != {w}")
+                if wt(ew, n) != vec_add(wt(w, n), ai):
+                    bad.append(f"A1: wt(e_{i}{w}) != wt{w} + alpha_{i}")
+            wv = wt(w, n)
+            if phi_op(i, w, n) != (wv[i - 1] - wv[i]) + eps_op(i, w, n):
+                bad.append(f"A2: phi != <wt,alpha^vee> + eps at {w}, i={i}")
+            k, cur = 0, w
+            while True:
+                cur = f_op(i, cur, n)
+                if cur is None or k > len(w) + 1:
+                    break
+                k += 1
+            if phi_op(i, w, n) != k:
+                bad.append(f"seminormal: phi_{i}{w} != f-string length {k}")
+            k, cur = 0, w
+            while True:
+                cur = e_op(i, cur, n)
+                if cur is None or k > len(w) + 1:
+                    break
+                k += 1
+            if eps_op(i, w, n) != k:
+                bad.append(f"seminormal: eps_{i}{w} != e-string length {k}")
+    return bad
+
+
+def _faulty_f(i, w, n):
+    # a lowering loop: the f-string never ends
+    return (1,) if (i, w) == (1, (1,)) else f(i, w, n)
+
+
+def _faulty_e(i, w, n):
+    # a raising loop, and a raising step that vanishes
+    if (i, w) == (1, (2,)):
+        return (2,)
+    return None if (i, w) == (1, (2, 2)) else e(i, w, n)
+
+
+def _faulty_eps(i, w, n):
+    return eps(i, w, n) + (w == (2, 1, 1))
+
+
+def _faulty_phi(i, w, n):
+    return phi(i, w, n) + (i == 2 and w[0] == 3)
+
+
+@pytest.mark.parametrize(
+    "words, n, ops, caught",
+    [
+        *(
+            pytest.param(full_tensor_power(n, k), n, None, False, id=f"power-{n}-{k}")
+            for n in (1, 2, 3)
+            for k in (1, 2, 3)
+        ),
+        *(
+            pytest.param(
+                {rr(t, 3) for t in enumerate_ssyt(lam, 3)},
+                3,
+                None,
+                False,
+                id="image-" + "".join(map(str, lam)),
+            )
+            for size in (1, 2, 3, 4)
+            for lam in all_partitions(size, max_length=3)
+        ),
+        pytest.param([(1,), (2,)], 2, (_faulty_f, e, eps, phi), True, id="fault-f"),
+        pytest.param(
+            full_tensor_power(2, 1) + full_tensor_power(2, 2),
+            2,
+            (f, _faulty_e, eps, phi),
+            True,
+            id="fault-e",
+        ),
+        pytest.param(full_tensor_power(3, 3), 3, (f, e, _faulty_eps, phi), True, id="fault-eps"),
+        pytest.param(full_tensor_power(3, 2), 3, (f, e, eps, _faulty_phi), True, id="fault-phi"),
+        pytest.param([(1,)], 2, None, True, id="not-closed"),
+    ],
+)
+def test_axioms_match_oracle(words, n, ops, caught):
+    expected = axioms_oracle(words, n, ops)
+    assert bool(expected) == caught
+    assert verify_crystal_axioms(words, n, ops) == expected
+
+
+def test_axioms_evaluate_each_operator_once():
+    seen = Counter()
+
+    def spy(name, op):
+        def wrapped(i, w, n):
+            seen[name, i, w] += 1
+            return op(i, w, n)
+
+        return wrapped
+
+    ops = tuple(spy(name, op) for name, op in zip("f e eps phi".split(), (f, e, eps, phi)))
+    words = full_tensor_power(3, 3)
+    assert verify_crystal_axioms(words, 3, ops) == []
+    assert max(seen.values()) == 1
+    # every operator was asked about every (i, word)
+    assert len(seen) == 4 * 2 * len(words)
+
+
 def bracket_rule(word, i):
     """Independent oracle for the tensor operators: mark letter i as '+'
     and letter i+1 as '-', cancel '-+' pairs, then f acts on the rightmost
@@ -197,8 +330,9 @@ def bracket_rule(word, i):
 
 
 def test_operators_match_bracket_rule_oracle():
-    for n in (2, 3):
-        for k in (1, 2, 3, 4):
+    # n = 4, k = 4 is criterion 5's largest tensor power
+    for n in (2, 3, 4):
+        for k in (1, 2, 3, 4, 5):
             for w in full_tensor_power(n, k):
                 for i in range(1, n):
                     fw, ew, nplus, nminus = bracket_rule(w, i)
@@ -225,3 +359,31 @@ def test_crystal_dot_output():
     assert dot.count("->") == 2
     custom = crystal_dot(words, 3, label=lambda w: "X" + str(w[0]))
     assert 'label="X1"' in custom
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        pytest.param(connected_component, ((2.0,), 2), id="float-letter"),
+        pytest.param(connected_component, ((True,), 2), id="bool-letter"),
+        pytest.param(wt, ((1.5,), 2), id="wt-float-letter"),
+        pytest.param(wt, ((1,), 2.0), id="wt-float-n"),
+        pytest.param(wt, ((1,), True), id="wt-bool-n"),
+        pytest.param(rr, (((1.0,),), 2), id="rr-float-entry"),
+        pytest.param(f, (1.5, (1,), 3), id="f-float-index"),
+        pytest.param(f, (True, (1,), 2), id="f-bool-index"),
+        pytest.param(e, (1.0, (2,), 2), id="e-float-index"),
+        pytest.param(phi, (1, (1,), "2"), id="phi-str-n"),
+        pytest.param(eps, (1, (1, 2.0), 2), id="eps-float-letter"),
+        pytest.param(is_highest_weight, ((1, 1), 1.5), id="hw-float-n"),
+        pytest.param(highest_weight_elements, ([], 2.5), id="hw-elements-float-n"),
+        pytest.param(decompose_product, ((1,), (1,), 1.5), id="decompose-float-n"),
+        pytest.param(decompose_product, ((1,), (1,), True), id="decompose-bool-n"),
+        pytest.param(verify_crystal_axioms, ([(1,)], 2.0), id="axioms-float-n"),
+        pytest.param(crystal_dot, ([(1,)], 2.0), id="dot-float-n"),
+    ],
+)
+def test_crystal_inputs_must_be_integers(fn, args):
+    # letters, operator indices and n are ints, not floats or bools
+    with pytest.raises(ValueError):
+        fn(*args)
