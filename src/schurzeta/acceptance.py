@@ -86,8 +86,7 @@ def _pieri_grid(quick, seed, mode) -> str:
         lam = as_partition(lam)
         side = lam[0] if mode == "h" else len(lam)
         for size in (side, side + 1):
-            _, factors, _ = zeta._pieri_setup(lam, size, mode)
-            names = [v for _, rows in factors for v in _flatten(rows)]
+            names = zeta._pieri_setup(lam, size, mode).lhs.names
             for k in range(n_assign):
                 assign = seeded_assignment(names, seed * 1000 + 10 * k + size)
                 for n_trunc in levels:
@@ -121,7 +120,7 @@ def criterion_lr(quick: bool = False, seed: int = 0):
         for a in range(1, total):
             for mu in all_partitions(a):
                 for nu in all_partitions(total - a):
-                    names = _flatten(grid_vars(mu, "s")) + _flatten(grid_vars(nu, "t"))
+                    names = zeta._lr_setup(mu, nu, 0).lhs.names
                     for k in range(n_assign):
                         assign = seeded_assignment(names, seed * 1000 + 7 * k + total)
                         for n_trunc in levels:

@@ -14,7 +14,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from . import acceptance, crystal, insertion, tableaux, zeta
-from .partitions import as_partition
+from .partitions import as_partition, is_int
 from .tableaux import enumerate_ssyt, shape_of
 
 
@@ -45,15 +45,11 @@ def _load_json(value: str, flag: str):
     raise ValueError(f"{flag}: {value!r} is neither inline JSON nor a file")
 
 
-def _is_json_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _parse_tableau(value: str, flag: str):
     data = _load_json(value, flag)
     rows = data.get("rows") if isinstance(data, dict) else data
     if not isinstance(rows, list) or not all(
-        isinstance(row, list) and all(_is_json_int(x) for x in row)
+        isinstance(row, list) and all(is_int(x) for x in row)
         for row in rows
     ):
         raise ValueError(f"{flag}: expected rows of integers, e.g. [[1,2],[3]]")
@@ -216,13 +212,9 @@ def _cmd_crystal(args) -> int:
         start = _parse_word(args.word)
         words = crystal.connected_component(start, n)
         label = None
-    edges = sum(
-        1
-        for w in words
-        for i in range(1, n)
-        if crystal.f(i, w, n) in words
-    )
     dot = crystal.crystal_dot(words, n, label=label)
+    # one DOT line per edge; the labels sit after the "["
+    edges = sum(" -> " in line.partition("[")[0] for line in dot.splitlines())
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(dot)
@@ -257,7 +249,9 @@ def _cmd_insert(args) -> int:
 
 def _cmd_lr(args) -> int:
     mu, nu = _parse_shape(args.mu), _parse_shape(args.nu)
-    expansion = zeta._lr_expansion(mu, nu)
+    # no shape of the product has more than len(mu) + len(nu) rows, and
+    # n is at least 1 even when both shapes are empty
+    expansion = crystal.decompose_product(mu, nu, max(1, len(mu) + len(nu)))
     if args.lam is not None:
         c = expansion.get(_parse_shape(args.lam), 0)
         _emit({"coefficient": c}, args.json, [str(c)])
@@ -276,9 +270,9 @@ def _cmd_zeta(args) -> int:
     if tuple(len(r) for r in exps) != shape:
         raise ValueError("--exponents rows must match --shape")
     flat = [x for row in exps for x in row]
-    if not all(_is_json_int(x) or isinstance(x, float) for x in flat):
+    if not all(is_int(x) or isinstance(x, float) for x in flat):
         raise ValueError("--exponents: every exponent must be a number")
-    if args.exact and not all(_is_json_int(x) for x in flat):
+    if args.exact and not all(is_int(x) for x in flat):
         raise ValueError("--exact needs integer exponents")
     var_rows = zeta.grid_vars(shape, "x")
     assign = {

@@ -9,18 +9,14 @@ role of the absent value outside the crystal.
 from collections import Counter
 from itertools import accumulate
 
-from .partitions import Partition, as_partition
+from .partitions import Partition, as_partition, is_int
 from .tableaux import Tableau, cached_ssyt, is_ssyt, reading_word
 
 TensorWord = tuple[int, ...]
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _check_n(n: int) -> None:
-    if not _is_int(n) or n < 1:
+    if not is_int(n) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
 
 
@@ -31,13 +27,13 @@ def _check_word(word, n: int) -> TensorWord:
         raise ValueError("tensor words must be nonempty")
     for x in w:
         # type() first: plain ints skip the call
-        if not (type(x) is int or _is_int(x)) or not 1 <= x <= n:
+        if not (type(x) is int or is_int(x)) or not 1 <= x <= n:
             raise ValueError(f"letters must be integers in 1..{n}, got {w}")
     return w
 
 
 def _check_index(i: int, n: int) -> None:
-    if not _is_int(i) or not 1 <= i <= n - 1:
+    if not is_int(i) or not 1 <= i <= n - 1:
         raise ValueError(f"operator index {i!r} outside 1..{n - 1}")
 
 
@@ -191,8 +187,6 @@ def decompose_product(mu, nu, n: int) -> Counter:
     mu, nu = as_partition(mu), as_partition(nu)
     if len(mu) > n or len(nu) > n:
         raise ValueError(f"shapes {mu}, {nu} need at most {n} rows")
-    if not mu and not nu:
-        raise ValueError("at least one factor must be a nonempty shape")
     tops = []
     for right in cached_ssyt(nu, n):
         phi = _extend_phi(reading_word(right), [0] * (n + 1))

@@ -12,6 +12,7 @@ column), ending at the newly created cell.
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
+from .partitions import is_int
 from .tableaux import Tableau, Word, _semistandard, as_tableau, transpose
 
 Cell = tuple[int, int]
@@ -28,10 +29,10 @@ def _checked_rows(t, word) -> tuple[Tableau, Word]:
     t = as_tableau(t)
     if not _semistandard(t):
         raise ValueError(f"not a semistandard tableau: {t}")
-    letters = tuple(int(x) for x in word)
+    letters = tuple(word)
     for x in letters:
-        if x < 1:
-            raise ValueError(f"inserted value must be positive, got {x}")
+        if not is_int(x) or x < 1:
+            raise ValueError(f"inserted value must be a positive integer, got {x!r}")
     return t, letters
 
 

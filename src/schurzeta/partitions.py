@@ -12,9 +12,20 @@ Partition = tuple[int, ...]
 Cell = tuple[int, int]
 
 
+def is_int(x) -> bool:
+    """An int and not a bool: the one kind of number that counts, sizes,
+    parts and entries take."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def as_partition(parts) -> Partition:
-    """Normalize an iterable to a partition tuple, stripping trailing zeros."""
-    t = tuple(int(x) for x in parts)
+    """Normalize an iterable of ints to a partition tuple, stripping
+    trailing zeros."""
+    t = tuple(parts)
+    for x in t:
+        # type() first: plain ints skip the call
+        if not (type(x) is int or is_int(x)):
+            raise ValueError(f"partition parts must be integers, got {x!r}")
     while t and t[-1] == 0:
         t = t[:-1]
     for i, x in enumerate(t):
@@ -116,9 +127,9 @@ def grow_rows(p: Partition, rows) -> Partition:
 
 def _grow(parts: Partition, index, p: Partition, noun: str) -> Partition:
     """parts, the rows or columns (noun) of p, grown at each index."""
-    given = tuple(int(k) for k in index)
-    if not given or len(set(given)) != len(given) or any(k < 1 for k in given):
-        raise ValueError(f"{noun} set must be nonempty distinct positive, got {given}")
+    given = tuple(index)
+    if not given or not all(map(is_int, given)) or len(set(given)) != len(given) or min(given) < 1:
+        raise ValueError(f"{noun} set must be nonempty distinct positive integers, got {given}")
     grown = _grown_or_none(parts, tuple(sorted(given)))
     if grown is None:
         raise ValueError(f"growing {noun}s {given} of {p} does not give a partition")
@@ -150,8 +161,8 @@ def _partitions_of(n: int, max_part: int) -> tuple[Partition, ...]:
 
 def all_partitions(n: int, max_length: int | None = None) -> list[Partition]:
     """All partitions of n in descending lexicographic order."""
-    if n < 0:
-        raise ValueError("size must be nonnegative")
+    if not is_int(n) or n < 0:
+        raise ValueError(f"size must be an integer >= 0, got {n!r}")
     ps = list(_partitions_of(n, n if n else 1))
     if max_length is not None:
         ps = [p for p in ps if len(p) <= max_length]

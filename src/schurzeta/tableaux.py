@@ -12,7 +12,7 @@ from collections import Counter
 from functools import cache
 from typing import NamedTuple
 
-from .partitions import Partition, as_partition, contains
+from .partitions import Partition, as_partition, contains, is_int
 
 Tableau = tuple[tuple[int, ...], ...]
 Word = tuple[int, ...]
@@ -42,8 +42,19 @@ def transpose(rows) -> tuple[tuple, ...]:
     return tuple(map(tuple, cols))
 
 
+def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """rows as tuples; a ValueError unless every entry is an int."""
+    t = tuple(map(tuple, rows))
+    for row in t:
+        for x in row:
+            # type() first: plain ints skip the call
+            if not (type(x) is int or is_int(x)):
+                raise ValueError(f"tableau entries must be integers, got {x!r}")
+    return t
+
+
 def as_tableau(rows) -> Tableau:
-    t = tuple(tuple(int(x) for x in row) for row in rows)
+    t = _int_rows(rows)
     as_partition(shape_of(t))
     return t
 
@@ -84,7 +95,7 @@ def is_skew_ssyt(st: SkewTableau) -> bool:
     if not contains(outer, inner):
         return False
     try:
-        rows = tuple(tuple(int(x) for x in row) for row in st.rows)
+        rows = _int_rows(st.rows)
     except (ValueError, TypeError):
         return False
     inner_pad = inner + (0,) * (len(outer) - len(inner))
@@ -154,8 +165,8 @@ def cached_ssyt(shape: Partition, n: int) -> tuple[Tableau, ...]:
 
 def enumerate_ssyt(shape, n: int) -> list[Tableau]:
     """Materialized list of SSYT of shape with entries <= n."""
-    if n < 0:
-        raise ValueError(f"largest entry must be >= 0, got {n}")
+    if not is_int(n) or n < 0:
+        raise ValueError(f"largest entry must be an integer >= 0, got {n!r}")
     return list(cached_ssyt(as_partition(shape), n))
 
 

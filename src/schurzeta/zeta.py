@@ -20,12 +20,15 @@ identity is one walk: the last factors of its terms share their
 sub-shapes in one union graph (_walk_graph), whose node is a sub-shape
 with the labels of its cells, and start from the count vectors the
 factors before them drew; a product walks the factor with fewer
-sub-shapes first.  The shapes and fillings of an identity's sides fix
-their plan (_SymPlan), so a verifier builds it once per identity and
-checks only the assignment and the truncation level per call.  Float
-truncation and the untruncated limit walk one shape's graph in
-compensated floats, one sum per sub-shape, and the limit's tail terms
-follow from the same strips' exponent sums.
+sub-shapes first.  The shapes of a Pieri or Littlewood-Richardson
+identity fix one cached record (_Setup): its symmetrized set, its terms,
+the LR coefficients taken from the crystal decomposition
+(crystal.decompose_product), and the plans (_SymPlan) of both sides.  A
+verifier builds it once per identity and checks only the assignment and
+the truncation level per call; the work guard (_sym_work) reads the
+plans' walks.  Float truncation and the untruncated limit walk one
+shape's graph in compensated floats, one sum per sub-shape, and the
+limit's tail terms follow from the same strips' exponent sums.
 """
 
 import math
@@ -38,6 +41,7 @@ from operator import mul
 from numbers import Real
 from typing import NamedTuple
 
+from . import crystal
 from .insertion import column_insert_word, column_word, row_insert_word
 from .partitions import (
     Partition,
@@ -47,11 +51,11 @@ from .partitions import (
     corners,
     grow_cols,
     horizontal_strip_cols,
+    is_int,
 )
 from .tableaux import (
     Tableau,
     as_tableau,
-    cached_ssyt,
     reading_word,
     shape_of,
     transpose,
@@ -118,10 +122,6 @@ def _flatten(var_rows) -> list[str]:
     return [v for row in var_rows for v in row]
 
 
-def _is_exact_value(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def resolve_exponents(var_rows, assign) -> tuple[tuple, ...]:
     """Replace variable names by their assigned exponents."""
     out = []
@@ -141,7 +141,7 @@ def require_exact(assign, names) -> None:
         if var not in assign:
             raise ValueError(f"assignment missing variable {var!r}")
         v = assign[var]
-        if not _is_exact_value(v) or v < 1:
+        if not is_int(v) or v < 1:
             raise ValueError(
                 f"exact mode needs integer exponents >= 1, got {var}={v!r}"
             )
@@ -158,7 +158,7 @@ def monomial(tableau, var_rows, assign):
     exps = _checked_exponents(shape_of(t), var_rows, assign)
     if any(v < 1 for row in t for v in row):
         raise ValueError("tableau entries must be positive")
-    if all(_is_exact_value(x) for row in exps for x in row):
+    if all(is_int(x) for row in exps for x in row):
         den = 1
         for trow, erow in zip(t, exps):
             for base, ex in zip(trow, erow):
@@ -405,7 +405,7 @@ def eval_zeta_truncated(shape, var_rows, assign, n_trunc: int):
     shape = as_partition(shape)
     _require_level(n_trunc)
     flat = tuple(x for row in _checked_exponents(shape, var_rows, assign) for x in row)
-    if all(_is_exact_value(x) for x in flat):
+    if all(is_int(x) for x in flat):
         labels = tuple(_flatten(var_rows))
         ((fixed, _, vec),) = _product_sum(
             (), ((shape, labels),), tuple(dict(zip(labels, flat)).items()), n_trunc, (), ()
@@ -659,13 +659,13 @@ def h_sym_spec(lam, m: int) -> SymSpec:
     height of column 2, and every entry of columns 2..r.  The remaining
     column-1 entries and t's beyond r stay fixed.  Needs m >= r.
     """
-    return _pieri_setup(as_partition(lam), m, "h")[0]
+    return _pieri_setup(as_partition(lam), m, "h").spec
 
 
 def e_sym_spec(lam, n: int) -> SymSpec:
     """Symmetrized variable set for the column-strip (e-type) Pieri
     identity; the conjugate mirror of h_sym_spec.  Needs n >= len(lam)."""
-    return _pieri_setup(as_partition(lam), n, "e")[0]
+    return _pieri_setup(as_partition(lam), n, "e").spec
 
 
 def _terms_sum(plan: "_SymPlan", assign, n_trunc: int, values, caps) -> Fraction:
@@ -747,12 +747,19 @@ def _monomial_sym_sum(tabs, var_rows, sym, values, assign) -> Fraction:
 
 
 def _sym_work(plan: "_SymPlan", n_trunc: int, caps: tuple) -> int:
-    """The predicted work of _terms_sum over the plan's terms of at most
-    n_trunc rows, from the shapes and the value multiplicities caps alone:
-    the level DP's prod(m_i + 1) count vectors times n_trunc times the
-    largest, over the terms, of the value picks of a term's repeated
-    variables times the summed sub-shapes of its factors."""
-    units = max((len(caps) ** r * nodes for rows, r, nodes in plan.sizes if rows <= n_trunc), default=0)
+    """The predicted work of _terms_sum over the plan's walks, from the
+    shapes and the value multiplicities caps alone: the level DP's
+    prod(m_i + 1) count vectors times n_trunc times the largest, over the
+    last factors of terms of at most n_trunc rows, of the value picks of
+    their group's repeated variables times the summed sub-shapes of the
+    group's prefix and the last factor."""
+    units = 0
+    for prefix, _, repeated, ends in plan.groups:
+        picks = len(caps) ** len(repeated)
+        nodes = sum(len(_strip_graph(shape)[0]) for shape, _ in prefix)
+        for (shape, _), _, rows in ends:
+            if rows <= n_trunc:
+                units = max(units, picks * (nodes + len(_strip_graph(shape)[0])))
     return math.prod(m + 1 for m in caps) * units * n_trunc
 
 
@@ -763,7 +770,7 @@ def _require_work(work: int) -> None:
 
 def _require_level(n_trunc) -> None:
     """A truncation level is an integer >= 1, not a bool."""
-    if not _is_exact_value(n_trunc) or n_trunc < 1:
+    if not is_int(n_trunc) or n_trunc < 1:
         raise ValueError(f"truncation level must be an integer >= 1, got {n_trunc!r}")
 
 
@@ -782,7 +789,7 @@ def _check_spec_and_values(terms, spec, assign):
     missing = sorted(v for v in needed if v not in assign)
     if missing:
         raise ValueError(f"assignment missing variables {missing}")
-    exact = all(_is_exact_value(assign[v]) for v in needed)
+    exact = all(is_int(assign[v]) for v in needed)
     if exact and any(assign[v] < 0 for v in needed):
         raise ValueError("integer exponents must be >= 0")
     return exact
@@ -814,22 +821,21 @@ class _SymPlan(NamedTuple):
     against it.
 
     names lists every variable the sum needs: those of its cells in order
-    of first use, then the symmetrized ones in no cell.  sizes gives per
-    term (rows, repeated, nodes): the most rows of its factors, which make
-    it an empty sum below that truncation level; the number of its
-    symmetrized variables in more than one cell; and the summed sub-shapes
-    of its factors.  groups are the walks of _terms_sum, one per (prefix,
-    missing, repeated) of the terms: the factors before their last, the
-    number of symmetrized variables in none of their cells and the names of
-    those in several.  Each group ends with its last factors as (factor,
-    coeff, rows), the coefficients of equal last factors added.  A factor
-    is (shape, labels) with labels its row-major cell labels: None for a
-    symmetrized variable in one cell, which the level DP draws, the
-    variable's name otherwise.  A term's factors are in the order of its
-    walk, the fewest sub-shapes first."""
+    of first use, then the symmetrized ones in no cell.  groups are the
+    walks of _terms_sum, one per (prefix, missing, repeated) of the terms:
+    the factors before their last, the number of symmetrized variables in
+    none of their cells and the names of those in several.  Each group
+    ends with its last factors as (factor, coeff, rows), the coefficients
+    of equal last factors added and rows the most rows of the prefix and
+    the last factor, below which the term is an empty sum.  Terms merged
+    into one last factor share their rows, repeats and sub-shapes, so the
+    work guard (_sym_work) reads the groups alone.  A factor is (shape,
+    labels) with labels its row-major cell labels: None for a symmetrized
+    variable in one cell, which the level DP draws, the variable's name
+    otherwise.  A term's factors are in the order of its walk, the fewest
+    sub-shapes first."""
 
     names: tuple[str, ...]
-    sizes: tuple[tuple[int, int, int], ...]
     groups: tuple
 
 
@@ -838,14 +844,11 @@ def _sym_plan(terms, spec: SymSpec) -> _SymPlan:
     var_rows), ...]) under spec.  It checks nothing; each shape must be the
     Partition of its var_rows' row lengths."""
     sym = frozenset(spec.symmetrized)
-    sizes = []
     groups: dict[tuple, dict] = {}
     for coeff, factors in terms:
         cells = [(shape, _flatten(rows)) for shape, rows in factors]
         uses = Counter(v for _, labels in cells for v in labels if v in sym)
         repeated = tuple(v for v, n in uses.items() if n > 1)
-        rows = max((len(shape) for shape, _ in cells), default=0)
-        sizes.append((rows, len(repeated), sum(len(_strip_graph(shape)[0]) for shape, _ in cells)))
         walk = sorted(
             ((shape, tuple(None if uses[v] == 1 else v for v in labels)) for shape, labels in cells),
             key=lambda factor: len(_strip_graph(factor[0])[0]),
@@ -856,7 +859,6 @@ def _sym_plan(terms, spec: SymSpec) -> _SymPlan:
     names = [v for _, factors in terms for _, rows in factors for v in _flatten(rows)]
     return _SymPlan(
         tuple(dict.fromkeys(names + list(spec.symmetrized))),
-        tuple(sizes),
         tuple(
             (prefix, missing, repeated, tuple(
                 (last, coeff, max(len(shape) for shape, _ in (*prefix, last)))
@@ -924,12 +926,13 @@ def horizontal_push_filling(lam, s_rows: VarRows, t_names, cols) -> VarRows:
     variable sits in row 1 of the k-th grown column, and every existing
     entry in a grown column slides down one row."""
     lam = as_partition(lam)
-    cols = tuple(sorted(int(c) for c in cols))
+    cols = tuple(cols)
     if len(t_names) != len(cols):
         raise ValueError("one new variable per strip cell required")
     if tuple(len(r) for r in s_rows) != lam:
         raise ValueError("variable tableau does not match the shape")
     new_shape = grow_cols(lam, cols)
+    cols = tuple(sorted(cols))
     colset = set(cols)
     grid: list[list] = [[None] * part for part in new_shape]
     for idx, c in enumerate(cols):
@@ -956,12 +959,26 @@ def vertical_push_filling(lam, s_names, t_rows: VarRows, rows) -> VarRows:
 # identity verifiers
 
 
+class _Setup(NamedTuple):
+    """The cached record of one Pieri or Littlewood-Richardson identity,
+    fixed by its shapes alone: spec, its symmetrized set; factors, the
+    left-hand side's factors as (shape, var_rows); terms, per shape of the
+    right-hand side, in order, (strip, grown shape, pushed filling) for
+    Pieri and (lam, coefficient, canonical filling) for LR; and lhs and
+    rhs, the _SymPlans of the two sides."""
+
+    spec: SymSpec
+    factors: tuple
+    terms: tuple
+    lhs: _SymPlan
+    rhs: _SymPlan
+
+
 @cache
-def _pieri_setup(lam: Partition, size: int, mode: str):
-    """(spec, factors, extensions) of the Pieri identity of lam and a strip
-    of size cells: the symmetrized set, the left-hand side's factors as
-    (shape, var_rows), and per strip index set (columns for mode "h", rows
-    for "e"), in order, (strip, grown shape, pushed filling).  Cached.
+def _pieri_setup(lam: Partition, size: int, mode: str) -> _Setup:
+    """The _Setup of the Pieri identity of lam and a strip of size cells,
+    its terms one per strip index set (columns for mode "h", rows for
+    "e").  Cached.
 
     Mode "h" multiplies zeta(lam) in s_i_j by a row in t_1..t_size.  Mode
     "e", a column in s_1..s_size times zeta(lam) in t_i_j, is its conjugate
@@ -979,24 +996,15 @@ def _pieri_setup(lam: Partition, size: int, mode: str):
     for strip in horizontal_strip_cols(shape, size):
         rows = orient(horizontal_push_filling(shape, s_rows, t_names, strip))
         extensions.append((strip, shape_of(rows), rows))
-    return spec, factors, tuple(extensions)
-
-
-@cache
-def _pieri_plans(lam: Partition, size: int, mode: str):
-    """(spec, lhs, rhs): the symmetrized set of the Pieri identity of
-    _pieri_setup and the _SymPlans of its two sides, planned once per
-    identity.  Cached."""
-    spec, factors, extensions = _pieri_setup(lam, size, mode)
     rhs = [(1, [(grown, rows)]) for _, grown, rows in extensions]
-    return spec, _sym_plan([(1, factors)], spec), _sym_plan(rhs, spec)
+    return _Setup(spec, factors, tuple(extensions), _sym_plan([(1, factors)], spec), _sym_plan(rhs, spec))
 
 
 def _vacuous_note(lhs: _SymPlan, n_trunc: int) -> str:
     """The note of an identity with a left-hand factor of more rows than
     n_trunc: no tableau with entries <= n_trunc fills it, nor any shape on
     the right, each of which contains it, so both sides are empty sums."""
-    rows = max(rows for rows, _, _ in lhs.sizes)
+    rows = max(rows for *_, ends in lhs.groups for _, _, rows in ends)
     if rows <= n_trunc:
         return ""
     return (
@@ -1005,15 +1013,16 @@ def _vacuous_note(lhs: _SymPlan, n_trunc: int) -> str:
     )
 
 
-def _verify(spec: SymSpec, lhs: _SymPlan, rhs: _SymPlan, assign, n_trunc: int) -> IdentityReport:
-    """The report of an identity from the plans of its sides, which are
-    built once per identity.  Per call only the level and the assignment
-    are checked: n_trunc must be an integer >= 1 and every variable of the
-    left side, which the right side's terms use as well, an integer >= 1.
-    Both sides' work is then guarded before either side's DP runs, the left
+def _verify(setup: _Setup, assign, n_trunc: int) -> IdentityReport:
+    """The report of an identity from the plans of its sides in its
+    _Setup, built once per identity.  Per call only the level and the
+    assignment are checked: n_trunc must be an integer >= 1 and every
+    variable of the left side, which the right side's terms use as well,
+    an integer >= 1.  Both sides' work is then guarded before either side's DP runs, the left
     side first, so a refusal names its count when both sides exceed the
     limit.  Both sums go through sym_sum, the one entry point of a
     symmetrized sum, which the benchmark's tracer wraps."""
+    spec, _, _, lhs, rhs = setup
     _require_level(n_trunc)
     require_exact(assign, lhs.names)
     _admit((lhs, rhs), spec, assign, n_trunc)
@@ -1026,14 +1035,14 @@ def verify_pieri_h(lam, m: int, assign, n_trunc: int) -> IdentityReport:
     symmetrized product of zeta(lam) and zeta((m)) against the symmetrized
     sum of zeta over all one-horizontal-strip extensions with pushed
     fillings.  Holds for every truncation level and integer assignment."""
-    return _verify(*_pieri_plans(as_partition(lam), m, "h"), assign, n_trunc)
+    return _verify(_pieri_setup(as_partition(lam), m, "h"), assign, n_trunc)
 
 
 def verify_pieri_e(lam, n: int, assign, n_trunc: int) -> IdentityReport:
     """Exact truncated check of the column-strip Pieri identity (conjugate
     of verify_pieri_h): zeta((1^n)) times zeta(lam) against the
     one-vertical-strip extensions."""
-    return _verify(*_pieri_plans(as_partition(lam), n, "e"), assign, n_trunc)
+    return _verify(_pieri_setup(as_partition(lam), n, "e"), assign, n_trunc)
 
 
 def canonical_filling(lam, mu, nu, variant: int = 0) -> VarRows:
@@ -1054,48 +1063,21 @@ def canonical_filling(lam, mu, nu, variant: int = 0) -> VarRows:
     return tuple(tuple(row) for row in grid)
 
 
-def _lr_expansion(mu: Partition, nu: Partition) -> Counter:
-    """The Littlewood-Richardson coefficients of s_mu * s_nu as a Counter
-    lam -> c, in one pass over the SSYT T of shape nu with entries <=
-    len(mu) + len(nu): T adds one to lam = mu + content(T) when mu plus the
-    content of every prefix of its reverse reading word (rows right to left,
-    top row first) is a partition, the crystal form of the rule."""
-    rows = len(mu) + len(nu)
-    out: Counter = Counter()
-    for t in cached_ssyt(nu, rows):
-        lam = list(mu) + [0] * (rows - len(mu))
-        for x in reversed(reading_word(t)):
-            lam[x - 1] += 1
-            if x > 1 and lam[x - 1] > lam[x - 2]:
-                break
-        else:
-            out[as_partition(lam)] += 1
-    return out
-
-
 @cache
-def _lr_setup(mu: Partition, nu: Partition, variant: int):
-    """(spec, factors, terms) of the Littlewood-Richardson identity of mu
-    and nu: the symmetrized set of all their variables, the left-hand
-    side's factors as (shape, var_rows), and per shape of the expansion,
-    in order, (lam, coefficient, canonical filling).  Cached."""
+def _lr_setup(mu: Partition, nu: Partition, variant: int) -> _Setup:
+    """The _Setup of the Littlewood-Richardson identity of mu and nu: all
+    their variables symmetrized, and one term per component of the
+    product of their GL(len(mu) + len(nu)) tableau crystals
+    (crystal.decompose_product), enough letters for every shape of the
+    product.  Cached."""
     factors = ((mu, grid_vars(mu, "s")), (nu, grid_vars(nu, "t")))
     spec = SymSpec(tuple(v for _, rows in factors for v in _flatten(rows)), frozenset())
     terms = tuple(
         (lam, coeff, canonical_filling(lam, mu, nu, variant))
-        for lam, coeff in _lr_expansion(mu, nu).items()
+        for lam, coeff in crystal.decompose_product(mu, nu, len(mu) + len(nu)).items()
     )
-    return spec, factors, terms
-
-
-@cache
-def _lr_plans(mu: Partition, nu: Partition, variant: int):
-    """(spec, lhs, rhs): the symmetrized set of the Littlewood-Richardson
-    identity of _lr_setup and the _SymPlans of its two sides, the right one
-    with the canonical fillings, planned once per identity.  Cached."""
-    spec, factors, terms = _lr_setup(mu, nu, variant)
     rhs = [(coeff, [(lam, filling)]) for lam, coeff, filling in terms]
-    return spec, _sym_plan([(1, factors)], spec), _sym_plan(rhs, spec)
+    return _Setup(spec, factors, terms, _sym_plan([(1, factors)], spec), _sym_plan(rhs, spec))
 
 
 def verify_lr(
@@ -1115,9 +1097,9 @@ def verify_lr(
     mu, nu = as_partition(mu), as_partition(nu)
     if not mu or not nu:
         raise ValueError("both shapes must be nonempty")
-    spec, lhs, rhs = _lr_plans(mu, nu, variant)
+    setup = _lr_setup(mu, nu, variant)
     if fillings:
-        terms = _lr_setup(mu, nu, variant)[2]
+        spec, _, terms, _, _ = setup
         overrides = {as_partition(k): tuple(tuple(r) for r in v) for k, v in fillings.items()}
         stray = sorted(overrides.keys() - {lam for lam, _, _ in terms})
         if stray:
@@ -1131,8 +1113,8 @@ def verify_lr(
                 if tuple(len(r) for r in filling) != lam:
                     raise ValueError(f"filling shape mismatch for {lam}")
             rhs_terms.append((coeff, [(lam, filling)]))
-        rhs = _sym_plan(rhs_terms, spec)
-    return _verify(spec, lhs, rhs, assign, n_trunc)
+        setup = setup._replace(rhs=_sym_plan(rhs_terms, spec))
+    return _verify(setup, assign, n_trunc)
 
 
 def verify_insertion_term(
@@ -1157,7 +1139,7 @@ def verify_insertion_term(
     left, right = as_tableau(left), as_tableau(right)
     if mode not in ("h", "e"):
         raise ValueError(f"mode must be 'h' or 'e', got {mode!r}")
-    spec, factors, extensions = _pieri_setup(lam, size, mode)
+    spec, factors, extensions, lhs, _ = _pieri_setup(lam, size, mode)
     # the pair in factor order, the tableau of shape lam first
     pair = [left, right] if mode == "h" else [right, left]
     if [shape_of(t) for t in pair] != [shape for shape, _ in factors]:
@@ -1178,7 +1160,7 @@ def verify_insertion_term(
             f"insertion produced {new_shape}, not a "
             f"{'horizontal' if mode == 'h' else 'vertical'}-strip extension of {lam}"
         )
-    require_exact(assign, [v for _, rows in factors for v in _flatten(rows)])
+    require_exact(assign, lhs.names)
     values = tuple(assign[v] for v in spec.symmetrized)
     # each monomial sum draws len(values) times over every count vector
     _require_work(math.prod(m + 1 for m in Counter(values).values()) * len(values))

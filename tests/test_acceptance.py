@@ -22,8 +22,6 @@ CACHES = (
     zeta._product_sum,
     zeta._pieri_setup,
     zeta._lr_setup,
-    zeta._pieri_plans,
-    zeta._lr_plans,
 )
 
 

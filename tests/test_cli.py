@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurzeta import cli
+from schurzeta import cli, crystal
+from schurzeta.partitions import all_partitions
+from schurzeta.tableaux import lr_coefficient
 from schurzeta.zeta import IdentityReport
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -41,6 +43,27 @@ def test_lr_single_and_table(capsys):
     code, out, _ = run(capsys, ["lr", "--mu", "1", "--nu", "1", "--json"])
     assert code == 0
     assert json.loads(out) == {"2": 1, "1,1": 1}
+
+
+def test_lr_table_is_the_crystal_decomposition(capsys):
+    # every pair of total size <= 5, empty shapes included, against the
+    # skew Yamanouchi count; two empty shapes give the empty shape once
+    shapes = [p for a in range(5) for p in all_partitions(a)]
+    for mu in shapes:
+        for nu in shapes:
+            total = sum(mu) + sum(nu)
+            if total > 5:
+                continue
+            args = [",".join(map(str, p)) or "-" for p in (mu, nu)]
+            code, out, _ = run(capsys, ["lr", "--mu", args[0], "--nu", args[1], "--json"])
+            expected = {
+                ",".join(map(str, lam)): c
+                for lam in all_partitions(total)
+                if (c := lr_coefficient(mu, nu, lam))
+            }
+            assert code == 0 and json.loads(out) == expected, (mu, nu)
+    code, out, _ = run(capsys, ["lr", "--mu", "-", "--nu", "-"])
+    assert code == 0 and out.split() == ["1"]
 
 
 def test_zeta_eval_exact(capsys):
@@ -165,6 +188,17 @@ def test_crystal_graph_dot(capsys, tmp_path):
     assert code == 0 and "nodes 8" in out
     text = path.read_text(encoding="utf-8")
     assert text.startswith("digraph") and text.count("->") > 0
+
+
+def test_crystal_graph_evaluates_each_lowering_once(capsys, monkeypatch):
+    # 8 tableaux of shape (2,1) and two indices: one f call per pair, and
+    # the edge count read off the DOT lines that crystal_dot draws
+    calls = []
+    lower = crystal.f
+    monkeypatch.setattr(crystal, "f", lambda *args: calls.append(args) or lower(*args))
+    code, out, _ = run(capsys, ["crystal", "graph", "--shape", "2,1", "--n", "3"])
+    assert code == 0 and out.strip() == "nodes 8  edges 8"
+    assert len(calls) == 16 == len(set(calls))
 
 
 def test_crystal_graph_word(capsys):

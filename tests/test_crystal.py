@@ -91,6 +91,9 @@ def test_decompose_product_examples():
     assert decompose_product((1,), (1,), 2) == Counter({(2,): 1, (1, 1): 1})
     assert decompose_product((1,), (1,), 1) == Counter({(2,): 1})
     assert decompose_product((2, 1), (2, 1), 4)[(3, 2, 1)] == 2
+    # an empty factor is the trivial crystal: the other factor's shape once
+    assert decompose_product((2, 1), (), 3) == Counter({(2, 1): 1})
+    assert decompose_product((), (), 1) == Counter({(): 1})
     with pytest.raises(ValueError):
         decompose_product((1, 1, 1), (1,), 2)
 

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from schurzeta.insertion import column_insert, row_insert, row_insert_word
 from schurzeta.partitions import (
     all_partitions,
     as_partition,
@@ -16,6 +17,8 @@ from schurzeta.partitions import (
     is_vertical_strip,
     vertical_strip_rows,
 )
+from schurzeta.tableaux import SkewTableau, as_tableau, enumerate_ssyt, is_skew_ssyt, is_ssyt
+from schurzeta.zeta import horizontal_push_filling, verify_pieri_h
 
 
 def brute_vertical_row_sets(p, n):
@@ -175,3 +178,54 @@ def test_is_horizontal_strip_means_one_cell_per_column():
             skew = set(cells(outer)) - set(cells(inner))
             direct = contains(outer, inner) and len({j for _, j in skew}) == len(skew)
             assert is_horizontal_strip(outer, inner) == direct, (outer, inner)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        pytest.param(as_partition, ((2.5, 1),), id="partition-float-part"),
+        pytest.param(as_partition, ((2, 1.0),), id="partition-integral-float-part"),
+        pytest.param(as_partition, ((2, True),), id="partition-bool-part"),
+        pytest.param(as_partition, ((1, False),), id="partition-bool-trailing-zero"),
+        pytest.param(as_partition, (("2",),), id="partition-str-part"),
+        pytest.param(all_partitions, (2.5,), id="all-partitions-float-size"),
+        pytest.param(all_partitions, (True,), id="all-partitions-bool-size"),
+        pytest.param(grow_rows, ((1,), (1.5,)), id="grow-rows-float-index"),
+        pytest.param(grow_cols, ((1,), (True,)), id="grow-cols-bool-index"),
+        pytest.param(
+            horizontal_push_filling, ((1,), (("s_1_1",),), ("t_1",), (2.0,)), id="push-float-column"
+        ),
+        pytest.param(as_tableau, ([[1.5, 2]],), id="tableau-float-entry"),
+        pytest.param(as_tableau, ([[1, True]],), id="tableau-bool-entry"),
+        pytest.param(enumerate_ssyt, ((2,), 2.5), id="ssyt-float-n"),
+        pytest.param(enumerate_ssyt, ((2,), True), id="ssyt-bool-n"),
+        pytest.param(row_insert, ([[1, 2]], 1.5), id="row-insert-float-letter"),
+        pytest.param(row_insert, ([[1, 2]], True), id="row-insert-bool-letter"),
+        pytest.param(row_insert_word, ([[1]], (2, 1.0)), id="row-insert-word-float-letter"),
+        pytest.param(column_insert, (1.5, [[1, 2]]), id="column-insert-float-letter"),
+        pytest.param(row_insert, ([[1.5, 2]], 1), id="row-insert-float-entry"),
+        pytest.param(
+            verify_pieri_h, ((2.7,), 2, {v: 1 for v in ("s_1_1", "s_1_2", "t_1", "t_2")}, 2),
+            id="pieri-float-part",
+        ),
+    ],
+)
+def test_non_integers_are_rejected_not_truncated(fn, args):
+    # parts, sizes, indices, entries and letters are ints, not floats,
+    # bools or strings, even when int() would turn them into one
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        pytest.param([[1.5, 1.2]], id="floats"),
+        pytest.param([[1, 2.0]], id="integral-float"),
+        pytest.param([[True, 2]], id="bool"),
+        pytest.param(SkewTableau((2, 1), (1,), ((1.5,), (2,))), id="skew-float"),
+        pytest.param(SkewTableau((2, 1), (1,), ((1,), (True,))), id="skew-bool"),
+    ],
+)
+def test_tableaux_with_non_integer_entries_are_not_semistandard(t):
+    assert not (is_skew_ssyt(t) if isinstance(t, SkewTableau) else is_ssyt(t))

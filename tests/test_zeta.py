@@ -25,7 +25,6 @@ from schurzeta.tableaux import cached_ssyt, lr_coefficient
 from schurzeta.zeta import (
     LIMIT_MAX_ORDER,
     SymSpec,
-    _lr_expansion,
     _partial_sums,
     _permanent,
     _pieri_setup,
@@ -387,6 +386,73 @@ def test_work_guard_refuses_either_side_before_any_level_dp():
     assert zmod._product_sum.cache_info().misses == 0
 
 
+def _oracle_sizes(terms, spec):
+    """Per term (rows, repeated, nodes), read off the term as a whole: the
+    most rows of its factors, its symmetrized variables in more than one
+    cell, and the summed sub-shapes of its factors, counted as the
+    weakly decreasing tuples under each shape."""
+    sym = set(spec.symmetrized)
+    sizes = []
+    for _, factors in terms:
+        uses = Counter(v for _, rows in factors for r in rows for v in r if v in sym)
+        nodes = sum(
+            sum(all(a >= b for a, b in zip(mu, mu[1:])) for mu in product(*(range(p + 1) for p in shape)))
+            for shape, _ in factors
+        )
+        rows = max((len(shape) for shape, _ in factors), default=0)
+        sizes.append((rows, sum(n > 1 for n in uses.values()), nodes))
+    return sizes
+
+
+def _oracle_work(sizes, n_trunc, caps):
+    units = max((len(caps) ** r * nodes for rows, r, nodes in sizes if rows <= n_trunc), default=0)
+    return math.prod(m + 1 for m in caps) * units * n_trunc
+
+
+def _guarded_identities():
+    """(setup, left terms, right terms) of every Pieri h/e identity with
+    |lam| <= 5 and three strip sizes, and every LR pair of total size <= 6
+    in both variants."""
+    for size in range(1, 6):
+        for lam in all_partitions(size):
+            for mode in "he":
+                side = lam[0] if mode == "h" else len(lam)
+                for strip in range(side, side + 3):
+                    setup = _pieri_setup(lam, strip, mode)
+                    rhs = [(1, [(grown, rows)]) for _, grown, rows in setup.terms]
+                    yield setup, [(1, setup.factors)], rhs
+    for total in range(2, 7):
+        for a in range(1, total):
+            for mu in all_partitions(a):
+                for nu in all_partitions(total - a):
+                    for variant in (0, 1):
+                        setup = zmod._lr_setup(mu, nu, variant)
+                        rhs = [(coeff, [(lam, filling)]) for lam, coeff, filling in setup.terms]
+                        yield setup, [(1, setup.factors)], rhs
+
+
+def test_guard_reads_the_plans_as_the_per_term_sizes_would():
+    # the guard and the vacuous note read the plans' walks; terms merged
+    # into one walk share their rows, repeats and sub-shapes, so both match
+    # the per-term formula on every identity, value pattern and level
+    cases = 0
+    for setup, lhs_terms, rhs_terms in _guarded_identities():
+        k = len(setup.spec.symmetrized)
+        patterns = {(1,) * k, (k,), (2,) * (k // 2) + (1,) * (k % 2), (1, k - 1) if k > 1 else (1,)}
+        left_sizes = _oracle_sizes(lhs_terms, setup.spec)
+        rows = max(r for r, _, _ in left_sizes)
+        for plan, terms in ((setup.lhs, lhs_terms), (setup.rhs, rhs_terms)):
+            sizes = _oracle_sizes(terms, setup.spec)
+            for caps in patterns:
+                for n_trunc in (1, 2, 3, 4, 6):
+                    assert zmod._sym_work(plan, n_trunc, caps) == _oracle_work(sizes, n_trunc, caps)
+                    cases += 1
+        for n_trunc in (1, 2, 3, 4, 6):
+            note = f"vacuous: truncation {n_trunc} < {rows} rows of a left-hand factor, both sides are empty sums"
+            assert zmod._vacuous_note(setup.lhs, n_trunc) == (note if rows > n_trunc else "")
+    assert cases > 5000
+
+
 def test_insertion_term_work_guard(monkeypatch):
     # four distinct symmetrized values: 2**4 count vectors times 4 draws
     assign = {"s_1_1": 2, "s_1_2": 5, "t_1": 3, "t_2": 4}
@@ -420,8 +486,7 @@ def test_vacuous_terms_run_no_level_dp(monkeypatch):
     levels = zmod._levels
     monkeypatch.setattr(zmod, "_levels", lambda *args: calls.append(args) or levels(*args))
     zmod._product_sum.cache_clear()
-    _, factors, _ = _pieri_setup((1,), 3, "e")
-    rep = verify_pieri_e((1,), 3, _distinct([v for _, rows in factors for r in rows for v in r]), 2)
+    rep = verify_pieri_e((1,), 3, _distinct(_pieri_setup((1,), 3, "e").lhs.names), 2)
     assert rep.equal and rep.lhs == 0 and rep.note
     assert calls == []
 
@@ -443,9 +508,9 @@ def test_pieri_right_side_is_one_walk(monkeypatch):
     # the left side walks (3) first, the factor with fewer sub-shapes,
     # then (3,2)
     calls = _spy_levels(monkeypatch)
-    _, factors, extensions = _pieri_setup((3, 2), 3, "h")
-    names = [v for _, rows in factors for r in rows for v in r]
-    assert verify_pieri_h((3, 2), 3, _distinct(names), 4).equal
+    setup = _pieri_setup((3, 2), 3, "h")
+    extensions = setup.terms
+    assert verify_pieri_h((3, 2), 3, _distinct(setup.lhs.names), 4).equal
     assert [[shape for shape, _ in ends] for ends in calls] == [
         [(3,)], [(3, 2)], [grown for _, grown, _ in extensions],
     ]
@@ -765,18 +830,24 @@ def test_deep_identities_verify_within_a_second(label, check):
     assert time.perf_counter() - start < 1.0, label
 
 
+def _lr_terms(mu, nu, variant=0):
+    """The right-hand coefficients of the LR identity's setup, lam -> c."""
+    return Counter({lam: coeff for lam, coeff, _ in zmod._lr_setup(mu, nu, variant).terms})
+
+
 def test_lr_expansion_matches_lr_coefficient():
-    # every pair of nonempty shapes of total size <= 6, against the skew
-    # Yamanouchi count of tableaux.lr_coefficient, zeros included
+    # the terms of every LR setup with nonempty shapes of total size <= 6,
+    # against the skew Yamanouchi count of tableaux.lr_coefficient, zeros
+    # included
     for total in range(2, 7):
         for a in range(1, total):
             for mu in all_partitions(a):
                 for nu in all_partitions(total - a):
-                    expansion = _lr_expansion(mu, nu)
+                    expansion = _lr_terms(mu, nu)
                     assert set(expansion) <= set(all_partitions(total))
                     for lam in all_partitions(total):
                         assert expansion[lam] == lr_coefficient(mu, nu, lam), (mu, nu, lam)
-    assert _lr_expansion((2, 1), (2, 1))[(3, 2, 1)] == 2
+    assert _lr_terms((2, 1), (2, 1))[(3, 2, 1)] == 2
 
 
 def test_sym_sum_matches_direct_on_seven_variable_lr():
@@ -1393,7 +1464,8 @@ def test_pieri_setup_matches_hand_written_rules(mode):
     for lam in PIERI_ORACLE_SHAPES:
         side = lam[0] if mode == "h" else len(lam)
         for size in range(side, side + 3):
-            spec, factors, extensions = _pieri_setup(lam, size, mode)
+            spec, factors, extensions, lhs, _ = _pieri_setup(lam, size, mode)
+            assert lhs.names == tuple(v for _, rows in factors for r in rows for v in r)
             if mode == "h":
                 s_rows, t_names = grid_vars(lam, "s"), seq_vars(size, "t")
                 assert spec == h_sym_spec(lam, size) == oracle_h_sym_spec(lam, size)
@@ -1428,12 +1500,12 @@ def test_a_verifier_plans_its_identity_once(monkeypatch):
     ]:
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, _f=fn, _n=name: calls.update([_n]) or _f(*a))
-    zmod._pieri_plans.cache_clear()
-    zmod._lr_plans.cache_clear()
+    zmod._pieri_setup.cache_clear()
+    zmod._lr_setup.cache_clear()
     assert verify_pieri_h((3, 1), 3, _distinct(h_names), 3).equal
     assert verify_lr((2, 1), (2, 1), _distinct(lr_names), 3).equal
     assert calls["_sym_plan"] == 4 and calls["_check_spec_and_values"] == 0
-    plans = zmod._pieri_plans.cache_info(), zmod._lr_plans.cache_info()
+    plans = zmod._pieri_setup.cache_info(), zmod._lr_setup.cache_info()
 
     calls.clear()
     rep = verify_pieri_h((3, 1), 3, {v: 1 + k % 2 for k, v in enumerate(h_names)}, 4)
@@ -1443,7 +1515,7 @@ def test_a_verifier_plans_its_identity_once(monkeypatch):
     rep = verify_lr((2, 1), (2, 1), {v: 3 - k % 3 for k, v in enumerate(lr_names)}, 2)
     assert rep.equal and rep.lhs > 0
     assert calls == {"as_partition": 2}
-    after = zmod._pieri_plans.cache_info(), zmod._lr_plans.cache_info()
+    after = zmod._pieri_setup.cache_info(), zmod._lr_setup.cache_info()
     assert [(a.hits - b.hits, a.misses - b.misses) for a, b in zip(after, plans)] == [(1, 0), (1, 0)]
 
 
