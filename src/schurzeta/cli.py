@@ -48,10 +48,7 @@ def _load_json(value: str, flag: str):
 def _parse_tableau(value: str, flag: str):
     data = _load_json(value, flag)
     rows = data.get("rows") if isinstance(data, dict) else data
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list) and all(is_int(x) for x in row)
-        for row in rows
-    ):
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError(f"{flag}: expected rows of integers, e.g. [[1,2],[3]]")
     t = tableaux.as_tableau(rows)
     if isinstance(data, dict) and "shape" in data:
@@ -256,7 +253,8 @@ def _cmd_lr(args) -> int:
         c = expansion.get(_parse_shape(args.lam), 0)
         _emit({"coefficient": c}, args.json, [str(c)])
         return 0
-    table = {",".join(map(str, lam)): c for lam, c in sorted(expansion.items(), reverse=True)}
+    # the empty shape is written "-", as on the input side
+    table = {",".join(map(str, lam)) or "-": c for lam, c in sorted(expansion.items(), reverse=True)}
     lines = [f"{k} {v}" for k, v in table.items()]
     _emit(table, args.json, lines)
     return 0

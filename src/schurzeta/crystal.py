@@ -9,32 +9,18 @@ role of the absent value outside the crystal.
 from collections import Counter
 from itertools import accumulate
 
-from .partitions import Partition, as_partition, is_int
+from .partitions import Partition, as_partition, require_ints
 from .tableaux import Tableau, cached_ssyt, is_ssyt, reading_word
 
 TensorWord = tuple[int, ...]
 
 
-def _check_n(n: int) -> None:
-    if not is_int(n) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-
-
 def _check_word(word, n: int) -> TensorWord:
-    _check_n(n)
-    w = tuple(word)
+    require_ints((n,), "n", 1)
+    w = require_ints(word, "letters", 1, n)
     if not w:
         raise ValueError("tensor words must be nonempty")
-    for x in w:
-        # type() first: plain ints skip the call
-        if not (type(x) is int or is_int(x)) or not 1 <= x <= n:
-            raise ValueError(f"letters must be integers in 1..{n}, got {w}")
     return w
-
-
-def _check_index(i: int, n: int) -> None:
-    if not is_int(i) or not 1 <= i <= n - 1:
-        raise ValueError(f"operator index {i!r} outside 1..{n - 1}")
 
 
 def wt(word, n: int) -> tuple[int, ...]:
@@ -79,20 +65,20 @@ def _suffix_eps(w: TensorWord, i: int) -> int:
 
 def phi(i: int, word, n: int) -> int:
     w = _check_word(word, n)
-    _check_index(i, n)
+    require_ints((i,), "operator index", 1, n - 1)
     return _suffix_phi(w, i)[0]
 
 
 def eps(i: int, word, n: int) -> int:
     w = _check_word(word, n)
-    _check_index(i, n)
+    require_ints((i,), "operator index", 1, n - 1)
     return _suffix_eps(w, i)
 
 
 def f(i: int, word, n: int) -> TensorWord | None:
     """Lowering operator on the tensor power; None when it vanishes."""
     w = _check_word(word, n)
-    _check_index(i, n)
+    require_ints((i,), "operator index", 1, n - 1)
     suf = _suffix_phi(w, i)
     for k, x in enumerate(w):
         if suf[k + 1] <= (x == i + 1):
@@ -106,7 +92,7 @@ def f(i: int, word, n: int) -> TensorWord | None:
 def e(i: int, word, n: int) -> TensorWord | None:
     """Raising operator on the tensor power; None when it vanishes."""
     w = _check_word(word, n)
-    _check_index(i, n)
+    require_ints((i,), "operator index", 1, n - 1)
     suf = _suffix_phi(w, i)
     for k, x in enumerate(w):
         if suf[k + 1] < (x == i + 1):
@@ -147,7 +133,7 @@ def is_highest_weight(word, n: int) -> bool:
 
 def highest_weight_elements(words, n: int) -> list[TensorWord]:
     """Elements killed by every raising operator, in sorted order."""
-    _check_n(n)
+    require_ints((n,), "n", 1)
     return sorted(w for w in words if is_highest_weight(w, n))
 
 
@@ -183,7 +169,7 @@ def decompose_product(mu, nu, n: int) -> Counter:
     and drops the right words some e_i acts on; each left word then
     extends each kept vector.  A highest-weight word of weight lam has
     phi_i = lam_i - lam_(i+1), so lam is read off the final vector."""
-    _check_n(n)
+    require_ints((n,), "n", 1)
     mu, nu = as_partition(mu), as_partition(nu)
     if len(mu) > n or len(nu) > n:
         raise ValueError(f"shapes {mu}, {nu} need at most {n} rows")
@@ -227,7 +213,7 @@ def verify_crystal_axioms(words, n: int, ops=None) -> list[str]:
     the order of the first time the checks ask for it, and the store is
     dropped when the call returns.
     """
-    _check_n(n)
+    require_ints((n,), "n", 1)
     words = set(tuple(w) for w in words)
     alpha = [
         tuple((k == i - 1) - (k == i) for k in range(n)) for i in range(1, n)
@@ -296,7 +282,7 @@ def crystal_dot(words, n: int, label=None) -> str:
     Nodes are labelled by the space-separated letters unless ``label`` maps
     a word to a custom string.
     """
-    _check_n(n)
+    require_ints((n,), "n", 1)
     words = sorted(set(tuple(w) for w in words))
     index = {w: k for k, w in enumerate(words)}
     if label is None:

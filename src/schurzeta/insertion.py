@@ -12,7 +12,7 @@ column), ending at the newly created cell.
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
-from .partitions import is_int
+from .partitions import require_ints
 from .tableaux import Tableau, Word, _semistandard, as_tableau, transpose
 
 Cell = tuple[int, int]
@@ -29,11 +29,7 @@ def _checked_rows(t, word) -> tuple[Tableau, Word]:
     t = as_tableau(t)
     if not _semistandard(t):
         raise ValueError(f"not a semistandard tableau: {t}")
-    letters = tuple(word)
-    for x in letters:
-        if not is_int(x) or x < 1:
-            raise ValueError(f"inserted value must be a positive integer, got {x!r}")
-    return t, letters
+    return t, require_ints(word, "inserted values", 1)
 
 
 def _row_bump(

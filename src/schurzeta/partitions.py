@@ -18,20 +18,29 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def as_partition(parts) -> Partition:
-    """Normalize an iterable of ints to a partition tuple, stripping
-    trailing zeros."""
-    t = tuple(parts)
+def require_ints(values, what: str, lo: int, hi: int | None = None) -> tuple[int, ...]:
+    """values as a tuple; a ValueError unless each is an int (is_int) >= lo,
+    and <= hi when hi is given.  The one check of the integer arguments:
+    counts, sizes, levels, indices, parts, entries and letters.  A scalar
+    passes a 1-tuple."""
+    t = tuple(values)
     for x in t:
         # type() first: plain ints skip the call
-        if not (type(x) is int or is_int(x)):
-            raise ValueError(f"partition parts must be integers, got {x!r}")
+        if type(x) is not int and not is_int(x) or x < lo or hi is not None and x > hi:
+            bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+            raise ValueError(f"{what} must be integers {bound}, got {x!r}")
+    return t
+
+
+def as_partition(parts) -> Partition:
+    """Normalize an iterable of ints to a partition tuple, stripping
+    trailing zeros.  A zero left after that is followed by a larger part,
+    which the weakly-decreasing test rejects."""
+    t = require_ints(parts, "partition parts", 0)
     while t and t[-1] == 0:
         t = t[:-1]
-    for i, x in enumerate(t):
-        if x <= 0:
-            raise ValueError(f"partition parts must be positive, got {x}")
-        if i + 1 < len(t) and x < t[i + 1]:
+    for a, b in zip(t, t[1:]):
+        if a < b:
             raise ValueError(f"parts must weakly decrease, got {t}")
     return t
 
@@ -95,8 +104,7 @@ def vertical_strip_rows(p: Partition, n: int) -> list[tuple[int, ...]]:
     length (missing parts count as 0), but never length + n.
     """
     p = as_partition(p)
-    if n < 1:
-        raise ValueError("strip size must be >= 1")
+    require_ints((n,), "strip size", 1)
     out = []
     for ks in combinations(range(1, len(p) + n + 1), n):
         if _grown_or_none(p, ks) is not None:
@@ -127,9 +135,9 @@ def grow_rows(p: Partition, rows) -> Partition:
 
 def _grow(parts: Partition, index, p: Partition, noun: str) -> Partition:
     """parts, the rows or columns (noun) of p, grown at each index."""
-    given = tuple(index)
-    if not given or not all(map(is_int, given)) or len(set(given)) != len(given) or min(given) < 1:
-        raise ValueError(f"{noun} set must be nonempty distinct positive integers, got {given}")
+    given = require_ints(index, f"{noun} set", 1)
+    if not given or len(set(given)) != len(given):
+        raise ValueError(f"{noun} set must be nonempty and distinct, got {given}")
     grown = _grown_or_none(parts, tuple(sorted(given)))
     if grown is None:
         raise ValueError(f"growing {noun}s {given} of {p} does not give a partition")
@@ -161,9 +169,9 @@ def _partitions_of(n: int, max_part: int) -> tuple[Partition, ...]:
 
 def all_partitions(n: int, max_length: int | None = None) -> list[Partition]:
     """All partitions of n in descending lexicographic order."""
-    if not is_int(n) or n < 0:
-        raise ValueError(f"size must be an integer >= 0, got {n!r}")
+    require_ints((n,), "size", 0)
     ps = list(_partitions_of(n, n if n else 1))
     if max_length is not None:
+        require_ints((max_length,), "max length", 0)
         ps = [p for p in ps if len(p) <= max_length]
     return ps

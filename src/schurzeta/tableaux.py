@@ -12,7 +12,7 @@ from collections import Counter
 from functools import cache
 from typing import NamedTuple
 
-from .partitions import Partition, as_partition, contains, is_int
+from .partitions import Partition, as_partition, contains, require_ints
 
 Tableau = tuple[tuple[int, ...], ...]
 Word = tuple[int, ...]
@@ -43,13 +43,10 @@ def transpose(rows) -> tuple[tuple, ...]:
 
 
 def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
-    """rows as tuples; a ValueError unless every entry is an int."""
+    """rows as tuples; a ValueError unless every entry is an int >= 1."""
     t = tuple(map(tuple, rows))
-    for row in t:
-        for x in row:
-            # type() first: plain ints skip the call
-            if not (type(x) is int or is_int(x)):
-                raise ValueError(f"tableau entries must be integers, got {x!r}")
+    # one check of all entries; sum of a few row tuples is cheaper than chain
+    require_ints(sum(t, ()), "tableau entries", 1)
     return t
 
 
@@ -69,15 +66,13 @@ def is_ssyt(t) -> bool:
 
 
 def _semistandard(rows, inner: Partition = ()) -> bool:
-    """Whether integer rows, row i filling columns inner[i]+1 onwards
-    (inner padded with zeros), are positive, weakly increase along each
-    row and strictly down each column.  The shapes are not checked."""
+    """Whether rows of ints >= 1 (_int_rows), row i filling columns
+    inner[i]+1 onwards (inner padded with zeros), weakly increase along
+    each row and strictly down each column.  The shapes are not checked."""
     for row in rows:
         for a, b in zip(row, row[1:]):
             if b < a:
                 return False
-        if row and row[0] < 1:
-            return False
     below = rows[1:]
     if inner:
         # drop the cells of each lower row that sit below the inner shape
@@ -159,14 +154,15 @@ def _skew_fillings(outer: Partition, inner: Partition, n: int, weight=None) -> l
 def cached_ssyt(shape: Partition, n: int) -> tuple[Tableau, ...]:
     """All SSYT of the given shape with entries in 1..n, row-major
     lexicographic order: the skew fillings over the empty inner shape.
-    Cached; treat the result as immutable."""
+    Cached; treat the result as immutable.  Unchecked: its callers pass
+    an int n >= 0, checked before the lookup, where 1.0 and True would
+    hit the entry of 1."""
     return tuple(_skew_fillings(as_partition(shape), (), n))
 
 
 def enumerate_ssyt(shape, n: int) -> list[Tableau]:
     """Materialized list of SSYT of shape with entries <= n."""
-    if not is_int(n) or n < 0:
-        raise ValueError(f"largest entry must be an integer >= 0, got {n!r}")
+    require_ints((n,), "largest entry", 0)
     return list(cached_ssyt(as_partition(shape), n))
 
 
@@ -176,11 +172,11 @@ def enumerate_skew_ssyt(outer, inner, n: int, weight=None) -> list[SkewTableau]:
     outer, inner = as_partition(outer), as_partition(inner)
     if not contains(outer, inner):
         raise ValueError(f"inner {inner} not contained in outer {outer}")
-    if weight is not None and not (
-        isinstance(weight, tuple)
-        and all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in weight)
-    ):
-        raise ValueError(f"weight must be a tuple of integers >= 0, got {weight!r}")
+    require_ints((n,), "largest entry", 0)
+    if weight is not None:
+        if not isinstance(weight, tuple):
+            raise ValueError(f"weight must be a tuple, got {weight!r}")
+        require_ints(weight, "weight", 0)
     return [SkewTableau(outer, inner, rows) for rows in _skew_fillings(outer, inner, n, weight)]
 
 
@@ -194,8 +190,9 @@ def reading_word(t) -> Word:
 
 
 def weight(t) -> tuple[int, ...]:
-    """Multiplicity vector of the entries, trimmed of trailing zeros."""
-    rows = t.rows if isinstance(t, SkewTableau) else t
+    """Multiplicity vector of the entries, ints >= 1, trimmed of
+    trailing zeros."""
+    rows = _int_rows(t.rows if isinstance(t, SkewTableau) else t)
     counts: list[int] = []
     for row in rows:
         for v in row:

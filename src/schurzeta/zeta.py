@@ -52,6 +52,7 @@ from .partitions import (
     grow_cols,
     horizontal_strip_cols,
     is_int,
+    require_ints,
 )
 from .tableaux import (
     Tableau,
@@ -115,6 +116,7 @@ def grid_vars(shape, prefix: str) -> VarRows:
 
 def seq_vars(count: int, prefix: str) -> tuple[str, ...]:
     """Singly indexed variable names prefix_1 .. prefix_count."""
+    require_ints((count,), "count", 0)
     return tuple(f"{prefix}_{k + 1}" for k in range(count))
 
 
@@ -156,8 +158,6 @@ def monomial(tableau, var_rows, assign):
     Exponents must be finite numbers >= 0 (not bools)."""
     t = as_tableau(tableau)
     exps = _checked_exponents(shape_of(t), var_rows, assign)
-    if any(v < 1 for row in t for v in row):
-        raise ValueError("tableau entries must be positive")
     if all(is_int(x) for row in exps for x in row):
         den = 1
         for trow, erow in zip(t, exps):
@@ -403,7 +403,7 @@ def eval_zeta_truncated(shape, var_rows, assign, n_trunc: int):
     finite numbers >= 0 (not bools) in both modes.
     """
     shape = as_partition(shape)
-    _require_level(n_trunc)
+    require_ints((n_trunc,), "truncation level", 1)
     flat = tuple(x for row in _checked_exponents(shape, var_rows, assign) for x in row)
     if all(is_int(x) for x in flat):
         labels = tuple(_flatten(var_rows))
@@ -596,6 +596,7 @@ def eval_zeta_limit(
     shape = as_partition(shape)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    require_ints((max_level,), "max_level", 1)
     exps = _checked_exponents(shape, var_rows, assign)
     if not _in_domain(shape, exps):
         raise ValueError("exponents outside the convergence domain")
@@ -642,8 +643,6 @@ def _row_strip_spec(s_rows: VarRows, t_names) -> SymSpec:
     fixed.  Needs a strip of at least r cells."""
     cols = transpose(s_rows)
     r = len(cols)
-    if not t_names:
-        raise ValueError("strip size must be >= 1")
     if len(t_names) < r:
         raise ValueError(f"need strip size >= {r}, got {len(t_names)}")
     first = cols[0] if cols else ()
@@ -659,13 +658,13 @@ def h_sym_spec(lam, m: int) -> SymSpec:
     height of column 2, and every entry of columns 2..r.  The remaining
     column-1 entries and t's beyond r stay fixed.  Needs m >= r.
     """
-    return _pieri_setup(as_partition(lam), m, "h").spec
+    return _pieri(lam, m, "h").spec
 
 
 def e_sym_spec(lam, n: int) -> SymSpec:
     """Symmetrized variable set for the column-strip (e-type) Pieri
     identity; the conjugate mirror of h_sym_spec.  Needs n >= len(lam)."""
-    return _pieri_setup(as_partition(lam), n, "e").spec
+    return _pieri(lam, n, "e").spec
 
 
 def _terms_sum(plan: "_SymPlan", assign, n_trunc: int, values, caps) -> Fraction:
@@ -768,12 +767,6 @@ def _require_work(work: int) -> None:
         raise ValueError(f"predicted work of {work:,} units exceeds the limit of {WORK_LIMIT:,}")
 
 
-def _require_level(n_trunc) -> None:
-    """A truncation level is an integer >= 1, not a bool."""
-    if not is_int(n_trunc) or n_trunc < 1:
-        raise ValueError(f"truncation level must be an integer >= 1, got {n_trunc!r}")
-
-
 def _check_spec_and_values(terms, spec, assign):
     """Validate a symmetrized sum's inputs; True when every exponent is an
     integer."""
@@ -799,7 +792,7 @@ def sym_sum_direct(terms, spec, assign, n_trunc: int):
     """Reference implementation: literal sum over all bijections of the
     symmetrized values.  Slower than sym_sum but definitionally direct;
     float exponents give a float sum."""
-    _require_level(n_trunc)
+    require_ints((n_trunc,), "truncation level", 1)
     exact = _check_spec_and_values(terms, spec, assign)
     values = tuple(assign[v] for v in spec.symmetrized)
     total = Fraction(0) if exact else 0.0
@@ -906,7 +899,7 @@ def sym_sum(terms, spec: SymSpec, assign, n_trunc: int) -> Fraction:
     (_verify), which is summed without any check.
     """
     if not isinstance(terms, _SymPlan):
-        _require_level(n_trunc)
+        require_ints((n_trunc,), "truncation level", 1)
         if not _check_spec_and_values(terms, spec, assign):
             raise ValueError("sym_sum needs integer exponents; use sym_sum_direct")
         terms = _sym_plan(
@@ -974,6 +967,13 @@ class _Setup(NamedTuple):
     rhs: _SymPlan
 
 
+def _pieri(lam, size: int, mode: str) -> _Setup:
+    """_pieri_setup of the shape lam and the strip size, checked here,
+    before the cache lookup, where 1.0 and True would hit the entry of 1."""
+    require_ints((size,), "strip size", 1)
+    return _pieri_setup(as_partition(lam), size, mode)
+
+
 @cache
 def _pieri_setup(lam: Partition, size: int, mode: str) -> _Setup:
     """The _Setup of the Pieri identity of lam and a strip of size cells,
@@ -1023,7 +1023,7 @@ def _verify(setup: _Setup, assign, n_trunc: int) -> IdentityReport:
     limit.  Both sums go through sym_sum, the one entry point of a
     symmetrized sum, which the benchmark's tracer wraps."""
     spec, _, _, lhs, rhs = setup
-    _require_level(n_trunc)
+    require_ints((n_trunc,), "truncation level", 1)
     require_exact(assign, lhs.names)
     _admit((lhs, rhs), spec, assign, n_trunc)
     left, right = sym_sum(lhs, spec, assign, n_trunc), sym_sum(rhs, spec, assign, n_trunc)
@@ -1035,14 +1035,14 @@ def verify_pieri_h(lam, m: int, assign, n_trunc: int) -> IdentityReport:
     symmetrized product of zeta(lam) and zeta((m)) against the symmetrized
     sum of zeta over all one-horizontal-strip extensions with pushed
     fillings.  Holds for every truncation level and integer assignment."""
-    return _verify(_pieri_setup(as_partition(lam), m, "h"), assign, n_trunc)
+    return _verify(_pieri(lam, m, "h"), assign, n_trunc)
 
 
 def verify_pieri_e(lam, n: int, assign, n_trunc: int) -> IdentityReport:
     """Exact truncated check of the column-strip Pieri identity (conjugate
     of verify_pieri_h): zeta((1^n)) times zeta(lam) against the
     one-vertical-strip extensions."""
-    return _verify(_pieri_setup(as_partition(lam), n, "e"), assign, n_trunc)
+    return _verify(_pieri(lam, n, "e"), assign, n_trunc)
 
 
 def canonical_filling(lam, mu, nu, variant: int = 0) -> VarRows:
@@ -1052,11 +1052,10 @@ def canonical_filling(lam, mu, nu, variant: int = 0) -> VarRows:
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     if sum(lam) != sum(mu) + sum(nu):
         raise ValueError("sizes must satisfy |lam| = |mu| + |nu|")
+    require_ints((variant,), "variant", 0, 1)
     names = _flatten(grid_vars(mu, "s")) + _flatten(grid_vars(nu, "t"))
-    if variant == 1:
-        names = list(reversed(names))
-    elif variant != 0:
-        raise ValueError("variant must be 0 or 1")
+    if variant:
+        names.reverse()
     grid: list[list] = [[None] * part for part in lam]
     for (i, j), name in zip(cells(lam), names):
         grid[i - 1][j - 1] = name
@@ -1097,6 +1096,8 @@ def verify_lr(
     mu, nu = as_partition(mu), as_partition(nu)
     if not mu or not nu:
         raise ValueError("both shapes must be nonempty")
+    # before the cache lookup, where 1.0 and True would hit the entry of 1
+    require_ints((variant,), "variant", 0, 1)
     setup = _lr_setup(mu, nu, variant)
     if fillings:
         spec, _, terms, _, _ = setup
@@ -1139,7 +1140,7 @@ def verify_insertion_term(
     left, right = as_tableau(left), as_tableau(right)
     if mode not in ("h", "e"):
         raise ValueError(f"mode must be 'h' or 'e', got {mode!r}")
-    spec, factors, extensions, lhs, _ = _pieri_setup(lam, size, mode)
+    spec, factors, extensions, lhs, _ = _pieri(lam, size, mode)
     # the pair in factor order, the tableau of shape lam first
     pair = [left, right] if mode == "h" else [right, left]
     if [shape_of(t) for t in pair] != [shape for shape, _ in factors]:

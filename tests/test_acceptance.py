@@ -6,23 +6,27 @@ through the CLI.
 """
 
 import random
+import sys
 from bisect import bisect_left
 from dataclasses import replace
 
 import pytest
 
-from schurzeta import acceptance, cli, crystal, insertion, tableaux, zeta
+from schurzeta import acceptance, cli, crystal, insertion, partitions, tableaux, zeta
 from schurzeta.partitions import all_partitions
 
-CACHES = (
-    tableaux.cached_ssyt,
-    zeta._strip_graph,
-    zeta._walk_graph,
-    zeta._count_layers,
-    zeta._product_sum,
-    zeta._pieri_setup,
-    zeta._lr_setup,
-)
+
+def loaded_caches() -> list:
+    """Every function with a cache_clear in the loaded schurzeta modules,
+    once each (a module that imports a cached function names it again),
+    so that a new cache cannot be missed."""
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name == "schurzeta" or name.startswith("schurzeta."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    found[id(obj)] = obj
+    return list(found.values())
 
 
 @pytest.mark.parametrize(
@@ -41,7 +45,9 @@ def test_criterion(criterion):
 def test_budgets():
     # time every criterion from cold caches, not as a rerun of the grid
     # that the per-criterion tests above have already warmed
-    for fn in CACHES:
+    caches = loaded_caches()
+    assert partitions._partitions_of in caches and tableaux.cached_ssyt in caches
+    for fn in caches:
         fn.cache_clear()
     results = acceptance.run_all(quick=False, seed=0)
     assert all(r.passed for r in results)

@@ -239,6 +239,16 @@ def test_weight_examples():
     assert weight(((1, 2), (2,))) == (1, 2)
 
 
+@pytest.mark.parametrize(
+    "rows", [((2, 0),), ((0,),), ((1, 1.5),), ((1, True),), ((-1,),)], ids=str
+)
+def test_weight_reads_only_entries_of_ints_above_zero(rows):
+    # a 0 used to count at index -1 ((2, 0) gave (0, 2)), a lone 0 was an
+    # IndexError and a float a TypeError
+    with pytest.raises(ValueError, match="tableau entries"):
+        weight(rows)
+
+
 def test_yamanouchi_examples():
     assert is_yamanouchi((2, 1))
     assert not is_yamanouchi((1, 2))
