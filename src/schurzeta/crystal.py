@@ -3,11 +3,16 @@ decomposition.
 
 Elements of the tensor power are plain tuples of letters 1..n (leftmost =
 first tensor factor).  Operators return a new tuple or None; None plays the
-role of the absent value outside the crystal.
+role of the absent value outside the crystal.  The operators read one
+signature scan per (word, index), _signature.  Words, n and operator
+indices are checked once, where a public function takes them; the kernels
+trust them.
 """
 
 from collections import Counter
+from functools import cache
 from itertools import accumulate
+from operator import add, sub
 
 from .partitions import Partition, as_partition, require_ints
 from .tableaux import Tableau, cached_ssyt, is_ssyt, reading_word
@@ -15,91 +20,80 @@ from .tableaux import Tableau, cached_ssyt, is_ssyt, reading_word
 TensorWord = tuple[int, ...]
 
 
-def _check_word(word, n: int) -> TensorWord:
+def _check_words(words, n: int) -> list[TensorWord]:
+    """The words as tuples of letters 1..n, n checked first."""
     require_ints((n,), "n", 1)
-    w = require_ints(word, "letters", 1, n)
-    if not w:
+    out = [require_ints(w, "letters", 1, n) for w in words]
+    if () in out:
         raise ValueError("tensor words must be nonempty")
+    return out
+
+
+def _check_word(word, n: int) -> TensorWord:
+    return _check_words((word,), n)[0]
+
+
+def _check_op(i: int, word, n: int) -> TensorWord:
+    w = _check_word(word, n)
+    require_ints((i,), "operator index", 1, n - 1)
     return w
+
+
+def _wt(w: TensorWord, n: int) -> tuple[int, ...]:
+    return tuple(w.count(x) for x in range(1, n + 1))
 
 
 def wt(word, n: int) -> tuple[int, ...]:
     """Letter multiplicities as a length-n vector."""
-    w = _check_word(word, n)
-    out = [0] * n
-    for x in w:
-        out[x - 1] += 1
-    return tuple(out)
+    return _wt(_check_word(word, n), n)
 
 
-def _suffix_phi(w: TensorWord, i: int) -> list[int]:
-    """phi_i of every suffix; index k holds phi of w[k:], last entry 0.
-    Scanning from the right, a letter i adds one and a letter i + 1
-    cancels one if there is one."""
-    out = [0] * (len(w) + 1)
-    c = 0
+def _signature(w: TensorWord, i: int) -> tuple[int, int, int | None, int | None]:
+    """Kashiwara's signature rule, one right-to-left scan: a letter i + 1
+    cancels the nearest uncancelled i to its right.  (eps, phi) count the
+    surviving letters i + 1 and i; f acts at f_at, the rightmost surviving
+    i (the last i met while phi was 0), e at e_at, the leftmost surviving
+    i + 1; None when there is none."""
+    eps = phi = 0
+    f_at = e_at = None
     for k in range(len(w) - 1, -1, -1):
         x = w[k]
         if x == i:
-            c += 1
-        elif x == i + 1 and c:
-            c -= 1
-        out[k] = c
-    return out
-
-
-def _suffix_eps(w: TensorWord, i: int) -> int:
-    """eps_i of w: the letters i + 1 left with no letter i to their
-    right to cancel, by the same scan as _suffix_phi."""
-    c = out = 0
-    for x in reversed(w):
-        if x == i:
-            c += 1
+            if not phi:
+                f_at = k
+            phi += 1
         elif x == i + 1:
-            if c:
-                c -= 1
+            if phi:
+                phi -= 1
             else:
-                out += 1
-    return out
+                eps += 1
+                e_at = k
+    return eps, phi, f_at if phi else None, e_at
+
+
+def _put(w: TensorWord, k: int | None, x: int) -> TensorWord | None:
+    """w with letter x at position k; None when k is None."""
+    return None if k is None else w[:k] + (x,) + w[k + 1 :]
 
 
 def phi(i: int, word, n: int) -> int:
-    w = _check_word(word, n)
-    require_ints((i,), "operator index", 1, n - 1)
-    return _suffix_phi(w, i)[0]
+    return _signature(_check_op(i, word, n), i)[1]
 
 
 def eps(i: int, word, n: int) -> int:
-    w = _check_word(word, n)
-    require_ints((i,), "operator index", 1, n - 1)
-    return _suffix_eps(w, i)
+    return _signature(_check_op(i, word, n), i)[0]
 
 
 def f(i: int, word, n: int) -> TensorWord | None:
     """Lowering operator on the tensor power; None when it vanishes."""
-    w = _check_word(word, n)
-    require_ints((i,), "operator index", 1, n - 1)
-    suf = _suffix_phi(w, i)
-    for k, x in enumerate(w):
-        if suf[k + 1] <= (x == i + 1):
-            # act on this factor: phi(rest) <= eps(letter)
-            if x == i:
-                return w[:k] + (i + 1,) + w[k + 1 :]
-            return None
-    return None
+    w = _check_op(i, word, n)
+    return _put(w, _signature(w, i)[2], i + 1)
 
 
 def e(i: int, word, n: int) -> TensorWord | None:
     """Raising operator on the tensor power; None when it vanishes."""
-    w = _check_word(word, n)
-    require_ints((i,), "operator index", 1, n - 1)
-    suf = _suffix_phi(w, i)
-    for k, x in enumerate(w):
-        if suf[k + 1] < (x == i + 1):
-            if x == i + 1:
-                return w[:k] + (i,) + w[k + 1 :]
-            return None
-    return None
+    w = _check_op(i, word, n)
+    return _put(w, _signature(w, i)[3], i)
 
 
 def rr(t: Tableau, n: int) -> TensorWord:
@@ -118,8 +112,8 @@ def connected_component(word, n: int) -> set[TensorWord]:
     while stack:
         w = stack.pop()
         for i in range(1, n):
-            for op in (f, e):
-                y = op(i, w, n)
+            _, _, f_at, e_at = _signature(w, i)
+            for y in (_put(w, f_at, i + 1), _put(w, e_at, i)):
                 if y is not None and y not in seen:
                     seen.add(y)
                     stack.append(y)
@@ -127,14 +121,13 @@ def connected_component(word, n: int) -> set[TensorWord]:
 
 
 def is_highest_weight(word, n: int) -> bool:
-    w = _check_word(word, n)
-    return all(e(i, w, n) is None for i in range(1, n))
+    return _extend_phi(_check_word(word, n), [0] * (n + 1)) is not None
 
 
 def highest_weight_elements(words, n: int) -> list[TensorWord]:
     """Elements killed by every raising operator, in sorted order."""
-    require_ints((n,), "n", 1)
-    return sorted(w for w in words if is_highest_weight(w, n))
+    words = _check_words(words, n)
+    return sorted(w for w in words if _extend_phi(w, [0] * (n + 1)) is not None)
 
 
 def weight_partition(word, n: int) -> Partition:
@@ -189,89 +182,77 @@ def decompose_product(mu, nu, n: int) -> Counter:
     return out
 
 
-class _Stored(dict):
-    """fn of a key, evaluated the first time the key is looked up."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        out = self[key] = self.fn(key)
-        return out
-
-
 def verify_crystal_axioms(words, n: int, ops=None) -> list[str]:
     """Check the crystal axioms and seminormality on a closed set of words.
 
     Returns a list of violation descriptions; empty means the set passes.
     ``ops`` may override (f, e, eps, phi) for fault injection.
 
-    Within one call each of the four operators is evaluated at most once
-    per (i, word), and ``wt`` once per word; the f- and e-strings follow
-    the stored results.  Every evaluation still goes through ``ops``, in
-    the order of the first time the checks ask for it, and the store is
-    dropped when the call returns.
+    The words are checked once, on entry, and the default ops read one
+    signature scan per (i, word).  Each op is evaluated at most once per
+    (i, word), and ``wt`` once per word, in the order of the first time
+    the checks ask for it; the caches are dropped when the call returns.
+    A word an injected op returned from outside the set is checked.
     """
-    require_ints((n,), "n", 1)
-    words = set(tuple(w) for w in words)
+    words = set(_check_words(words, n))
     alpha = [
         tuple((k == i - 1) - (k == i) for k in range(n)) for i in range(1, n)
     ]
     bad: list[str] = []
 
-    def stored(op):
-        return _Stored(lambda key: op(*key, n))
+    @cache
+    def wt_at(w):
+        return _wt(w if ops is None or w in words else _check_word(w, n), n)
 
-    f_at, e_at, eps_at, phi_at = map(
-        stored, ops if ops is not None else (f, e, eps, phi)
-    )
-    wt_at = _Stored(lambda w: wt(w, n))
+    if ops is None:
+        sig = cache(_signature)
+        f_at = cache(lambda i, w: _put(w, sig(w, i)[2], i + 1))
+        e_at = cache(lambda i, w: _put(w, sig(w, i)[3], i))
+        eps_at = lambda i, w: sig(w, i)[0]
+        phi_at = lambda i, w: sig(w, i)[1]
+    else:
+        f_at, e_at, eps_at, phi_at = (
+            cache(lambda i, w, op=op: op(i, w, n)) for op in ops
+        )
 
-    def vec_add(a, b):
-        return tuple(x + y for x, y in zip(a, b))
+    def string(op, i, w):
+        # steps of op from w until it vanishes, cut after len(w) + 2
+        k, cur = 0, op(i, w)
+        while cur is not None and k <= len(w) + 1:
+            k, cur = k + 1, op(i, cur)
+        return k
 
     for w in sorted(words):
         for i in range(1, n):
             ai = alpha[i - 1]
-            fw = f_at[i, w]
-            ew = e_at[i, w]
+            fw = f_at(i, w)
+            ew = e_at(i, w)
             if fw is not None:
                 if fw not in words:
                     bad.append(f"closure: f_{i}{w} left the set")
-                if e_at[i, fw] != w:
+                if e_at(i, fw) != w:
                     bad.append(f"A1: e_{i}(f_{i}{w}) != {w}")
-                if wt_at[fw] != vec_add(wt_at[w], tuple(-x for x in ai)):
+                if wt_at(fw) != tuple(map(sub, wt_at(w), ai)):
                     bad.append(f"A1: wt(f_{i}{w}) != wt{w} - alpha_{i}")
-                if eps_at[i, fw] != eps_at[i, w] + 1:
+                if eps_at(i, fw) != eps_at(i, w) + 1:
                     bad.append(f"A1: eps increment wrong at f_{i}{w}")
-                if phi_at[i, fw] != phi_at[i, w] - 1:
+                if phi_at(i, fw) != phi_at(i, w) - 1:
                     bad.append(f"A1: phi increment wrong at f_{i}{w}")
             if ew is not None:
                 if ew not in words:
                     bad.append(f"closure: e_{i}{w} left the set")
-                if f_at[i, ew] != w:
+                if f_at(i, ew) != w:
                     bad.append(f"A1: f_{i}(e_{i}{w}) != {w}")
-                if wt_at[ew] != vec_add(wt_at[w], ai):
+                if wt_at(ew) != tuple(map(add, wt_at(w), ai)):
                     bad.append(f"A1: wt(e_{i}{w}) != wt{w} + alpha_{i}")
-            wv = wt_at[w]
-            if phi_at[i, w] != (wv[i - 1] - wv[i]) + eps_at[i, w]:
+            wv = wt_at(w)
+            if phi_at(i, w) != (wv[i - 1] - wv[i]) + eps_at(i, w):
                 bad.append(f"A2: phi != <wt,alpha^vee> + eps at {w}, i={i}")
-            k, cur = 0, w
-            while True:
-                cur = f_at[i, cur]
-                if cur is None or k > len(w) + 1:
-                    break
-                k += 1
-            if phi_at[i, w] != k:
+            k = string(f_at, i, w)
+            if phi_at(i, w) != k:
                 bad.append(f"seminormal: phi_{i}{w} != f-string length {k}")
-            k, cur = 0, w
-            while True:
-                cur = e_at[i, cur]
-                if cur is None or k > len(w) + 1:
-                    break
-                k += 1
-            if eps_at[i, w] != k:
+            k = string(e_at, i, w)
+            if eps_at(i, w) != k:
                 bad.append(f"seminormal: eps_{i}{w} != e-string length {k}")
     return bad
 
@@ -282,8 +263,7 @@ def crystal_dot(words, n: int, label=None) -> str:
     Nodes are labelled by the space-separated letters unless ``label`` maps
     a word to a custom string.
     """
-    require_ints((n,), "n", 1)
-    words = sorted(set(tuple(w) for w in words))
+    words = sorted(set(_check_words(words, n)))
     index = {w: k for k, w in enumerate(words)}
     if label is None:
         label = lambda w: " ".join(str(x) for x in w)
@@ -292,7 +272,7 @@ def crystal_dot(words, n: int, label=None) -> str:
         lines.append(f'  n{index[w]} [label="{label(w)}"];')
     for w in words:
         for i in range(1, n):
-            y = f(i, w, n)
+            y = _put(w, _signature(w, i)[2], i + 1)
             if y is not None and y in index:
                 lines.append(f'  n{index[w]} -> n{index[y]} [label="{i}"];')
     lines.append("}")

@@ -192,11 +192,11 @@ def test_crystal_graph_dot(capsys, tmp_path):
 
 
 def test_crystal_graph_evaluates_each_lowering_once(capsys, monkeypatch):
-    # 8 tableaux of shape (2,1) and two indices: one f call per pair, and
-    # the edge count read off the DOT lines that crystal_dot draws
+    # 8 tableaux of shape (2,1) and two indices: one signature scan per
+    # pair, and the edge count read off the DOT lines that crystal_dot draws
     calls = []
-    lower = crystal.f
-    monkeypatch.setattr(crystal, "f", lambda *args: calls.append(args) or lower(*args))
+    scan = crystal._signature
+    monkeypatch.setattr(crystal, "_signature", lambda *args: calls.append(args) or scan(*args))
     code, out, _ = run(capsys, ["crystal", "graph", "--shape", "2,1", "--n", "3"])
     assert code == 0 and out.strip() == "nodes 8  edges 8"
     assert len(calls) == 16 == len(set(calls))

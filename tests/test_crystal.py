@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from schurzeta import crystal
 from schurzeta.crystal import (
     connected_component,
     crystal_dot,
@@ -71,6 +72,8 @@ def test_connected_component_examples():
 def test_highest_weight_examples():
     assert highest_weight_elements(full_tensor_power(2, 2), 2) == [(1, 1), (2, 1)]
     assert highest_weight_elements([(1,)], 3) == [(1,)]
+    # the checked tuples, not the caller's lists
+    assert highest_weight_elements([[1]], 2) == [(1,)]
 
 
 def test_component_of_tableau_crystal():
@@ -165,6 +168,20 @@ def test_fault_injection_reports_violation():
         [(1,), (2,)], 2, ops=(bad_f, e, eps, phi)
     )
     assert any("A1" in v for v in violations)
+
+
+def test_axioms_check_a_word_an_injected_op_returns():
+    # f_1 (1,) = (3,) at n = 2 is bad input, not a violation; every op
+    # passed in takes (3,) unchecked, so wt is what must reject it
+    def lax(op, at_three):
+        return lambda i, w, n: at_three if w == (3,) else op(i, w, n)
+
+    def bad_f(i, w, n):
+        return (3,) if w == (1,) else f(i, w, n)
+
+    ops = (lax(bad_f, None), lax(e, (1,)), lax(eps, 1), lax(phi, 0))
+    with pytest.raises(ValueError, match="letters"):
+        verify_crystal_axioms([(1,), (2,)], 2, ops)
 
 
 def axioms_oracle(words, n: int, ops=None) -> list[str]:
@@ -343,6 +360,50 @@ def test_operators_match_bracket_rule_oracle():
                     assert e(i, w, n) == ew, (w, i)
                     assert phi(i, w, n) == nplus, (w, i)
                     assert eps(i, w, n) == nminus, (w, i)
+                top = all(bracket_rule(w, i)[3] == 0 for i in range(1, n))
+                assert is_highest_weight(w, n) == top, w
+
+
+def closure_oracle(word, n):
+    """The component of word: apply the public f and e until nothing new."""
+    seen = {word}
+    while True:
+        new = {
+            y
+            for w in seen
+            for i in range(1, n)
+            for y in (f(i, w, n), e(i, w, n))
+            if y is not None
+        } - seen
+        if not new:
+            return seen
+        seen |= new
+
+
+def test_connected_component_matches_closure_oracle():
+    for n in (1, 2, 3):
+        for k in (1, 2, 3, 4):
+            for w in full_tensor_power(n, k):
+                assert connected_component(w, n) == closure_oracle(w, n), w
+
+
+def test_crystal_checks_each_word_once(monkeypatch):
+    # n once, then each word's letters once: a budget of two calls per
+    # distinct word, plus two
+    calls = []
+    check = crystal.require_ints
+    monkeypatch.setattr(
+        crystal, "require_ints", lambda *args: calls.append(args) or check(*args)
+    )
+    power = full_tensor_power(3, 3)
+    for fn, arg, words in (
+        (verify_crystal_axioms, power, power),
+        (connected_component, (1, 1, 1), [(1, 1, 1)]),
+        (highest_weight_elements, power, power),
+    ):
+        calls.clear()
+        fn(arg, 3)
+        assert len(calls) <= 2 * len(set(words)) + 2, (fn.__name__, len(calls))
 
 
 def test_is_highest_weight():
@@ -384,6 +445,10 @@ def test_crystal_dot_output():
         pytest.param(decompose_product, ((1,), (1,), True), id="decompose-bool-n"),
         pytest.param(verify_crystal_axioms, ([(1,)], 2.0), id="axioms-float-n"),
         pytest.param(crystal_dot, ([(1,)], 2.0), id="dot-float-n"),
+        # n = 1 has no operator index, but the words are still checked
+        pytest.param(verify_crystal_axioms, ([(5,)], 1), id="axioms-letter-above-n"),
+        pytest.param(verify_crystal_axioms, ([(1, 2.5)], 1), id="axioms-float-letter"),
+        pytest.param(crystal_dot, ([(5,)], 1), id="dot-letter-above-n"),
     ],
 )
 def test_crystal_inputs_must_be_integers(fn, args):
