@@ -64,24 +64,6 @@ def _parse_assign(value: str, flag: str) -> dict:
     return data
 
 
-def _parse_fillings(value: str) -> dict:
-    data = _load_json(value, "--filling")
-    if not isinstance(data, dict):
-        raise ValueError("--filling: expected a JSON object of shape -> rows")
-    fillings = {}
-    for key, rows in data.items():
-        if not isinstance(rows, list) or not all(
-            isinstance(row, list) and all(isinstance(v, str) for v in row)
-            for row in rows
-        ):
-            raise ValueError(
-                f"--filling {key!r}: expected rows of variable names, "
-                'e.g. [["s_1_1","t_1_1"]]'
-            )
-        fillings[_parse_shape(key)] = rows
-    return fillings
-
-
 def _tableau_json(t):
     return {"shape": list(shape_of(t)), "rows": [list(r) for r in t]}
 
@@ -171,8 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--nu", required=True)
     q.add_argument("--n-trunc", type=int, required=True)
     q.add_argument("--assign", required=True)
-    q.add_argument("--variant", type=int, default=0, choices=(0, 1))
-    q.add_argument("--filling", help="JSON map shape -> variable rows")
     q.add_argument("--json", action="store_true")
 
     p = sub.add_parser("selftest", help="run the acceptance grid")
@@ -332,11 +312,7 @@ def _cmd_verify(args) -> int:
     elif args.verify_command == "pieri-e":
         rep = zeta.verify_pieri_e(_parse_shape(args.lam), args.n, assign, args.n_trunc)
     else:
-        fillings = _parse_fillings(args.filling) if args.filling else None
-        rep = zeta.verify_lr(
-            _parse_shape(args.mu), _parse_shape(args.nu), assign, args.n_trunc,
-            variant=args.variant, fillings=fillings,
-        )
+        rep = zeta.verify_lr(_parse_shape(args.mu), _parse_shape(args.nu), assign, args.n_trunc)
     return _report_exit(rep, args)
 
 

@@ -1045,17 +1045,15 @@ def verify_pieri_e(lam, n: int, assign, n_trunc: int) -> IdentityReport:
     return _verify(_pieri(lam, n, "e"), assign, n_trunc)
 
 
-def canonical_filling(lam, mu, nu, variant: int = 0) -> VarRows:
+def canonical_filling(lam, mu, nu) -> VarRows:
     """Deterministic filling of lam by the mu-variables then the
-    nu-variables, row-major on both sides; variant 1 reverses the variable
-    order (any fixed filling works for the product identity)."""
+    nu-variables, row-major on both sides.  Any filling by these variables
+    gives the same symmetrized sum: every one of them is symmetrized, so
+    the sum runs over all their orders and none is tied to a cell."""
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     if sum(lam) != sum(mu) + sum(nu):
         raise ValueError("sizes must satisfy |lam| = |mu| + |nu|")
-    require_ints((variant,), "variant", 0, 1)
     names = _flatten(grid_vars(mu, "s")) + _flatten(grid_vars(nu, "t"))
-    if variant:
-        names.reverse()
     grid: list[list] = [[None] * part for part in lam]
     for (i, j), name in zip(cells(lam), names):
         grid[i - 1][j - 1] = name
@@ -1063,7 +1061,7 @@ def canonical_filling(lam, mu, nu, variant: int = 0) -> VarRows:
 
 
 @cache
-def _lr_setup(mu: Partition, nu: Partition, variant: int) -> _Setup:
+def _lr_setup(mu: Partition, nu: Partition) -> _Setup:
     """The _Setup of the Littlewood-Richardson identity of mu and nu: all
     their variables symmetrized, and one term per component of the
     product of their GL(len(mu) + len(nu)) tableau crystals
@@ -1072,50 +1070,22 @@ def _lr_setup(mu: Partition, nu: Partition, variant: int) -> _Setup:
     factors = ((mu, grid_vars(mu, "s")), (nu, grid_vars(nu, "t")))
     spec = SymSpec(tuple(v for _, rows in factors for v in _flatten(rows)), frozenset())
     terms = tuple(
-        (lam, coeff, canonical_filling(lam, mu, nu, variant))
+        (lam, coeff, canonical_filling(lam, mu, nu))
         for lam, coeff in crystal.decompose_product(mu, nu, len(mu) + len(nu)).items()
     )
     rhs = [(coeff, [(lam, filling)]) for lam, coeff, filling in terms]
     return _Setup(spec, factors, terms, _sym_plan([(1, factors)], spec), _sym_plan(rhs, spec))
 
 
-def verify_lr(
-    mu,
-    nu,
-    assign,
-    n_trunc: int,
-    variant: int = 0,
-    fillings=None,
-) -> IdentityReport:
+def verify_lr(mu, nu, assign, n_trunc: int) -> IdentityReport:
     """Exact truncated check of the Littlewood-Richardson product formula:
     the fully symmetrized product of two Schur multiple zeta values against
     the coefficient-weighted symmetrized sum over all shapes of the right
-    size.  ``fillings`` may override the canonical filling per shape of
-    the expansion; a filling for any other shape is a ValueError.  The
-    right side with overrides is planned anew on each call."""
+    size, each filled by canonical_filling."""
     mu, nu = as_partition(mu), as_partition(nu)
     if not mu or not nu:
         raise ValueError("both shapes must be nonempty")
-    # before the cache lookup, where 1.0 and True would hit the entry of 1
-    require_ints((variant,), "variant", 0, 1)
-    setup = _lr_setup(mu, nu, variant)
-    if fillings:
-        spec, _, terms, _, _ = setup
-        overrides = {as_partition(k): tuple(tuple(r) for r in v) for k, v in fillings.items()}
-        stray = sorted(overrides.keys() - {lam for lam, _, _ in terms})
-        if stray:
-            raise ValueError(f"fillings for shapes outside the expansion: {stray}")
-        rhs_terms = []
-        for lam, coeff, filling in terms:
-            if lam in overrides:
-                filling = overrides[lam]
-                if sorted(_flatten(filling)) != sorted(spec.symmetrized):
-                    raise ValueError(f"filling for {lam} must use every variable once")
-                if tuple(len(r) for r in filling) != lam:
-                    raise ValueError(f"filling shape mismatch for {lam}")
-            rhs_terms.append((coeff, [(lam, filling)]))
-        setup = setup._replace(rhs=_sym_plan(rhs_terms, spec))
-    return _verify(setup, assign, n_trunc)
+    return _verify(_lr_setup(mu, nu), assign, n_trunc)
 
 
 def verify_insertion_term(

@@ -133,6 +133,25 @@ def test_verify_lr_cli(capsys):
     assert code == 0 and "identity holds" in out
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--variant", "1"], ["--filling", '{"3,1": [["t_1_1","s_2_1","s_1_2"],["s_1_1"]]}']],
+    ids=["variant", "filling"],
+)
+def test_verify_lr_filling_flags_are_bad_input(capsys, extra):
+    # the LR right side has one filling per shape; a command line that
+    # still picks one is refused as bad input, not run or read as a mismatch
+    argv = [
+        "verify", "lr", "--mu", "2,1", "--nu", "1", "--n-trunc", "3",
+        "--assign", '{"s_1_1":1,"s_1_2":2,"s_2_1":3,"t_1_1":4}',
+    ]
+    assert run(capsys, argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + extra)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_mismatch_exit_code(capsys, monkeypatch):
     fake = IdentityReport(1, 2, False)
     monkeypatch.setattr(cli.zeta, "verify_pieri_h", lambda *a, **k: fake)
@@ -231,20 +250,9 @@ def test_zeta_eval_exact_rejects_float_exponents(capsys):
     assert code == 2 and "integer" in err
 
 
-LR_ASSIGN = '{"s_1_1":2,"s_2_1":3,"t_1_1":4,"t_1_2":5}'
-
-
 @pytest.mark.parametrize(
     "argv",
     [
-        # a filling that is not rows of variable names
-        ["verify", "lr", "--mu", "1,1", "--nu", "2", "--n-trunc", "3",
-         "--assign", LR_ASSIGN, "--filling", '{"2":5}'],
-        ["verify", "lr", "--mu", "1,1", "--nu", "2", "--n-trunc", "3",
-         "--assign", LR_ASSIGN, "--filling", '{"3,1":[["s_1_1",1,"t_1_1"],["t_1_2"]]}'],
-        # a filling for a shape outside the expansion, which would go unused
-        ["verify", "lr", "--mu", "1", "--nu", "1", "--n-trunc", "2",
-         "--assign", '{"s_1_1":2,"t_1_1":3}', "--filling", '{"5": [["s_1_1"]]}'],
         # a DOT path in a directory that does not exist
         ["crystal", "graph", "--shape", "1", "--n", "2",
          "--dot", "{tmp}/missing/x.dot"],
@@ -279,7 +287,6 @@ LR_ASSIGN = '{"s_1_1":2,"s_2_1":3,"t_1_1":4,"t_1_2":5}'
         ["ssyt", "--shape", "-", "--n", "-1", "--count"],
     ],
     ids=[
-        "filling-not-rows", "filling-not-names", "filling-outside-expansion",
         "dot-unwritable", "n-trunc-0",
         "exponent-null", "tableau-rows-not-list", "float-exponent-negative",
         "exponent-bool", "tol-nan", "tol-inf", "tol-without-float",
@@ -383,13 +390,6 @@ TABLEAU = st.one_of(
     st.sampled_from(['{"rows": [[1, 2]], "shape": [2]}', '{"rows": [[1]], "shape": [2]}']),
     JUNK_JSON,
 )
-FILLING = st.one_of(
-    st.sampled_from([
-        '{"2": [["t_1_1", "s_1_1"]]}', '{"2": [["t_1_1", "t_1_1"]]}',
-        '{"1,1": [["s_1_1"], ["t_1_1"]]}', '{"x": [["s_1_1"]]}', '{"2": 1}',
-    ]),
-    JUNK_JSON,
-)
 TOL = st.sampled_from(["1e-3", "0", "-1", "nan", "inf", "x"])
 
 # (command words, [(flag, value strategy or None for a switch, required)])
@@ -426,8 +426,7 @@ CLI_GRAMMAR = [
       ("--assign", ASSIGN, True), ("--json", None, False)]),
     (["verify", "lr"],
      [("--mu", SHAPE, True), ("--nu", SHAPE, True), ("--n-trunc", SMALL_INT, True),
-      ("--assign", ASSIGN, True), ("--variant", SMALL_INT, False),
-      ("--filling", FILLING, False), ("--json", None, False)]),
+      ("--assign", ASSIGN, True), ("--json", None, False)]),
     (["bogus"], []),
 ]
 

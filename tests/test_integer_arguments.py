@@ -14,7 +14,6 @@ from schurzeta import (
     SymSpec,
     all_partitions,
     as_partition,
-    canonical_filling,
     column_insert,
     column_insert_word,
     column_word,
@@ -126,8 +125,6 @@ ENTRIES = {
     "verify_pieri_e-n": (lambda x: verify_pieri_e((1,), x, _PIERI_E, 2), 1, 1, None),
     "verify_pieri_e-level": (lambda x: verify_pieri_e((1,), 1, _PIERI_E, x), 1, 1, None),
     "verify_lr-level": (lambda x: verify_lr((1,), (1,), _LR, x), 1, 1, None),
-    "verify_lr-variant": (lambda x: verify_lr((1,), (1,), _LR, 2, variant=x), 1, 0, 1),
-    "canonical_filling-variant": (lambda x: canonical_filling((2,), (1,), (1,), x), 1, 0, 1),
     "verify_insertion_term-size": (
         lambda x: verify_insertion_term(((1,),), ((2,),), (1,), x, "h", _PIERI_H), 1, 1, None
     ),

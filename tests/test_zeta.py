@@ -411,8 +411,7 @@ def _oracle_work(sizes, n_trunc, caps):
 
 def _guarded_identities():
     """(setup, left terms, right terms) of every Pieri h/e identity with
-    |lam| <= 5 and three strip sizes, and every LR pair of total size <= 6
-    in both variants."""
+    |lam| <= 5 and three strip sizes, and every LR pair of total size <= 6."""
     for size in range(1, 6):
         for lam in all_partitions(size):
             for mode in "he":
@@ -425,10 +424,9 @@ def _guarded_identities():
         for a in range(1, total):
             for mu in all_partitions(a):
                 for nu in all_partitions(total - a):
-                    for variant in (0, 1):
-                        setup = zmod._lr_setup(mu, nu, variant)
-                        rhs = [(coeff, [(lam, filling)]) for lam, coeff, filling in setup.terms]
-                        yield setup, [(1, setup.factors)], rhs
+                    setup = zmod._lr_setup(mu, nu)
+                    rhs = [(coeff, [(lam, filling)]) for lam, coeff, filling in setup.terms]
+                    yield setup, [(1, setup.factors)], rhs
 
 
 def test_guard_reads_the_plans_as_the_per_term_sizes_would():
@@ -830,9 +828,40 @@ def test_deep_identities_verify_within_a_second(label, check):
     assert time.perf_counter() - start < 1.0, label
 
 
-def _lr_terms(mu, nu, variant=0):
+def _lr_terms(mu, nu):
     """The right-hand coefficients of the LR identity's setup, lam -> c."""
-    return Counter({lam: coeff for lam, coeff, _ in zmod._lr_setup(mu, nu, variant).terms})
+    return Counter({lam: coeff for lam, coeff, _ in zmod._lr_setup(mu, nu).terms})
+
+
+def _row_major(lam, names):
+    """The filling of lam by names, row by row."""
+    names = iter(names)
+    return tuple(tuple(next(names) for _ in range(part)) for part in lam)
+
+
+def test_lr_walks_do_not_depend_on_the_filling():
+    # every LR variable is symmetrized, so no filling of a right-hand shape
+    # ties a variable to a cell: the reversed canonical order and a random
+    # order per shape plan the very walks of the cached setup, for every
+    # pair of nonempty shapes of total size <= 8
+    rng = random.Random(21)
+    pairs = 0
+    for total in range(2, 9):
+        for a in range(1, total):
+            for mu in all_partitions(a):
+                for nu in all_partitions(total - a):
+                    setup = zmod._lr_setup(mu, nu)
+                    names = setup.spec.symmetrized
+                    for lam, _, filling in setup.terms:
+                        assert filling == _row_major(lam, names)
+                    for order in (lambda: names[::-1], lambda: rng.sample(names, len(names))):
+                        rhs = [
+                            (coeff, [(lam, _row_major(lam, order()))])
+                            for lam, coeff, _ in setup.terms
+                        ]
+                        assert zmod._sym_plan(rhs, setup.spec).groups == setup.rhs.groups, (mu, nu)
+                    pairs += 1
+    assert pairs == 301
 
 
 def test_lr_expansion_matches_lr_coefficient():
@@ -1009,24 +1038,6 @@ def test_verify_lr_examples():
     assert rep.equal
     with pytest.raises(ValueError):
         verify_lr((2, 1), (), {"s_1_1": 2}, 2)
-
-
-def test_verify_lr_filling_choices_agree():
-    assign = {"s_1_1": 1, "s_1_2": 2, "s_2_1": 3, "t_1_1": 4, "t_2_1": 5}
-    r0 = verify_lr((2, 1), (1, 1), assign, 2, variant=0)
-    r1 = verify_lr((2, 1), (1, 1), assign, 2, variant=1)
-    assert r0.equal and r1.equal and r0.rhs == r1.rhs
-    # explicit filling override for one shape
-    override = {(2,): (("t_1_1", "s_1_1"),)}
-    rep = verify_lr((1,), (1,), {"s_1_1": 2, "t_1_1": 3}, 2, fillings=override)
-    assert rep.equal
-    bad = {(2,): (("t_1_1", "t_1_1"),)}
-    with pytest.raises(ValueError):
-        verify_lr((1,), (1,), {"s_1_1": 2, "t_1_1": 3}, 2, fillings=bad)
-    # a filling for a shape outside the expansion would never be used
-    stray = {(5,): (("s_1_1",),)}
-    with pytest.raises(ValueError, match=r"outside the expansion: \[\(5,\)\]"):
-        verify_lr((1,), (1,), {"s_1_1": 2, "t_1_1": 3}, 2, fillings=stray)
 
 
 def test_verify_insertion_term_h_examples():
@@ -1524,7 +1535,10 @@ def planned_identities(draw):
     """A Pieri-h, Pieri-e or LR identity of at most five cells, the terms
     of both its sides built afresh from the public filling rules, values
     from 1..3 so that they repeat, and N from 1 to 4, below the row count
-    of a tall shape."""
+    of a tall shape.  The LR right side fills each shape by a drawn order
+    of its variables, which is no weaker than the verifier's own filling:
+    every LR cell is drawn, so a filling cannot change a walk
+    (test_lr_walks_do_not_depend_on_the_filling)."""
     kind = draw(st.sampled_from(["h", "e", "lr"]))
     n_trunc = draw(st.integers(1, 4))
     if kind == "lr":
@@ -1535,10 +1549,11 @@ def planned_identities(draw):
         spec = SymSpec(names, frozenset())
         lhs = [(1, [(mu, s_rows), (nu, t_rows)])]
         expansion = [lam for lam in all_partitions(len(names)) if lr_coefficient(mu, nu, lam)]
-        rhs = [(lr_coefficient(mu, nu, lam), [(lam, canonical_filling(lam, mu, nu))]) for lam in expansion]
-        override = draw(st.sampled_from([None, *expansion]))
-        fillings = None if override is None else {override: canonical_filling(override, mu, nu)}
-        verify = lambda assign: verify_lr(mu, nu, assign, n_trunc, fillings=fillings)  # noqa: E731
+        rhs = [
+            (lr_coefficient(mu, nu, lam), [(lam, _row_major(lam, draw(st.permutations(names))))])
+            for lam in expansion
+        ]
+        verify = lambda assign: verify_lr(mu, nu, assign, n_trunc)  # noqa: E731
     else:
         lam = draw(st.sampled_from([p for p in SMALL_SHAPES if 0 < sum(p) <= 4]))
         side = lam[0] if kind == "h" else len(lam)
