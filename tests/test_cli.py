@@ -133,18 +133,35 @@ def test_verify_lr_cli(capsys):
     assert code == 0 and "identity holds" in out
 
 
+LR_21_1 = [
+    "verify", "lr", "--mu", "2,1", "--nu", "1", "--n-trunc", "3",
+    "--assign", '{"s_1_1":1,"s_1_2":2,"s_2_1":3,"t_1_1":4}',
+]
+LR_11_2 = [
+    "verify", "lr", "--mu", "1,1", "--nu", "2", "--n-trunc", "3",
+    "--assign", '{"s_1_1":2,"s_2_1":3,"t_1_1":4,"t_1_2":5}',
+]
+LR_1_1 = ["verify", "lr", "--mu", "1", "--nu", "1", "--n-trunc", "2",
+          "--assign", '{"s_1_1":2,"t_1_1":3}']
+
+
 @pytest.mark.parametrize(
-    "extra",
-    [["--variant", "1"], ["--filling", '{"3,1": [["t_1_1","s_2_1","s_1_2"],["s_1_1"]]}']],
-    ids=["variant", "filling"],
+    "argv, extra",
+    [
+        (LR_21_1, ["--variant", "1"]),
+        (LR_21_1, ["--filling", '{"3,1": [["t_1_1","s_2_1","s_1_2"],["s_1_1"]]}']),
+        # fillings that were once refused for their content are refused
+        # for the flag alone, before their content is read
+        (LR_11_2, ["--filling", '{"2":5}']),
+        (LR_11_2, ["--filling", '{"3,1":[["s_1_1",1,"t_1_1"],["t_1_2"]]}']),
+        (LR_1_1, ["--filling", '{"5": [["s_1_1"]]}']),
+    ],
+    ids=["variant", "filling", "filling-not-rows", "filling-not-names",
+         "filling-outside-expansion"],
 )
-def test_verify_lr_filling_flags_are_bad_input(capsys, extra):
+def test_verify_lr_filling_flags_are_bad_input(capsys, argv, extra):
     # the LR right side has one filling per shape; a command line that
     # still picks one is refused as bad input, not run or read as a mismatch
-    argv = [
-        "verify", "lr", "--mu", "2,1", "--nu", "1", "--n-trunc", "3",
-        "--assign", '{"s_1_1":1,"s_1_2":2,"s_2_1":3,"t_1_1":4}',
-    ]
     assert run(capsys, argv)[0] == 0
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + extra)

@@ -14,6 +14,7 @@ from schurzeta import (
     SymSpec,
     all_partitions,
     as_partition,
+    canonical_filling,
     column_insert,
     column_insert_word,
     column_word,
@@ -59,6 +60,10 @@ _ONE_CELL = ([(1, [((1,), (("a",),))])], SymSpec(("a",), frozenset()))
 _PIERI_H = {"s_1_1": 2, "t_1": 3}
 _PIERI_E = {"t_1_1": 2, "s_1": 3}
 _LR = {"s_1_1": 2, "t_1_1": 3}
+# the same identities with a two-row shape, whose second part is x
+_PIERI_H2 = {"s_1_1": 2, "s_2_1": 3, "t_1": 4}
+_PIERI_E2 = {"t_1_1": 2, "t_2_1": 3, "s_1": 4, "s_2": 5}
+_LR2 = {"s_1_1": 2, "s_2_1": 3, "t_1_1": 4}
 
 # name -> (call of the integer argument x, good int, lo, hi or None)
 ENTRIES = {
@@ -125,6 +130,11 @@ ENTRIES = {
     "verify_pieri_e-n": (lambda x: verify_pieri_e((1,), x, _PIERI_E, 2), 1, 1, None),
     "verify_pieri_e-level": (lambda x: verify_pieri_e((1,), 1, _PIERI_E, x), 1, 1, None),
     "verify_lr-level": (lambda x: verify_lr((1,), (1,), _LR, x), 1, 1, None),
+    # shape parts, checked before the setup caches keyed by the shapes
+    "verify_pieri_h-part": (lambda x: verify_pieri_h((1, x), 1, _PIERI_H2, 2), 1, 0, None),
+    "verify_pieri_e-part": (lambda x: verify_pieri_e((1, x), 2, _PIERI_E2, 2), 1, 0, None),
+    "verify_lr-part": (lambda x: verify_lr((1, x), (1,), _LR2, 2), 1, 0, None),
+    "canonical_filling-part": (lambda x: canonical_filling((3,), (1, x), (1,)), 1, 0, None),
     "verify_insertion_term-size": (
         lambda x: verify_insertion_term(((1,),), ((2,),), (1,), x, "h", _PIERI_H), 1, 1, None
     ),
