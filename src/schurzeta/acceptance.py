@@ -11,8 +11,8 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import crystal, insertion, tableaux, zeta
 from .partitions import all_partitions, as_partition, contains
@@ -20,8 +20,7 @@ from .tableaux import cached_ssyt, enumerate_ssyt, reading_word, shape_of
 from .zeta import _flatten, grid_vars, seq_vars
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

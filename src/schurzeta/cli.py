@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from . import acceptance, crystal, insertion, tableaux, zeta
@@ -264,12 +263,7 @@ def _cmd_zeta(args) -> int:
         if args.n is not None:
             raise ValueError("--tol (limit mode) and --n exclude each other")
         rep = zeta.eval_zeta_limit(shape, var_rows, assign, args.tol)
-        payload = {
-            "value": rep.value,
-            "levels": rep.levels,
-            "error_estimate": rep.error_estimate,
-            "converged": rep.converged,
-        }
+        payload = rep._asdict()
         lines = [
             f"{rep.value!r}  (level {rep.levels}, error estimate "
             f"{rep.error_estimate:.3e}, converged={rep.converged})"
@@ -318,7 +312,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_selftest(args) -> int:
     results = acceptance.run_all(quick=args.quick, seed=args.seed)
-    payload = [{**asdict(r), "seconds": round(r.seconds, 3)} for r in results]
+    payload = [{**r._asdict(), "seconds": round(r.seconds, 3)} for r in results]
     lines = [f"seed {args.seed}" + ("  (quick subset)" if args.quick else "")]
     for r in results:
         mark = "PASS" if r.passed else "FAIL"

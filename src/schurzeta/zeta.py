@@ -33,7 +33,6 @@ limit's tail terms follow from the same strips' exponent sums.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, permutations, product
@@ -65,9 +64,10 @@ from .tableaux import (
 VarRows = tuple[tuple[str, ...], ...]
 
 # The most predicted work (_sym_work) a symmetrized sum may take on.  On a
-# 2-core VM with Python 3.11 a unit costs 0.2-0.6 us up to N = 10 and
-# about 1 us at N = 20-24, as the integer weights grow with N, so the
-# largest identities admitted there take a few seconds.
+# 2-core machine with Python 3.11 a unit costs 0.12-4.5 us across the
+# exact frontier cases, growing with N as the integer weights grow: 3.4 us
+# at Pieri-h (4,2), m=4, N=40, which the limit admits at 5.1 s.  The count
+# does not follow what the walk walks; see item 5 of ROADMAP.md.
 WORK_LIMIT = 2_000_000
 
 
@@ -76,16 +76,14 @@ class SymSpec(NamedTuple):
     fixed: frozenset[str]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     lhs: Fraction
     rhs: Fraction
     equal: bool
     note: str = ""
 
 
-@dataclass(frozen=True)
-class InsertionTermReport:
+class InsertionTermReport(NamedTuple):
     lhs: Fraction
     rhs: Fraction
     equal: bool
@@ -93,8 +91,7 @@ class InsertionTermReport:
     added: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(NamedTuple):
     value: float
     levels: int
     error_estimate: float

@@ -8,7 +8,6 @@ through the CLI.
 import random
 import sys
 from bisect import bisect_left
-from dataclasses import replace
 
 import pytest
 
@@ -140,7 +139,7 @@ def test_false_identity_fails_its_criterion_at_its_shape(
 
     def unequal(*args, **kwargs):
         calls.append(args)
-        return replace(honest(*args, **kwargs), equal=False)
+        return honest(*args, **kwargs)._replace(equal=False)
 
     monkeypatch.setattr(zeta, verifier, unequal)
     result = criterion(quick=True)

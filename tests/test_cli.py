@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurzeta import cli, crystal
+from schurzeta import acceptance, cli, crystal, zeta
 from schurzeta.partitions import all_partitions
 from schurzeta.tableaux import lr_coefficient
 from schurzeta.zeta import IdentityReport
@@ -87,7 +87,7 @@ def test_zeta_eval_float_limit(capsys):
     payload = json.loads(out)
     assert payload["converged"] and abs(payload["value"] - 1.6449) < 1e-3
     assert 0 < payload["error_estimate"] <= 1e-8
-    assert "last_increment" not in payload
+    assert sorted(payload) == ["converged", "error_estimate", "levels", "value"]
 
 
 def test_zeta_eval_requires_level(capsys):
@@ -362,14 +362,51 @@ def test_internal_key_error_is_not_bad_input(capsys, monkeypatch):
     assert err.startswith("error: internal: KeyError")
 
 
-def test_cli_import_leaves_numpy_out():
-    code = "import sys, schurzeta.cli; print('numpy' in sys.modules)"
+def test_cli_import_leaves_dataclasses_inspect_and_numpy_out():
+    # every command pays for this import; dataclasses alone pulls in inspect
+    # (with ast, dis and tokenize), about half of the import's time
+    code = (
+        "import sys, schurzeta.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'numpy'} & set(sys.modules)))"
+    )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+REPORT_FIELDS = [
+    (zeta.IdentityReport, ("lhs", "rhs", "equal", "note")),
+    (zeta.InsertionTermReport, ("lhs", "rhs", "equal", "tableau", "added")),
+    (zeta.LimitReport, ("value", "levels", "error_estimate", "converged")),
+    (acceptance.CriterionResult, ("number", "name", "passed", "detail", "seconds")),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields", REPORT_FIELDS, ids=[cls.__name__ for cls, _ in REPORT_FIELDS]
+)
+def test_report_fields_and_immutability(cls, fields):
+    assert cls._fields == fields
+    report = cls(*range(len(fields)))
+    for name in (fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
+
+
+def test_identity_report_note_defaults_to_empty():
+    assert IdentityReport(1, 2, False).note == ""
+
+
+def test_selftest_json_rows(capsys):
+    code, out, _ = run(capsys, ["selftest", "--quick", "--json"])
+    rows = json.loads(out)
+    assert code == 0 and [row["number"] for row in rows] == list(range(1, 11))
+    for row in rows:
+        assert sorted(row) == ["detail", "name", "number", "passed", "seconds"]
+        assert row["seconds"] == round(row["seconds"], 3)
 
 
 def test_selftest_quick(capsys):
