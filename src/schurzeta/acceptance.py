@@ -17,7 +17,7 @@ from typing import NamedTuple
 from . import crystal, insertion, tableaux, zeta
 from .partitions import all_partitions, as_partition, contains
 from .tableaux import cached_ssyt, enumerate_ssyt, reading_word, shape_of
-from .zeta import _flatten, grid_vars, seq_vars
+from .zeta import grid_vars, seq_vars
 
 
 class CriterionResult(NamedTuple):
@@ -375,25 +375,16 @@ def criterion_route_geometry(quick: bool = False, seed: int = 0):
 def criterion_insertion_term_sweep(quick: bool = False, seed: int = 0):
     step = 4 if quick else 1
     checked = 0
-    # (mode, lam, strip size, left shape, right shape, variable names)
-    sweeps = (
-        ("h", (2, 1), 2, (2, 1), (2,),
-         _flatten(grid_vars((2, 1), "s")) + list(seq_vars(2, "t"))),
-        ("e", (2,), 2, (1, 1), (2,),
-         _flatten(grid_vars((2,), "t")) + list(seq_vars(2, "s"))),
-    )
-    for mode, lam, size, left_shape, right_shape, names in sweeps:
-        assign = {v: i + 1 for i, v in enumerate(names)}
+    # (mode, lam, strip size, left shape, right shape)
+    sweeps = (("h", (2, 1), 2, (2, 1), (2,)), ("e", (2,), 2, (1, 1), (2,)))
+    for mode, lam, size, left_shape, right_shape in sweeps:
         for left in cached_ssyt(left_shape, 3)[::step]:
             for right in cached_ssyt(right_shape, 3)[::step]:
-                rep = zeta.verify_insertion_term(left, right, lam, size, mode, assign)
+                rep = zeta.verify_insertion_term(left, right, lam, size, mode)
                 if not rep.equal:
-                    raise _Fail(
-                        f"{mode}-mode mismatch at {left}, {right}: "
-                        f"{rep.lhs} != {rep.rhs}"
-                    )
+                    raise _Fail(f"{mode}-mode mismatch at {left}, {right}: {rep.reason}")
                 checked += 1
-    return f"{checked} tableau pairs, exact term equality"
+    return f"{checked} tableau pairs, each term equal for every exponent"
 
 
 CRITERIA = [

@@ -379,7 +379,7 @@ def test_cli_import_leaves_dataclasses_inspect_and_numpy_out():
 
 REPORT_FIELDS = [
     (zeta.IdentityReport, ("lhs", "rhs", "equal", "note")),
-    (zeta.InsertionTermReport, ("lhs", "rhs", "equal", "tableau", "added")),
+    (zeta.InsertionTermReport, ("equal", "tableau", "added", "reason")),
     (zeta.LimitReport, ("value", "levels", "error_estimate", "converged")),
     (acceptance.CriterionResult, ("number", "name", "passed", "detail", "seconds")),
 ]
@@ -398,6 +398,10 @@ def test_report_fields_and_immutability(cls, fields):
 
 def test_identity_report_note_defaults_to_empty():
     assert IdentityReport(1, 2, False).note == ""
+
+
+def test_insertion_term_report_reason_defaults_to_empty():
+    assert zeta.InsertionTermReport(True, (), ()).reason == ""
 
 
 def test_selftest_json_rows(capsys):

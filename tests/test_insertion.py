@@ -3,6 +3,8 @@ from bisect import bisect_left
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurzeta.insertion import (
     column_insert,
@@ -116,6 +118,37 @@ def test_route_monotonicity_fuzz():
         assert all(a >= b for a, b in zip(cols, cols[1:]))
         rows = [r for r, _ in column_insert(x, t).route]
         assert all(a >= b for a, b in zip(rows, rows[1:]))
+
+
+@st.composite
+def relabelled_insertions(draw):
+    """A tableau and a word with letters <= n, and an order-preserving
+    injection of 1..n into 1..12."""
+    n = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(all_partitions(draw(st.integers(0, 5)), max_length=n)))
+    t = draw(st.sampled_from(cached_ssyt(shape, n)))
+    word = tuple(draw(st.lists(st.integers(1, n), max_size=5)))
+    image = sorted(draw(st.sets(st.integers(1, 12), min_size=n, max_size=n)))
+    return t, word, dict(zip(range(1, n + 1), image))
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabelled_insertions())
+def test_insertion_commutes_with_order_preserving_relabelling(case):
+    # insertion compares letters only, so an increasing relabelling of the
+    # letters relabels the result and keeps every route: a check of the
+    # Pieri terms over the letters 1..N0 speaks for every N
+    t, word, phi = case
+
+    def relabel(rows):
+        return tuple(tuple(phi[x] for x in row) for row in rows)
+
+    new_t, new_word = relabel(t), relabel((word,))[0]
+    for (result, routes), (new_result, new_routes) in (
+        (row_insert_word(t, word), row_insert_word(new_t, new_word)),
+        (column_insert_word(word, t), column_insert_word(new_word, new_t)),
+    ):
+        assert new_result == relabel(result) and new_routes == routes
 
 
 def test_row_strip_insertion_lands_in_horizontal_family():

@@ -136,7 +136,7 @@ ENTRIES = {
     "verify_lr-part": (lambda x: verify_lr((1, x), (1,), _LR2, 2), 1, 0, None),
     "canonical_filling-part": (lambda x: canonical_filling((3,), (1, x), (1,)), 1, 0, None),
     "verify_insertion_term-size": (
-        lambda x: verify_insertion_term(((1,),), ((2,),), (1,), x, "h", _PIERI_H), 1, 1, None
+        lambda x: verify_insertion_term(((1,),), ((2,),), (1,), x, "h"), 1, 1, None
     ),
 }
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -21,12 +22,11 @@ from schurzeta.partitions import (
     horizontal_strip_cols,
     vertical_strip_rows,
 )
-from schurzeta.tableaux import cached_ssyt, lr_coefficient
+from schurzeta.tableaux import cached_ssyt, lr_coefficient, shape_of
 from schurzeta.zeta import (
     LIMIT_MAX_ORDER,
     SymSpec,
     _partial_sums,
-    _permanent,
     _pieri_setup,
     _tail_terms,
     canonical_filling,
@@ -451,17 +451,6 @@ def test_guard_reads_the_plans_as_the_per_term_sizes_would():
     assert cases > 5000
 
 
-def test_insertion_term_work_guard(monkeypatch):
-    # four distinct symmetrized values: 2**4 count vectors times 4 draws
-    assign = {"s_1_1": 2, "s_1_2": 5, "t_1": 3, "t_2": 4}
-    args = (((1, 2),), ((1, 3),), (2,), 2, "h", assign)
-    monkeypatch.setattr(zmod, "WORK_LIMIT", 64)
-    assert verify_insertion_term(*args).equal
-    monkeypatch.setattr(zmod, "WORK_LIMIT", 63)
-    with pytest.raises(ValueError, match="predicted work of 64 units"):
-        verify_insertion_term(*args)
-
-
 def test_thirteen_distinct_values_lr_verifies_at_n_1():
     # 2**13 count vectors * 15 sub-shapes of (7) and (6) * N: the product
     # is one walk, with no pairing of the factors' count vectors after it
@@ -610,32 +599,6 @@ def test_a_sum_of_terms_is_the_sum_of_its_one_term_sums(case):
         (sym_sum([term], spec, assign, n_trunc) for term in terms), Fraction(0)
     )
     assert total == sym_sum_direct(terms, spec, assign, n_trunc)
-
-
-def brute_perm_weight(bases, values):
-    """Oracle: the sum of 1/prod(b**v) over all k! orderings of values."""
-    counts = {}
-    for perm in permutations(values):
-        den = 1
-        for b, v in zip(bases, perm):
-            den *= b**v
-        counts[den] = counts.get(den, 0) + 1
-    return sum((Fraction(c, d) for d, c in sorted(counts.items())), Fraction(0))
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(0, 7).flatmap(
-        lambda k: st.tuples(
-            st.lists(st.integers(1, 4), min_size=k, max_size=k),
-            st.lists(st.integers(0, 5), min_size=k, max_size=k),
-        )
-    )
-)
-def test_perm_weight_matches_brute_force(case):
-    # small ranges make repeated bases and repeated values common
-    bases, values = (tuple(x) for x in case)
-    assert _permanent(bases, values) == brute_perm_weight(bases, values)
 
 
 @cache
@@ -1041,93 +1004,166 @@ def test_verify_lr_examples():
 
 
 def test_verify_insertion_term_h_examples():
-    rep = verify_insertion_term(((1,),), ((1,),), (1,), 1, "h", {"s_1_1": 2, "t_1": 3})
+    rep = verify_insertion_term(((1,),), ((1,),), (1,), 1, "h")
     assert rep.equal and rep.tableau == ((1, 1),) and rep.added == (2,)
-    assign = {"s_1_1": 1, "s_1_2": 2, "s_2_1": 3, "t_1": 4, "t_2": 5}
-    rep = verify_insertion_term(((1, 2), (2,)), ((1, 3),), (2, 1), 2, "h", assign)
+    assert rep.reason == ""
+    rep = verify_insertion_term(((1, 2), (2,)), ((1, 3),), (2, 1), 2, "h")
     assert rep.equal
     # bent bumping route: entries move between columns, equality still holds
-    rep = verify_insertion_term(((1, 2), (3,)), ((1, 2),), (2, 1), 2, "h", assign)
+    rep = verify_insertion_term(((1, 2), (3,)), ((1, 2),), (2, 1), 2, "h")
     assert rep.equal and rep.added == (1, 3)
     with pytest.raises(ValueError):
-        verify_insertion_term(((1,),), ((1,),), (2,), 1, "h", {"s_1_1": 2, "t_1": 3})
+        verify_insertion_term(((1,),), ((1,),), (2,), 1, "h")
 
 
 def test_verify_insertion_term_h_exhaustive_sweep():
     lam, m = (2, 1), 2
-    assign = {"s_1_1": 1, "s_1_2": 2, "s_2_1": 3, "t_1": 4, "t_2": 5}
     for left in cached_ssyt(lam, 3):
         for right in cached_ssyt((m,), 3):
-            rep = verify_insertion_term(left, right, lam, m, "h", assign)
+            rep = verify_insertion_term(left, right, lam, m, "h")
             assert rep.equal, (left, right)
 
 
 def test_verify_insertion_term_e_examples():
-    assign = {"s_1": 2, "s_2": 3, "t_1_1": 4, "t_1_2": 5}
-    rep = verify_insertion_term(((1,), (2,)), ((1, 1),), (2,), 2, "e", assign)
+    rep = verify_insertion_term(((1,), (2,)), ((1, 1),), (2,), 2, "e")
     assert rep.equal and rep.added == (1, 2)
     for left in cached_ssyt((1, 1), 3):
         for right in cached_ssyt((2,), 3):
-            rep = verify_insertion_term(left, right, (2,), 2, "e", assign)
+            rep = verify_insertion_term(left, right, (2,), 2, "e")
             assert rep.equal, (left, right)
     with pytest.raises(ValueError):
-        verify_insertion_term(((1, 1),), ((1, 1),), (2,), 2, "e", assign)
+        verify_insertion_term(((1, 1),), ((1, 1),), (2,), 2, "e")
 
 
 def brute_sym_monomial_sum(pairs, spec, assign):
     """Oracle: the sum over all k! orderings of the symmetrized values of
-    the product of the pairs' monomials."""
-    total = Fraction(0)
-    for perm in permutations(assign[v] for v in spec.symmetrized):
-        local = dict(assign)
-        local.update(zip(spec.symmetrized, perm))
-        term = Fraction(1)
-        for tab, rows in pairs:
-            term *= monomial(tab, rows, local)
-        total += term
-    return total
+    the product of the pairs' monomials, each 1 / prod(entry ** exponent)
+    over its cells.  Equal orderings, which repeated values give, are
+    summed once and counted as often as they occur."""
+    at = {var: i for i, var in enumerate(spec.symmetrized)}
+    cells = [(entry, var) for tab, rows in pairs for t, r in zip(tab, rows) for entry, var in zip(t, r)]
+    fixed = math.prod(entry ** assign[var] for entry, var in cells if var not in at)
+    dens = Counter()
+    for perm, count in Counter(permutations(assign[v] for v in spec.symmetrized)).items():
+        dens[fixed * math.prod(entry ** perm[at[var]] for entry, var in cells if var in at)] += count
+    lcm = math.lcm(*dens)
+    return Fraction(sum(count * (lcm // den) for den, count in dens.items()), lcm)
 
 
-@pytest.mark.parametrize("repeated", [False, True])
-def test_verify_insertion_term_matches_monomial_oracle(repeated):
-    # the tableau pairs of selftest criterion 10, with its distinct values
-    # and with repeated ones
+def insertion_grid(mode, lam, size):
+    """The insertion-term check of a Pieri identity at N = 3: its pairs
+    (left, right), the pair's variable tableaux, the symmetrized set, and
+    the pushed filling of the grown shape at the strip `added`."""
+    if mode == "h":
+        s_rows, t_names = grid_vars(lam, "s"), seq_vars(size, "t")
+        shapes, rows = (lam, (size,)), (s_rows, (t_names,))
+        fill = lambda added: horizontal_push_filling(lam, s_rows, t_names, added)
+    else:
+        s_names, t_rows = seq_vars(size, "s"), grid_vars(lam, "t")
+        shapes, rows = ((1,) * size, lam), (tuple((v,) for v in s_names), t_rows)
+        fill = lambda added: vertical_push_filling(lam, s_names, t_rows, added)
+    pairs = [(left, right) for left in cached_ssyt(shapes[0], 3) for right in cached_ssyt(shapes[1], 3)]
+    return pairs, rows, _pieri_setup(lam, size, mode).spec, fill
+
+
+# criterion 10's two grids and Pieri-h (3,1), m=4
+INSERTION_GRIDS = [("h", (2, 1), 2), ("e", (2,), 2), ("h", (3, 1), 4)]
+
+
+@pytest.mark.parametrize(
+    "mode, lam, size", INSERTION_GRIDS,
+    ids=[f"{mode}-{','.join(map(str, lam))}-{size}" for mode, lam, size in INSERTION_GRIDS],
+)
+def test_verify_insertion_term_matches_monomial_oracle(mode, lam, size):
+    # a passing term check holds for every exponent: the literal sums over
+    # every order of the symmetrized values agree at distinct values,
+    # repeated ones and all values equal
+    pairs, rows, spec, fill = insertion_grid(mode, lam, size)
+    names = [v for var_rows in rows for r in var_rows for v in r]
+    assigns = [
+        dict(zip(names, values))
+        for values in (range(1, len(names) + 1), [1, 2] * len(names), [2] * len(names))
+    ]
+    for left, right in pairs:
+        rep = verify_insertion_term(left, right, lam, size, mode)
+        assert rep.equal and rep.reason == "", (left, right)
+        for assign in assigns:
+            lhs = brute_sym_monomial_sum(list(zip((left, right), rows)), spec, assign)
+            rhs = brute_sym_monomial_sum([(rep.tableau, fill(rep.added))], spec, assign)
+            assert lhs == rhs, (left, right, assign)
+
+
+def _pieri_with_terms(monkeypatch, lam, size, mode, terms):
+    """Make the verifiers see the setup of (lam, size, mode) with its
+    right-hand terms replaced."""
+    setup = _pieri_setup(lam, size, mode)
+    monkeypatch.setattr(zmod, "_pieri", lambda *args: setup._replace(terms=terms))
+
+
+def _failures(lam, size, mode):
+    """The reason of every failing pair of the grid, or "RuntimeError"."""
+    out = []
+    for left, right in insertion_grid(mode, lam, size)[0]:
+        try:
+            rep = verify_insertion_term(left, right, lam, size, mode)
+        except RuntimeError:
+            out.append("RuntimeError")
+        else:
+            if not rep.equal:
+                out.append(rep.reason)
+    return out
+
+
+MOVED = re.compile(r"fixed variable \S+ moves from entry \d+ to \d+")
+
+
+@pytest.mark.parametrize("a, b, failed", [("t_4", "t_1", 12), ("t_1", "t_2", 0)])
+def test_insertion_term_mutated_filling(monkeypatch, a, b, failed):
+    # swap two variables in the first pushed filling of Pieri-h (3,1), m=4.
+    # Fixed t_4 traded with symmetrized t_1 moves t_4's entry.  Two
+    # symmetrized variables traded must still pass: the sum runs over every
+    # order of their values, so it cannot tell them apart
+    lam, m = (3, 1), 4
+    (added, grown, rows), *rest = _pieri_setup(lam, m, "h").terms
+    swap = {a: b, b: a}
+    rows = tuple(tuple(swap.get(v, v) for v in row) for row in rows)
+    _pieri_with_terms(monkeypatch, lam, m, "h", ((added, grown, rows), *rest))
+    reasons = _failures(lam, m, "h")
+    assert len(reasons) == failed
+    assert all(MOVED.fullmatch(reason) and " t_4 " in reason for reason in reasons)
+
+
+def test_insertion_term_dropped_grown_shape_raises(monkeypatch):
     lam, m = (2, 1), 2
-    s_rows, t_names = grid_vars(lam, "s"), seq_vars(m, "t")
-    names = [v for r in s_rows for v in r] + list(t_names)
-    values = (2, 1, 2, 1, 3) if repeated else range(1, 6)
-    assign = dict(zip(names, values))
-    spec = h_sym_spec(lam, m)
-    for left in cached_ssyt(lam, 3):
-        for right in cached_ssyt((m,), 3):
-            rep = verify_insertion_term(left, right, lam, m, "h", assign)
-            lhs = brute_sym_monomial_sum(
-                [(left, s_rows), (right, (t_names,))], spec, assign
-            )
-            filling = horizontal_push_filling(lam, s_rows, t_names, rep.added)
-            rhs = brute_sym_monomial_sum([(rep.tableau, filling)], spec, assign)
-            assert (rep.lhs, rep.rhs) == (lhs, rhs), (left, right)
-    lam, n = (2,), 2
-    t_rows, s_names = grid_vars(lam, "t"), seq_vars(n, "s")
-    names = [v for r in t_rows for v in r] + list(s_names)
-    values = (1, 1, 2, 1) if repeated else range(1, 5)
-    assign = dict(zip(names, values))
-    spec = e_sym_spec(lam, n)
-    s_col = tuple((name,) for name in s_names)
-    for left in cached_ssyt((1,) * n, 3):
-        for right in cached_ssyt(lam, 3):
-            rep = verify_insertion_term(left, right, lam, n, "e", assign)
-            lhs = brute_sym_monomial_sum([(left, s_col), (right, t_rows)], spec, assign)
-            filling = vertical_push_filling(lam, s_names, t_rows, rep.added)
-            rhs = brute_sym_monomial_sum([(rep.tableau, filling)], spec, assign)
-            assert (rep.lhs, rep.rhs) == (lhs, rhs), (left, right)
+    terms = _pieri_setup(lam, m, "h").terms
+    pairs = insertion_grid("h", lam, m)[0]
+    landing = sum(
+        shape_of(verify_insertion_term(left, right, lam, m, "h").tableau) == terms[0][1]
+        for left, right in pairs
+    )
+    _pieri_with_terms(monkeypatch, lam, m, "h", terms[1:])
+    assert landing > 0 and _failures(lam, m, "h") == ["RuntimeError"] * landing
+
+
+def test_h_mode_insertion_redirected_fails(monkeypatch):
+    # row insertion of the row's letters in reverse order lands outside the
+    # horizontal-strip family for some pairs and on a wrong filling of a
+    # strip shape for others; neither may pass
+    from schurzeta.insertion import row_insert_word
+
+    monkeypatch.setattr(
+        zmod, "row_insert_word", lambda t, word: row_insert_word(t, tuple(reversed(word)))
+    )
+    failures = _failures((3, 1), 4, "h")
+    reasons = [reason for reason in failures if reason != "RuntimeError"]
+    assert "RuntimeError" in failures
+    assert reasons and all(MOVED.fullmatch(reason) for reason in reasons)
 
 
 def test_fault_injected_insertion_order_fails_loudly(monkeypatch):
     # applying the column letters in the wrong order lands outside the
     # vertical-strip family for some pairs; the term verifier must not
     # silently accept that
-    import schurzeta.zeta as zmod
     from schurzeta.insertion import column_insert_word
 
     def reversed_order(word, t):
@@ -1135,9 +1171,7 @@ def test_fault_injected_insertion_order_fails_loudly(monkeypatch):
 
     monkeypatch.setattr(zmod, "column_insert_word", reversed_order)
     with pytest.raises(RuntimeError):
-        zmod.verify_insertion_term(
-            ((1,), (2,)), (), (), 2, "e", {"s_1": 2, "s_2": 3}
-        )
+        zmod.verify_insertion_term(((1,), (2,)), (), (), 2, "e")
 
 
 def test_verify_pieri_h_matches_direct_reference():
