@@ -15,7 +15,7 @@ from itertools import accumulate
 from operator import add, sub
 
 from .partitions import Partition, as_partition, require_ints
-from .tableaux import Tableau, cached_ssyt, is_ssyt, reading_word
+from .tableaux import Tableau, cached_ssyt, is_ssyt, reading_word, require_ssyt
 
 TensorWord = tuple[int, ...]
 
@@ -99,7 +99,7 @@ def e(i: int, word, n: int) -> TensorWord | None:
 def rr(t: Tableau, n: int) -> TensorWord:
     """Row-reading embedding of an SSYT: rows bottom to top."""
     if not is_ssyt(t):
-        raise ValueError(f"not a semistandard tableau: {t}")
+        require_ssyt(t)  # raises the one tableau check's error
     word = reading_word(t)
     return _check_word(word, n)
 

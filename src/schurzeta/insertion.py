@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .partitions import require_ints
-from .tableaux import Tableau, Word, _semistandard, as_tableau, transpose
+from .tableaux import Tableau, Word, require_ssyt, transpose
 
 Cell = tuple[int, int]
 
@@ -26,10 +26,7 @@ class InsertionResult(NamedTuple):
 
 def _checked_rows(t, word) -> tuple[Tableau, Word]:
     """Validate a tableau and a word once, for the unchecked folds."""
-    t = as_tableau(t)
-    if not _semistandard(t):
-        raise ValueError(f"not a semistandard tableau: {t}")
-    return t, require_ints(word, "inserted values", 1)
+    return require_ssyt(t), require_ints(word, "inserted values", 1)
 
 
 def _row_bump(
@@ -129,8 +126,8 @@ def column_insert(x: int, t) -> InsertionResult:
 
 
 def column_word(t) -> Word:
-    """Entries of a single-column tableau, top to bottom."""
-    t = as_tableau(t)
+    """Entries of a single-column semistandard tableau, top to bottom."""
+    t = require_ssyt(t)
     if any(len(row) != 1 for row in t):
         raise ValueError(f"expected a single-column tableau, got {t}")
     return tuple(row[0] for row in t)

@@ -121,8 +121,6 @@ def _grown_or_none(p: Partition, rows) -> Partition | None:
     for a, b in zip(grown, grown[1:]):
         if a < b:
             return None
-    while grown and grown[-1] == 0:
-        grown.pop()
     return tuple(grown)
 
 

@@ -43,8 +43,12 @@ def transpose(rows) -> tuple[tuple, ...]:
 
 
 def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
-    """rows as tuples; a ValueError unless every entry is an int >= 1."""
-    t = tuple(map(tuple, rows))
+    """rows as tuples; a ValueError unless rows is an iterable of rows and
+    every entry an int >= 1."""
+    try:
+        t = tuple(map(tuple, rows))
+    except TypeError:
+        raise ValueError(f"tableau rows must be iterables, got {rows!r}") from None
     # one check of all entries; sum of a few row tuples is cheaper than chain
     require_ints(sum(t, ()), "tableau entries", 1)
     return t
@@ -56,13 +60,22 @@ def as_tableau(rows) -> Tableau:
     return t
 
 
+def require_ssyt(rows) -> Tableau:
+    """rows as a tableau (as_tableau); a ValueError unless it is
+    semistandard.  The one check of a tableau argument."""
+    t = as_tableau(rows)
+    if not _semistandard(t):
+        raise ValueError(f"not a semistandard tableau: {t}")
+    return t
+
+
 def is_ssyt(t) -> bool:
-    """Row-weak / column-strict check, including shape validity."""
+    """Whether require_ssyt accepts t."""
     try:
-        t = as_tableau(t)
-    except (ValueError, TypeError):
+        require_ssyt(t)
+    except ValueError:
         return False
-    return _semistandard(t)
+    return True
 
 
 def _semistandard(rows, inner: Partition = ()) -> bool:
@@ -91,7 +104,7 @@ def is_skew_ssyt(st: SkewTableau) -> bool:
         return False
     try:
         rows = _int_rows(st.rows)
-    except (ValueError, TypeError):
+    except ValueError:
         return False
     inner_pad = inner + (0,) * (len(outer) - len(inner))
     if shape_of(rows) != tuple(o - i for o, i in zip(outer, inner_pad)):
@@ -190,8 +203,7 @@ def reading_word(t) -> Word:
 
 
 def weight(t) -> tuple[int, ...]:
-    """Multiplicity vector of the entries, ints >= 1, trimmed of
-    trailing zeros."""
+    """Multiplicity vector of the entries 1 .. the largest, ints >= 1."""
     rows = _int_rows(t.rows if isinstance(t, SkewTableau) else t)
     counts: list[int] = []
     for row in rows:
@@ -199,8 +211,6 @@ def weight(t) -> tuple[int, ...]:
             if v > len(counts):
                 counts.extend([0] * (v - len(counts)))
             counts[v - 1] += 1
-    while counts and counts[-1] == 0:
-        counts.pop()
     return tuple(counts)
 
 

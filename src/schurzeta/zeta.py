@@ -41,7 +41,7 @@ from numbers import Real
 from typing import NamedTuple
 
 from . import crystal
-from .insertion import column_insert_word, column_word, row_insert_word
+from .insertion import _row_fold
 from .partitions import (
     Partition,
     as_partition,
@@ -56,7 +56,7 @@ from .partitions import (
 from .tableaux import (
     Tableau,
     as_tableau,
-    reading_word,
+    require_ssyt,
     shape_of,
     transpose,
 )
@@ -120,29 +120,20 @@ def _flatten(var_rows) -> list[str]:
     return [v for row in var_rows for v in row]
 
 
-def resolve_exponents(var_rows, assign) -> tuple[tuple, ...]:
-    """Replace variable names by their assigned exponents."""
+def _exponents(names, assign) -> list:
+    """The assigned value of each name; a ValueError, naming the variable,
+    unless each is assigned a finite real number >= 0 that is not a bool.
+    The one check of an assignment."""
     out = []
-    for row in var_rows:
-        vals = []
-        for var in row:
-            if var not in assign:
-                raise ValueError(f"assignment missing variable {var!r}")
-            vals.append(assign[var])
-        out.append(tuple(vals))
-    return tuple(out)
-
-
-def require_exact(assign, names) -> None:
-    """Exact mode needs integer exponents >= 1 for every named variable."""
     for var in names:
         if var not in assign:
             raise ValueError(f"assignment missing variable {var!r}")
-        v = assign[var]
-        if not is_int(v) or v < 1:
-            raise ValueError(
-                f"exact mode needs integer exponents >= 1, got {var}={v!r}"
-            )
+        x = assign[var]
+        # type() first: a plain int skips the abstract Real check
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, Real)) or not 0 <= x < math.inf:
+            raise ValueError(f"exponents must be finite numbers >= 0, got {var}={x!r}")
+        out.append(x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +145,15 @@ def monomial(tableau, var_rows, assign):
     Exponents must be finite numbers >= 0 (not bools)."""
     t = as_tableau(tableau)
     exps = _checked_exponents(shape_of(t), var_rows, assign)
-    if all(is_int(x) for row in exps for x in row):
+    entries = [x for row in t for x in row]
+    if all(map(is_int, exps)):
         den = 1
-        for trow, erow in zip(t, exps):
-            for base, ex in zip(trow, erow):
-                den *= base**ex
+        for base, ex in zip(entries, exps):
+            den *= base**ex
         return Fraction(1, den)
     out = 1.0
-    for trow, erow in zip(t, exps):
-        for base, ex in zip(trow, erow):
-            out *= float(base) ** -float(ex)
+    for base, ex in zip(entries, exps):
+        out *= float(base) ** -float(ex)
     return out
 
 
@@ -378,16 +368,12 @@ def _product_sum(prefix: tuple, ends: tuple, fixed: tuple, n_trunc: int, values:
     )
 
 
-def _checked_exponents(shape: Partition, var_rows, assign) -> tuple[tuple, ...]:
-    """Resolved exponents of the shape's cells; each must be a finite
-    number >= 0 and not a bool."""
-    exps = resolve_exponents(var_rows, assign)
-    if shape != tuple(len(r) for r in exps):
+def _checked_exponents(shape: Partition, var_rows, assign) -> list:
+    """The exponents (_exponents) of the shape's cells in row-major order;
+    var_rows must have the shape."""
+    exps = _exponents(_flatten(var_rows), assign)
+    if shape != tuple(len(r) for r in var_rows):
         raise ValueError("shape and variable tableau differ")
-    for row in exps:
-        for x in row:
-            if isinstance(x, bool) or not isinstance(x, Real) or not 0 <= x < math.inf:
-                raise ValueError(f"exponents must be finite numbers >= 0, got {x!r}")
     return exps
 
 
@@ -400,8 +386,8 @@ def eval_zeta_truncated(shape, var_rows, assign, n_trunc: int):
     """
     shape = as_partition(shape)
     require_ints((n_trunc,), "truncation level", 1)
-    flat = tuple(x for row in _checked_exponents(shape, var_rows, assign) for x in row)
-    if all(is_int(x) for x in flat):
+    flat = _checked_exponents(shape, var_rows, assign)
+    if all(map(is_int, flat)):
         labels = tuple(_flatten(var_rows))
         ((fixed, _, vec),) = _product_sum(
             (), ((shape, labels),), tuple(dict(zip(labels, flat)).items()), n_trunc, (), ()
@@ -419,11 +405,7 @@ def in_convergence_domain(shape, var_rows, assign) -> bool:
 
 def _in_domain(shape: Partition, exps) -> bool:
     corner_set = set(corners(shape))
-    return all(
-        v > 1 if (i + 1, j + 1) in corner_set else v >= 1
-        for i, row in enumerate(exps)
-        for j, v in enumerate(row)
-    )
+    return all(v > 1 if cell in corner_set else v >= 1 for cell, v in zip(cells(shape), exps))
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +580,7 @@ def eval_zeta_limit(
         raise ValueError("exponents outside the convergence domain")
     if not shape:
         return LimitReport(1.0, 0, _UNIT_ROUNDOFF, True)
-    kinds = tuple(Fraction(x) for row in exps for x in row)
+    kinds = tuple(map(Fraction, exps))
     # the slowest power is at least 1 - sum(kinds), and the groups a fit
     # can use lie less than LIMIT_MAX_ORDER below it
     terms = _tail_terms(shape, kinds, -LIMIT_MAX_ORDER - sum(kinds))
@@ -730,25 +712,16 @@ def _require_work(work: int) -> None:
         raise ValueError(f"predicted work of {work:,} units exceeds the limit of {WORK_LIMIT:,}")
 
 
-def _check_spec_and_values(terms, spec, assign):
-    """Validate a symmetrized sum's inputs; True when every exponent is an
-    integer."""
+def _check_spec(terms, spec) -> list:
+    """The variables a symmetrized sum needs, those of its cells then the
+    symmetrized ones, after checking that spec names no variable twice."""
     twice = sorted({v for v in spec.symmetrized if spec.symmetrized.count(v) > 1})
     if twice:
         raise ValueError(f"symmetrized variables named twice: {twice}")
     if set(spec.symmetrized) & spec.fixed:
         raise ValueError("symmetrized and fixed variable sets overlap")
-    needed = set(spec.symmetrized)
-    for _, factors in terms:
-        for _, rows in factors:
-            needed.update(_flatten(rows))
-    missing = sorted(v for v in needed if v not in assign)
-    if missing:
-        raise ValueError(f"assignment missing variables {missing}")
-    exact = all(is_int(assign[v]) for v in needed)
-    if exact and any(assign[v] < 0 for v in needed):
-        raise ValueError("integer exponents must be >= 0")
-    return exact
+    names = [v for _, factors in terms for _, rows in factors for v in _flatten(rows)]
+    return list(dict.fromkeys(names + list(spec.symmetrized)))
 
 
 def sym_sum_direct(terms, spec, assign, n_trunc: int):
@@ -756,7 +729,7 @@ def sym_sum_direct(terms, spec, assign, n_trunc: int):
     symmetrized values.  Slower than sym_sum but definitionally direct;
     float exponents give a float sum."""
     require_ints((n_trunc,), "truncation level", 1)
-    exact = _check_spec_and_values(terms, spec, assign)
+    exact = all(map(is_int, _exponents(_check_spec(terms, spec), assign)))
     values = tuple(assign[v] for v in spec.symmetrized)
     total = Fraction(0) if exact else 0.0
     for perm in permutations(values):
@@ -863,7 +836,7 @@ def sym_sum(terms, spec: SymSpec, assign, n_trunc: int) -> Fraction:
     """
     if not isinstance(terms, _SymPlan):
         require_ints((n_trunc,), "truncation level", 1)
-        if not _check_spec_and_values(terms, spec, assign):
+        if not all(map(is_int, _exponents(_check_spec(terms, spec), assign))):
             raise ValueError("sym_sum needs integer exponents; use sym_sum_direct")
         terms = _sym_plan(
             [(coeff, [_checked_factor(*factor) for factor in factors]) for coeff, factors in terms], spec
@@ -987,7 +960,9 @@ def _verify(setup: _Setup, assign, n_trunc: int) -> IdentityReport:
     entry point of a symmetrized sum, which the benchmark's tracer wraps."""
     spec, _, _, lhs, rhs = setup
     require_ints((n_trunc,), "truncation level", 1)
-    require_exact(assign, lhs.names)
+    for var, x in zip(lhs.names, _exponents(lhs.names, assign)):
+        if type(x) is not int and not is_int(x) or x < 1:
+            raise ValueError(f"exact mode needs integer exponents >= 1, got {var}={x!r}")
     _admit((lhs, rhs), spec, assign, n_trunc)
     left, right = sym_sum(lhs, spec, assign, n_trunc), sym_sum(rhs, spec, assign, n_trunc)
     return IdentityReport(left, right, left == right, _vacuous_note(lhs, n_trunc))
@@ -1079,7 +1054,7 @@ def verify_insertion_term(left, right, lam, size: int, mode: str) -> InsertionTe
     failure (it would falsify the underlying bijection).
     """
     lam = as_partition(lam)
-    left, right = as_tableau(left), as_tableau(right)
+    left, right = require_ssyt(left), require_ssyt(right)
     if mode not in ("h", "e"):
         raise ValueError(f"mode must be 'h' or 'e', got {mode!r}")
     spec, factors, extensions, _, _ = _pieri(lam, size, mode)
@@ -1090,10 +1065,13 @@ def verify_insertion_term(left, right, lam, size: int, mode: str) -> InsertionTe
             "mode h needs left of shape lam and right a row of size cells, "
             "mode e left a column of size cells and right of shape lam"
         )
+    # the checked tableaux go to the unchecked fold: row insertion of the
+    # row's letters, or column insertion of the column's letters top to
+    # bottom as the weak fold on the transpose
     if mode == "h":
-        result, _ = row_insert_word(left, reading_word(right))
+        result = _row_fold(left, right[0])[0]
     else:
-        result, _ = column_insert_word(column_word(left), right)
+        result = transpose(_row_fold(transpose(right), [x for (x,) in left], weak=True)[0])
     new_shape = shape_of(result)
     for added, grown, filling in extensions:
         if grown == new_shape:

@@ -38,7 +38,6 @@ def weight_sum(a, b):
 
 
 def test_row_insert_converts_the_tableau_once(monkeypatch):
-    import schurzeta.insertion as imod
     import schurzeta.tableaux as tmod
 
     calls = []
@@ -49,7 +48,6 @@ def test_row_insert_converts_the_tableau_once(monkeypatch):
         return convert(rows)
 
     monkeypatch.setattr(tmod, "as_tableau", counted)
-    monkeypatch.setattr(imod, "as_tableau", counted)
     assert row_insert(((1, 2), (3,)), 1).tableau == ((1, 1), (2,), (3,))
     assert len(calls) == 1
 
@@ -237,6 +235,8 @@ def test_column_word_validation():
     assert column_word(((3,), (5,))) == (3, 5)
     with pytest.raises(ValueError):
         column_word(((1, 2),))
+    with pytest.raises(ValueError, match="not a semistandard tableau"):
+        column_word(((2,), (1,)))
 
 
 def oracle_column_insert_word(word, t):

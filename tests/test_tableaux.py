@@ -4,7 +4,8 @@ from itertools import product
 import pytest
 
 from schurzeta import tableaux
-from schurzeta.crystal import decompose_product
+from schurzeta.crystal import decompose_product, rr
+from schurzeta.insertion import column_word, row_insert
 from schurzeta.partitions import all_partitions, as_partition, cells, conjugate, contains
 from schurzeta.tableaux import (
     SkewTableau,
@@ -180,6 +181,31 @@ def test_semistandard_checks_match_the_oracle():
             assert is_skew_ssyt(st) == expected, st
             if not inner:
                 assert is_ssyt(rows) == expected, rows
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(tableaux.as_tableau, id="as_tableau"),
+        pytest.param(tableaux.require_ssyt, id="require_ssyt"),
+        pytest.param(lambda t: row_insert(t, 1), id="row_insert"),
+        pytest.param(column_word, id="column_word"),
+        pytest.param(lambda t: rr(t, 2), id="rr"),
+        pytest.param(weight, id="weight"),
+    ],
+)
+@pytest.mark.parametrize("t", [5, ((1,), 2)], ids=["int", "int-row"])
+def test_rows_that_are_not_rows_are_bad_input(call, t):
+    # a ValueError, as for any other malformed tableau, not a TypeError
+    assert not is_ssyt(t)
+    with pytest.raises(ValueError):
+        call(t)
+
+
+def test_is_skew_ssyt_rejects_a_shape_mismatch():
+    # inner not inside outer, and rows that do not fill outer/inner
+    assert not is_skew_ssyt(SkewTableau((1,), (2,), ((),)))
+    assert not is_skew_ssyt(SkewTableau((2,), (1,), ((1, 2),)))
 
 
 def test_is_skew_ssyt_rejects_non_integer_entries():

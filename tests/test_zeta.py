@@ -86,6 +86,29 @@ def test_monomial_examples():
         monomial(((1, 2),), (("a",),), {"a": 1})
     with pytest.raises(ValueError):
         monomial(((0,),), (("a",),), {"a": 1})
+    # a non-integer exponent gives a float
+    value = monomial(((2, 3),), (("a", "b"),), {"a": 1.5, "b": 0})
+    assert isinstance(value, float) and value == pytest.approx(2**-1.5)
+
+
+_TWO_CELLS = ([(1, [((2,), (("a", "b"),))])], SymSpec(("a",), frozenset()))
+
+
+@pytest.mark.parametrize(
+    "call, missing",
+    [
+        pytest.param(lambda a: monomial(((1, 2),), (("a", "b"),), a), "b", id="monomial"),
+        pytest.param(lambda a: eval_zeta_truncated((2,), (("a", "b"),), a, 2), "b", id="eval_zeta_truncated"),
+        pytest.param(lambda a: in_convergence_domain((2,), (("a", "b"),), a), "b", id="in_convergence_domain"),
+        pytest.param(lambda a: sym_sum(*_TWO_CELLS, a, 2), "b", id="sym_sum"),
+        pytest.param(lambda a: sym_sum_direct(*_TWO_CELLS, a, 2), "b", id="sym_sum_direct"),
+        pytest.param(lambda a: verify_lr((1,), (1,), a, 2), "s_1_1", id="verify_lr"),
+    ],
+)
+def test_every_entry_names_the_missing_variable(call, missing):
+    # one assignment check serves every entry
+    with pytest.raises(ValueError, match=f"^assignment missing variable '{missing}'$"):
+        call({"a": 2})
 
 
 @pytest.mark.parametrize(
@@ -166,6 +189,10 @@ def test_horizontal_push_filling_examples():
     assert horizontal_push_filling((1,), one, ("t_1",), (1,)) == (("t_1",), ("s_1_1",))
     with pytest.raises(ValueError):
         horizontal_push_filling((1,), one, ("t_1",), (3,))
+    with pytest.raises(ValueError, match="one new variable per strip cell"):
+        horizontal_push_filling((1,), one, ("t_1", "t_2"), (2,))
+    with pytest.raises(ValueError, match="does not match the shape"):
+        horizontal_push_filling((2,), one, ("t_1",), (3,))
 
 
 def test_vertical_push_filling_examples():
@@ -767,6 +794,26 @@ def test_sym_sum_rejects_a_variable_named_twice():
             fn(terms, spec, {"a": 2, "b": 3}, 2)
 
 
+@pytest.mark.parametrize("fn", [sym_sum, sym_sum_direct])
+@pytest.mark.parametrize(
+    "terms, spec, assign, message",
+    [
+        ([(1, [((2,), (("a", "b"),))])], SymSpec(("a",), frozenset({"a"})), {"a": 2, "b": 3}, "overlap"),
+        (
+            [(1, [((2,), (("a", "b"),))])],
+            SymSpec(("a",), frozenset({"b"})),
+            {"a": 2, "b": -1},
+            "^exponents must be finite numbers >= 0, got b=-1$",
+        ),
+        ([(1, [((2,), (("a",),))])], SymSpec(("a",), frozenset()), {"a": 2}, "differ"),
+    ],
+    ids=["overlap", "negative", "factor-shape"],
+)
+def test_sym_sums_reject_bad_input(fn, terms, spec, assign, message):
+    with pytest.raises(ValueError, match=message):
+        fn(terms, spec, assign, 2)
+
+
 DEEP_VALUES = (3, 1, 4, 5, 2, 1, 2, 3)
 
 
@@ -915,7 +962,9 @@ def test_verifiers_check_every_variable_on_every_call(entry, bad):
         broken = {v: x for v, x in assign.items() if v != var}
         if bad is not None:
             broken[var] = bad
-        with pytest.raises(ValueError, match="missing variable|integer exponents >= 1"):
+        # a bool is no number at all: the assignment check refuses it
+        shared = re.escape(f"exponents must be finite numbers >= 0, got {var}={bad!r}")
+        with pytest.raises(ValueError, match=f"missing variable|integer exponents >= 1|{shared}"):
             call(broken, 2)
 
 
@@ -1014,6 +1063,51 @@ def test_verify_insertion_term_h_examples():
     assert rep.equal and rep.added == (1, 3)
     with pytest.raises(ValueError):
         verify_insertion_term(((1,),), ((1,),), (2,), 1, "h")
+    with pytest.raises(ValueError, match="mode must be 'h' or 'e'"):
+        verify_insertion_term(((1,),), ((1,),), (1,), 1, "x")
+
+
+@pytest.mark.parametrize(
+    "left, right, lam, size, mode",
+    [
+        (((1,),), ((2, 1),), (1,), 2, "h"),
+        (((1,), (1,)), ((1,),), (1,), 2, "e"),
+        (((2,), (1,)), ((1,),), (1,), 2, "e"),
+    ],
+    ids=["h-row-decreases", "e-column-repeats", "e-column-decreases"],
+)
+def test_verify_insertion_term_rejects_a_strip_that_is_not_semistandard(left, right, lam, size, mode):
+    # bad input, never a falsified term (equal=False) nor a broken
+    # bijection (RuntimeError)
+    with pytest.raises(ValueError, match="not a semistandard tableau"):
+        verify_insertion_term(left, right, lam, size, mode)
+
+
+@pytest.mark.parametrize("mode", ["h", "e"])
+def test_verify_insertion_term_converts_each_tableau_once(monkeypatch, mode):
+    convert = tableaux.as_tableau
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return convert(rows)
+
+    monkeypatch.setattr(tableaux, "as_tableau", counted)
+    left, right = (((1, 2),), ((2, 3),)) if mode == "h" else (((1,), (3,)), ((1, 2),))
+    assert verify_insertion_term(left, right, (2,), 2, mode).equal
+    assert calls == [left, right]
+
+
+def test_insertion_term_symmetrized_multiset_reason(monkeypatch):
+    # every variable of Pieri-h (2), m=2 is symmetrized; an insertion that
+    # writes 1 in place of every letter lands on a grown shape with the
+    # wrong multiset of entries
+    from schurzeta.insertion import _row_fold
+
+    monkeypatch.setattr(zmod, "_row_fold", lambda t, word, weak=False: _row_fold(t, [1] * len(word), weak))
+    rep = verify_insertion_term(((1, 1),), ((2, 2),), (2,), 2, "h")
+    assert not rep.equal and rep.tableau == ((1, 1, 1, 1),)
+    assert rep.reason == "symmetrized entries [1, 1, 2, 2] become [1, 1, 1, 1]"
 
 
 def test_verify_insertion_term_h_exhaustive_sweep():
@@ -1149,10 +1243,10 @@ def test_h_mode_insertion_redirected_fails(monkeypatch):
     # row insertion of the row's letters in reverse order lands outside the
     # horizontal-strip family for some pairs and on a wrong filling of a
     # strip shape for others; neither may pass
-    from schurzeta.insertion import row_insert_word
+    from schurzeta.insertion import _row_fold
 
     monkeypatch.setattr(
-        zmod, "row_insert_word", lambda t, word: row_insert_word(t, tuple(reversed(word)))
+        zmod, "_row_fold", lambda t, word, weak=False: _row_fold(t, tuple(reversed(word)), weak)
     )
     failures = _failures((3, 1), 4, "h")
     reasons = [reason for reason in failures if reason != "RuntimeError"]
@@ -1164,12 +1258,12 @@ def test_fault_injected_insertion_order_fails_loudly(monkeypatch):
     # applying the column letters in the wrong order lands outside the
     # vertical-strip family for some pairs; the term verifier must not
     # silently accept that
-    from schurzeta.insertion import column_insert_word
+    from schurzeta.insertion import _row_fold
 
-    def reversed_order(word, t):
-        return column_insert_word(tuple(reversed(word)), t)
+    def reversed_order(t, word, weak=False):
+        return _row_fold(t, tuple(reversed(word)), weak)
 
-    monkeypatch.setattr(zmod, "column_insert_word", reversed_order)
+    monkeypatch.setattr(zmod, "_row_fold", reversed_order)
     with pytest.raises(RuntimeError):
         zmod.verify_insertion_term(((1,), (2,)), (), (), 2, "e")
 
@@ -1540,7 +1634,7 @@ def test_a_verifier_plans_its_identity_once(monkeypatch):
     lr_names = [v for prefix in "st" for r in grid_vars((2, 1), prefix) for v in r]
     calls = Counter()
     for module, name in [
-        (zmod, "_check_spec_and_values"), (zmod, "_sym_plan"),
+        (zmod, "_check_spec"), (zmod, "_sym_plan"),
         (zmod, "as_partition"), (partitions, "as_partition"), (tableaux, "as_partition"),
     ]:
         fn = getattr(module, name)
@@ -1549,7 +1643,7 @@ def test_a_verifier_plans_its_identity_once(monkeypatch):
     zmod._lr_setup.cache_clear()
     assert verify_pieri_h((3, 1), 3, _distinct(h_names), 3).equal
     assert verify_lr((2, 1), (2, 1), _distinct(lr_names), 3).equal
-    assert calls["_sym_plan"] == 4 and calls["_check_spec_and_values"] == 0
+    assert calls["_sym_plan"] == 4 and calls["_check_spec"] == 0
     plans = zmod._pieri_setup.cache_info(), zmod._lr_setup.cache_info()
 
     calls.clear()
