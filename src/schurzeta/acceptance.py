@@ -156,26 +156,33 @@ def criterion_lr_triple_oracle(quick: bool = False, seed: int = 0):
         for right in cached_ssyt(nu, n)
     )
     words = [rw for rw, _, _ in rights]
+    right_nus = [nu for _, nu, _ in rights]
     shared = insertion._shared_prefixes(words)
     right_contents = [content(right) for _, _, right in rights]
-    bumps_per_left = sum(len(w) - k for w, k in zip(words, shared))
-    fibers = {(mu, nu): {} for mu in shapes for nu in shapes}
-    pairs = bumps = 0
+    # one table for the whole run: left tableaux of every shape meet the
+    # same intermediate tableaux; content and shape once per id
+    table = insertion._BumpTable()
+    contents: list[int] = []
+    lams: list = []
+    fibers = {mu: Counter() for mu in shapes}  # fibers[mu][nu, lam]
+    pairs = 0
     for mu in shapes:
-        bins = [fibers[mu, nu] for _, nu, _ in rights]
+        fiber = fibers[mu]
         for left in cached_ssyt(mu, n):
+            results = insertion._prefix_fold(table, left, words, shared)
+            for t in table.tableaux[len(contents):]:
+                contents.append(content(t))
+                lams.append(shape_of(t))
+            # content identity behind the bijection
             left_content = content(left)
-            results = insertion._prefix_fold(left, words, shared)
-            for res, fiber, right_content, (_, _, right) in zip(
-                results, bins, right_contents, rights
-            ):
-                # content identity behind the bijection
-                if content(res) != left_content + right_content:
-                    raise _Fail(f"content not preserved at {left},{right}")
-                lam = shape_of(res)
-                fiber[lam] = fiber.get(lam, 0) + 1
+            got = [contents[i] for i in results]
+            want = [left_content + c for c in right_contents]
+            if got != want:
+                k = next(k for k, (a, b) in enumerate(zip(got, want)) if a != b)
+                raise _Fail(f"content not preserved at {left},{rights[k][2]}")
+            fiber.update(zip(right_nus, [lams[i] for i in results]))
             pairs += len(results)
-            bumps += bumps_per_left
+    bumps = sum(map(len, table.after))
     # the Yamanouchi route: one lattice-pruned filling of each skew shape
     # lam/mu, counted by weight; lam/mu is no skew shape when mu is not
     # inside lam, and every coefficient there is 0
@@ -194,7 +201,7 @@ def criterion_lr_triple_oracle(quick: bool = False, seed: int = 0):
             for mu in all_partitions(a, max_length=n):
                 for nu in all_partitions(b, max_length=n):
                     counts = crystal.decompose_product(mu, nu, n)
-                    fiber = fibers[mu, nu]
+                    fiber = fibers[mu]
                     for lam in all_partitions(a + b, max_length=n):
                         c = yamanouchi.get((mu, lam), outside)[nu]
                         if counts.get(lam, 0) != c:
@@ -203,7 +210,7 @@ def criterion_lr_triple_oracle(quick: bool = False, seed: int = 0):
                                 f"{mu},{nu},{lam}: {counts.get(lam, 0)} != {c}"
                             )
                         size = len(cached_ssyt(lam, n))
-                        if fiber.get(lam, 0) != c * size:
+                        if fiber[nu, lam] != c * size:
                             raise _Fail(
                                 f"insertion fiber != c * |B_lam| at {mu},{nu},{lam}"
                             )

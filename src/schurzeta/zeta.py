@@ -870,8 +870,6 @@ def horizontal_push_filling(lam, s_rows: VarRows, t_names, cols) -> VarRows:
         for j, var in enumerate(row):
             ti = i + 1 if (j + 1) in colset else i
             grid[ti][j] = var
-    if any(v is None for row in grid for v in row):
-        raise ValueError(f"strip {cols} does not tile the grown shape")
     return tuple(tuple(row) for row in grid)
 
 
