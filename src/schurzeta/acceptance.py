@@ -12,11 +12,12 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from typing import NamedTuple
 
 from . import crystal, insertion, tableaux, zeta
 from .partitions import all_partitions, as_partition, contains
-from .tableaux import cached_ssyt, enumerate_ssyt, reading_word, shape_of
+from .tableaux import cached_ssyt, enumerate_ssyt, reading_word
 from .zeta import grid_vars, seq_vars
 
 
@@ -140,49 +141,25 @@ def criterion_lr_triple_oracle(quick: bool = False, seed: int = 0):
     shapes = [
         p for a in range(1, max_size + 1) for p in all_partitions(a, max_length=n)
     ]
-    # exact content key: the sum of base**v over the cells, where base
-    # exceeds every entry count, since a product has at most 2 * max_size cells
+    # the content route: the tableaux of each shape counted by content, a
+    # composition alpha of |mu| into n parts; K(mu, sort alpha) of them,
+    # nonzero counts only.  A content is keyed by the sum of
+    # alpha_i * base**i, where base exceeds every entry count: a key minus
+    # the key of alpha is the key of the difference when that has no
+    # negative entry, and no content's key otherwise
     base = 2 * max_size + 1
 
-    def content(t):
-        return sum([base**v for row in t for v in row])
+    def key(alpha):
+        return sum([x * base**i for i, x in enumerate(alpha)])
 
-    # every right factor of every shape, sorted by reading word so that the
-    # fold inserts each shared prefix once; cached_ssyt tableaux and their
-    # words need no re-validation before insertion
-    rights = sorted(
-        (reading_word(right), nu, right)
-        for nu in shapes
-        for right in cached_ssyt(nu, n)
-    )
-    words = [rw for rw, _, _ in rights]
-    right_nus = [nu for _, nu, _ in rights]
-    shared = insertion._shared_prefixes(words)
-    right_contents = [content(right) for _, _, right in rights]
-    # one table for the whole run: left tableaux of every shape meet the
-    # same intermediate tableaux; content and shape once per id
-    table = insertion._BumpTable()
-    contents: list[int] = []
-    lams: list = []
-    fibers = {mu: Counter() for mu in shapes}  # fibers[mu][nu, lam]
-    pairs = 0
+    weights = {}
     for mu in shapes:
-        fiber = fibers[mu]
-        for left in cached_ssyt(mu, n):
-            results = insertion._prefix_fold(table, left, words, shared)
-            for t in table.tableaux[len(contents):]:
-                contents.append(content(t))
-                lams.append(shape_of(t))
-            # content identity behind the bijection
-            left_content = content(left)
-            got = [contents[i] for i in results]
-            want = [left_content + c for c in right_contents]
-            if got != want:
-                k = next(k for k, (a, b) in enumerate(zip(got, want)) if a != b)
-                raise _Fail(f"content not preserved at {left},{rights[k][2]}")
-            fiber.update(zip(right_nus, [lams[i] for i in results]))
-            pairs += len(results)
-    bumps = sum(map(len, table.after))
+        by_key = weights[mu] = {}
+        for gamma in all_partitions(sum(mu), max_length=n):
+            k = tableaux.kostka(mu, gamma)
+            if k:
+                padded = gamma + (0,) * (n - len(gamma))
+                by_key.update(dict.fromkeys(map(key, permutations(padded)), k))
     # the Yamanouchi route: one lattice-pruned filling of each skew shape
     # lam/mu, counted by weight; lam/mu is no skew shape when mu is not
     # inside lam, and every coefficient there is 0
@@ -195,33 +172,50 @@ def criterion_lr_triple_oracle(quick: bool = False, seed: int = 0):
     }
     outside = Counter()
     checked = 0
+    products = 0
     spot = None
     for a in range(1, max_size + 1):
         for b in range(1, max_size + 1):
+            lams = all_partitions(a + b, max_length=n)
             for mu in all_partitions(a, max_length=n):
                 for nu in all_partitions(b, max_length=n):
                     counts = crystal.decompose_product(mu, nu, n)
-                    fiber = fibers[mu]
-                    for lam in all_partitions(a + b, max_length=n):
+                    agreed = {}
+                    for lam in lams:
                         c = yamanouchi.get((mu, lam), outside)[nu]
                         if counts.get(lam, 0) != c:
                             raise _Fail(
                                 f"crystal multiplicity != Yamanouchi count at "
                                 f"{mu},{nu},{lam}: {counts.get(lam, 0)} != {c}"
                             )
-                        size = len(cached_ssyt(lam, n))
-                        if fiber[nu, lam] != c * size:
-                            raise _Fail(
-                                f"insertion fiber != c * |B_lam| at {mu},{nu},{lam}"
-                            )
+                        if c:
+                            agreed[lam] = c
                         if (mu, nu, lam) == ((2, 1), (2, 1), (3, 2, 1)):
                             spot = c
                         checked += 1
+                    # s_mu * s_nu = sum of c_lam * s_lam at each content
+                    # gamma: the pairs of tableaux of content gamma, summed
+                    # over the factor with fewer contents, against the
+                    # tableaux of content gamma of the agreed shapes
+                    left, right = sorted((weights[mu], weights[nu]), key=len)
+                    get = right.get
+                    for gamma in lams:
+                        g = key(gamma)
+                        pairs = sum([k * get(g - x, 0) for x, k in left.items()])
+                        tabs = sum([
+                            c * tableaux.kostka(lam, gamma) for lam, c in agreed.items()
+                        ])
+                        if pairs != tabs:
+                            raise _Fail(
+                                f"content counts differ at {mu},{nu},{gamma}: "
+                                f"{pairs} pairs != {tabs} tableaux"
+                            )
+                        products += len(left)
     if not quick and spot != 2:
         raise _Fail(f"c_(21),(21)^(321) = {spot}, expected 2")
     return (
         f"{checked} coefficients agree across three routes "
-        f"({pairs} pairs, {bumps} bumps)"
+        f"({products} content products)"
     )
 
 

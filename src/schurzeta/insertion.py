@@ -64,65 +64,6 @@ def _row_fold(
     return t, routes
 
 
-def _shared_prefixes(words) -> list[int]:
-    """For each word, the length of the prefix it shares with the word
-    before it (0 for the first).  Sorted words put every shared prefix next
-    to its continuations, so _prefix_fold inserts each distinct prefix once."""
-    shared = []
-    prev: Word = ()
-    for word in words:
-        k = 0
-        for a, b in zip(prev, word):
-            if a != b:
-                break
-            k += 1
-        shared.append(k)
-        prev = word
-    return shared
-
-
-class _BumpTable:
-    """The tableaux met by the _prefix_fold calls of one run, each under
-    an int id: tableaux[i] is the tableau with id i, ids its inverse, and
-    after[i][x] the id of tableaux[i] after row-inserting x, filled by
-    _row_bump on first use.  Row insertion depends only on the tableau and
-    the letter, so each distinct (tableau, letter) is bumped once, and the
-    entries of after are the bumps made."""
-
-    def __init__(self) -> None:
-        self.ids: dict[Tableau, int] = {}
-        self.tableaux: list[Tableau] = []
-        self.after: list[dict[int, int]] = []
-
-    def intern(self, t: Tableau) -> int:
-        i = self.ids.setdefault(t, len(self.tableaux))
-        if i == len(self.tableaux):
-            self.tableaux.append(t)
-            self.after.append({})
-        return i
-
-
-def _prefix_fold(table: _BumpTable, t: Tableau, words, shared) -> list[int]:
-    """The id in table of _row_fold(t, word)[0] for every word, in order,
-    where shared is _shared_prefixes(words): the id after each common
-    prefix is kept and reused instead of inserting the prefix again, and a
-    letter inserted into a tableau met before reads its result from table."""
-    after = table.after
-    stack = [table.intern(t)]  # stack[k]: t after the first k letters of the last word
-    results = []
-    for word, k in zip(words, shared):
-        del stack[k + 1:]
-        s = stack[k]
-        for x in word[k:]:
-            nxt = after[s].get(x)
-            if nxt is None:
-                nxt = after[s][x] = table.intern(_row_bump(table.tableaux[s], x)[0])
-            s = nxt
-            stack.append(s)
-        results.append(s)
-    return results
-
-
 def row_insert_word(t, word) -> tuple[Tableau, list[tuple[Cell, ...]]]:
     """Left-to-right fold of Schensted row insertion over the word; returns
     the final tableau and one bumping route per letter."""

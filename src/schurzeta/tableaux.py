@@ -233,6 +233,34 @@ def lr_coefficient(mu, nu, lam) -> int:
     return lr_fillings(lam, mu)[nu]
 
 
+@cache
+def kostka(shape: Partition, content: Partition) -> int:
+    """The Kostka number K(shape, content): the number of SSYT of the
+    shape with content[i] entries equal to i + 1.  Unchecked: both must
+    be partitions; K is symmetric in the content, so a caller holding a
+    composition sorts it first.  The cells of the largest letter form a
+    horizontal strip of content[-1] cells, at most shape[i] - shape[i+1]
+    of them in row i, so K sums K(inner, content[:-1]) over the
+    partitions inner that such a strip leaves.  Cached; no tableau is
+    enumerated."""
+    if not content or len(shape) > len(content):
+        return int(not shape)
+    # (rows kept so far, strip cells still to remove)
+    states = [((), content[-1])]
+    for a, b in zip(shape, (*shape[1:], 0)):
+        states = [
+            ((*kept, a - r), left - r)
+            for kept, left in states
+            for r in range(min(left, a - b) + 1)
+        ]
+    rest = content[:-1]
+    return sum(
+        kostka(tuple([p for p in kept if p]), rest)
+        for kept, left in states
+        if not left
+    )
+
+
 def lr_fillings(outer, inner) -> Counter:
     """Counter nu -> the number of skew SSYT of shape outer/inner with
     weight nu whose reading word is Yamanouchi; empty when inner is not

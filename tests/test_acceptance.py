@@ -5,7 +5,6 @@ pass/fail report per criterion, or `schurzeta selftest` for the same grid
 through the CLI.
 """
 
-import random
 import sys
 from bisect import bisect_left
 
@@ -58,12 +57,15 @@ def test_budgets():
     assert by_number[5].seconds < 2
 
 
-def test_lr_triple_oracle_fails_on_weak_row_bump(monkeypatch):
-    # bumping the leftmost entry >= x moves equal entries down a row
-    assert acceptance.criterion_lr_triple_oracle(quick=True).passed
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_route_geometry_fails_on_weak_row_bump(monkeypatch, quick):
+    # bumping the leftmost entry >= x moves equal entries down a row, so
+    # inserting 1, 1 into a lone 1 gives two routes down the first column
+    assert acceptance.criterion_route_geometry(quick=quick).passed
     monkeypatch.setattr(insertion, "bisect_right", bisect_left)
-    result = acceptance.criterion_lr_triple_oracle(quick=True)
-    assert not result.passed and "insertion fiber" in result.detail
+    result = acceptance.criterion_route_geometry(quick=quick)
+    assert not result.passed
+    assert result.detail == "routes not strictly right-moving: ((1,),), ((1, 1),)"
 
 
 def test_lr_triple_oracle_fails_on_false_highest_weight(monkeypatch):
@@ -172,67 +174,42 @@ def test_unchecked_row_fold_matches_row_insert_word():
                             )
 
 
-def test_shared_prefixes_are_measured_against_the_previous_word():
-    words = [(1, 2), (1, 2, 3), (1,), (2,), (), (2, 1)]
-    assert insertion._shared_prefixes(words) == [0, 2, 1, 0, 0, 0]
+def _agree_on_a_wrong_coefficient(monkeypatch, lam, edit):
+    """Apply edit(counts, key) to lam's entry of the (1,) x (1,) counts of
+    both the crystal route (keyed by lam) and the Yamanouchi route (the
+    fillings of lam/(1,), keyed by their weight (1,)), so that the two
+    still agree and only the content route is left to catch it."""
+    crystal_honest, yamanouchi_honest = crystal.decompose_product, tableaux.lr_fillings
+
+    def decompose(mu, nu, n):
+        out = crystal_honest(mu, nu, n)
+        if (mu, nu) == ((1,), (1,)):
+            edit(out, lam)
+        return out
+
+    def fillings(outer, inner):
+        out = yamanouchi_honest(outer, inner)
+        if (outer, inner) == (lam, (1,)):
+            edit(out, (1,))
+        return out
+
+    monkeypatch.setattr(crystal, "decompose_product", decompose)
+    monkeypatch.setattr(tableaux, "lr_fillings", fillings)
 
 
-@pytest.mark.parametrize("order", ["sorted", "shuffled"])
-def test_prefix_fold_matches_row_insert_word(order):
-    # right factors of sizes 1..3 mixed, so that some reading words are
-    # prefixes of others
-    n = 4
-    shapes = [p for a in (1, 2, 3) for p in all_partitions(a, max_length=n)]
-    words = sorted(
-        tableaux.reading_word(right)
-        for nu in shapes
-        for right in tableaux.cached_ssyt(nu, n)
-    )
-    if order == "shuffled":
-        random.Random(0).shuffle(words)
-    assert any(w[: len(v)] == v for v in words for w in words if len(v) < len(w))
-    shared = insertion._shared_prefixes(words)
-    table = insertion._BumpTable()
-    for mu in shapes:
-        for left in tableaux.cached_ssyt(mu, n):
-            ids = insertion._prefix_fold(table, left, words, shared)
-            assert [table.tableaux[i] for i in ids] == [
-                insertion.row_insert_word(left, w)[0] for w in words
-            ]
-
-
-def test_lr_triple_oracle_bumps_each_tableau_and_letter_once(monkeypatch):
-    honest = insertion._row_bump
-    calls = []
-
-    def spy(t, x, weak=False):
-        calls.append((t, x))
-        return honest(t, x, weak)
-
-    monkeypatch.setattr(insertion, "_row_bump", spy)
-    for _ in range(2):
-        calls.clear()
-        result = acceptance.criterion_lr_triple_oracle()
-        assert result.passed and result.detail.endswith("(32400 pairs, 7429 bumps)")
-        # the table lives for one run: the second run bumps everything again
-        assert len(calls) == len(set(calls)) == 7429
-
-
-def test_lr_triple_oracle_fails_on_lost_content(monkeypatch):
-    # one folded result has an entry raised by one: same shape, new content
-    honest = insertion._prefix_fold
-    corrupted = []
-
-    def faulty(table, t, words, shared):
-        results = honest(table, t, words, shared)
-        if not corrupted:
-            (first, *rest) = table.tableaux[results[1]]
-            results[1] = table.intern(((*first[:-1], first[-1] + 1), *rest))
-            corrupted.append((t, insertion.row_insert_word((), words[1])[0]))
-        return results
-
-    monkeypatch.setattr(insertion, "_prefix_fold", faulty)
+def test_lr_triple_oracle_content_route_catches_a_raised_coefficient(monkeypatch):
+    # c_(1),(1)^(2) = 2 in both routes: s_1 * s_1 has one pair of content
+    # (2), the shapes (2) and (1, 1) then two tableaux of it
+    _agree_on_a_wrong_coefficient(monkeypatch, (2,), lambda counts, key: counts.update([key]))
     result = acceptance.criterion_lr_triple_oracle(quick=True)
-    left, right = corrupted[0]
     assert not result.passed
-    assert result.detail == f"content not preserved at {left},{right}"
+    assert result.detail == "content counts differ at (1,),(1,),(2,): 1 pairs != 2 tableaux"
+
+
+def test_lr_triple_oracle_content_route_catches_a_dropped_shape(monkeypatch):
+    # c_(1),(1)^(1,1) = 0 in both routes: two pairs have content (1, 1),
+    # and only the tableau 1 2 of shape (2) is left to match them
+    _agree_on_a_wrong_coefficient(monkeypatch, (1, 1), lambda counts, key: counts.pop(key))
+    result = acceptance.criterion_lr_triple_oracle(quick=True)
+    assert not result.passed
+    assert result.detail == "content counts differ at (1,),(1,),(1, 1): 2 pairs != 1 tableaux"

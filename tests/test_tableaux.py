@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -15,6 +16,7 @@ from schurzeta.tableaux import (
     is_skew_ssyt,
     is_ssyt,
     is_yamanouchi,
+    kostka,
     lr_coefficient,
     lr_fillings,
     reading_word,
@@ -369,6 +371,38 @@ def test_lr_cardinality_identity():
                             for lam in all_partitions(a + b)
                         )
                         assert lhs == rhs, (mu, nu, n)
+
+
+def test_kostka_counts_the_tableaux_of_each_content():
+    # brute force: the tableaux of cached_ssyt(lam, 4) grouped by content
+    n = 4
+    for size in range(7):
+        for lam in all_partitions(size, max_length=n):
+            by_content = Counter(
+                weight(t) + (0,) * (n - len(weight(t))) for t in cached_ssyt(lam, n)
+            )
+            for gamma in all_partitions(size, max_length=n):
+                padded = gamma + (0,) * (n - len(gamma))
+                assert kostka(lam, gamma) == by_content[padded], (lam, gamma)
+    assert kostka((2, 1), (1, 1, 1)) == 2
+    assert kostka((3, 2, 1), (2, 2, 1, 1)) == 4
+    assert kostka((), ()) == 1 and kostka((1,), ()) == 0 and kostka((1, 1), (2,)) == 0
+
+
+def test_kostka_is_unitriangular_in_dominance_order():
+    # K(lam, lam) = 1, and K(lam, gamma) = 0 unless lam dominates gamma:
+    # so the counts by content fix every coefficient of a product
+    def dominates(lam, gamma):
+        return all(
+            sum(lam[:k]) >= sum(gamma[:k]) for k in range(1, len(gamma) + 1)
+        )
+
+    for size in range(9):
+        shapes = all_partitions(size)
+        for lam in shapes:
+            assert kostka(lam, lam) == 1
+            for gamma in shapes:
+                assert (kostka(lam, gamma) > 0) == dominates(lam, gamma), (lam, gamma)
 
 
 def test_shape_of():
