@@ -15,7 +15,7 @@ from itertools import accumulate
 from operator import add, sub
 
 from .partitions import Partition, as_partition, require_ints
-from .tableaux import Tableau, cached_ssyt, is_ssyt, reading_word, require_ssyt
+from .tableaux import Tableau, cached_reading_words, is_ssyt, reading_word, require_ssyt
 
 TensorWord = tuple[int, ...]
 
@@ -167,15 +167,14 @@ def decompose_product(mu, nu, n: int) -> Counter:
     if len(mu) > n or len(nu) > n:
         raise ValueError(f"shapes {mu}, {nu} need at most {n} rows")
     tops = []
-    for right in cached_ssyt(nu, n):
-        phi = _extend_phi(reading_word(right), [0] * (n + 1))
+    for right in cached_reading_words(nu, n):
+        phi = _extend_phi(right, [0] * (n + 1))
         if phi is not None:
             tops.append(phi)
     out: Counter = Counter()
-    for left in cached_ssyt(mu, n):
-        lw = reading_word(left)
+    for left in cached_reading_words(mu, n):
         for top in tops:
-            phi = _extend_phi(lw, top.copy())
+            phi = _extend_phi(left, top.copy())
             if phi is not None:
                 lam = list(accumulate(reversed(phi[1:])))[::-1]
                 out[tuple(x for x in lam if x)] += 1

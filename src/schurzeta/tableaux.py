@@ -202,6 +202,13 @@ def reading_word(t) -> Word:
     return tuple(word)
 
 
+@cache
+def cached_reading_words(shape: Partition, n: int) -> tuple[Word, ...]:
+    """The reading words of cached_ssyt(shape, n), in its order.  Cached
+    and unchecked like it."""
+    return tuple(map(reading_word, cached_ssyt(shape, n)))
+
+
 def weight(t) -> tuple[int, ...]:
     """Multiplicity vector of the entries 1 .. the largest, ints >= 1."""
     rows = _int_rows(t.rows if isinstance(t, SkewTableau) else t)

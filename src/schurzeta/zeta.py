@@ -27,16 +27,17 @@ the LR coefficients taken from the crystal decomposition
 verifier builds it once per identity and checks only the assignment and
 the truncation level per call; the work guard (_sym_work) reads the
 plans' walks.  Float truncation and the untruncated limit walk one
-shape's graph in compensated floats, one sum per sub-shape, and the
-limit's tail terms follow from the same strips' exponent sums.
+shape's graph in floats, a chunk of levels at a time with one
+compensated sum per sub-shape, and the limit's tail terms follow from
+the same strips' exponent sums.
 """
 
 import math
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, permutations, product
-from operator import mul
+from itertools import accumulate, permutations, product, repeat
+from operator import add, mul
 from numbers import Real
 from typing import NamedTuple
 
@@ -413,6 +414,9 @@ def _in_domain(shape: Partition, exps) -> bool:
 
 LIMIT_START = 16
 LIMIT_MAX_ORDER = 12
+# the most levels _partial_sums takes in one chunk: few enough that its
+# lists stay small, enough that its per-chunk work spreads thin
+_CHUNK = 1024
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -462,40 +466,62 @@ def _partial_sums(shape: Partition, kinds: tuple, stops):
     of the float state; kinds are the row-major cell exponents as Fractions.
 
     T_nu(n) = T_nu(n-1) + sum over the nonempty strips mu -> nu of
-    n**-e * T_mu(n-1) runs level by level over the strip graph, e the
-    strip's exponent sum, and S(N) = T_shape(N).  The strips run in
-    decreasing mu: a strict sub-shape has the smaller index, so each strip
-    reads T_mu(n-1) before anything adds to T_mu.  Each sub-shape keeps a
-    Neumaier compensation term (every term is positive, so its branch
-    compares the values themselves)."""
+    n**-e * T_mu(n-1), e the strip's exponent sum, and S(N) = T_shape(N).
+    The levels run in chunks of at most _CHUNK that end at every stop, a
+    few C-level passes per strip each.  In a chunk the nodes run in
+    increasing index: a strict sub-shape has the smaller index, so every
+    T_mu(n-1) of the chunk is ready before nu reads it.  nu's terms are
+    mapped over the strips into it, and its carry T_nu, a Neumaier pair
+    (s, c) (every term is positive, so its branch compares the values
+    themselves), takes them as one correctly rounded fsum.  Its running
+    values are s plus the running sums P of c and the terms.
+
+    _extrapolate's rounding floor prices each term of S(N) at 4u per cell
+    (pow, product and operand).  The j-th running value V of a chunk is
+    an operand rounded more than once: s + P once, by at most u*V, and
+    each of the j additions of P by at most u*P, at the scale of the
+    chunk's own sum.  So V is off by at most u*V*(1 + j*P/V) and, as
+    round-to-nearest errors are unbiased, typically by about
+    u*V*(1 + sqrt(j/3)*P/V), where P/V is the share of V gained within
+    the chunk, 1 only while V starts from 0.  The floor holds by that
+    expected size, not by the worst case.  Seeded with s, P would round
+    at the scale of V on every level."""
     nodes, start, end, _, succ = _strip_graph(shape)
     fixed = _node_sums(shape, kinds)
-    strips = [(mu, nu, -float(fixed[nu] - fixed[mu]))
-              for mu in reversed(range(len(nodes))) for nu in succ[mu] if nu != mu]
-    exponents = sorted({ex for _, _, ex in strips})
-    index = {ex: i for i, ex in enumerate(exponents)}
-    strips = [(mu, nu, index[ex]) for mu, nu, ex in strips]
+    into: list[list] = [[] for _ in nodes]
+    for mu in range(len(nodes)):
+        for nu in succ[mu]:
+            if nu != mu:
+                into[nu].append((mu, -float(fixed[nu] - fixed[mu])))
+    exponents = {ex for strips in into for _, ex in strips}
     sums, comps = [0.0] * len(nodes), [0.0] * len(nodes)
     sums[start] = 1.0
     n = 0
     for stop in stops:
         while n < stop:
-            n += 1
-            x = float(n)
-            pw = [x**ex for ex in exponents]
-            for mu, nu, i in strips:
-                s = sums[nu]
-                term = pw[i] * (sums[mu] + comps[mu])
-                t = s + term
-                if s >= term:
-                    comps[nu] += (s - t) + term
-                else:
-                    comps[nu] += (term - t) + s
-                sums[nu] = t
+            xs = list(map(float, range(n + 1, min(stop, n + _CHUNK) + 1)))
+            n += len(xs)
+            pw = {ex: list(map(pow, xs, repeat(ex))) for ex in exponents}
+            running: list = [None] * len(nodes)
+            for nu, strips in enumerate(into):
+                if not strips:
+                    continue
+                terms = None
+                for mu, ex in strips:
+                    # T_start is 1 on every level
+                    part = pw[ex] if mu == start else map(mul, pw[ex], running[mu])
+                    terms = list(part) if terms is None else list(map(add, terms, part))
+                s, t = sums[nu], math.fsum(terms)
+                if nu != end:
+                    running[nu] = list(map(add, repeat(s), accumulate(terms, initial=comps[nu])))
+                total = s + t
+                comps[nu] += (s - total) + t if s >= t else (t - total) + s
+                sums[nu] = total
         yield Fraction(sums[end]) + Fraction(comps[end])
 
 
-def _extrapolation_weights(groups) -> list[Fraction]:
+@cache
+def _extrapolation_weights(groups: tuple) -> tuple[Fraction, ...]:
     """Weights w_t of the readings S(N0 * 2**t), t = 0..K, whose weighted
     sum keeps the limit and cancels the K terms N**beta * log(N)**q, q <= p,
     of the groups (beta, p).
@@ -505,6 +531,8 @@ def _extrapolation_weights(groups) -> list[Fraction]:
     exact solution is the coefficient list of the polynomial
     prod(((x - r) / (1 - r)) ** (p + 1)): it is 1 at x = 1, and each r is a
     root of order p + 1, where (x d/dx)**q of it vanishes for q <= p.
+    Cached: the readings of a limit ask again and again for the same
+    prefixes of its groups.
     """
     weights = [Fraction(1)]
     for beta, p in groups:
@@ -513,7 +541,7 @@ def _extrapolation_weights(groups) -> list[Fraction]:
             shifted = [Fraction(0)] + weights
             scaled = [r * w for w in weights] + [Fraction(0)]
             weights = [(a - b) / (1 - r) for a, b in zip(shifted, scaled)]
-    return weights
+    return tuple(weights)
 
 
 def _extrapolate(readings, groups, amplify):
@@ -584,8 +612,8 @@ def eval_zeta_limit(
     # the slowest power is at least 1 - sum(kinds), and the groups a fit
     # can use lie less than LIMIT_MAX_ORDER below it
     terms = _tail_terms(shape, kinds, -LIMIT_MAX_ORDER - sum(kinds))
-    groups = sorted(terms.items(), reverse=True)
-    amplify = 4 * sum(shape)  # pow, product and operand rounding per step
+    groups = tuple(sorted(terms.items(), reverse=True))
+    amplify = 4 * sum(shape)  # pow, product and operand rounding; see _partial_sums
     stops = []
     while (LIMIT_START << len(stops)) < max_level:
         stops.append(LIMIT_START << len(stops))

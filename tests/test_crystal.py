@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from schurzeta import crystal
+from schurzeta import crystal, tableaux
 from schurzeta.crystal import (
     connected_component,
     crystal_dot,
@@ -124,6 +124,23 @@ def test_decompose_product_matches_unpruned_search():
                         assert decompose_product(mu, nu, n) == (
                             brute_decompose_product(mu, nu, n)
                         ), (mu, nu, n)
+
+
+def test_decompose_product_reads_each_word_once(monkeypatch):
+    # the reading words of a (shape, n) are read once and cached, not
+    # once per call
+    calls = []
+    real = tableaux.reading_word
+    monkeypatch.setattr(tableaux, "reading_word", lambda t: calls.append(t) or real(t))
+    tableaux.cached_reading_words.cache_clear()
+    for _ in range(3):
+        assert decompose_product((2, 1), (2,), 3) == Counter(
+            {(4, 1): 1, (3, 2): 1, (3, 1, 1): 1, (2, 2, 1): 1}
+        )
+    assert len(calls) == len(enumerate_ssyt((2, 1), 3)) + len(enumerate_ssyt((2,), 3))
+    assert tableaux.cached_reading_words((2, 1), 3) == tuple(
+        map(real, enumerate_ssyt((2, 1), 3))
+    )
 
 
 def test_decompose_product_matches_lr():

@@ -5,7 +5,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -26,6 +26,8 @@ from schurzeta.tableaux import cached_ssyt, lr_coefficient, shape_of
 from schurzeta.zeta import (
     LIMIT_MAX_ORDER,
     SymSpec,
+    _CHUNK,
+    _extrapolation_weights,
     _partial_sums,
     _pieri_setup,
     _tail_terms,
@@ -1474,6 +1476,58 @@ def test_limit_partial_sums_match_exact_truncation(shape, exps):
         assert abs(rep.value - exact) <= bound * exact
         approx = eval_zeta_truncated(shape, rows, assign_f, n)
         assert abs(approx - exact) <= bound * exact
+
+
+@pytest.mark.parametrize(
+    "shape, exps, n",
+    [
+        ((1, 1), [[1], [2]], 1025),
+        ((1, 1), [[1], [2]], 2100),
+        ((2, 1), [[1, 2], [3]], 1100),
+    ],
+)
+def test_limit_partial_sums_match_exact_truncation_across_chunks(shape, exps, n):
+    # the float walk sums its levels in chunks of _CHUNK; past a chunk edge
+    # each sub-shape's running sums restart from its carry, and a level cap
+    # between two doubling stops ends a chunk early.  The float sums must
+    # still agree with the exact Fraction path to 4u per cell.
+    assert n > _CHUNK and n % _CHUNK
+    rows = grid_vars(shape, "x")
+    assign_q = {v: e for vr, er in zip(rows, exps) for v, e in zip(vr, er)}
+    assign_f = {v: float(e) for v, e in assign_q.items()}
+    bound = 4 * sum(shape) * 2.0**-53
+    exact = float(eval_zeta_truncated(shape, rows, assign_q, n))
+    rep = eval_zeta_limit(shape, rows, assign_f, 1e-30, max_level=n)
+    assert not rep.converged and rep.levels == n
+    assert abs(rep.value - exact) <= bound * exact
+    approx = eval_zeta_truncated(shape, rows, assign_f, n)
+    assert abs(approx - exact) <= bound * exact
+
+
+@pytest.mark.parametrize(
+    "shape, exps",
+    [((1, 1), [1, 2]), ((2,), [1, 2]), ((2, 1), [Fraction(3, 2), 2, Fraction(5, 4)])],
+)
+def test_extrapolation_weights_are_cached_exact_solutions(shape, exps):
+    # the cached weights are a tuple, equal to an uncached recomputation;
+    # in exact rationals they sum to 1 and give 0 on every r**t * t**q,
+    # r = 2**beta and q <= p, of each group (beta, p) they cancel
+    kinds = tuple(map(Fraction, exps))
+    terms = _tail_terms(shape, kinds, -LIMIT_MAX_ORDER - sum(kinds))
+    groups = tuple(sorted(terms.items(), reverse=True))
+    sizes = accumulate(p + 1 for _, p in groups)
+    for used, size in enumerate(sizes, 1):
+        if size > LIMIT_MAX_ORDER:  # more than _extrapolate fits
+            break
+        weights = _extrapolation_weights(groups[:used])
+        assert isinstance(weights, tuple)
+        assert _extrapolation_weights(groups[:used]) is weights
+        assert list(weights) == list(_extrapolation_weights.__wrapped__(groups[:used]))
+        assert sum(weights) == 1
+        for beta, p in groups[:used]:
+            r = Fraction(Fraction(2) ** beta)
+            for q in range(p + 1):
+                assert sum(w * r**t * t**q for t, w in enumerate(weights)) == 0, (beta, q)
 
 
 @pytest.mark.parametrize(
