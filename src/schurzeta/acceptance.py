@@ -16,7 +16,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 from . import crystal, insertion, tableaux, zeta
-from .partitions import all_partitions, as_partition, contains
+from .partitions import all_partitions, contains
 from .tableaux import cached_ssyt, enumerate_ssyt, reading_word
 from .zeta import grid_vars, seq_vars
 
@@ -71,67 +71,58 @@ def _criterion(number: int, name: str):
 PIERI_SHAPES = [(1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1)]
 
 
-def _pieri_grid(quick, seed, mode) -> str:
-    """One Pieri identity grid, mode "h" (row strips of size m) or "e"
-    (column strips of size n): every shape, the two strip sizes from the
-    shape's side along the strip, seeded assignments of the identity's
-    variables, and each truncation level."""
-    verify = zeta.verify_pieri_h if mode == "h" else zeta.verify_pieri_e
-    label = "m" if mode == "h" else "n"
-    shapes = [(1,), (2, 1)] if quick else PIERI_SHAPES
-    levels = (2,) if quick else (2, 3)
-    n_assign = 1 if quick else 3
+def _identity_grid(cases, quick: bool) -> str:
+    """Check each case (where, names, seeds, verifier, args): the zeta
+    verifier of that name, looked up as it runs, called as verifier(*args,
+    assign, N) at the seeded assignment of names for each seed and each
+    truncation level N; fail at the first mismatch."""
     checked = 0
-    for lam in shapes:
-        lam = as_partition(lam)
+    for where, names, seeds, verifier, args in cases:
+        for s in seeds:
+            assign = seeded_assignment(names, s)
+            for n_trunc in (2,) if quick else (2, 3):
+                rep = getattr(zeta, verifier)(*args, assign, n_trunc)
+                if not rep.equal:
+                    raise _Fail(f"mismatch at {where} N={n_trunc} {assign}: {rep.lhs} != {rep.rhs}")
+                checked += 1
+    return f"{checked} exact identities"
+
+
+def _pieri_cases(quick, seed, mode):
+    """The cases of one Pieri identity grid, mode "h" (row strips of size
+    m) or "e" (column strips of size n): every shape, the two strip sizes
+    from the shape's side along the strip, and seeded assignments of the
+    identity's variables."""
+    label = "m" if mode == "h" else "n"
+    for lam in [(1,), (2, 1)] if quick else PIERI_SHAPES:
         side = lam[0] if mode == "h" else len(lam)
         for size in (side, side + 1):
             names = zeta._pieri_setup(lam, size, mode).lhs.names
-            for k in range(n_assign):
-                assign = seeded_assignment(names, seed * 1000 + 10 * k + size)
-                for n_trunc in levels:
-                    rep = verify(lam, size, assign, n_trunc)
-                    if not rep.equal:
-                        raise _Fail(
-                            f"mismatch at lam={lam} {label}={size} N={n_trunc} "
-                            f"{assign}: {rep.lhs} != {rep.rhs}"
-                        )
-                    checked += 1
-    return f"{checked} exact identities"
+            seeds = [seed * 1000 + 10 * k + size for k in range(1 if quick else 3)]
+            yield f"lam={lam} {label}={size}", names, seeds, f"verify_pieri_{mode}", (lam, size)
 
 
 @_criterion(1, "pieri-h-exact")
 def criterion_pieri_h(quick: bool = False, seed: int = 0):
-    return _pieri_grid(quick, seed, "h")
+    return _identity_grid(_pieri_cases(quick, seed, "h"), quick)
 
 
 @_criterion(2, "pieri-e-exact")
 def criterion_pieri_e(quick: bool = False, seed: int = 0):
-    return _pieri_grid(quick, seed, "e")
+    return _identity_grid(_pieri_cases(quick, seed, "e"), quick)
 
 
 @_criterion(3, "lr-exact")
 def criterion_lr(quick: bool = False, seed: int = 0):
-    max_total = 3 if quick else 5
-    levels = (2,) if quick else (2, 3)
-    n_assign = 1 if quick else 2
-    checked = 0
-    for total in range(2, max_total + 1):
-        for a in range(1, total):
-            for mu in all_partitions(a):
-                for nu in all_partitions(total - a):
-                    names = zeta._lr_setup(mu, nu).lhs.names
-                    for k in range(n_assign):
-                        assign = seeded_assignment(names, seed * 1000 + 7 * k + total)
-                        for n_trunc in levels:
-                            rep = zeta.verify_lr(mu, nu, assign, n_trunc)
-                            if not rep.equal:
-                                raise _Fail(
-                                    f"mismatch at mu={mu} nu={nu} N={n_trunc}: "
-                                    f"{rep.lhs} != {rep.rhs}"
-                                )
-                            checked += 1
-    return f"{checked} exact identities"
+    cases = (
+        (f"mu={mu} nu={nu}", zeta._lr_setup(mu, nu).lhs.names,
+         [seed * 1000 + 7 * k + total for k in range(1 if quick else 2)], "verify_lr", (mu, nu))
+        for total in range(2, (3 if quick else 5) + 1)
+        for a in range(1, total)
+        for mu in all_partitions(a)
+        for nu in all_partitions(total - a)
+    )
+    return _identity_grid(cases, quick)
 
 
 @_criterion(4, "lr-triple-oracle")

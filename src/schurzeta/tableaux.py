@@ -30,12 +30,10 @@ def shape_of(t: Tableau) -> Partition:
 
 def transpose(rows) -> tuple[tuple, ...]:
     """The conjugate filling: row j lists column j top to bottom.  Works
-    for tableaux and variable tableaux alike; the row lengths must weakly
-    decrease, so the result has the conjugate shape."""
-    shape = shape_of(rows)
-    if list(shape) != sorted(shape, reverse=True):
-        raise ValueError(f"row lengths must weakly decrease, got {shape}")
-    cols = [[] for _ in range(shape[0] if shape else 0)]
+    for tableaux and variable tableaux alike.  Unchecked: the row lengths
+    must weakly decrease, as in every checked or generated tableau, and
+    the result then has the conjugate shape."""
+    cols = [[] for _ in range(len(rows[0]) if rows else 0)]
     for row in rows:
         for col, x in zip(cols, row):
             col.append(x)
@@ -112,10 +110,9 @@ def is_skew_ssyt(st: SkewTableau) -> bool:
     return _semistandard(rows, inner)
 
 
-def _skew_fillings(outer: Partition, inner: Partition, n: int, weight=None) -> list[Tableau]:
+def _skew_fillings(outer: Partition, inner: Partition, n: int) -> list[Tableau]:
     """Rows of every skew SSYT of outer/inner (inner inside outer) with
-    entries in 1..n, of the given weight when one is given, in row-major
-    lexicographic order.
+    entries in 1..n, in row-major lexicographic order.
 
     The skew cells fill one flat list in row-major order.  Each cell
     holds the indices of its left neighbour and of the cell above (-1,
@@ -129,12 +126,9 @@ def _skew_fillings(outer: Partition, inner: Partition, n: int, weight=None) -> l
         for j in range(a, b):
             index[i, j] = len(cells)
             below = sum(1 for k in range(i + 1, len(outer)) if inner_pad[k] <= j < outer[k])
-            top = n - below if weight is None else min(n - below, len(weight))
-            cells.append((index.get((i, j - 1), -1), index.get((i - 1, j), -1), top + 1))
+            cells.append((index.get((i, j - 1), -1), index.get((i - 1, j), -1), n - below + 1))
     size = len(cells)
     vals = [0] * (size + 1)
-    # room[v]: how many more v's the weight allows
-    room = None if weight is None else [0, *weight]
     out = []
 
     def fill(k: int) -> None:
@@ -145,21 +139,11 @@ def _skew_fillings(outer: Partition, inner: Partition, n: int, weight=None) -> l
         lo = vals[up] + 1
         if vals[left] > lo:
             lo = vals[left]
-        # no room test per value without a weight: cached_ssyt's hot loop
-        if room is None:
-            for v in range(lo, stop):
-                vals[k] = v
-                fill(k + 1)
-            return
         for v in range(lo, stop):
-            if room[v] > 0:
-                vals[k] = v
-                room[v] -= 1
-                fill(k + 1)
-                room[v] += 1
+            vals[k] = v
+            fill(k + 1)
 
-    if weight is None or sum(weight) == size:
-        fill(0)
+    fill(0)
     return out
 
 
@@ -180,17 +164,20 @@ def enumerate_ssyt(shape, n: int) -> list[Tableau]:
 
 
 def enumerate_skew_ssyt(outer, inner, n: int, weight=None) -> list[SkewTableau]:
-    """All skew SSYT of shape outer/inner over 1..n, optionally restricted
-    to a given weight vector, a tuple of integers >= 0."""
+    """All skew SSYT of shape outer/inner over 1..n, in the order of
+    _skew_fillings, optionally restricted to a given weight vector, a tuple
+    of integers >= 0: the fillings with weight[v - 1] entries v for each v."""
     outer, inner = as_partition(outer), as_partition(inner)
     if not contains(outer, inner):
         raise ValueError(f"inner {inner} not contained in outer {outer}")
     require_ints((n,), "largest entry", 0)
+    fillings = _skew_fillings(outer, inner, n)
     if weight is not None:
         if not isinstance(weight, tuple):
             raise ValueError(f"weight must be a tuple, got {weight!r}")
-        require_ints(weight, "weight", 0)
-    return [SkewTableau(outer, inner, rows) for rows in _skew_fillings(outer, inner, n, weight)]
+        content = Counter({v: k for v, k in enumerate(require_ints(weight, "weight", 0), 1) if k})
+        fillings = [rows for rows in fillings if Counter(sum(rows, ())) == content]
+    return [SkewTableau(outer, inner, rows) for rows in fillings]
 
 
 def reading_word(t) -> Word:

@@ -32,6 +32,7 @@ compensated sum per sub-shape, and the limit's tail terms follow from
 the same strips' exponent sums.
 """
 
+import decimal
 import math
 from collections import Counter
 from fractions import Fraction
@@ -201,17 +202,6 @@ def _strip_graph(shape: Partition):
     return tuple(nodes), index[(0,) * rows], index[shape], need, succ
 
 
-def _node_sums(shape: Partition, kinds: tuple) -> tuple:
-    """The exponent sum per node of the strip graph, for the row-major
-    cell exponents kinds, so a strip from mu to nu has exponent sum
-    fixed[nu] - fixed[mu].  The float walks' kinds are Fractions."""
-    prefix, start = [], 0
-    for part in shape:
-        prefix.append(list(accumulate(kinds[start:start + part], initial=0)))
-        start += part
-    return tuple(sum(p[x] for p, x in zip(prefix, mu)) for mu in _strip_graph(shape)[0])
-
-
 @cache
 def _walk_graph(ends: tuple):
     """(start, at, depth, labels, need, succ): the union of the strip graphs
@@ -369,12 +359,19 @@ def _product_sum(prefix: tuple, ends: tuple, fixed: tuple, n_trunc: int, values:
     )
 
 
+def _require_shape(shape: Partition, var_rows) -> Partition:
+    """shape; a ValueError unless var_rows has its row lengths.  The one
+    check that a variable tableau fills a shape."""
+    if shape_of(var_rows) != shape:
+        raise ValueError("variable tableau does not match the shape")
+    return shape
+
+
 def _checked_exponents(shape: Partition, var_rows, assign) -> list:
     """The exponents (_exponents) of the shape's cells in row-major order;
     var_rows must have the shape."""
     exps = _exponents(_flatten(var_rows), assign)
-    if shape != tuple(len(r) for r in var_rows):
-        raise ValueError("shape and variable tableau differ")
+    _require_shape(shape, var_rows)
     return exps
 
 
@@ -420,6 +417,22 @@ _CHUNK = 1024
 _UNIT_ROUNDOFF = 2.0**-53
 
 
+def _strips(shape: Partition, kinds: tuple):
+    """(size, start, end, strips) of the shape's strip graph for the float
+    walks: its number of nodes, the indices of the empty shape and of
+    shape, and its nonempty strips (mu, nu, e) in increasing mu, e the
+    exponent sum of the strip's cells for the row-major cell exponents
+    kinds, Fractions."""
+    nodes, start, end, _, succ = _strip_graph(shape)
+    prefix, at = [], 0
+    for part in shape:
+        prefix.append(list(accumulate(kinds[at:at + part], initial=0)))
+        at += part
+    fixed = [sum(p[x] for p, x in zip(prefix, mu)) for mu in nodes]
+    strips = [(mu, nu, fixed[nu] - fixed[mu]) for mu in range(len(nodes)) for nu in succ[mu] if nu != mu]
+    return len(nodes), start, end, strips
+
+
 def _tail_terms(shape: Partition, kinds: tuple, cutoff) -> dict[Fraction, int]:
     """The powers N**beta (beta < 0, down to cutoff) in the expansion of the
     partial sum S(N) about its limit, each with the highest power of log N
@@ -438,24 +451,20 @@ def _tail_terms(shape: Partition, kinds: tuple, cutoff) -> dict[Fraction, int]:
     every beta - 1, beta - 2, ... down to the cutoff holding p or more: a
     run of terms stops there.
     """
-    nodes, start, end, _, succ = _strip_graph(shape)
-    fixed = _node_sums(shape, kinds)
-    grow: list[dict] = [{} for _ in nodes]
+    size, start, end, strips = _strips(shape, kinds)
+    grow: list[dict] = [{} for _ in range(size)]
     grow[start][Fraction(0)] = 0
-    for mu, terms in enumerate(grow):
-        for nu in succ[mu]:
-            if nu == mu:
-                continue
-            e, nxt = fixed[nu] - fixed[mu], grow[nu]
-            nxt.setdefault(Fraction(0), 0)
-            for beta, p in terms.items():
-                top = beta + 1 - e
-                if top == 0:
-                    nxt[top] = max(nxt[top], p + 1)
-                    top -= 1
-                while top >= cutoff and nxt.get(top, -1) < p:
-                    nxt[top] = p
-                    top -= 1
+    for mu, nu, e in strips:
+        nxt = grow[nu]
+        nxt.setdefault(Fraction(0), 0)
+        for beta, p in grow[mu].items():
+            top = beta + 1 - e
+            if top == 0:
+                nxt[top] = max(nxt[top], p + 1)
+                top -= 1
+            while top >= cutoff and nxt.get(top, -1) < p:
+                nxt[top] = p
+                top -= 1
     out = grow[end]
     del out[0]
     return out
@@ -486,15 +495,12 @@ def _partial_sums(shape: Partition, kinds: tuple, stops):
     the chunk, 1 only while V starts from 0.  The floor holds by that
     expected size, not by the worst case.  Seeded with s, P would round
     at the scale of V on every level."""
-    nodes, start, end, _, succ = _strip_graph(shape)
-    fixed = _node_sums(shape, kinds)
-    into: list[list] = [[] for _ in nodes]
-    for mu in range(len(nodes)):
-        for nu in succ[mu]:
-            if nu != mu:
-                into[nu].append((mu, -float(fixed[nu] - fixed[mu])))
+    size, start, end, edges = _strips(shape, kinds)
+    into: list[list] = [[] for _ in range(size)]
+    for mu, nu, e in edges:
+        into[nu].append((mu, -float(e)))
     exponents = {ex for strips in into for _, ex in strips}
-    sums, comps = [0.0] * len(nodes), [0.0] * len(nodes)
+    sums, comps = [0.0] * size, [0.0] * size
     sums[start] = 1.0
     n = 0
     for stop in stops:
@@ -502,7 +508,7 @@ def _partial_sums(shape: Partition, kinds: tuple, stops):
             xs = list(map(float, range(n + 1, min(stop, n + _CHUNK) + 1)))
             n += len(xs)
             pw = {ex: list(map(pow, xs, repeat(ex))) for ex in exponents}
-            running: list = [None] * len(nodes)
+            running: list = [None] * size
             for nu, strips in enumerate(into):
                 if not strips:
                     continue
@@ -520,6 +526,16 @@ def _partial_sums(shape: Partition, kinds: tuple, stops):
         yield Fraction(sums[end]) + Fraction(comps[end])
 
 
+def _ratio(beta: Fraction) -> Fraction:
+    """2**beta, the ratio of a term N**beta from one reading to the next,
+    to 60 significant digits (0 below 1e-1000058): exact for an integer
+    beta down to -85, and far below a float reading's rounding even where
+    the weights grow like 1/(1 - r), near beta = 0.  A float r is not, and
+    an exact power of a huge integer beta has about as many digits."""
+    ctx = decimal.Context(prec=60)
+    return Fraction(ctx.power(2, ctx.divide(beta.numerator, beta.denominator)))
+
+
 @cache
 def _extrapolation_weights(groups: tuple) -> tuple[Fraction, ...]:
     """Weights w_t of the readings S(N0 * 2**t), t = 0..K, whose weighted
@@ -527,8 +543,9 @@ def _extrapolation_weights(groups: tuple) -> tuple[Fraction, ...]:
     of the groups (beta, p).
 
     log N is affine in t, so those terms span r**t * t**q with r = 2**beta,
-    and the weights solve sum w_t = 1, sum w_t * r**t * t**q = 0.  The
-    exact solution is the coefficient list of the polynomial
+    taken to 60 significant digits (_ratio), and the weights solve
+    sum w_t = 1, sum w_t * r**t * t**q = 0.  The exact solution for that r
+    is the coefficient list of the polynomial
     prod(((x - r) / (1 - r)) ** (p + 1)): it is 1 at x = 1, and each r is a
     root of order p + 1, where (x d/dx)**q of it vanishes for q <= p.
     Cached: the readings of a limit ask again and again for the same
@@ -536,7 +553,7 @@ def _extrapolation_weights(groups: tuple) -> tuple[Fraction, ...]:
     """
     weights = [Fraction(1)]
     for beta, p in groups:
-        r = Fraction(Fraction(2) ** beta)  # float-rounded for a non-integer beta
+        r = _ratio(beta)
         for _ in range(p + 1):
             shifted = [Fraction(0)] + weights
             scaled = [r * w for w in weights] + [Fraction(0)]
@@ -842,14 +859,6 @@ def _admit(plans, spec: SymSpec, assign, n_trunc: int) -> None:
         _require_work(_sym_work(plan, n_trunc, caps))
 
 
-def _checked_factor(shape, rows):
-    """(shape, rows) with shape a Partition of the row lengths of rows."""
-    shape = as_partition(shape)
-    if shape != tuple(len(r) for r in rows):
-        raise ValueError("factor shape and variable tableau differ")
-    return shape, rows
-
-
 def sym_sum(terms, spec: SymSpec, assign, n_trunc: int) -> Fraction:
     """Sum over all permutations of the symmetrized exponent values of
     sum(coeff * prod of truncated zeta factors) over the given terms.
@@ -867,7 +876,9 @@ def sym_sum(terms, spec: SymSpec, assign, n_trunc: int) -> Fraction:
         if not all(map(is_int, _exponents(_check_spec(terms, spec), assign))):
             raise ValueError("sym_sum needs integer exponents; use sym_sum_direct")
         terms = _sym_plan(
-            [(coeff, [_checked_factor(*factor) for factor in factors]) for coeff, factors in terms], spec
+            [(coeff, [(_require_shape(as_partition(s), rows), rows) for s, rows in factors])
+             for coeff, factors in terms],
+            spec,
         )
         _admit((terms,), spec, assign, n_trunc)
     values, caps = _draws(spec, assign)
@@ -886,8 +897,7 @@ def horizontal_push_filling(lam, s_rows: VarRows, t_names, cols) -> VarRows:
     cols = tuple(cols)
     if len(t_names) != len(cols):
         raise ValueError("one new variable per strip cell required")
-    if tuple(len(r) for r in s_rows) != lam:
-        raise ValueError("variable tableau does not match the shape")
+    _require_shape(lam, s_rows)
     new_shape = grow_cols(lam, cols)
     cols = tuple(sorted(cols))
     colset = set(cols)
@@ -906,7 +916,7 @@ def vertical_push_filling(lam, s_names, t_rows: VarRows, rows) -> VarRows:
     sits in column 1 of the k-th grown row, and every existing entry in a
     grown row slides right one column.  The transpose of the horizontal
     push on the conjugate shape."""
-    lam = as_partition(lam)
+    lam = _require_shape(as_partition(lam), t_rows)
     return transpose(horizontal_push_filling(conjugate(lam), transpose(t_rows), s_names, rows))
 
 

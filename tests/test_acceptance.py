@@ -5,6 +5,7 @@ pass/fail report per criterion, or `schurzeta selftest` for the same grid
 through the CLI.
 """
 
+import math
 import sys
 from bisect import bisect_left
 
@@ -213,3 +214,130 @@ def test_lr_triple_oracle_content_route_catches_a_dropped_shape(monkeypatch):
     result = acceptance.criterion_lr_triple_oracle(quick=True)
     assert not result.passed
     assert result.detail == "content counts differ at (1,),(1,),(1, 1): 2 pairs != 1 tableaux"
+
+
+def test_crystal_axioms_fail_on_the_tensor_power(monkeypatch):
+    # f_1 no longer acts on the lone letter 1: phi_1(1) = 0 breaks A2 there,
+    # and f_1(e_1(2)) vanishes instead of returning 2
+    honest = crystal._signature
+
+    def faulty(w, i):
+        return (0, 0, None, None) if (w, i) == ((1,), 1) else honest(w, i)
+
+    monkeypatch.setattr(crystal, "_signature", faulty)
+    result = acceptance.criterion_crystal_axioms(quick=True)
+    assert not result.passed
+    assert result.detail == (
+        "violations on full tensor power n=2 k=1: "
+        "['A2: phi != <wt,alpha^vee> + eps at (1,), i=1', 'A1: f_1(e_1(2,)) != (2,)']"
+    )
+
+
+def test_crystal_axioms_fail_on_a_tableau_component(monkeypatch):
+    # rows read top to bottom: a column a < b reads (a, b), and the three
+    # words 1 2, 1 3, 2 3 are not closed under the operators
+    def top_to_bottom(t):
+        return tuple(x for row in t for x in row)
+
+    monkeypatch.setattr(crystal, "reading_word", top_to_bottom)
+    result = acceptance.criterion_crystal_axioms(quick=True)
+    assert not result.passed
+    assert result.detail == (
+        "violations on tableau component (1, 1): ['closure: f_1(1, 2) left the set', "
+        "'closure: e_1(1, 2) left the set', 'closure: f_2(2, 3) left the set']"
+    )
+
+
+def test_crystal_axioms_fail_on_a_split_component(monkeypatch):
+    # a component search that forgets every operator past i = 1 splits the
+    # letters 1, 2, 3 of shape (1,) into {1, 2} and {3}
+    def first_operator_only(word, n):
+        seen, stack = {word}, [word]
+        while stack:
+            w = stack.pop()
+            for y in (crystal.f(1, w, n), crystal.e(1, w, n)):
+                if y is not None and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen
+
+    monkeypatch.setattr(crystal, "connected_component", first_operator_only)
+    result = acceptance.criterion_crystal_axioms(quick=True)
+    assert not result.passed
+    assert result.detail == "row-reading image of (1,) is not one component"
+
+
+def test_regressions_fail_on_a_top_to_bottom_reading_word(monkeypatch):
+    def top_to_bottom(t):
+        return tuple(x for row in t.rows for x in row)
+
+    monkeypatch.setattr(tableaux, "reading_word", top_to_bottom)
+    result = acceptance.criterion_regressions(quick=True)
+    assert not result.passed
+    assert result.detail == "structural mismatch against worked examples"
+
+
+def test_harmonic_spot_fails_one_level_too_deep(monkeypatch):
+    # both sides agree at N = 3, but not on the value 45/32 of N = 2
+    honest = zeta.verify_pieri_h
+    monkeypatch.setattr(
+        zeta, "verify_pieri_h", lambda lam, m, assign, n: honest(lam, m, assign, n + 1)
+    )
+    result = acceptance.criterion_harmonic_spot(quick=True)
+    assert not result.passed
+    assert result.detail == "lhs=12299/7776 rhs=12299/7776"
+
+
+@pytest.mark.parametrize(
+    "level, detail",
+    [
+        # N = 4 summed only to 2: the values drop from N = 3 to N = 4
+        (lambda n: 2 if n == 4 else n, "truncated values not monotone"),
+        # every sum one level too deep: monotone, but 205/144 at N = 3
+        (lambda n: n + 1, "level-3 value 205/144 != 49/36"),
+    ],
+    ids=["not-monotone", "off-by-one"],
+)
+def test_truncation_check_fails_on_a_wrong_level(monkeypatch, level, detail):
+    honest = zeta.eval_zeta_truncated
+    monkeypatch.setattr(
+        zeta, "eval_zeta_truncated",
+        lambda shape, rows, assign, n: honest(shape, rows, assign, level(n)),
+    )
+    result = acceptance.criterion_monotone_and_limits(quick=True)
+    assert not result.passed and result.detail == detail
+
+
+def test_limit_check_fails_on_a_value_outside_its_estimate(monkeypatch):
+    # the limit is 1e-3 off while it reports its honest estimate
+    honest = zeta.eval_zeta_limit
+    rep = honest((1,), (("a",),), {"a": 2.0}, 1e-13)
+
+    def off(*args):
+        found = honest(*args)
+        return found._replace(value=found.value + 1e-3)
+
+    monkeypatch.setattr(zeta, "eval_zeta_limit", off)
+    result = acceptance.criterion_monotone_and_limits(quick=True)
+    err = abs(rep.value + 1e-3 - math.pi**2 / 6)
+    assert not result.passed
+    assert result.detail == f"limit missed zeta(2) by {err:.2e} (estimate {rep.error_estimate:.2e})"
+
+
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+@pytest.mark.parametrize(
+    "search, detail",
+    [
+        # row insertion bumps one entry right of the leftmost greater one:
+        # 2 bumps 4 from column 2 of row 1, which row 2 appends in column 3
+        ("bisect_right", "row route not weakly left-moving: ((3, 4), (4, 5)) <- 2"),
+        # the same fault in column insertion's weak bump on the transpose
+        ("bisect_left", "column route not weakly up-moving: 2 -> ((1, 2), (3, 3), (4, 4))"),
+    ],
+    ids=["row", "column"],
+)
+def test_random_route_geometry_fails_on_a_shifted_bump(monkeypatch, quick, search, detail):
+    honest = getattr(insertion, search)
+    monkeypatch.setattr(insertion, search, lambda row, x: min(honest(row, x) + 1, len(row)))
+    result = acceptance.criterion_route_geometry(quick=quick)
+    assert not result.passed and result.detail == detail

@@ -90,6 +90,56 @@ def test_zeta_eval_float_limit(capsys):
     assert sorted(payload) == ["converged", "error_estimate", "levels", "value"]
 
 
+def test_zeta_eval_float_truncation_json(capsys):
+    code, out, _ = run(
+        capsys,
+        ["zeta", "eval", "--shape", "1", "--exponents", "[[2.5]]", "--n", "3", "--json"],
+    )
+    value = json.loads(out)["value"]
+    assert code == 0 and json.loads(out) == {"value": value}
+    assert value == zeta.eval_zeta_truncated((1,), (("a",),), {"a": 2.5}, 3)
+    assert value == pytest.approx(1 + 2**-2.5 + 3**-2.5, rel=1e-15)
+
+
+@pytest.mark.parametrize("exponent", ["1e308", "1e10"])
+def test_zeta_eval_limit_of_a_huge_exponent_is_quick(exponent):
+    # the limit's ratio 2**beta was an exact power of a huge integer beta,
+    # which ran out of memory at 1e10 and out of time at 1e308
+    import resource
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    argv = [
+        "zeta", "eval", "--shape", "1", "--exponents", f"[[{exponent}]]",
+        "--float", "--tol", "1e-6", "--json",
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurzeta.cli", *argv], env=env, capture_output=True,
+        text=True, timeout=20, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["converged"] is True and payload["value"] == 1.0
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_verify_reports_a_vacuous_identity_with_its_note(capsys, as_json):
+    # a column of 3 cells has no tableau with entries <= 2
+    argv = [
+        "verify", "pieri-e", "--lambda", "1", "--n", "3", "--n-trunc", "2",
+        "--assign", '{"s_1":1,"s_2":2,"s_3":3,"t_1_1":4}',
+    ]
+    code, out, _ = run(capsys, argv + ["--json"] * as_json)
+    note = "vacuous: truncation 2 < 3 rows of a left-hand factor, both sides are empty sums"
+    assert code == 0
+    if as_json:
+        assert json.loads(out) == {"equal": True, "lhs": "0/1", "rhs": "0/1", "note": note}
+    else:
+        assert out.splitlines() == ["lhs = 0/1", "rhs = 0/1", "identity holds", f"note: {note}"]
+
+
 def test_zeta_eval_requires_level(capsys):
     code, _, err = run(
         capsys, ["zeta", "eval", "--shape", "1", "--exponents", "[[2]]"]
@@ -276,10 +326,18 @@ def test_zeta_eval_exact_rejects_float_exponents(capsys):
         # truncation level 0, which zeta eval also rejects
         ["verify", "pieri-h", "--lambda", "1", "--m", "1",
          "--n-trunc", "0", "--assign", '{"s_1_1":2,"t_1":3}'],
-        # an exponent that is not a number
+        # an exponent that is not a number, in exact and in float mode,
+        # where only ints are converted and the rest reach zeta's check
         ["zeta", "eval", "--shape", "1", "--exponents", "[[null]]", "--n", "3"],
+        ["zeta", "eval", "--shape", "1", "--exponents", "[[null]]", "--float", "--n", "3"],
+        ["zeta", "eval", "--shape", "1", "--exponents", "[[true]]", "--float", "--n", "3"],
+        ["zeta", "eval", "--shape", "1", "--exponents", '[["2"]]', "--float", "--n", "3"],
+        # exponents that are not rows
+        ["zeta", "eval", "--shape", "1", "--exponents", "[2]", "--n", "3"],
         # tableau rows that are not a list of rows
         ["insert", "row", "--tableau", '{"rows":5}', "--word", "1"],
+        # a column that does not strictly increase, caught by the insertion
+        ["insert", "column", "--tableau", "[[1],[1]]", "--word", "1"],
         # a negative exponent, which exact mode also rejects
         ["zeta", "eval", "--shape", "1", "--exponents", "[[-1.0]]",
          "--float", "--n", "3"],
@@ -305,7 +363,9 @@ def test_zeta_eval_exact_rejects_float_exponents(capsys):
     ],
     ids=[
         "dot-unwritable", "n-trunc-0",
-        "exponent-null", "tableau-rows-not-list", "float-exponent-negative",
+        "exponent-null", "float-exponent-null", "float-exponent-bool",
+        "float-exponent-string", "exponents-not-rows", "tableau-rows-not-list",
+        "tableau-not-semistandard", "float-exponent-negative",
         "exponent-bool", "tol-nan", "tol-inf", "tol-without-float",
         "tol-with-n", "limit-exponent-inf", "float-exponent-inf", "ssyt-n-negative",
     ],

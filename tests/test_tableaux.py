@@ -422,5 +422,3 @@ def test_transpose_is_an_involution_onto_the_conjugate_shape():
                     flipped[j - 1][i - 1] == t[i - 1][j - 1] for i, j in cells(lam)
                 )
     assert transpose(((1, 2), (3,))) == ((1, 3), (2,))
-    with pytest.raises(ValueError):
-        transpose(((1,), (2, 3)))

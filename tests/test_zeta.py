@@ -30,6 +30,7 @@ from schurzeta.zeta import (
     _extrapolation_weights,
     _partial_sums,
     _pieri_setup,
+    _ratio,
     _tail_terms,
     canonical_filling,
     e_sym_spec,
@@ -173,7 +174,7 @@ def test_in_convergence_domain_examples():
     )
     assert not in_convergence_domain((1,), (("a",),), {"a": 1})
     assert in_convergence_domain((2,), (("a", "b"),), {"a": 1, "b": 1.5})
-    with pytest.raises(ValueError, match="differ"):
+    with pytest.raises(ValueError, match="does not match the shape"):
         in_convergence_domain((2,), (("a",),), {"a": 2})
 
 
@@ -210,6 +211,12 @@ def test_vertical_push_filling_examples():
     one = grid_vars((1,), "t")
     assert vertical_push_filling((1,), ("s_1",), one, (2,)) == (("t_1_1",), ("s_1",))
     assert vertical_push_filling((1,), ("s_1",), one, (1,)) == (("s_1", "t_1_1"),)
+    # the variable tableau is checked against lam before it is transposed,
+    # which assumes weakly decreasing rows
+    with pytest.raises(ValueError, match="does not match the shape"):
+        vertical_push_filling((2, 1), ("s_1",), (("t_1_1",), ("t_2_1", "t_2_2")), (1,))
+    with pytest.raises(ValueError, match="does not match the shape"):
+        vertical_push_filling((2,), ("s_1",), one, (1,))
 
 
 def test_h_sym_spec_examples():
@@ -807,7 +814,7 @@ def test_sym_sum_rejects_a_variable_named_twice():
             {"a": 2, "b": -1},
             "^exponents must be finite numbers >= 0, got b=-1$",
         ),
-        ([(1, [((2,), (("a",),))])], SymSpec(("a",), frozenset()), {"a": 2}, "differ"),
+        ([(1, [((2,), (("a",),))])], SymSpec(("a",), frozenset()), {"a": 2}, "does not match the shape"),
     ],
     ids=["overlap", "negative", "factor-shape"],
 )
@@ -1511,7 +1518,8 @@ def test_limit_partial_sums_match_exact_truncation_across_chunks(shape, exps, n)
 def test_extrapolation_weights_are_cached_exact_solutions(shape, exps):
     # the cached weights are a tuple, equal to an uncached recomputation;
     # in exact rationals they sum to 1 and give 0 on every r**t * t**q,
-    # r = 2**beta and q <= p, of each group (beta, p) they cancel
+    # r = 2**beta to 60 digits (_ratio) and q <= p, of each group (beta, p)
+    # they cancel
     kinds = tuple(map(Fraction, exps))
     terms = _tail_terms(shape, kinds, -LIMIT_MAX_ORDER - sum(kinds))
     groups = tuple(sorted(terms.items(), reverse=True))
@@ -1525,7 +1533,7 @@ def test_extrapolation_weights_are_cached_exact_solutions(shape, exps):
         assert list(weights) == list(_extrapolation_weights.__wrapped__(groups[:used]))
         assert sum(weights) == 1
         for beta, p in groups[:used]:
-            r = Fraction(Fraction(2) ** beta)
+            r = _ratio(beta)
             for q in range(p + 1):
                 assert sum(w * r**t * t**q for t, w in enumerate(weights)) == 0, (beta, q)
 
@@ -1592,6 +1600,20 @@ def test_eval_zeta_limit_loose_tol_stays_within_it():
     rep = eval_zeta_limit((1,), (("a",),), {"a": 2.0}, 1e-3)
     err = abs(rep.value - math.pi**2 / 6)
     assert rep.converged and err <= rep.error_estimate <= 1e-3
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-8, 1e-12])
+@pytest.mark.parametrize("s", [1.0000001, 1.000001, 1.00001, 1.0001, 1.001, 1.01, 1.1, 1.5])
+def test_eval_zeta_limit_estimate_covers_the_error_near_exponent_1(s, tol):
+    # the weights grow like 1/(1 - r), r = 2**(1 - s), so a float-rounded r
+    # put an error of 7.3e-3 into zeta(1.0000001) under an estimate of 6.5e-6
+    import mpmath as mp
+
+    mp.mp.dps = 30
+    rep = eval_zeta_limit((1,), (("a",),), {"a": s}, tol)
+    err = abs(mp.mpf(rep.value) - mp.zeta(s))
+    assert err <= rep.error_estimate, (err, rep)
+    assert err <= tol or not rep.converged, (err, rep)
 
 
 def test_pieri_identity_holds_across_small_grid():
