@@ -270,7 +270,10 @@ def _cmd_zeta(args) -> int:
         raise ValueError("--n is required unless --float --tol is given")
     if args.as_float:
         # ints only: anything else goes to zeta's one check unchanged
-        assign = {k: float(v) if is_int(v) else v for k, v in assign.items()}
+        try:
+            assign = {k: float(v) if is_int(v) else v for k, v in assign.items()}
+        except OverflowError:
+            raise ValueError("--float needs exponents below 2**1024") from None
     value = zeta.eval_zeta_truncated(shape, var_rows, assign, args.n)
     if isinstance(value, Fraction):
         payload = {"value": _fmt(value)}

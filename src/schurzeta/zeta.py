@@ -12,8 +12,9 @@ Every sum over tableaux walks strip graphs (_strip_graph): the nodes of
 a shape's graph are its sub-shapes and its edges the horizontal strips
 between them.  A tableau with entries <= N is a path of N strips through
 it, one per level, so a sum over tableaux is a DP over the levels
-a = 1..N.  The exact sums keep per node a weight per count vector of the
-symmetrized values drawn so far: for distinct values of multiplicities
+a = 1..N.  Each symmetrized variable fills one cell of every term, as in
+the paper's formulas, and the exact sums keep per node a weight per count
+vector of the values drawn so far: for distinct values of multiplicities
 m_i there are prod(m_i + 1) count vectors (2^k for k distinct values),
 where an enumeration visits about N^|shape| tableaux.  A side of an
 identity is one walk: the last factors of its terms share their
@@ -433,41 +434,51 @@ def _strips(shape: Partition, kinds: tuple):
     return len(nodes), start, end, strips
 
 
-def _tail_terms(shape: Partition, kinds: tuple, cutoff) -> dict[Fraction, int]:
-    """The powers N**beta (beta < 0, down to cutoff) in the expansion of the
-    partial sum S(N) about its limit, each with the highest power of log N
-    that multiplies it (every lower log power occurs as well).  kinds are
-    the row-major cell exponents as Fractions.
+def _tail_terms(shape: Partition, kinds: tuple) -> dict[Fraction, int]:
+    """The LIMIT_MAX_ORDER slowest powers N**beta (beta < 0) in the
+    expansion of the partial sum S(N) about its limit, each with the
+    highest power of log N that multiplies it (every lower log power
+    occurs as well).  kinds are the row-major cell exponents as Fractions.
 
     T_nu(n), the sum over the SSYT of the sub-shape nu with entries <= n, is
     the sum over a <= n and strips mu -> nu of a**-e * T_mu(a-1), e the
     strip's exponent sum.  By Euler-Maclaurin a summand a**g * log(a)**p
     brings n**(g+1-m) * log(n)**p for m >= 0, and for g = -1 log(n)**(p+1)
-    in place of n**0.  Terms below the cutoff only feed terms below it.  The
-    strip graph's nodes run in increasing order, so every strip into mu is
-    merged before mu feeds its own strips; a merge keeps the highest log
-    power per beta.  Every exponent is >= 1, so each beta written is < 0
-    apart from the n**0 term, and a beta < 0 already holding p or more has
-    every beta - 1, beta - 2, ... down to the cutoff holding p or more: a
-    run of terms stops there.
+    in place of n**0.  Every strip into mu is merged, keeping the highest
+    log power per beta, before mu feeds its own strips, and every beta but
+    n**0's is < 0.  beta -> beta + 1 - e keeps the order, so a power below
+    mu's LIMIT_MAX_ORDER slowest, or a step of a run past as many, only
+    feeds powers below as many others: mu keeps its n**0 entry and its
+    slowest, and a run stops after LIMIT_MAX_ORDER steps or at a beta
+    already holding p or more.
     """
     size, start, end, strips = _strips(shape, kinds)
     grow: list[dict] = [{} for _ in range(size)]
     grow[start][Fraction(0)] = 0
+    src = None
     for mu, nu, e in strips:
+        if mu != src:
+            src, kept = mu, _slowest(grow[mu])
         nxt = grow[nu]
         nxt.setdefault(Fraction(0), 0)
-        for beta, p in grow[mu].items():
+        for beta, p in kept.items():
             top = beta + 1 - e
             if top == 0:
                 nxt[top] = max(nxt[top], p + 1)
                 top -= 1
-            while top >= cutoff and nxt.get(top, -1) < p:
+            for _ in range(LIMIT_MAX_ORDER):
+                if nxt.get(top, -1) >= p:
+                    break
                 nxt[top] = p
                 top -= 1
-    out = grow[end]
+    out = _slowest(grow[end])
     del out[0]
     return out
+
+
+def _slowest(terms: dict) -> dict:
+    """The n**0 entry of terms and their LIMIT_MAX_ORDER slowest powers."""
+    return {beta: terms[beta] for beta in sorted(terms, reverse=True)[:LIMIT_MAX_ORDER + 1]}
 
 
 def _partial_sums(shape: Partition, kinds: tuple, stops):
@@ -497,8 +508,11 @@ def _partial_sums(shape: Partition, kinds: tuple, stops):
     at the scale of V on every level."""
     size, start, end, edges = _strips(shape, kinds)
     into: list[list] = [[] for _ in range(size)]
-    for mu, nu, e in edges:
-        into[nu].append((mu, -float(e)))
+    try:
+        for mu, nu, e in edges:
+            into[nu].append((mu, -float(e)))
+    except OverflowError:
+        raise ValueError("float mode needs each strip's exponent sum below 2**1024") from None
     exponents = {ex for strips in into for _, ex in strips}
     sums, comps = [0.0] * size, [0.0] * size
     sums[start] = 1.0
@@ -585,12 +599,11 @@ def _extrapolate(readings, groups, amplify):
     limit = sum(w * s for w, s in zip(weights, tail))
     lower = _extrapolation_weights(groups[: used - 1])
     gap = limit - sum(w * s for w, s in zip(lower, readings[-len(lower):]))
-    spread = tail[0] + sum(
-        abs(sum(weights[t:])) * (tail[t] - tail[t - 1])
-        for t in range(1, len(tail))
-    )
+    suffix = list(accumulate(reversed(weights)))[::-1]  # W_t
+    spread = tail[0] + sum(abs(w) * (b - a) for w, a, b in zip(suffix[1:], tail, tail[1:]))
     value = float(limit)
-    floor = _UNIT_ROUNDOFF * (amplify * float(spread) + abs(value))
+    # the smallest float keeps the floor above 0 where the terms underflow
+    floor = _UNIT_ROUNDOFF * (amplify * float(spread) + abs(value)) + math.ulp(0.0)
     return value, abs(float(gap)), floor
 
 
@@ -626,9 +639,7 @@ def eval_zeta_limit(
     if not shape:
         return LimitReport(1.0, 0, _UNIT_ROUNDOFF, True)
     kinds = tuple(map(Fraction, exps))
-    # the slowest power is at least 1 - sum(kinds), and the groups a fit
-    # can use lie less than LIMIT_MAX_ORDER below it
-    terms = _tail_terms(shape, kinds, -LIMIT_MAX_ORDER - sum(kinds))
+    terms = _tail_terms(shape, kinds)
     groups = tuple(sorted(terms.items(), reverse=True))
     amplify = 4 * sum(shape)  # pow, product and operand rounding; see _partial_sums
     stops = []
@@ -696,39 +707,23 @@ def _terms_sum(plan: "_SymPlan", assign, n_trunc: int, values, caps) -> Fraction
     sum(coeff * the product of the term's truncated factors) over the terms
     of the plan, those with more rows than n_trunc left out as empty sums.
 
-    A variable in one cell is drawn by the level DP.  A variable in no cell
-    of a term takes a leftover value, in missing! / prod(left_i!) ways.  A
-    variable in several cells is fixed by an outer loop over its value,
-    which turns its cells into fixed cells and leaves one count fewer to
-    draw.  Each group of the plan is one _product_sum per pick of those
-    values: one walk over the union of its last factors' strip graphs,
-    started from the vector of the factors before.
+    Each group of the plan is one _product_sum: one walk over the union of
+    its last factors' strip graphs, started from the vector of the factors
+    before.  Every symmetrized variable fills one cell of each term, so a
+    term draws every value caps times: an end's vector is empty or holds
+    the one count vector caps, at exponent total F + caps . values.
     """
+    drawn = sum(map(mul, caps, values))
     sums: dict[int, int] = {}  # exponent total E -> numerator over L**E
-    for prefix, missing, repeated, group in plan.groups:
+    for prefix, group in plan.groups:
         ends = [(last, coeff) for last, coeff, rows in group if rows <= n_trunc]
         if not ends:
             continue
         lasts = tuple(last for last, _ in ends)
-        for pick in product(range(len(values)), repeat=len(repeated)):
-            left = list(caps)
-            for i in pick:
-                left[i] -= 1
-            if min(left, default=0) < 0:
-                continue
-            left = tuple(left)
-            exps = {**assign, **{v: values[i] for v, i in zip(repeated, pick)}}
-            walks = _product_sum(prefix, lasts, _fixed_pairs(prefix + lasts, exps), n_trunc, values, left)
-            layers = _count_layers(left)[0]
-            for (_, coeff), (total, depth, vec) in zip(ends, walks):
-                for c, w in zip(layers[depth], vec):
-                    if missing:
-                        ways = math.factorial(missing)
-                        for x, m in zip(c, left):
-                            ways //= math.factorial(m - x)
-                        w *= ways
-                    e = total + sum(map(mul, c, values))
-                    sums[e] = sums.get(e, 0) + coeff * w
+        walks = _product_sum(prefix, lasts, _fixed_pairs(prefix + lasts, assign), n_trunc, values, caps)
+        for (_, coeff), (total, _, vec) in zip(ends, walks):
+            if vec:
+                sums[total + drawn] = sums.get(total + drawn, 0) + coeff * vec[0]
     if not sums:
         return Fraction(0)
     scale, top = _lcm_upto(n_trunc), max(sums)
@@ -739,16 +734,14 @@ def _sym_work(plan: "_SymPlan", n_trunc: int, caps: tuple) -> int:
     """The predicted work of _terms_sum over the plan's walks, from the
     shapes and the value multiplicities caps alone: the level DP's
     prod(m_i + 1) count vectors times n_trunc times the largest, over the
-    last factors of terms of at most n_trunc rows, of the value picks of
-    their group's repeated variables times the summed sub-shapes of the
-    group's prefix and the last factor."""
+    last factors of terms of at most n_trunc rows, of the summed
+    sub-shapes of their group's prefix and the last factor."""
     units = 0
-    for prefix, _, repeated, ends in plan.groups:
-        picks = len(caps) ** len(repeated)
+    for prefix, ends in plan.groups:
         nodes = sum(len(_strip_graph(shape)[0]) for shape, _ in prefix)
         for (shape, _), _, rows in ends:
             if rows <= n_trunc:
-                units = max(units, picks * (nodes + len(_strip_graph(shape)[0])))
+                units = max(units, nodes + len(_strip_graph(shape)[0]))
     return math.prod(m + 1 for m in caps) * units * n_trunc
 
 
@@ -758,21 +751,28 @@ def _require_work(work: int) -> None:
 
 
 def _check_spec(terms, spec) -> list:
-    """The variables a symmetrized sum needs, those of its cells then the
-    symmetrized ones, after checking that spec names no variable twice."""
+    """The variables a symmetrized sum needs (_SymPlan.names), after
+    checking that spec names no variable twice and that each symmetrized
+    variable fills exactly one cell of every term."""
     twice = sorted({v for v in spec.symmetrized if spec.symmetrized.count(v) > 1})
     if twice:
         raise ValueError(f"symmetrized variables named twice: {twice}")
     if set(spec.symmetrized) & spec.fixed:
         raise ValueError("symmetrized and fixed variable sets overlap")
+    for index, (_, factors) in enumerate(terms):
+        uses = Counter(v for _, rows in factors for v in _flatten(rows))
+        for var in spec.symmetrized:
+            if uses[var] != 1:
+                raise ValueError(f"symmetrized variable {var!r} fills {uses[var]} cells of terms[{index}], "
+                                 "not exactly one")
     names = [v for _, factors in terms for _, rows in factors for v in _flatten(rows)]
     return list(dict.fromkeys(names + list(spec.symmetrized)))
 
 
 def sym_sum_direct(terms, spec, assign, n_trunc: int):
     """Reference implementation: literal sum over all bijections of the
-    symmetrized values.  Slower than sym_sum but definitionally direct;
-    float exponents give a float sum."""
+    symmetrized values, checked as sym_sum is.  Slower than sym_sum but
+    definitionally direct; float exponents give a float sum."""
     require_ints((n_trunc,), "truncation level", 1)
     exact = all(map(is_int, _exponents(_check_spec(terms, spec), assign)))
     values = tuple(assign[v] for v in spec.symmetrized)
@@ -795,19 +795,15 @@ class _SymPlan(NamedTuple):
     against it.
 
     names lists every variable the sum needs: those of its cells in order
-    of first use, then the symmetrized ones in no cell.  groups are the
-    walks of _terms_sum, one per (prefix, missing, repeated) of the terms:
-    the factors before their last, the number of symmetrized variables in
-    none of their cells and the names of those in several.  Each group
-    ends with its last factors as (factor, coeff, rows), the coefficients
-    of equal last factors added and rows the most rows of the prefix and
-    the last factor, below which the term is an empty sum.  Terms merged
-    into one last factor share their rows, repeats and sub-shapes, so the
-    work guard (_sym_work) reads the groups alone.  A factor is (shape,
-    labels) with labels its row-major cell labels: None for a symmetrized
-    variable in one cell, which the level DP draws, the variable's name
-    otherwise.  A term's factors are in the order of its walk, the fewest
-    sub-shapes first."""
+    of first use, then the symmetrized ones.  groups are the walks of
+    _terms_sum, one per prefix, the factors before the last of a term,
+    each as (prefix, ends) with ends the last factors as (factor, coeff,
+    rows): the coefficients of equal last factors added and rows the most
+    rows of the prefix and the last factor, below which the term is an
+    empty sum.  A factor is (shape, labels) with labels its row-major cell
+    labels: None for a symmetrized variable, which the level DP draws, the
+    variable's name otherwise.  A term's factors are in the order of its
+    walk, the fewest sub-shapes first."""
 
     names: tuple[str, ...]
     groups: tuple
@@ -815,30 +811,27 @@ class _SymPlan(NamedTuple):
 
 def _sym_plan(terms, spec: SymSpec) -> _SymPlan:
     """The one structure builder: the _SymPlan of terms (coeff, [(shape,
-    var_rows), ...]) under spec.  It checks nothing; each shape must be the
-    Partition of its var_rows' row lengths."""
+    var_rows), ...]) under spec, which it trusts to pass _check_spec and
+    each shape to be the Partition of its var_rows' row lengths."""
     sym = frozenset(spec.symmetrized)
     groups: dict[tuple, dict] = {}
     for coeff, factors in terms:
-        cells = [(shape, _flatten(rows)) for shape, rows in factors]
-        uses = Counter(v for _, labels in cells for v in labels if v in sym)
-        repeated = tuple(v for v, n in uses.items() if n > 1)
         walk = sorted(
-            ((shape, tuple(None if uses[v] == 1 else v for v in labels)) for shape, labels in cells),
+            ((shape, tuple(None if v in sym else v for v in _flatten(rows))) for shape, rows in factors),
             key=lambda factor: len(_strip_graph(factor[0])[0]),
         )
         *prefix, last = walk or [((), ())]
-        ends = groups.setdefault((tuple(prefix), len(sym) - len(uses), repeated), {})
+        ends = groups.setdefault(tuple(prefix), {})
         ends[last] = ends.get(last, 0) + coeff
     names = [v for _, factors in terms for _, rows in factors for v in _flatten(rows)]
     return _SymPlan(
         tuple(dict.fromkeys(names + list(spec.symmetrized))),
         tuple(
-            (prefix, missing, repeated, tuple(
+            (prefix, tuple(
                 (last, coeff, max(len(shape) for shape, _ in (*prefix, last)))
                 for last, coeff in ends.items()
             ))
-            for (prefix, missing, repeated), ends in groups.items()
+            for prefix, ends in groups.items()
         ),
     )
 
@@ -863,7 +856,8 @@ def sym_sum(terms, spec: SymSpec, assign, n_trunc: int) -> Fraction:
     """Sum over all permutations of the symmetrized exponent values of
     sum(coeff * prod of truncated zeta factors) over the given terms.
 
-    Each term is (coeff, [(shape, var_rows), ...]).  Exact only: every
+    Each term is (coeff, [(shape, var_rows), ...]), and each symmetrized
+    variable fills exactly one cell of every term.  Exact only: every
     exponent must be an integer >= 0.  The terms, spec, assignment and
     n_trunc are checked in full, planned by _sym_plan, and refused when
     their predicted work (_sym_work) exceeds WORK_LIMIT, before any of the
@@ -976,7 +970,7 @@ def _vacuous_note(lhs: _SymPlan, n_trunc: int) -> str:
     """The note of an identity with a left-hand factor of more rows than
     n_trunc: no tableau with entries <= n_trunc fills it, nor any shape on
     the right, each of which contains it, so both sides are empty sums."""
-    rows = max(rows for *_, ends in lhs.groups for _, _, rows in ends)
+    rows = max(rows for _, ends in lhs.groups for _, _, rows in ends)
     if rows <= n_trunc:
         return ""
     return (

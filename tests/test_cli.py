@@ -124,6 +124,26 @@ def test_zeta_eval_limit_of_a_huge_exponent_is_quick(exponent):
     assert payload["converged"] is True and payload["value"] == 1.0
 
 
+@pytest.mark.parametrize("exponent", ["1e5", "3e6"])
+def test_zeta_eval_limit_of_a_huge_exponent_beside_a_small_one_is_quick(exponent):
+    # the tail terms ran from each strip's 1 - e down to -12 - sum(e), one
+    # power at a time: 200,014 powers in 5.8 s at 1e5, and no end at 3e6
+    argv = [
+        "zeta", "eval", "--shape", "2,1", "--exponents", f"[[{exponent},2],[{exponent}]]",
+        "--float", "--tol", "1e-12", "--json",
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurzeta.cli", *argv], env=env, capture_output=True,
+        text=True, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    # every term holds an entry >= 2 under a huge exponent and underflows
+    assert payload["converged"] is True and payload["value"] == 0.0
+    assert payload["error_estimate"] > 0
+
+
 @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
 def test_verify_reports_a_vacuous_identity_with_its_note(capsys, as_json):
     # a column of 3 cells has no tableau with entries <= 2
@@ -358,6 +378,14 @@ def test_zeta_eval_exact_rejects_float_exponents(capsys):
          "--float", "--tol", "1e-6"],
         ["zeta", "eval", "--shape", "1", "--exponents", "[[1e400]]",
          "--float", "--n", "3"],
+        # an integer exponent, or the exponent sum of a strip, too large for
+        # a float, where --float converts it and where the float walk does
+        ["zeta", "eval", "--shape", "1", "--exponents", f"[[{10**400}]]",
+         "--float", "--n", "3"],
+        ["zeta", "eval", "--shape", "1", "--exponents", f"[[{10**400}]]",
+         "--float", "--tol", "1e-6"],
+        ["zeta", "eval", "--shape", "2", "--exponents", f"[[2.5,{10**400}]]",
+         "--n", "3"],
         # a negative largest entry
         ["ssyt", "--shape", "-", "--n", "-1", "--count"],
     ],
@@ -367,7 +395,9 @@ def test_zeta_eval_exact_rejects_float_exponents(capsys):
         "float-exponent-string", "exponents-not-rows", "tableau-rows-not-list",
         "tableau-not-semistandard", "float-exponent-negative",
         "exponent-bool", "tol-nan", "tol-inf", "tol-without-float",
-        "tol-with-n", "limit-exponent-inf", "float-exponent-inf", "ssyt-n-negative",
+        "tol-with-n", "limit-exponent-inf", "float-exponent-inf",
+        "float-exponent-huge-int", "limit-exponent-huge-int", "mixed-exponent-huge-int",
+        "ssyt-n-negative",
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):

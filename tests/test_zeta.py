@@ -278,48 +278,84 @@ def test_sym_sum_fast_matches_direct():
                 sym_sum_direct(terms, spec, assign, n)
 
 
-def test_sym_sum_fallback_when_variable_missing_from_term():
-    # symmetrize over a variable that one term does not contain: it takes a
-    # value the term's cells leave over, in missing! / prod(left_i!) ways
-    # (zeta._terms_sum)
-    terms = [(1, [((1,), (("a",),))]), (2, [((1,), (("b",),))])]
-    spec = SymSpec(("a", "b"), frozenset())
-    assign = {"a": 2, "b": 3}
-    assert sym_sum(terms, spec, assign, 2) == sym_sum_direct(terms, spec, assign, 2)
-
-
-KERNEL_TERMS = {
-    # a symmetrized variable in two cells of one factor
+# symmetrized variables that fill no cell or several cells of a term, a
+# form the paper's formulas never take: both sums refuse them by name
+REJECTED_TERMS = {
+    # a is missing from the second term and b from the first
+    "missing-from-term": (
+        [(1, [((1,), (("a",),))]), (2, [((1,), (("b",),))])],
+        SymSpec(("a", "b"), frozenset()),
+        "symmetrized variable 'b' fills 0 cells of terms[0], not exactly one",
+    ),
+    "missing-from-second-term": (
+        [(1, [((2,), (("a", "b"),))]), (2, [((1,), (("b",),))])],
+        SymSpec(("a", "b"), frozenset()),
+        "symmetrized variable 'a' fills 0 cells of terms[1], not exactly one",
+    ),
+    # d fills no cell of any term
+    "in-no-cell": (
+        [(1, [((1,), (("a",),))])],
+        SymSpec(("a", "d"), frozenset()),
+        "symmetrized variable 'd' fills 0 cells of terms[0], not exactly one",
+    ),
     "repeated-in-factor": (
         [(1, [((2, 1), (("a", "b"), ("a",)))])],
         SymSpec(("a", "b"), frozenset()),
+        "symmetrized variable 'a' fills 2 cells of terms[0], not exactly one",
     ),
-    # a symmetrized variable in both factors of one term
     "repeated-across-factors": (
         [(1, [((1,), (("a",),)), ((2,), (("a", "b"),))])],
         SymSpec(("a", "b"), frozenset()),
+        "symmetrized variable 'a' fills 2 cells of terms[0], not exactly one",
     ),
-    # each term misses a symmetrized variable, and c stays fixed
-    "missing-from-term": (
-        [(1, [((1,), (("a",),))]), (3, [((1, 1), (("b",), ("c",)))])],
+    # the first check to fail names the variable: b is fine, c fixed
+    "repeated-after-a-valid-one": (
+        [(1, [((2, 1), (("b", "c"), ("a",))), ((1, 1), (("a",), ("c",)))])],
+        SymSpec(("b", "a"), frozenset({"c"})),
+        "symmetrized variable 'a' fills 2 cells of terms[0], not exactly one",
+    ),
+}
+
+
+@pytest.mark.parametrize("fn", [sym_sum, sym_sum_direct])
+@pytest.mark.parametrize("case", sorted(REJECTED_TERMS))
+def test_sym_sums_reject_a_variable_not_in_exactly_one_cell(case, fn):
+    terms, spec, message = REJECTED_TERMS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(terms, spec, dict.fromkeys("abcd", 2), 2)
+
+
+KERNEL_TERMS = {
+    # c fixed in both factors of one term, a and b drawn one in each
+    "fixed-in-both-factors": (
+        [(1, [((1, 1), (("a",), ("c",))), ((2,), (("c", "b"),))])],
         SymSpec(("a", "b"), frozenset({"c"})),
     ),
-    # all three at once, with d in no cell at all
-    "mixed": (
-        [
-            (2, [((2,), (("a", "a"),)), ((1, 1), (("c",), ("b",)))]),
-            (-1, [((1,), (("b",),))]),
-        ],
+    # two terms that place a and b in different cells, c fixed in one
+    "two-terms": (
+        [(1, [((1,), (("a",),)), ((1, 1), (("b",), ("c",)))]), (3, [((1, 1), (("b",), ("a",)))])],
+        SymSpec(("a", "b"), frozenset({"c"})),
+    ),
+    # the two terms plan to one prefix and one last factor, a and b in
+    # swapped cells, whose coefficients add up
+    "merged-last-factor": (
+        [(1, [((1,), (("a",),)), ((2,), (("b", "c"),))]), (2, [((1,), (("b",),)), ((2,), (("a", "c"),))])],
+        SymSpec(("a", "b"), frozenset({"c"})),
+    ),
+    # a factor of fixed cells alone draws nothing before the one that
+    # draws every value
+    "fixed-factor": (
+        [(1, [((2,), (("c", "c"),)), ((2, 1), (("a", "b"), ("d",)))])],
         SymSpec(("a", "b", "d"), frozenset({"c"})),
     ),
-    # three factors in one walk: c fixed and a repeated in each, b drawn in
-    # the first and d in the third, so the third walk starts from the counts
-    # the first drew
+    # three factors in one walk: c fixed in each, and a, b and d drawn one
+    # per factor, so the third walk starts from the counts the first two
+    # drew
     "three-factors": (
         [(1, [
-            ((2, 1), (("b", "c"), ("a",))),
+            ((2, 1), (("b", "c"), ("c",))),
             ((1, 1), (("a",), ("c",))),
-            ((2, 1), (("a", "d"), ("c",))),
+            ((2, 1), (("d", "c"), ("c",))),
         ])],
         SymSpec(("a", "b", "d"), frozenset({"c"})),
     ),
@@ -332,7 +368,7 @@ KERNEL_TERMS = {
 )
 @pytest.mark.parametrize("case", sorted(KERNEL_TERMS))
 @pytest.mark.parametrize("order", ["given", "reversed"])
-def test_sym_sum_repeated_and_missing_variables_match_direct(order, case, values, n_trunc):
+def test_sym_sum_of_multi_factor_terms_matches_direct(order, case, values, n_trunc):
     terms, spec = KERNEL_TERMS[case]
     if order == "reversed":
         # each factor's walk starts from what the factors before it drew
@@ -422,26 +458,23 @@ def test_work_guard_refuses_either_side_before_any_level_dp():
     assert zmod._product_sum.cache_info().misses == 0
 
 
-def _oracle_sizes(terms, spec):
-    """Per term (rows, repeated, nodes), read off the term as a whole: the
-    most rows of its factors, its symmetrized variables in more than one
-    cell, and the summed sub-shapes of its factors, counted as the
-    weakly decreasing tuples under each shape."""
-    sym = set(spec.symmetrized)
+def _oracle_sizes(terms):
+    """Per term (rows, nodes), read off the term as a whole: the most rows
+    of its factors and the summed sub-shapes of its factors, counted as
+    the weakly decreasing tuples under each shape."""
     sizes = []
     for _, factors in terms:
-        uses = Counter(v for _, rows in factors for r in rows for v in r if v in sym)
         nodes = sum(
             sum(all(a >= b for a, b in zip(mu, mu[1:])) for mu in product(*(range(p + 1) for p in shape)))
             for shape, _ in factors
         )
         rows = max((len(shape) for shape, _ in factors), default=0)
-        sizes.append((rows, sum(n > 1 for n in uses.values()), nodes))
+        sizes.append((rows, nodes))
     return sizes
 
 
 def _oracle_work(sizes, n_trunc, caps):
-    units = max((len(caps) ** r * nodes for rows, r, nodes in sizes if rows <= n_trunc), default=0)
+    units = max((nodes for rows, nodes in sizes if rows <= n_trunc), default=0)
     return math.prod(m + 1 for m in caps) * units * n_trunc
 
 
@@ -467,16 +500,15 @@ def _guarded_identities():
 
 def test_guard_reads_the_plans_as_the_per_term_sizes_would():
     # the guard and the vacuous note read the plans' walks; terms merged
-    # into one walk share their rows, repeats and sub-shapes, so both match
+    # into one walk share their rows and sub-shapes, so both match
     # the per-term formula on every identity, value pattern and level
     cases = 0
     for setup, lhs_terms, rhs_terms in _guarded_identities():
         k = len(setup.spec.symmetrized)
         patterns = {(1,) * k, (k,), (2,) * (k // 2) + (1,) * (k % 2), (1, k - 1) if k > 1 else (1,)}
-        left_sizes = _oracle_sizes(lhs_terms, setup.spec)
-        rows = max(r for r, _, _ in left_sizes)
+        rows = max(r for r, _ in _oracle_sizes(lhs_terms))
         for plan, terms in ((setup.lhs, lhs_terms), (setup.rhs, rhs_terms)):
-            sizes = _oracle_sizes(terms, setup.spec)
+            sizes = _oracle_sizes(terms)
             for caps in patterns:
                 for n_trunc in (1, 2, 3, 4, 6):
                     assert zmod._sym_work(plan, n_trunc, caps) == _oracle_work(sizes, n_trunc, caps)
@@ -559,9 +591,9 @@ SHARED_TERMS = {
     # last factors of one, two and three rows in one walk
     "row-counts": (
         [
-            (1, [((2,), (("a", "b"),))]),
-            (2, [((1, 1), (("a",), ("b",)))]),
-            (-1, [((2, 1), (("a", "c"), ("b",)))]),
+            (1, [((3,), (("a", "b", "c"),))]),
+            (2, [((2, 1), (("c", "a"), ("b",)))]),
+            (-1, [((1, 1, 1), (("a",), ("b",), ("c",)))]),
         ],
         SymSpec(("a", "b", "c"), frozenset()),
     ),
@@ -573,12 +605,12 @@ SHARED_TERMS = {
     ),
     # (1,1,1) has more rows than N = 2, so its term is empty
     "vacuous": (
-        [(1, [((1, 1, 1), (("a",), ("b",), ("c",)))]), (3, [((2,), (("a", "b"),))])],
+        [(1, [((1, 1, 1), (("a",), ("b",), ("c",)))]), (3, [((2, 1), (("a", "b"), ("c",)))])],
         SymSpec(("a", "b", "c"), frozenset()),
     ),
-    # a fills two cells of its term, b is missing from it, d from both
-    "repeated-missing": (
-        [(1, [((2,), (("a", "a"),))]), (2, [((1, 1), (("b",), ("a",)))])],
+    # a and d share a value, which each term draws twice
+    "repeated-value": (
+        [(1, [((2,), (("a", "b"),)), ((1,), (("d",),))]), (2, [((2, 1), (("b", "d"), ("a",)))])],
         SymSpec(("a", "b", "d"), frozenset()),
     ),
     # both products walk (1,) first, then their last factors as one walk
@@ -594,22 +626,19 @@ SHARED_TERMS = {
 
 @st.composite
 def shared_sym_sums(draw):
-    """Two to six terms of up to two factors drawn from a pool of four, so
-    that terms share prefixes and last factors, filled from a, b, c, d (the
-    first k symmetrized) and the fixed x, y."""
-    k = draw(st.integers(0, 4))
-    pool = []
-    for _ in range(4):
-        shape = draw(st.sampled_from([p for p in SMALL_SHAPES if 0 < sum(p) <= 3]))
-        rows = tuple(
-            tuple(draw(st.sampled_from(CELL_NAMES)) for _ in range(part))
-            for part in shape
-        )
-        pool.append((shape, rows))
-    terms = [
-        (draw(st.integers(-2, 3)), draw(st.lists(st.sampled_from(pool), max_size=2)))
+    """Two to six terms of one or two factors whose shapes are drawn from a
+    pool of four, so that terms share prefixes and last factors, each term
+    placing a, b, c, d (the first k symmetrized) once and the fixed x, y
+    in its other cells."""
+    pool = [draw(st.sampled_from([p for p in SMALL_SHAPES if 0 < sum(p) <= 3])) for _ in range(4)]
+    k = draw(st.integers(0, min(4, 2 * max(map(sum, pool)))))
+    shapes = [
+        draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2).filter(
+            lambda term: sum(map(sum, term)) >= k
+        ))
         for _ in range(draw(st.integers(2, 6)))
     ]
+    terms = [(draw(st.integers(-2, 3)), _place(draw, term, k)) for term in shapes]
     assign = {v: draw(st.integers(0, 4)) for v in CELL_NAMES}
     spec = SymSpec(CELL_NAMES[:k], frozenset({"x", "y"}))
     return terms, spec, assign, draw(st.integers(1, 4))
@@ -625,7 +654,7 @@ def _shared_example(case, values, n_trunc):
 @example(_shared_example("row-counts", (1, 2, 3, 0), 3))
 @example(_shared_example("fixed-cell-differs", (2, 2, 0, 0), 3))
 @example(_shared_example("vacuous", (1, 2, 1, 0), 2))
-@example(_shared_example("repeated-missing", (2, 1, 0, 2), 3))
+@example(_shared_example("repeated-value", (2, 1, 0, 2), 3))
 @example(_shared_example("shared-prefix", (3, 1, 2, 0), 3))
 def test_a_sum_of_terms_is_the_sum_of_its_one_term_sums(case):
     # the terms of a sum share walks; each term alone walks by itself
@@ -712,24 +741,29 @@ SMALL_SHAPES = [p for size in range(6) for p in all_partitions(size)]
 CELL_NAMES = ("a", "b", "c", "d", "x", "y")
 
 
+def _place(draw, shapes, k):
+    """Factors (shape, var_rows) over the shapes that place each of the
+    first k of CELL_NAMES in one cell, in a drawn order, and x or y in the
+    other cells."""
+    size = sum(map(sum, shapes))
+    labels = iter(draw(st.permutations(
+        [*CELL_NAMES[:k], *(draw(st.sampled_from(("x", "y"))) for _ in range(size - k))]
+    )))
+    return [(shape, tuple(tuple(next(labels) for _ in range(part)) for part in shape)) for shape in shapes]
+
+
 @st.composite
 def small_sym_sums(draw):
-    """Terms of up to two factors with at most 5 cells per term, filled
-    from a, b, c, d (the first k symmetrized) and the fixed x, y, so
-    repeated and missing symmetrized variables are common."""
+    """Terms of up to two factors with k to 5 cells per term, each term
+    placing a, b, c, d (the first k symmetrized) once and the fixed x, y
+    in its other cells."""
     k = draw(st.integers(0, 4))
-    terms = []
+    shapes = []
     for _ in range(draw(st.integers(1, 2))):
-        budget, factors = 5, []
-        for _ in range(draw(st.integers(0, 2))):
-            shape = draw(st.sampled_from([p for p in SMALL_SHAPES if sum(p) <= budget]))
-            budget -= sum(shape)
-            rows = tuple(
-                tuple(draw(st.sampled_from(CELL_NAMES)) for _ in range(part))
-                for part in shape
-            )
-            factors.append((shape, rows))
-        terms.append((draw(st.integers(-2, 3)), factors))
+        size = draw(st.integers(k, 5))
+        cut = draw(st.integers(0, size))
+        shapes.append([draw(st.sampled_from(all_partitions(n))) for n in (cut, size - cut) if n])
+    terms = [(draw(st.integers(-2, 3)), _place(draw, term, k)) for term in shapes]
     assign = {v: draw(st.integers(0, 5)) for v in CELL_NAMES}
     spec = SymSpec(CELL_NAMES[:k], frozenset({"x", "y"}))
     return terms, spec, assign, draw(st.integers(1, 5))
@@ -1394,9 +1428,10 @@ def chain_partial_sums(chains, stops):
 
 def test_strip_graph_walks_match_chain_oracles():
     # every shape of size <= 6, five seeded exponent draws each: the
-    # graph's tail terms are the union over chains, and its S(N) agrees
-    # with the chains' to the rounding the limit's error estimate allows,
-    # read at every N <= 8 and at 12, 16, ..., 64.
+    # graph's tail terms are the LIMIT_MAX_ORDER slowest of the union over
+    # chains, and its S(N) agrees with the chains' to the rounding the
+    # limit's error estimate allows, read at every N <= 8 and at 12, 16,
+    # ..., 64.
     # The exponents are quarters, so the chain oracle counts in quarters.
     rng = random.Random(8)
     cases = 0
@@ -1415,7 +1450,9 @@ def test_strip_graph_walks_match_chain_oracles():
                     quarters = [int(4 * e) for e in steps]
                     for beta, p in chain_tail_terms(quarters, int(4 * cutoff), 4).items():
                         union[Fraction(beta, 4)] = max(union.get(Fraction(beta, 4), 0), p)
-                assert _tail_terms(shape, kinds, cutoff) == union, (shape, kinds)
+                # the graph keeps the slowest groups, all that _extrapolate reads
+                slowest = dict(sorted(union.items(), reverse=True)[:LIMIT_MAX_ORDER])
+                assert _tail_terms(shape, kinds) == slowest, (shape, kinds)
                 bound = 4 * size * 2.0**-53
                 stops = (*range(1, 9), 12, 16, 24, 32, 48, 64)
                 for n, graph, chain in zip(
@@ -1521,8 +1558,7 @@ def test_extrapolation_weights_are_cached_exact_solutions(shape, exps):
     # r = 2**beta to 60 digits (_ratio) and q <= p, of each group (beta, p)
     # they cancel
     kinds = tuple(map(Fraction, exps))
-    terms = _tail_terms(shape, kinds, -LIMIT_MAX_ORDER - sum(kinds))
-    groups = tuple(sorted(terms.items(), reverse=True))
+    groups = tuple(sorted(_tail_terms(shape, kinds).items(), reverse=True))
     sizes = accumulate(p + 1 for _, p in groups)
     for used, size in enumerate(sizes, 1):
         if size > LIMIT_MAX_ORDER:  # more than _extrapolate fits
@@ -1593,6 +1629,29 @@ def test_eval_zeta_limit_against_mpmath():
         err = abs(mp.mpf(reps[0].value) + reps[1].value - ref)
         assert all(r.converged for r in reps)
         assert err <= reps[0].error_estimate + reps[1].error_estimate
+
+
+def test_eval_zeta_limit_error_estimate_is_never_0_where_every_term_underflows():
+    # every tableau of (2,1) holds an entry >= 2 under the exponent 1e5, so
+    # the float sum is 0.0 and the true value about 2**-1e5 > 0
+    rows = grid_vars((2, 1), "x")
+    rep = eval_zeta_limit((2, 1), rows, dict(zip(("x_1_1", "x_1_2", "x_2_1"), (1e5, 2.0, 1e5))), 1e-12)
+    assert rep.converged and rep.value == 0.0
+    assert rep.error_estimate == math.ulp(0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eval_zeta_truncated((2,), (("a", "b"),), {"a": 2.5, "b": 10**400}, 3),
+        lambda: eval_zeta_truncated((2,), (("a", "b"),), {"a": 1e308, "b": 1e308}, 3),
+        lambda: eval_zeta_limit((1,), (("a",),), {"a": 10**400}, 1e-6),
+    ],
+    ids=["truncated-huge-int", "truncated-strip-sum", "limit-huge-int"],
+)
+def test_float_walks_reject_a_strip_exponent_sum_beyond_floats(call):
+    with pytest.raises(ValueError, match=r"^float mode needs each strip's exponent sum below 2\*\*1024$"):
+        call()
 
 
 def test_eval_zeta_limit_loose_tol_stays_within_it():
