@@ -29,8 +29,9 @@ verifier builds it once per identity and checks only the assignment and
 the truncation level per call; the work guard (_sym_work) reads the
 plans' walks.  Float truncation and the untruncated limit walk one
 shape's graph in floats, a chunk of levels at a time with one
-compensated sum per sub-shape, and the limit's tail terms follow from
-the same strips' exponent sums.
+compensated sum per sub-shape.  The limit's tail terms follow from the
+same strips' exponent sums, and a float fit over its readings cancels
+them with weights solved in exact integers and rounded once each.
 """
 
 import decimal
@@ -392,7 +393,7 @@ def eval_zeta_truncated(shape, var_rows, assign, n_trunc: int):
             (), ((shape, labels),), tuple(dict(zip(labels, flat)).items()), n_trunc, (), ()
         )
         return Fraction(vec[0] if vec else 0, _lcm_upto(n_trunc) ** fixed)
-    return float(next(_partial_sums(shape, tuple(map(Fraction, flat)), (n_trunc,))))
+    return math.fsum(next(_partial_sums(shape, tuple(map(Fraction, flat)), (n_trunc,))))
 
 
 def in_convergence_domain(shape, var_rows, assign) -> bool:
@@ -423,7 +424,7 @@ def _strips(shape: Partition, kinds: tuple):
     walks: its number of nodes, the indices of the empty shape and of
     shape, and its nonempty strips (mu, nu, e) in increasing mu, e the
     exponent sum of the strip's cells for the row-major cell exponents
-    kinds, Fractions."""
+    kinds, exact numbers."""
     nodes, start, end, _, succ = _strip_graph(shape)
     prefix, at = [], 0
     for part in shape:
@@ -434,11 +435,12 @@ def _strips(shape: Partition, kinds: tuple):
     return len(nodes), start, end, strips
 
 
-def _tail_terms(shape: Partition, kinds: tuple) -> dict[Fraction, int]:
+def _tail_terms(shape: Partition, kinds: tuple) -> dict:
     """The LIMIT_MAX_ORDER slowest powers N**beta (beta < 0) in the
     expansion of the partial sum S(N) about its limit, each with the
     highest power of log N that multiplies it (every lower log power
-    occurs as well).  kinds are the row-major cell exponents as Fractions.
+    occurs as well).  kinds are the row-major cell exponents, exact: an
+    int where integral, which hashes and adds faster, a Fraction otherwise.
 
     T_nu(n), the sum over the SSYT of the sub-shape nu with entries <= n, is
     the sum over a <= n and strips mu -> nu of a**-e * T_mu(a-1), e the
@@ -454,13 +456,13 @@ def _tail_terms(shape: Partition, kinds: tuple) -> dict[Fraction, int]:
     """
     size, start, end, strips = _strips(shape, kinds)
     grow: list[dict] = [{} for _ in range(size)]
-    grow[start][Fraction(0)] = 0
+    grow[start][0] = 0
     src = None
     for mu, nu, e in strips:
         if mu != src:
             src, kept = mu, _slowest(grow[mu])
         nxt = grow[nu]
-        nxt.setdefault(Fraction(0), 0)
+        nxt.setdefault(0, 0)
         for beta, p in kept.items():
             top = beta + 1 - e
             if top == 0:
@@ -482,8 +484,8 @@ def _slowest(terms: dict) -> dict:
 
 
 def _partial_sums(shape: Partition, kinds: tuple, stops):
-    """Yield S(N) for each N in the increasing stops, as an exact Fraction
-    of the float state; kinds are the row-major cell exponents as Fractions.
+    """Yield S(N) for each N in the increasing stops as its float pair
+    (s, c), S(N) = s + c; kinds are the row-major cell exponents, exact.
 
     T_nu(n) = T_nu(n-1) + sum over the nonempty strips mu -> nu of
     n**-e * T_mu(n-1), e the strip's exponent sum, and S(N) = T_shape(N).
@@ -537,10 +539,10 @@ def _partial_sums(shape: Partition, kinds: tuple, stops):
                 total = s + t
                 comps[nu] += (s - total) + t if s >= t else (t - total) + s
                 sums[nu] = total
-        yield Fraction(sums[end]) + Fraction(comps[end])
+        yield sums[end], comps[end]
 
 
-def _ratio(beta: Fraction) -> Fraction:
+def _ratio(beta) -> Fraction:
     """2**beta, the ratio of a term N**beta from one reading to the next,
     to 60 significant digits (0 below 1e-1000058): exact for an integer
     beta down to -85, and far below a float reading's rounding even where
@@ -551,40 +553,76 @@ def _ratio(beta: Fraction) -> Fraction:
 
 
 @cache
-def _extrapolation_weights(groups: tuple) -> tuple[Fraction, ...]:
-    """Weights w_t of the readings S(N0 * 2**t), t = 0..K, whose weighted
-    sum keeps the limit and cancels the K terms N**beta * log(N)**q, q <= p,
-    of the groups (beta, p).
+def _extrapolation_weights(groups: tuple) -> tuple[tuple[int, ...], int]:
+    """(coeffs, den): the weights w_t = coeffs[t] / den of the readings
+    S(N0 * 2**t), t = 0..K, whose weighted sum keeps the limit and cancels
+    the K terms N**beta * log(N)**q, q <= p, of the groups (beta, p).
 
     log N is affine in t, so those terms span r**t * t**q with r = 2**beta,
     taken to 60 significant digits (_ratio), and the weights solve
     sum w_t = 1, sum w_t * r**t * t**q = 0.  The exact solution for that r
     is the coefficient list of the polynomial
     prod(((x - r) / (1 - r)) ** (p + 1)): it is 1 at x = 1, and each r is a
-    root of order p + 1, where (x d/dx)**q of it vanishes for q <= p.
-    Cached: the readings of a limit ask again and again for the same
-    prefixes of its groups.
+    root of order p + 1, where (x d/dx)**q of it vanishes for q <= p.  With
+    r = R / D in lowest terms that is prod((D*x - R) ** (p + 1)) over
+    prod((D - R) ** (p + 1)), integer products with no gcd on the way.
+    Cached, and built on the cached weights of groups[:-1]: the readings of
+    a limit ask again and again for the same prefixes of its groups.
     """
-    weights = [Fraction(1)]
-    for beta, p in groups:
-        r = _ratio(beta)
-        for _ in range(p + 1):
-            shifted = [Fraction(0)] + weights
-            scaled = [r * w for w in weights] + [Fraction(0)]
-            weights = [(a - b) / (1 - r) for a, b in zip(shifted, scaled)]
-    return tuple(weights)
+    if not groups:
+        return (1,), 1
+    coeffs, den = _extrapolation_weights(groups[:-1])
+    beta, p = groups[-1]
+    r = _ratio(beta)
+    num, step = r.numerator, r.denominator
+    for _ in range(p + 1):
+        coeffs = tuple(step * a - num * b for a, b in zip((0, *coeffs), (*coeffs, 0)))
+        den *= step - num
+    return coeffs, den
+
+
+@cache
+def _fit_weights(groups: tuple) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(suffix, gaps) of the fit that cancels the groups, each exact value
+    rounded to a float once (int / int divides with one rounding): per
+    increment t = 1..K from reading t-1 to t, suffix holds W_t, the weight
+    sum of the readings from t on, and gaps W_t minus the same sum of the
+    fit with the last group left out, which reads only the last readings."""
+    coeffs, den = _extrapolation_weights(groups)
+    low, low_den = _extrapolation_weights(groups[:-1])
+    upper = list(accumulate(reversed(coeffs)))[-2::-1]
+    lower = [low_den] * (len(coeffs) - len(low)) + list(accumulate(reversed(low)))[-2::-1]
+    both = den * low_den
+    return (
+        tuple(w / den for w in upper),
+        tuple((w * low_den - v * den) / both for w, v in zip(upper, lower)),
+    )
 
 
 def _extrapolate(readings, groups, amplify):
-    """Limit from the last readings with as many term groups as they and
-    LIMIT_MAX_ORDER allow, the gap to the value with one group fewer, and
-    a rounding floor of the limit; None while not even one group fits.
+    """Limit from the last readings, float pairs (s, c) of S(N) = s + c,
+    with as many term groups as they and LIMIT_MAX_ORDER allow, the gap to
+    the value with one group fewer, and a rounding floor of the limit; None
+    while not even one group fits.
 
-    Each term of S(N) carries a relative rounding error of at most
-    amplify * u, so a reading's error is the error of the first reading
-    used plus that of the increments after it.  The weights sum to 1: the
-    first reading's error passes once, and the increment from reading t-1
-    to t passes with the weight sum W_t of the readings from t on.
+    The weights sum to 1, so by parts the fit is R_0 + sum W_t * D_t over
+    the increments D_t from reading t-1 to t, R_0 the first reading used
+    and W_t its suffix weight (_fit_weights), and the gap is the same sum
+    over the gap weights.  Each term of S(N) carries a relative rounding
+    error of at most amplify * u, so the error of R_0 passes once and that
+    of D_t with the factor W_t: at most amplify * u * spread, spread =
+    R_0 + sum |W_t * D_t|.
+
+    The fit rounds too: D_t is one fsum of the two pairs, and W_t and each
+    product are rounded once, so a term W_t * D_t is off by at most
+    (1 + u)**3 - 1 < 3.0001u of itself, and the closing fsum adds at most
+    u * |value|.  So the value and the gap are each within
+    3.0001u * sum |weight * D_t| + u * |itself| of the exact fit over the
+    same readings.  The floor prices the value's share at
+    3u * spread + u * |value|, dropping the u**2 terms as the walk's
+    pricing does.  (Below 2**-1022 a product rounds by up to 2**-1075
+    absolute, as the walk's terms do; math.ulp(0.0) keeps the floor above
+    0 where every term underflows.)
     """
     room = min(len(readings) - 1, LIMIT_MAX_ORDER)
     used = size = 0
@@ -594,17 +632,14 @@ def _extrapolate(readings, groups, amplify):
         used, size = used + 1, size + p + 1
     if used == 0:
         return None
-    weights = _extrapolation_weights(groups[:used])
-    tail = readings[-len(weights):]
-    limit = sum(w * s for w, s in zip(weights, tail))
-    lower = _extrapolation_weights(groups[: used - 1])
-    gap = limit - sum(w * s for w, s in zip(lower, readings[-len(lower):]))
-    suffix = list(accumulate(reversed(weights)))[::-1]  # W_t
-    spread = tail[0] + sum(abs(w) * (b - a) for w, a, b in zip(suffix[1:], tail, tail[1:]))
-    value = float(limit)
-    # the smallest float keeps the floor above 0 where the terms underflow
-    floor = _UNIT_ROUNDOFF * (amplify * float(spread) + abs(value)) + math.ulp(0.0)
-    return value, abs(float(gap)), floor
+    suffix, gaps = _fit_weights(groups[:used])
+    tail = readings[-len(suffix) - 1:]
+    steps = [math.fsum((s, c, -s0, -c0)) for (s0, c0), (s, c) in zip(tail, tail[1:])]
+    terms = list(map(mul, suffix, steps))
+    value = math.fsum((*tail[0], *terms))
+    spread = math.fsum((*tail[0], *map(abs, terms)))
+    floor = _UNIT_ROUNDOFF * ((amplify + 3) * spread + abs(value)) + math.ulp(0.0)
+    return value, abs(math.fsum(map(mul, gaps, steps))), floor
 
 
 def eval_zeta_limit(
@@ -618,8 +653,9 @@ def eval_zeta_limit(
 
     S(N) is summed level by level and read at N = LIMIT_START * 2**i.  Its
     expansion about the limit runs over N**beta * log(N)**q, with the
-    powers fixed by the strips' exponent sums (_tail_terms), so an exact
-    linear solve over the last readings cancels the slowest terms.
+    powers fixed by the strips' exponent sums (_tail_terms), so weights
+    solved exactly over the last readings, each rounded to a float once,
+    cancel the slowest terms in a float fit (_extrapolate).
     error_estimate is the larger of two gaps, to the value with the last
     group of terms left out and to the value one reading earlier, plus a
     rounding floor; it is never 0, and converged means it is at most tol.
@@ -638,7 +674,7 @@ def eval_zeta_limit(
         raise ValueError("exponents outside the convergence domain")
     if not shape:
         return LimitReport(1.0, 0, _UNIT_ROUNDOFF, True)
-    kinds = tuple(map(Fraction, exps))
+    kinds = tuple(f.numerator if f.denominator == 1 else f for f in map(Fraction, exps))
     terms = _tail_terms(shape, kinds)
     groups = tuple(sorted(terms.items(), reverse=True))
     amplify = 4 * sum(shape)  # pow, product and operand rounding; see _partial_sums
@@ -646,7 +682,7 @@ def eval_zeta_limit(
     while (LIMIT_START << len(stops)) < max_level:
         stops.append(LIMIT_START << len(stops))
     stops.append(max_level)
-    readings: list[Fraction] = []
+    readings: list[tuple[float, float]] = []
     last = None  # (value, error estimate) of the latest extrapolation
     for stop, total in zip(stops, _partial_sums(shape, kinds, stops)):
         if stop != LIMIT_START << len(readings):
@@ -661,7 +697,7 @@ def eval_zeta_limit(
         last = (value, gap + floor)
         if gap + floor <= tol or gap <= floor:
             return LimitReport(value, stop, gap + floor, gap + floor <= tol)
-    plain = float(total)
+    plain = math.fsum(total)
     error = math.inf if last is None else abs(last[0] - plain) + last[1]
     return LimitReport(plain, max_level, error, False)
 

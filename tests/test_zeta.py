@@ -25,9 +25,12 @@ from schurzeta.partitions import (
 from schurzeta.tableaux import cached_ssyt, lr_coefficient, shape_of
 from schurzeta.zeta import (
     LIMIT_MAX_ORDER,
+    LIMIT_START,
     SymSpec,
     _CHUNK,
+    _extrapolate,
     _extrapolation_weights,
+    _fit_weights,
     _partial_sums,
     _pieri_setup,
     _ratio,
@@ -1455,10 +1458,10 @@ def test_strip_graph_walks_match_chain_oracles():
                 assert _tail_terms(shape, kinds) == slowest, (shape, kinds)
                 bound = 4 * size * 2.0**-53
                 stops = (*range(1, 9), 12, 16, 24, 32, 48, 64)
-                for n, graph, chain in zip(
+                for n, (s, c), chain in zip(
                     stops, _partial_sums(shape, kinds, stops), chain_partial_sums(chains, stops)
                 ):
-                    assert abs(graph - chain) <= bound * chain, (shape, kinds, n)
+                    assert abs(Fraction(s) + Fraction(c) - chain) <= bound * chain, (shape, kinds, n)
                 cases += 1
     assert cases == 145
 
@@ -1548,30 +1551,191 @@ def test_limit_partial_sums_match_exact_truncation_across_chunks(shape, exps, n)
     assert abs(approx - exact) <= bound * exact
 
 
+def fraction_weights(groups):
+    """Oracle: the weights of the readings that cancel the groups (beta, p),
+    the coefficients of prod(((x - r) / (1 - r)) ** (p + 1)) multiplied out
+    in Fractions, r = _ratio(beta)."""
+    weights = [Fraction(1)]
+    for beta, p in groups:
+        r = _ratio(beta)
+        for _ in range(p + 1):
+            shifted = [Fraction(0)] + weights
+            scaled = [r * w for w in weights] + [Fraction(0)]
+            weights = [(a - b) / (1 - r) for a, b in zip(shifted, scaled)]
+    return weights
+
+
+def exact_suffixes(weights, lower):
+    """Oracle: per increment t = 1..K between the readings, the suffix sum
+    from t on of the weights, and of the weights minus those of the lower
+    fit, which reads only the last readings."""
+    padded = [0] * (len(weights) - len(lower)) + list(lower)
+
+    def suffix(coeffs):
+        return list(accumulate(reversed(coeffs)))[-2::-1]
+
+    return suffix(weights), suffix([w - v for w, v in zip(weights, padded)])
+
+
+def limit_groups(shape, kinds):
+    """The term groups eval_zeta_limit fits, slowest first."""
+    return tuple(sorted(_tail_terms(shape, kinds).items(), reverse=True))
+
+
+def exact_fit(readings, groups):
+    """Oracle: _extrapolate's fit over exact readings in exact rationals, as
+    (limit, gap, value scale, gap scale), or None while no group fits.  A
+    scale is sum |W_t * D_t| over the increments D_t between the readings
+    used, W_t the suffix sum from t on of the weights of the value, or of
+    the value's weights minus those of the fit with one group fewer."""
+    room = min(len(readings) - 1, LIMIT_MAX_ORDER)
+    used = size = 0
+    for _, p in groups:
+        if size + p + 1 > room:
+            break
+        used, size = used + 1, size + p + 1
+    if used == 0:
+        return None
+    weights = fraction_weights(groups[:used])
+    tail = readings[-len(weights):]
+    limit = sum(w * s for w, s in zip(weights, tail))
+    lower = fraction_weights(groups[: used - 1])
+    gap = limit - sum(w * s for w, s in zip(lower, readings[-len(lower):]))
+    value_scale, gap_scale = (
+        sum(abs(w * (b - a)) for w, a, b in zip(suffix, tail, tail[1:]))
+        for suffix in exact_suffixes(weights, lower)
+    )
+    return limit, gap, value_scale, gap_scale
+
+
 @pytest.mark.parametrize(
     "shape, exps",
     [((1, 1), [1, 2]), ((2,), [1, 2]), ((2, 1), [Fraction(3, 2), 2, Fraction(5, 4)])],
 )
 def test_extrapolation_weights_are_cached_exact_solutions(shape, exps):
-    # the cached weights are a tuple, equal to an uncached recomputation;
-    # in exact rationals they sum to 1 and give 0 on every r**t * t**q,
-    # r = 2**beta to 60 digits (_ratio) and q <= p, of each group (beta, p)
-    # they cancel
-    kinds = tuple(map(Fraction, exps))
-    groups = tuple(sorted(_tail_terms(shape, kinds).items(), reverse=True))
+    # the cached weights are integer numerators over one integer
+    # denominator, equal to an uncached recomputation and to the weights
+    # multiplied out in Fractions; in exact rationals they sum to 1 and
+    # give 0 on every r**t * t**q, r = 2**beta to 60 digits (_ratio) and
+    # q <= p, of each group (beta, p) they cancel.  The fit's float
+    # weights are the exact suffix and gap weights rounded once.
+    groups = limit_groups(shape, tuple(map(Fraction, exps)))
     sizes = accumulate(p + 1 for _, p in groups)
     for used, size in enumerate(sizes, 1):
         if size > LIMIT_MAX_ORDER:  # more than _extrapolate fits
             break
-        weights = _extrapolation_weights(groups[:used])
-        assert isinstance(weights, tuple)
-        assert _extrapolation_weights(groups[:used]) is weights
-        assert list(weights) == list(_extrapolation_weights.__wrapped__(groups[:used]))
+        exact = _extrapolation_weights(groups[:used])
+        assert _extrapolation_weights(groups[:used]) is exact
+        assert exact == _extrapolation_weights.__wrapped__(groups[:used])
+        coeffs, den = exact
+        assert all(type(x) is int for x in (*coeffs, den))
+        weights = [Fraction(a, den) for a in coeffs]
+        assert weights == fraction_weights(groups[:used])
         assert sum(weights) == 1
         for beta, p in groups[:used]:
             r = _ratio(beta)
             for q in range(p + 1):
                 assert sum(w * r**t * t**q for t, w in enumerate(weights)) == 0, (beta, q)
+        suffixes = exact_suffixes(weights, fraction_weights(groups[: used - 1]))
+        assert _fit_weights(groups[:used]) == tuple(tuple(map(float, s)) for s in suffixes)
+
+
+@pytest.mark.parametrize(
+    "shape, exps",
+    [((1, 1), [1.0, 2.0]), ((2, 1), [2.0, 2.0, 2.0]), ((3, 2), [1, 1.5, 2, 1.25, 2.5])],
+)
+def test_eval_zeta_limit_builds_each_prefix_of_weights_once(monkeypatch, shape, exps):
+    # building the weights of a prefix of the groups takes the ratio of its
+    # last group once, on top of the cached weights of the shorter prefix,
+    # so one ratio per beta means each prefix was built at most once
+    calls = Counter()
+    ratio = zmod._ratio
+
+    def spy(beta):
+        calls[beta] += 1
+        return ratio(beta)
+
+    monkeypatch.setattr(zmod, "_ratio", spy)
+    _extrapolation_weights.cache_clear()
+    _fit_weights.cache_clear()
+    rows = grid_vars(shape, "x")
+    assign = dict(zip(zmod._flatten(rows), exps))
+    assert eval_zeta_limit(shape, rows, assign, 1e-12).converged
+    betas = [beta for beta, _ in limit_groups(shape, tuple(map(Fraction, exps)))]
+    assert calls and set(calls) <= set(betas)
+    assert max(calls.values()) == 1
+
+
+def test_tail_terms_take_integral_exponents_as_ints():
+    # seeded draws over every shape of size <= 5 from the exponents 1, 2,
+    # 3, 3/2 and 5/4: the same groups whether the integral exponents come
+    # as ints, as eval_zeta_limit passes them, or as Fractions, and every
+    # power an exact int or Fraction, never a float
+    rng = random.Random(30)
+    choices = (1, 2, 3, Fraction(3, 2), Fraction(5, 4))
+    cases = 0
+    for size in range(1, 6):
+        for shape in all_partitions(size):
+            for _ in range(12):
+                kinds = tuple(rng.choice(choices) for _ in range(size))
+                terms = _tail_terms(shape, kinds)
+                assert limit_groups(shape, kinds) == limit_groups(shape, tuple(map(Fraction, kinds)))
+                assert all(type(beta) in (int, Fraction) for beta in terms), (shape, kinds)
+                cases += 1
+    assert cases == 12 * 18
+
+
+# (shape, row-major exponents, tol, max_level) of the limits fed to the exact
+# fit: the five of the benchmark's limits workload, (3,2), whose 262,144
+# levels run over many chunks, and (2,2), whose N**-b * log(N)**3 groups
+# leave it unconverged, capped at 16,384 levels
+EXACT_FIT_LIMITS = [
+    ((1,), [2.0], 1e-13, 1 << 20),
+    ((1, 1), [1.0, 2.0], 1e-14, 1 << 20),
+    ((2,), [1.0, 2.0], 1e-14, 1 << 20),
+    ((1,), [3.0], 1e-13, 1 << 20),
+    ((2, 1), [2.0, 2.0, 2.0], 1e-13, 1 << 20),
+    ((3, 2), [1, 1, 2, 1, 2], 1e-12, 1 << 20),
+    ((2, 2), [1, 1, 1, 1.5], 1e-12, 1 << 14),
+] + [
+    ((1,), [s], tol, 1 << 20)
+    for s in (1.0000001, 1.000001, 1.00001, 1.0001, 1.001, 1.01, 1.1, 1.5)
+    for tol in (1e-3, 1e-8, 1e-12)
+]
+
+
+@pytest.mark.parametrize(
+    "shape, exps, tol, max_level",
+    EXACT_FIT_LIMITS,
+    ids=[f"{s}-{e}-{t:g}".replace(" ", "") for s, e, t, _ in EXACT_FIT_LIMITS],
+)
+def test_float_fit_stays_within_its_bound_of_the_exact_fit(shape, exps, tol, max_level):
+    # every fit of the limit, fed the same readings as exact_fit: value and
+    # gap within (1 + u)**3 - 1 of their scale plus u of themselves, and the
+    # value's rounding within the floor
+    u = Fraction(1, 2**53)
+    per_term = (1 + u) ** 3 - 1
+    rows = grid_vars(shape, "x")
+    rep = eval_zeta_limit(shape, rows, dict(zip(zmod._flatten(rows), exps)), tol, max_level)
+    kinds = tuple(map(Fraction, exps))
+    groups = limit_groups(shape, kinds)
+    stops = [LIMIT_START << i for i in range(20) if LIMIT_START << i <= rep.levels]
+    readings = list(_partial_sums(shape, kinds, stops))
+    fits = 0
+    for k in range(1, len(readings) + 1):
+        fit = _extrapolate(readings[:k], groups, 4 * sum(shape))
+        ref = exact_fit([Fraction(s) + Fraction(c) for s, c in readings[:k]], groups)
+        assert (fit is None) == (ref is None)
+        if fit is None:
+            continue
+        (value, gap, floor), (limit, exact_gap, value_scale, gap_scale) = fit, ref
+        error = abs(Fraction(value) - limit)
+        assert error <= per_term * value_scale + u * abs(Fraction(value)), (k, float(error))
+        assert error <= floor, (k, float(error), floor)
+        gap_error = abs(Fraction(gap) - abs(exact_gap))
+        assert gap_error <= per_term * gap_scale + u * Fraction(gap), (k, float(gap_error))
+        fits += 1
+    assert fits
 
 
 @pytest.mark.parametrize(
