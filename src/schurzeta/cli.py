@@ -253,6 +253,12 @@ def _cmd_zeta(args) -> int:
         for i, row in enumerate(var_rows)
         for j, var in enumerate(row)
     }
+    if args.as_float:
+        # ints only: anything else goes to zeta's one check unchanged
+        try:
+            assign = {k: float(v) if is_int(v) else v for k, v in assign.items()}
+        except OverflowError:
+            raise ValueError("--float needs exponents below 2**1024") from None
     if args.tol is not None:
         if not args.as_float:
             raise ValueError("--tol (limit mode) needs --float")
@@ -268,12 +274,6 @@ def _cmd_zeta(args) -> int:
         return 0
     if args.n is None:
         raise ValueError("--n is required unless --float --tol is given")
-    if args.as_float:
-        # ints only: anything else goes to zeta's one check unchanged
-        try:
-            assign = {k: float(v) if is_int(v) else v for k, v in assign.items()}
-        except OverflowError:
-            raise ValueError("--float needs exponents below 2**1024") from None
     value = zeta.eval_zeta_truncated(shape, var_rows, assign, args.n)
     if isinstance(value, Fraction):
         payload = {"value": _fmt(value)}
@@ -337,6 +337,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # an exact result may run past the 4,300 digits to which Python caps
+    # int-to-str conversion by default (3.10 builds before 3.10.7 have no cap)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -36,11 +36,12 @@ them with weights solved in exact integers and rounded once each.
 
 import decimal
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, permutations, product, repeat
-from operator import add, mul
+from operator import add, mul, sub
 from numbers import Real
 from typing import NamedTuple
 
@@ -71,7 +72,7 @@ VarRows = tuple[tuple[str, ...], ...]
 # 2-core machine with Python 3.11 a unit costs 0.12-4.5 us across the
 # exact frontier cases, growing with N as the integer weights grow: 3.4 us
 # at Pieri-h (4,2), m=4, N=40, which the limit admits at 5.1 s.  The count
-# does not follow what the walk walks; see item 5 of ROADMAP.md.
+# does not follow what the walk walks; see item 3 of ROADMAP.md.
 WORK_LIMIT = 2_000_000
 
 
@@ -183,11 +184,12 @@ def _strip_graph(shape: Partition):
     for part in shape:
         nodes = [mu + (x,) for mu in nodes for x in range(min(mu[-1:] + (part,)) + 1)]
     index = {mu: k for k, mu in enumerate(nodes)}
-    need = tuple(
-        max((sum(mu[i] <= j < shape[i] for i in range(rows)) for j in range(shape[0])), default=0)
-        if shape else 0
-        for mu in nodes
-    )
+    # the cells mu lacks in column j: shape's column length less mu's, each
+    # the count of parts > j, accumulated from the widest column down; the
+    # last entry, rows for both, adds a gap of 0
+    widths = range(shape[0] if shape else 0, -1, -1)
+    full = list(accumulate(map(shape.count, widths)))
+    need = tuple(max(map(sub, full, accumulate(map(mu.count, widths)))) for mu in nodes)
     succ = tuple(
         tuple(sorted(
             (
@@ -202,6 +204,18 @@ def _strip_graph(shape: Partition):
         for mu in nodes
     )
     return tuple(nodes), index[(0,) * rows], index[shape], need, succ
+
+
+@cache
+def _subshape_count(shape: Partition) -> int:
+    """The number of nodes of shape's strip graph, counted without it: row
+    by row from the top, ways[x] counts the sub-shapes of the rows so far
+    whose last row has x cells, and a row under one of x cells has at most
+    x, so a row's counts are the suffix sums of those above it."""
+    ways = [1] * (shape[0] + 1) if shape else [1]
+    for part in shape[1:]:
+        ways = list(accumulate(reversed(ways)))[::-1][:part + 1]
+    return sum(ways)
 
 
 @cache
@@ -251,22 +265,25 @@ def _walk_graph(ends: tuple):
 
 @cache
 def _count_layers(caps: tuple[int, ...]):
-    """(layers, moves) over the count vectors c <= caps: layers[k] lists
-    those with sum k, and moves[k][j] the pairs (i, index in layers[k + 1]
-    of c + e_i) for the j-th vector c of layers[k], over each value i drawn
-    fewer than caps[i] times."""
-    layers = [[] for _ in range(sum(caps) + 1)]
-    for c in product(*(range(m + 1) for m in caps)):
-        layers[sum(c)].append(c)
-    where = {c: j for layer in layers for j, c in enumerate(layer)}
-    moves = tuple(
-        tuple(
-            tuple((i, where[c[:i] + (x + 1,) + c[i + 1:]]) for i, x in enumerate(c) if x < caps[i])
-            for c in layer
-        )
-        for layer in layers
-    )
-    return tuple(map(tuple, layers)), moves
+    """(sizes, moves) over the count vectors c <= caps: sizes[k] counts
+    those with sum k, and moves[k][j] lists the pairs (i, index in layer
+    k + 1 of c + e_i) for the j-th vector c of layer k, over each value i
+    drawn fewer than caps[i] times.  A vector is the integer code
+    sum(c_i * stride_i), the codes in product order, and a layer lists its
+    codes in order of first reach from the layer below."""
+    strides = list(accumulate(reversed([m + 1 for m in caps[1:]]), mul, initial=1))[::-1]
+    # per code, the draws (i, stride_i) open to it: None where c_i = caps[i]
+    steps = product(*([d] * m + [None] for d, m in zip(enumerate(strides), caps)))
+    opens = list(map(list, map(filter, repeat(None), steps)))
+    sizes, moves, layer = [1], [], [0]
+    for _ in range(sum(caps)):
+        where: dict[int, int] = {}
+        moves.append(tuple(
+            tuple([(i, where.setdefault(c + s, len(where))) for i, s in opens[c]]) for c in layer
+        ))
+        layer = list(where)
+        sizes.append(len(layer))
+    return tuple(sizes), tuple(moves)
 
 
 def _draw(vec, moves, q, size: int) -> list:
@@ -296,7 +313,7 @@ def _levels(ends, exps, n_trunc: int, values, caps, layer: int, init) -> list:
     scale = _lcm_upto(n_trunc)
     start, at, depth, labels, need, succ = _walk_graph(ends)
     fixed = [sum(map(exps.__getitem__, names)) for names in labels]
-    layers, moves = _count_layers(caps)
+    sizes, moves = _count_layers(caps)
     state = {start: list(init)}
     for a in range(1, n_trunc + 1):
         spare = n_trunc - a
@@ -312,7 +329,7 @@ def _levels(ends, exps, n_trunc: int, values, caps, layer: int, init) -> list:
                 r = depth[nu] - depth[mu]
                 while len(drawn) <= r:
                     k = layer + depth[mu] + len(drawn)
-                    drawn.append(_draw(drawn[-1], moves[k - 1], q, len(layers[k])))
+                    drawn.append(_draw(drawn[-1], moves[k - 1], q, sizes[k]))
                 f = fixed[nu] - fixed[mu]
                 w = weights.get(f)
                 if w is None:
@@ -417,6 +434,7 @@ LIMIT_MAX_ORDER = 12
 # lists stay small, enough that its per-chunk work spreads thin
 _CHUNK = 1024
 _UNIT_ROUNDOFF = 2.0**-53
+_FLOAT_MAX = Fraction(sys.float_info.max)
 
 
 def _strips(shape: Partition, kinds: tuple):
@@ -510,11 +528,9 @@ def _partial_sums(shape: Partition, kinds: tuple, stops):
     at the scale of V on every level."""
     size, start, end, edges = _strips(shape, kinds)
     into: list[list] = [[] for _ in range(size)]
-    try:
-        for mu, nu, e in edges:
-            into[nu].append((mu, -float(e)))
-    except OverflowError:
-        raise ValueError("float mode needs each strip's exponent sum below 2**1024") from None
+    for mu, nu, e in edges:
+        # n**-e is 1.0 at n = 1 and 0.0 beyond for e past the largest float
+        into[nu].append((mu, -float(min(e, _FLOAT_MAX))))
     exponents = {ex for strips in into for _, ex in strips}
     sums, comps = [0.0] * size, [0.0] * size
     sums[start] = 1.0
@@ -774,10 +790,10 @@ def _sym_work(plan: "_SymPlan", n_trunc: int, caps: tuple) -> int:
     sub-shapes of their group's prefix and the last factor."""
     units = 0
     for prefix, ends in plan.groups:
-        nodes = sum(len(_strip_graph(shape)[0]) for shape, _ in prefix)
+        nodes = sum(_subshape_count(shape) for shape, _ in prefix)
         for (shape, _), _, rows in ends:
             if rows <= n_trunc:
-                units = max(units, nodes + len(_strip_graph(shape)[0]))
+                units = max(units, nodes + _subshape_count(shape))
     return math.prod(m + 1 for m in caps) * units * n_trunc
 
 
@@ -854,7 +870,7 @@ def _sym_plan(terms, spec: SymSpec) -> _SymPlan:
     for coeff, factors in terms:
         walk = sorted(
             ((shape, tuple(None if v in sym else v for v in _flatten(rows))) for shape, rows in factors),
-            key=lambda factor: len(_strip_graph(factor[0])[0]),
+            key=lambda factor: _subshape_count(factor[0]),
         )
         *prefix, last = walk or [((), ())]
         ends = groups.setdefault(tuple(prefix), {})

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -99,6 +101,40 @@ def test_zeta_eval_float_truncation_json(capsys):
     assert code == 0 and json.loads(out) == {"value": value}
     assert value == zeta.eval_zeta_truncated((1,), (("a",),), {"a": 2.5}, 3)
     assert value == pytest.approx(1 + 2**-2.5 + 3**-2.5, rel=1e-15)
+
+
+def test_zeta_eval_prints_an_exact_value_past_4300_digits():
+    # 20,631 characters: Python caps int-to-str conversion at 4,300 digits
+    # by default, which had turned this result into an exit 2; Decimal
+    # reads the digits back past that cap
+    argv = ["zeta", "eval", "--shape", "1", "--exponents", "[[40]]", "--n", "600"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurzeta.cli", *argv], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    text = proc.stdout.strip()
+    num, den = map(Decimal, text.split("/"))
+    assert len(text) == 20631
+    assert Fraction(num) / Fraction(den) == zeta.eval_zeta_truncated((1,), (("a",),), {"a": 40}, 600)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--exponents", f"[[2.5,{10**400}]]", "--n", "3"],
+        ["--exponents", "[[1e308,1e308]]", "--float", "--n", "3"],
+        ["--exponents", "[[1e308,1e308]]", "--float", "--tol", "1e-6"],
+    ],
+    ids=["mixed-exponent-huge-int", "float-strip-sum-huge", "limit-strip-sum-huge"],
+)
+def test_zeta_eval_strip_exponent_sum_past_the_largest_float_is_1(capsys, argv):
+    # every tableau but the one of 1s weighs 0.0 in floats
+    code, out, err = run(capsys, ["zeta", "eval", "--shape", "2", *argv, "--json"])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["value"] == 1.0 and payload.get("converged", True) is True
 
 
 @pytest.mark.parametrize("exponent", ["1e308", "1e10"])
@@ -378,14 +414,11 @@ def test_zeta_eval_exact_rejects_float_exponents(capsys):
          "--float", "--tol", "1e-6"],
         ["zeta", "eval", "--shape", "1", "--exponents", "[[1e400]]",
          "--float", "--n", "3"],
-        # an integer exponent, or the exponent sum of a strip, too large for
-        # a float, where --float converts it and where the float walk does
+        # an integer exponent too large for a float, where --float converts it
         ["zeta", "eval", "--shape", "1", "--exponents", f"[[{10**400}]]",
          "--float", "--n", "3"],
         ["zeta", "eval", "--shape", "1", "--exponents", f"[[{10**400}]]",
          "--float", "--tol", "1e-6"],
-        ["zeta", "eval", "--shape", "2", "--exponents", f"[[2.5,{10**400}]]",
-         "--n", "3"],
         # a negative largest entry
         ["ssyt", "--shape", "-", "--n", "-1", "--count"],
     ],
@@ -396,7 +429,7 @@ def test_zeta_eval_exact_rejects_float_exponents(capsys):
         "tableau-not-semistandard", "float-exponent-negative",
         "exponent-bool", "tol-nan", "tol-inf", "tol-without-float",
         "tol-with-n", "limit-exponent-inf", "float-exponent-inf",
-        "float-exponent-huge-int", "limit-exponent-huge-int", "mixed-exponent-huge-int",
+        "float-exponent-huge-int", "limit-exponent-huge-int",
         "ssyt-n-negative",
     ],
 )

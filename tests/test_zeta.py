@@ -1466,6 +1466,64 @@ def test_strip_graph_walks_match_chain_oracles():
     assert cases == 145
 
 
+def test_strip_graph_matches_its_definition():
+    # every shape of size <= 8: the sub-shapes padded to len(shape) rows in
+    # lexicographic order; need by the cells each column lacks, counted row
+    # by row; succ every nu one horizontal strip inside shape away (mu <= nu
+    # and nu[i + 1] <= mu[i], the empty strip included), stably by need; and
+    # the sub-shape count read without the graph
+    cases = 0
+    for size in range(9):
+        for shape in all_partitions(size):
+            nodes, start, end, need, succ = zmod._strip_graph(shape)
+            rows = len(shape)
+            padded = [mu for mu in product(*(range(part + 1) for part in shape))
+                      if all(a >= b for a, b in zip(mu, mu[1:]))]
+            assert list(nodes) == padded and (nodes[start], nodes[end]) == ((0,) * rows, shape)
+            assert zmod._subshape_count(shape) == len(nodes)
+            assert need == tuple(
+                max((sum(mu[i] <= j < shape[i] for i in range(rows)) for j in range(shape[0])), default=0)
+                if shape else 0
+                for mu in nodes
+            ), shape
+            for mu, nus in zip(nodes, succ):
+                strips = [k for k, nu in enumerate(nodes)
+                          if all(map(int.__le__, mu, nu)) and all(map(int.__le__, nu[1:], mu))]
+                assert nus == tuple(sorted(strips, key=need.__getitem__)), (shape, mu)
+            cases += 1
+    assert cases == 67
+
+
+def test_count_layers_reach_every_count_vector_once():
+    # every caps of sum <= 8 over up to 6 values: walking the moves from
+    # the zero vector gives each (layer, index) the same count vector by
+    # every path, draws value i exactly where c_i < caps[i], and each layer
+    # holds every vector <= caps of its sum exactly once
+    cases = 0
+    for k in range(7):
+        for caps in product(range(1, 10 - k), repeat=k):
+            if sum(caps) > 8:
+                continue
+            sizes, moves = zmod._count_layers(caps)
+            assert len(sizes) == sum(caps) + 1 and len(moves) == sum(caps)
+            vectors = {(0, 0): (0,) * k}
+            for layer, row in enumerate(moves):
+                assert len(row) == sizes[layer]
+                for j, targets in enumerate(row):
+                    c = vectors[layer, j]
+                    assert sorted(i for i, _ in targets) == [i for i in range(k) if c[i] < caps[i]]
+                    for i, t in targets:
+                        up = c[:i] + (c[i] + 1,) + c[i + 1:]
+                        assert 0 <= t < sizes[layer + 1]
+                        assert vectors.setdefault((layer + 1, t), up) == up, (caps, layer, j, i)
+            for layer, size in enumerate(sizes):
+                assert sorted(vectors[layer, j] for j in range(size)) == [
+                    c for c in product(*(range(m + 1) for m in caps)) if sum(c) == layer
+                ], (caps, layer)
+            cases += 1
+    assert cases == 247
+
+
 def test_eval_zeta_limit_basics():
     rep = eval_zeta_limit((1,), (("a",),), {"a": 2.0}, 1e-6)
     # stopping increment 1e-6 puts the tail below 1/999
@@ -1813,9 +1871,15 @@ def test_eval_zeta_limit_error_estimate_is_never_0_where_every_term_underflows()
     ],
     ids=["truncated-huge-int", "truncated-strip-sum", "limit-huge-int"],
 )
-def test_float_walks_reject_a_strip_exponent_sum_beyond_floats(call):
-    with pytest.raises(ValueError, match=r"^float mode needs each strip's exponent sum below 2\*\*1024$"):
-        call()
+def test_float_walks_clamp_a_strip_exponent_sum_beyond_floats(call):
+    # a strip's exponent sum e past the largest float weighs n**-e = 1.0 at
+    # n = 1 and 0.0 beyond, as the largest float itself does: only the
+    # tableau of 1s counts
+    value = call()
+    if isinstance(value, zmod.LimitReport):
+        assert value.converged
+        value = value.value
+    assert value == 1.0
 
 
 def test_eval_zeta_limit_loose_tol_stays_within_it():
