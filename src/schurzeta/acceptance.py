@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import crystal, insertion, tableaux, zeta
 from .partitions import all_partitions, contains
-from .tableaux import cached_ssyt, enumerate_ssyt, reading_word
+from .tableaux import cached_ssyt, enumerate_ssyt, transpose
 from .zeta import grid_vars, seq_vars
 
 
@@ -264,9 +264,13 @@ def criterion_regressions(quick: bool = False, seed: int = 0):
         ("s_3",),
         ("s_4",),
     )
+    # one public route each way, through the checked insertion API
+    t = ((1, 1, 2, 3), (2, 2, 3), (3,))
+    ok &= insertion.row_insert(t, 2).route == ((1, 4), (2, 4))
+    ok &= insertion.column_insert(2, t).route == ((2, 1), (2, 2), (1, 3), (1, 4), (1, 5))
     if not ok:
         raise _Fail("structural mismatch against worked examples")
-    return "reading word, row reading, pushed fillings byte-exact"
+    return "reading word, row reading, pushed fillings, row and column routes byte-exact"
 
 
 @_criterion(7, "harmonic-product-spot")
@@ -316,8 +320,19 @@ def criterion_monotone_and_limits(quick: bool = False, seed: int = 0):
     return detail
 
 
+def _weakly_left(route) -> bool:
+    """Whether each cell of a bumping route sits in the column of the cell
+    above it or to its left."""
+    return all(b[1] <= a[1] for a, b in zip(route, route[1:]))
+
+
 @_criterion(9, "bumping-route-geometry")
 def criterion_route_geometry(quick: bool = False, seed: int = 0):
+    # the fold kernel on generated tableaux, which need no check; column
+    # insertion is read in its own frame, the weak row fold on the
+    # transpose, where a column route moves as a row route does and the
+    # same checks serve both
+    bump = insertion._row_bump
     rng = random.Random(seed)
     trials = 200 if quick else 1000
     shapes = [p for size in range(0, 7) for p in all_partitions(size, max_length=4)]
@@ -327,39 +342,39 @@ def criterion_route_geometry(quick: bool = False, seed: int = 0):
         tabs = cached_ssyt(lam, n)
         t = rng.choice(tabs)
         x = rng.randint(1, n)
-        cols = [c for _, c in insertion.row_insert(t, x).route]
-        if any(b > a for a, b in zip(cols, cols[1:])):
+        if not _weakly_left(bump(t, x)[1]):
             raise _Fail(f"row route not weakly left-moving: {t} <- {x}")
-        rws = [r for r, _ in insertion.column_insert(x, t).route]
-        if any(b > a for a, b in zip(rws, rws[1:])):
+        if not _weakly_left(bump(transpose(t), x, weak=True)[1]):
             raise _Fail(f"column route not weakly up-moving: {x} -> {t}")
-    # successive routes in the strip insertions: each route weakly shorter,
-    # strictly right (rows) resp. strictly below (columns) of its predecessor
-    def row_routes(left, right):
-        return insertion.row_insert_word(left, reading_word(right))[1]
-
-    def column_routes(left, right):
-        return insertion.column_insert_word(insertion.column_word(left), right)[1]
-
+    # successive routes in the strip insertions: each route weakly shorter
+    # and strictly right of its predecessor, in the frame of its fold
     pieri = [(1,), (2,), (1, 1), (2, 1)] if not quick else [(1,), (2, 1)]
     pairs = 0
     for lam in pieri:
-        # (left shape, right shape, n, route axis, direction, routes)
-        runs = [(lam, (m,), 3, 1, "right", row_routes) for m in (1, 2, 3)]
-        runs += [((1,) * h, lam, 4, 0, "down", column_routes) for h in (1, 2, 3)]
-        for left_shape, right_shape, n, axis, way, routes_of in runs:
-            for left in cached_ssyt(left_shape, n):
-                for right in cached_ssyt(right_shape, n):
-                    routes = routes_of(left, right)
-                    for r_prev, r_next in zip(routes, routes[1:]):
-                        if len(r_next) > len(r_prev) or any(
-                            r_prev[k][axis] >= r_next[k][axis]
-                            for k in range(len(r_next))
-                        ):
-                            raise _Fail(
-                                f"routes not strictly {way}-moving: {left}, {right}"
-                            )
-                        pairs += 1
+        # (direction, left, right, the tableau folded into, the letters,
+        # weak): right's row into left, or left's column into the
+        # transpose of right
+        runs = [
+            ("right", left, right, left, right[0], False)
+            for m in (1, 2, 3)
+            for left in cached_ssyt(lam, 3)
+            for right in cached_ssyt((m,), 3)
+        ]
+        flipped = [(right, transpose(right)) for right in cached_ssyt(lam, 4)]
+        runs += [
+            ("down", left, right, frame, [x for (x,) in left], True)
+            for h in (1, 2, 3)
+            for left in cached_ssyt((1,) * h, 4)
+            for right, frame in flipped
+        ]
+        for way, left, right, frame, letters, weak in runs:
+            routes = insertion._row_fold(frame, letters, weak)[1]
+            for r_prev, r_next in zip(routes, routes[1:]):
+                if len(r_next) > len(r_prev) or any(
+                    a[1] >= b[1] for a, b in zip(r_prev, r_next)
+                ):
+                    raise _Fail(f"routes not strictly {way}-moving: {left}, {right}")
+                pairs += 1
     return f"{trials} random insertions, {pairs} successive-route pairs"
 
 

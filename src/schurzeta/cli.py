@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import acceptance, crystal, insertion, zeta
 from .partitions import as_partition, is_int
-from .tableaux import enumerate_ssyt, shape_of
+from .tableaux import as_tableau, enumerate_ssyt, shape_of
 
 
 def _parse_shape(text: str):
@@ -50,7 +50,8 @@ def _parse_tableau(value: str, flag: str):
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError(f"{flag}: expected rows of integers, e.g. [[1,2],[3]]")
     if isinstance(data, dict) and "shape" in data:
-        if data["shape"] != list(shape_of(rows)):
+        # the shape of the rows as the tableau check reads them
+        if data["shape"] != list(shape_of(as_tableau(rows))):
             raise ValueError(f"{flag}: declared shape does not match rows")
     return rows
 

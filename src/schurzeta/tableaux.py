@@ -53,7 +53,12 @@ def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
 
 
 def as_tableau(rows) -> Tableau:
+    """rows as a tableau (_int_rows), trailing empty rows dropped as
+    as_partition drops trailing zeros; a ValueError unless the row lengths
+    then weakly decrease."""
     t = _int_rows(rows)
+    while t and not t[-1]:
+        t = t[:-1]
     as_partition(shape_of(t))
     return t
 

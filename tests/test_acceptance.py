@@ -161,18 +161,44 @@ def test_crash_in_a_criterion_is_not_a_failed_identity(monkeypatch, capsys):
     assert "internal: ZeroDivisionError" in capsys.readouterr().err
 
 
-def test_unchecked_row_fold_matches_row_insert_word():
+def _fold_cases():
+    """Every tableau of 1 or 2 cells with entries <= 4, each with the
+    reading word of every such tableau."""
     n = 4
-    for a in (1, 2):
-        for b in (1, 2):
-            for mu in all_partitions(a, max_length=n):
-                for nu in all_partitions(b, max_length=n):
-                    for left in tableaux.cached_ssyt(mu, n):
-                        for right in tableaux.cached_ssyt(nu, n):
-                            rw = tableaux.reading_word(right)
-                            assert insertion._row_fold(left, rw) == (
-                                insertion.row_insert_word(left, rw)
-                            )
+    tabs = [
+        t
+        for a in (1, 2)
+        for mu in all_partitions(a, max_length=n)
+        for t in tableaux.cached_ssyt(mu, n)
+    ]
+    for left in tabs:
+        for right in tabs:
+            yield left, tableaux.reading_word(right)
+
+
+def test_unchecked_row_fold_matches_row_insert_word():
+    for left, rw in _fold_cases():
+        assert insertion._row_fold(left, rw) == insertion.row_insert_word(left, rw)
+
+
+def test_unchecked_column_reading_matches_column_insert_word():
+    # column insertion read as the weak row fold on the transpose, the
+    # frame criterion 9 checks its routes in
+    for left, rw in _fold_cases():
+        result, routes = insertion._row_fold(tableaux.transpose(left), rw, weak=True)
+        swapped = [tuple((i, j) for j, i in route) for route in routes]
+        assert (tableaux.transpose(result), swapped) == insertion.column_insert_word(rw, left)
+
+
+@pytest.mark.parametrize("search", ["bisect_right", "bisect_left"], ids=["row", "column"])
+def test_regressions_fail_on_a_shifted_public_bump(monkeypatch, search):
+    # criterion 6 pins one route of the public row_insert and column_insert
+    assert acceptance.criterion_regressions().passed
+    honest = getattr(insertion, search)
+    monkeypatch.setattr(insertion, search, lambda row, x: min(honest(row, x) + 1, len(row)))
+    result = acceptance.criterion_regressions()
+    assert not result.passed
+    assert result.detail == "structural mismatch against worked examples"
 
 
 def _agree_on_a_wrong_coefficient(monkeypatch, lam, edit):

@@ -322,6 +322,30 @@ def test_insert_round_trip(capsys, tmp_path):
     assert json.loads(out)["tableau"] == {"shape": [3, 1], "rows": [[1, 1, 1], [2]]}
 
 
+@pytest.mark.parametrize(
+    "tableau",
+    ['[[1],[]]', '{"shape": [1], "rows": [[1], []]}', '[[1],[],[]]'],
+    ids=["bare", "declared", "two-empty"],
+)
+def test_insert_drops_trailing_empty_rows(capsys, tableau):
+    code, out, _ = run(capsys, ["insert", "row", "--tableau", tableau, "--word", "2", "--json"])
+    assert code == 0
+    assert json.loads(out)["tableau"] == {"shape": [2], "rows": [[1, 2]]}
+
+
+@pytest.mark.parametrize(
+    "tableau, message",
+    [
+        ('{"shape": [1, 0], "rows": [[1], []]}', "declared shape does not match rows"),
+        ('[[1],[],[2]]', "weakly decrease"),
+    ],
+    ids=["declared-trailing-zero", "empty-row-above-a-nonempty-one"],
+)
+def test_insert_rejects_a_tableau_shape_with_a_zero(capsys, tableau, message):
+    code, _, err = run(capsys, ["insert", "row", "--tableau", tableau, "--word", "2"])
+    assert code == 2 and message in err
+
+
 def test_crystal_graph_dot(capsys, tmp_path):
     path = tmp_path / "out.dot"
     code, out, _ = run(

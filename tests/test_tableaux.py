@@ -106,6 +106,15 @@ def test_is_ssyt_examples():
     assert is_ssyt(())
 
 
+def test_trailing_empty_rows_are_dropped_as_trailing_zeros_are():
+    assert tableaux.as_tableau([[1], []]) == ((1,),)
+    assert tableaux.require_ssyt([[1, 2], [], []]) == ((1, 2),)
+    assert tableaux.require_ssyt([[]]) == ()
+    # an empty row above a nonempty one is no tableau
+    with pytest.raises(ValueError, match="weakly decrease"):
+        tableaux.as_tableau([[1], [], [2]])
+
+
 def test_enumerate_ssyt_examples():
     assert enumerate_ssyt((1, 1), 2) == [((1,), (2,))]
     assert enumerate_ssyt((2,), 2) == [((1, 1),), ((1, 2),), ((2, 2),)]

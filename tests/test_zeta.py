@@ -1109,6 +1109,10 @@ def test_verify_insertion_term_h_examples():
     assert rep.equal and rep.added == (1, 3)
     with pytest.raises(ValueError):
         verify_insertion_term(((1,),), ((1,),), (2,), 1, "h")
+    # a trailing empty row leaves left of shape lam
+    assert verify_insertion_term(((1,), ()), ((1,),), (1,), 1, "h") == (
+        verify_insertion_term(((1,),), ((1,),), (1,), 1, "h")
+    )
     with pytest.raises(ValueError, match="mode must be 'h' or 'e'"):
         verify_insertion_term(((1,),), ((1,),), (1,), 1, "x")
 
