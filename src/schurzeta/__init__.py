@@ -18,7 +18,6 @@ from .insertion import (
     InsertionResult,
     column_insert,
     column_insert_word,
-    column_word,
     row_insert,
     row_insert_word,
 )
@@ -37,10 +36,7 @@ from .partitions import (
     vertical_strip_rows,
 )
 from .tableaux import (
-    SkewTableau,
-    enumerate_skew_ssyt,
     enumerate_ssyt,
-    is_skew_ssyt,
     is_ssyt,
     is_yamanouchi,
     lr_coefficient,
@@ -60,7 +56,6 @@ from .zeta import (
     grid_vars,
     h_sym_spec,
     horizontal_push_filling,
-    in_convergence_domain,
     monomial,
     seq_vars,
     sym_sum,

@@ -178,6 +178,8 @@ def _cmd_crystal(args) -> int:
     n = args.n
     if args.shape is not None:
         shape = _parse_shape(args.shape)
+        if not shape:
+            raise ValueError("--shape must be nonempty: crystal words have one letter or more")
         tabs = enumerate_ssyt(shape, n)
         if not tabs:
             raise ValueError(f"no tableaux of shape {shape} with entries <= {n}")

@@ -14,7 +14,7 @@ from functools import cache
 from itertools import accumulate
 from operator import add, sub
 
-from .partitions import Partition, as_partition, require_ints
+from .partitions import as_partition, require_ints
 from .tableaux import Tableau, cached_reading_words, is_ssyt, reading_word, require_ssyt
 
 TensorWord = tuple[int, ...]
@@ -128,11 +128,6 @@ def highest_weight_elements(words, n: int) -> list[TensorWord]:
     """Elements killed by every raising operator, in sorted order."""
     words = _check_words(words, n)
     return sorted(w for w in words if _extend_phi(w, [0] * (n + 1)) is not None)
-
-
-def weight_partition(word, n: int) -> Partition:
-    """Weight of a word as a partition; errors when not weakly decreasing."""
-    return as_partition(wt(word, n))
 
 
 def _extend_phi(word: TensorWord, phi: list[int]) -> list[int] | None:

@@ -70,12 +70,16 @@ def row_insert_word(t, word) -> tuple[Tableau, list[tuple[Cell, ...]]]:
     return _row_fold(*_checked_rows(t, word))
 
 
-def column_insert_word(word, t) -> tuple[Tableau, list[tuple[Cell, ...]]]:
-    """Fold of column insertion applying word[0] first, word[-1] last: the
-    weak row fold on the transpose, routes swapped back to (row, column)."""
-    t, letters = _checked_rows(t, word)
+def _column_fold(t: Tableau, letters) -> tuple[Tableau, list[tuple[Cell, ...]]]:
+    """column_insert_word without its checks, as _row_fold: the weak row
+    fold on the transpose, routes swapped back to (row, column)."""
     result, routes = _row_fold(transpose(t), letters, weak=True)
     return transpose(result), [tuple((i, j) for j, i in route) for route in routes]
+
+
+def column_insert_word(word, t) -> tuple[Tableau, list[tuple[Cell, ...]]]:
+    """Fold of column insertion applying word[0] first, word[-1] last."""
+    return _column_fold(*_checked_rows(t, word))
 
 
 def row_insert(t, x: int) -> InsertionResult:
@@ -90,11 +94,3 @@ def column_insert(x: int, t) -> InsertionResult:
     greater than or equal to x)."""
     result, (route,) = column_insert_word((x,), t)
     return InsertionResult(result, route, route[-1])
-
-
-def column_word(t) -> Word:
-    """Entries of a single-column semistandard tableau, top to bottom."""
-    t = require_ssyt(t)
-    if any(len(row) != 1 for row in t):
-        raise ValueError(f"expected a single-column tableau, got {t}")
-    return tuple(row[0] for row in t)

@@ -1,27 +1,19 @@
-"""Semistandard Young tableaux, skew tableaux, reading words, and the
+"""Semistandard Young tableaux, reading words, Kostka numbers, and the
 combinatorial Littlewood-Richardson coefficient.
 
 A tableau is a tuple of row tuples of positive integers (rows weakly
-increase left to right, columns strictly increase top to bottom).  Skew
-tableaux carry outer/inner shapes plus the entries of the skew cells only.
-A straight shape is the skew shape over the empty inner shape: one filler
-enumerates both, and one check tests both.
+increase left to right, columns strictly increase top to bottom).  One
+filler enumerates the tableaux of a straight shape, and one check tests
+them; only lr_fillings, the Yamanouchi search, fills skew shapes.
 """
 
 from collections import Counter
 from functools import cache
-from typing import NamedTuple
 
-from .partitions import Partition, as_partition, contains, require_ints
+from .partitions import Partition, as_partition, conjugate, contains, require_ints
 
 Tableau = tuple[tuple[int, ...], ...]
 Word = tuple[int, ...]
-
-
-class SkewTableau(NamedTuple):
-    outer: Partition
-    inner: Partition
-    rows: tuple[tuple[int, ...], ...]  # rows[i] fills columns inner[i]+1 .. outer[i]
 
 
 def shape_of(t: Tableau) -> Partition:
@@ -81,57 +73,38 @@ def is_ssyt(t) -> bool:
     return True
 
 
-def _semistandard(rows, inner: Partition = ()) -> bool:
-    """Whether rows of ints >= 1 (_int_rows), row i filling columns
-    inner[i]+1 onwards (inner padded with zeros), weakly increase along
-    each row and strictly down each column.  The shapes are not checked."""
+def _semistandard(rows) -> bool:
+    """Whether rows of ints >= 1 (_int_rows) weakly increase along each row
+    and strictly down each column.  The shape is not checked."""
     for row in rows:
         for a, b in zip(row, row[1:]):
             if b < a:
                 return False
-    below = rows[1:]
-    if inner:
-        # drop the cells of each lower row that sit below the inner shape
-        pad = inner + (0,) * (len(rows) - len(inner))
-        below = [row[p - q:] for row, p, q in zip(below, pad, pad[1:])]
-    for upper, lower in zip(rows, below):
+    for upper, lower in zip(rows, rows[1:]):
         for a, b in zip(upper, lower):
             if b <= a:
                 return False
     return True
 
 
-def is_skew_ssyt(st: SkewTableau) -> bool:
-    outer, inner = as_partition(st.outer), as_partition(st.inner)
-    if not contains(outer, inner):
-        return False
-    try:
-        rows = _int_rows(st.rows)
-    except ValueError:
-        return False
-    inner_pad = inner + (0,) * (len(outer) - len(inner))
-    if shape_of(rows) != tuple(o - i for o, i in zip(outer, inner_pad)):
-        return False
-    return _semistandard(rows, inner)
+def _fillings(shape: Partition, n: int) -> list[Tableau]:
+    """Every SSYT of shape with entries in 1..n, in row-major
+    lexicographic order.
 
-
-def _skew_fillings(outer: Partition, inner: Partition, n: int) -> list[Tableau]:
-    """Rows of every skew SSYT of outer/inner (inner inside outer) with
-    entries in 1..n, in row-major lexicographic order.
-
-    The skew cells fill one flat list in row-major order.  Each cell
-    holds the indices of its left neighbour and of the cell above (-1,
-    whose value 0 bounds nothing, when there is none) and the stop of its
-    range: one past n less the skew cells below it in its column."""
-    inner_pad = inner + (0,) * (len(outer) - len(inner))
-    index: dict[tuple[int, int], int] = {}
+    The cells fill one flat list in row-major order.  Each cell holds the
+    indices of its left neighbour and of the cell above (-1, whose value 0
+    bounds nothing, when there is none) and the stop of its range: one
+    past n less the cells below it in its column."""
+    cols = conjugate(shape)
     cells, bounds = [], []
-    for i, (a, b) in enumerate(zip(inner_pad, outer)):
-        bounds.append((len(cells), len(cells) + b - a))
-        for j in range(a, b):
-            index[i, j] = len(cells)
-            below = sum(1 for k in range(i + 1, len(outer)) if inner_pad[k] <= j < outer[k])
-            cells.append((index.get((i, j - 1), -1), index.get((i - 1, j), -1), n - below + 1))
+    for i, part in enumerate(shape):
+        start = len(cells)
+        for j in range(part):
+            left = start + j - 1 if j else -1
+            up = bounds[-1][0] + j if i else -1
+            # cols[j] - i - 1 cells below
+            cells.append((left, up, n + i + 2 - cols[j]))
+        bounds.append((start, start + part))
     size = len(cells)
     vals = [0] * (size + 1)
     out = []
@@ -155,11 +128,10 @@ def _skew_fillings(outer: Partition, inner: Partition, n: int) -> list[Tableau]:
 @cache
 def cached_ssyt(shape: Partition, n: int) -> tuple[Tableau, ...]:
     """All SSYT of the given shape with entries in 1..n, row-major
-    lexicographic order: the skew fillings over the empty inner shape.
-    Cached; treat the result as immutable.  Unchecked: its callers pass
-    an int n >= 0, checked before the lookup, where 1.0 and True would
-    hit the entry of 1."""
-    return tuple(_skew_fillings(as_partition(shape), (), n))
+    lexicographic order (_fillings).  Cached; treat the result as
+    immutable.  Unchecked: its callers pass an int n >= 0, checked before
+    the lookup, where 1.0 and True would hit the entry of 1."""
+    return tuple(_fillings(as_partition(shape), n))
 
 
 def enumerate_ssyt(shape, n: int) -> list[Tableau]:
@@ -168,28 +140,10 @@ def enumerate_ssyt(shape, n: int) -> list[Tableau]:
     return list(cached_ssyt(as_partition(shape), n))
 
 
-def enumerate_skew_ssyt(outer, inner, n: int, weight=None) -> list[SkewTableau]:
-    """All skew SSYT of shape outer/inner over 1..n, in the order of
-    _skew_fillings, optionally restricted to a given weight vector, a tuple
-    of integers >= 0: the fillings with weight[v - 1] entries v for each v."""
-    outer, inner = as_partition(outer), as_partition(inner)
-    if not contains(outer, inner):
-        raise ValueError(f"inner {inner} not contained in outer {outer}")
-    require_ints((n,), "largest entry", 0)
-    fillings = _skew_fillings(outer, inner, n)
-    if weight is not None:
-        if not isinstance(weight, tuple):
-            raise ValueError(f"weight must be a tuple, got {weight!r}")
-        content = Counter({v: k for v, k in enumerate(require_ints(weight, "weight", 0), 1) if k})
-        fillings = [rows for rows in fillings if Counter(sum(rows, ())) == content]
-    return [SkewTableau(outer, inner, rows) for rows in fillings]
-
-
 def reading_word(t) -> Word:
     """Concatenate rows bottom to top, each left to right."""
-    rows = t.rows if isinstance(t, SkewTableau) else t
     word = []
-    for row in reversed(rows):
+    for row in reversed(t):
         word.extend(row)
     return tuple(word)
 
@@ -203,7 +157,7 @@ def cached_reading_words(shape: Partition, n: int) -> tuple[Word, ...]:
 
 def weight(t) -> tuple[int, ...]:
     """Multiplicity vector of the entries 1 .. the largest, ints >= 1."""
-    rows = _int_rows(t.rows if isinstance(t, SkewTableau) else t)
+    rows = _int_rows(t)
     counts: list[int] = []
     for row in rows:
         for v in row:

@@ -46,7 +46,7 @@ from numbers import Real
 from typing import NamedTuple
 
 from . import crystal
-from .insertion import _row_fold
+from .insertion import _column_fold, _row_fold
 from .partitions import (
     Partition,
     as_partition,
@@ -413,14 +413,9 @@ def eval_zeta_truncated(shape, var_rows, assign, n_trunc: int):
     return math.fsum(next(_partial_sums(shape, tuple(map(Fraction, flat)), (n_trunc,))))
 
 
-def in_convergence_domain(shape, var_rows, assign) -> bool:
-    """Real parts >= 1 everywhere and > 1 at every corner cell.  Exponents
-    must be finite numbers >= 0 (not bools)."""
-    shape = as_partition(shape)
-    return _in_domain(shape, _checked_exponents(shape, var_rows, assign))
-
-
 def _in_domain(shape: Partition, exps) -> bool:
+    """Whether the exponents, those of shape's cells in row-major order,
+    are >= 1 everywhere and > 1 at every corner cell."""
     corner_set = set(corners(shape))
     return all(v > 1 if cell in corner_set else v >= 1 for cell, v in zip(cells(shape), exps))
 
@@ -1147,13 +1142,13 @@ def verify_insertion_term(left, right, lam, size: int, mode: str) -> InsertionTe
             "mode h needs left of shape lam and right a row of size cells, "
             "mode e left a column of size cells and right of shape lam"
         )
-    # the checked tableaux go to the unchecked fold: row insertion of the
+    # the checked tableaux go to the unchecked folds: row insertion of the
     # row's letters, or column insertion of the column's letters top to
-    # bottom as the weak fold on the transpose
+    # bottom
     if mode == "h":
         result = _row_fold(left, right[0])[0]
     else:
-        result = transpose(_row_fold(transpose(right), [x for (x,) in left], weak=True)[0])
+        result = _column_fold(right, [x for (x,) in left])[0]
     new_shape = shape_of(result)
     for added, grown, filling in extensions:
         if grown == new_shape:

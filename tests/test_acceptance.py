@@ -295,7 +295,7 @@ def test_crystal_axioms_fail_on_a_split_component(monkeypatch):
 
 def test_regressions_fail_on_a_top_to_bottom_reading_word(monkeypatch):
     def top_to_bottom(t):
-        return tuple(x for row in t.rows for x in row)
+        return tuple(x for row in t for x in row)
 
     monkeypatch.setattr(tableaux, "reading_word", top_to_bottom)
     result = acceptance.criterion_regressions(quick=True)

@@ -377,6 +377,12 @@ def test_crystal_graph_word(capsys):
     assert payload["nodes"] == 3 and payload["highest_weight"] == [[1, 1]]
 
 
+def test_crystal_graph_refuses_the_empty_shape_by_its_flag(capsys):
+    # the refusal names the flag given, not the tensor words it never gave
+    code, _, err = run(capsys, ["crystal", "graph", "--shape", "-", "--n", "1"])
+    assert code == 2 and err.startswith("error: --shape must be nonempty")
+
+
 def test_stdout_deterministic(capsys):
     argv = [
         "verify", "pieri-h", "--lambda", "2,1", "--m", "2", "--n-trunc", "2",
@@ -445,6 +451,8 @@ def test_zeta_eval_exact_rejects_float_exponents(capsys):
          "--float", "--tol", "1e-6"],
         # a negative largest entry
         ["ssyt", "--shape", "-", "--n", "-1", "--count"],
+        # the empty shape, whose one tableau reads as no tensor word
+        ["crystal", "graph", "--shape", "-", "--n", "1"],
     ],
     ids=[
         "dot-unwritable", "n-trunc-0",
@@ -454,7 +462,7 @@ def test_zeta_eval_exact_rejects_float_exponents(capsys):
         "exponent-bool", "tol-nan", "tol-inf", "tol-without-float",
         "tol-with-n", "limit-exponent-inf", "float-exponent-inf",
         "float-exponent-huge-int", "limit-exponent-huge-int",
-        "ssyt-n-negative",
+        "ssyt-n-negative", "crystal-shape-empty",
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):

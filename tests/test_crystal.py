@@ -16,10 +16,9 @@ from schurzeta.crystal import (
     phi,
     rr,
     verify_crystal_axioms,
-    weight_partition,
     wt,
 )
-from schurzeta.partitions import all_partitions
+from schurzeta.partitions import all_partitions, as_partition
 from schurzeta.tableaux import enumerate_ssyt, lr_coefficient, reading_word
 
 
@@ -86,7 +85,7 @@ def test_component_of_tableau_crystal():
             assert image == connected_component(next(iter(image)), 3)
             top = highest_weight_elements(image, 3)
             assert len(top) == 1
-            assert weight_partition(top[0], 3) == lam
+            assert as_partition(wt(top[0], 3)) == lam
             assert len(connected_component(top[0], 3)) == len(tabs)
 
 
@@ -102,13 +101,14 @@ def test_decompose_product_examples():
 
 
 def brute_decompose_product(mu, nu, n):
-    """The unpruned search: every pair of tableaux, whole word tested."""
+    """The unpruned search: every pair of tableaux, whole word tested, a
+    highest-weight word being one that no raising operator e_i acts on."""
     out = Counter()
     for left in enumerate_ssyt(mu, n):
         for right in enumerate_ssyt(nu, n):
             word = reading_word(left) + reading_word(right)
-            if is_highest_weight(word, n):
-                out[weight_partition(word, n)] += 1
+            if all(e(i, word, n) is None for i in range(1, n)):
+                out[as_partition(wt(word, n))] += 1
     return out
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from schurzeta.insertion import (
     column_insert,
     column_insert_word,
-    column_word,
     row_insert,
     row_insert_word,
 )
@@ -171,7 +170,7 @@ def test_column_strip_insertion_lands_in_vertical_family():
             targets = {grow_rows(lam, ks) for ks in vertical_strip_rows(lam, n)}
             for left in cached_ssyt((1,) * n, 4):
                 for right in cached_ssyt(lam, 4):
-                    t, routes = column_insert_word(column_word(left), right)
+                    t, routes = column_insert_word([x for (x,) in left], right)
                     assert shape_of(t) in targets
                     # later routes sit strictly below earlier ones
                     for r_prev, r_next in zip(routes, routes[1:]):
@@ -212,7 +211,7 @@ def test_column_insertion_equals_row_insertion_of_reading_word():
                 if lam_size + n > 5:
                     continue
                 for left in enumerate_ssyt((1,) * n, 3):
-                    letters = column_word(left)
+                    letters = [x for (x,) in left]
                     for right in enumerate_ssyt(lam, 3):
                         via_rows, _ = row_insert_word(left, reading_word(right))
                         via_cols, _ = column_insert_word(letters, right)
@@ -223,20 +222,11 @@ def test_bottom_up_column_order_differs():
     # applying the column letters bottom-up (reading-word order) is a
     # genuinely different operation; the top-entry-first order above is the
     # one matching row insertion
-    left = ((1,), (2,))
-    up, _ = column_insert_word(column_word(left), ())
-    down, _ = column_insert_word(tuple(reversed(column_word(left))), ())
+    up, _ = column_insert_word((1, 2), ())
+    down, _ = column_insert_word((2, 1), ())
     assert up == ((1,), (2,))
     assert down == ((1, 2),)
     assert up != down
-
-
-def test_column_word_validation():
-    assert column_word(((3,), (5,))) == (3, 5)
-    with pytest.raises(ValueError):
-        column_word(((1, 2),))
-    with pytest.raises(ValueError, match="not a semistandard tableau"):
-        column_word(((2,), (1,)))
 
 
 def oracle_column_insert_word(word, t):

@@ -17,13 +17,11 @@ from schurzeta import (
     canonical_filling,
     column_insert,
     column_insert_word,
-    column_word,
     connected_component,
     crystal_dot,
     decompose_product,
     e,
     e_sym_spec,
-    enumerate_skew_ssyt,
     enumerate_ssyt,
     eps,
     eval_zeta_limit,
@@ -53,7 +51,7 @@ from schurzeta import (
     weight,
     wt,
 )
-from schurzeta.crystal import is_highest_weight, weight_partition
+from schurzeta.crystal import is_highest_weight
 from schurzeta.tableaux import as_tableau
 
 _ONE_CELL = ([(1, [((1,), (("a",),))])], SymSpec(("a",), frozenset()))
@@ -79,17 +77,13 @@ ENTRIES = {
     "as_tableau-entry": (lambda x: as_tableau(((x,),)), 1, 1, None),
     "weight-entry": (lambda x: weight(((x, 2),)), 1, 1, None),
     "enumerate_ssyt-n": (lambda x: enumerate_ssyt((1,), x), 1, 0, None),
-    "enumerate_skew_ssyt-n": (lambda x: enumerate_skew_ssyt((2, 1), (1,), x), 1, 0, None),
-    "enumerate_skew_ssyt-weight": (
-        lambda x: enumerate_skew_ssyt((2, 1), (1,), 2, (1, x)), 1, 0, None
-    ),
     # insertion
     "row_insert-letter": (lambda x: row_insert(((1,),), x), 1, 1, None),
     "row_insert-entry": (lambda x: row_insert(((x,),), 1), 1, 1, None),
     "row_insert_word-letter": (lambda x: row_insert_word(((1,),), (2, x)), 1, 1, None),
     "column_insert-letter": (lambda x: column_insert(x, ((1,),)), 1, 1, None),
     "column_insert_word-letter": (lambda x: column_insert_word((2, x), ((1,),)), 1, 1, None),
-    "column_word-entry": (lambda x: column_word(((x,), (3,))), 1, 1, None),
+    "column_insert-entry": (lambda x: column_insert(1, ((x,), (3,))), 1, 1, None),
     # crystal
     "wt-n": (lambda x: wt((1,), x), 1, 1, None),
     "wt-letter": (lambda x: wt((x, 1), 2), 1, 1, 2),
@@ -102,7 +96,6 @@ ENTRIES = {
     "connected_component-n": (lambda x: connected_component((1,), x), 1, 1, None),
     "is_highest_weight-n": (lambda x: is_highest_weight((1,), x), 1, 1, None),
     "highest_weight_elements-n": (lambda x: highest_weight_elements([(1,)], x), 1, 1, None),
-    "weight_partition-n": (lambda x: weight_partition((1,), x), 1, 1, None),
     "decompose_product-n": (lambda x: decompose_product((1,), (), x), 1, 1, None),
     "verify_crystal_axioms-n": (lambda x: verify_crystal_axioms([(1,)], x), 1, 1, None),
     "crystal_dot-n": (lambda x: crystal_dot([(1,)], x), 1, 1, None),

@@ -6,14 +6,11 @@ import pytest
 
 from schurzeta import tableaux
 from schurzeta.crystal import decompose_product, rr
-from schurzeta.insertion import column_word, row_insert
+from schurzeta.insertion import column_insert, row_insert
 from schurzeta.partitions import all_partitions, as_partition, cells, conjugate, contains
 from schurzeta.tableaux import (
-    SkewTableau,
     cached_ssyt,
-    enumerate_skew_ssyt,
     enumerate_ssyt,
-    is_skew_ssyt,
     is_ssyt,
     is_yamanouchi,
     kostka,
@@ -27,17 +24,18 @@ from schurzeta.tableaux import (
 from schurzeta.zeta import grid_vars
 
 
-def skew_oracle(st):
-    """Definitional skew SSYT test: place every entry in its cell and compare
-    each cell with its left neighbour and the cell above it."""
-    outer, inner = as_partition(st.outer), as_partition(st.inner)
+def skew_oracle(outer, inner, rows):
+    """Definitional skew SSYT test of rows filling the cells of outer/inner:
+    place every entry in its cell and compare each cell with its left
+    neighbour and the cell above it."""
+    outer, inner = as_partition(outer), as_partition(inner)
     if not contains(outer, inner):
         return False
     inner_pad = inner + (0,) * (len(outer) - len(inner))
-    if tuple(len(r) for r in st.rows) != tuple(o - i for o, i in zip(outer, inner_pad)):
+    if tuple(len(r) for r in rows) != tuple(o - i for o, i in zip(outer, inner_pad)):
         return False
     grid = {}
-    for i, row in enumerate(st.rows):
+    for i, row in enumerate(rows):
         for off, v in enumerate(row):
             if v < 1:
                 return False
@@ -50,39 +48,28 @@ def skew_oracle(st):
     return True
 
 
-def skew_fillings(outer, inner, values):
-    """Every filling of the cells of outer/inner by the values, rows of the
-    skew cells only, in row-major lexicographic order."""
+def skew_fillings(outer, inner, flats):
+    """Each flat filling of the cells of outer/inner, in row-major order, as
+    rows of the skew cells only."""
     inner_pad = inner + (0,) * (len(outer) - len(inner))
     lengths = [o - i for o, i in zip(outer, inner_pad)]
-    for flat in product(values, repeat=sum(lengths)):
+    for flat in flats:
         rows, start = [], 0
         for length in lengths:
-            rows.append(flat[start:start + length])
+            rows.append(tuple(flat[start:start + length]))
             start += length
         yield tuple(rows)
 
 
-def skew_pairs(max_size):
-    """(outer, inner) for every outer of size <= max_size and every inner
-    inside it."""
-    for size in range(max_size + 1):
-        for outer in all_partitions(size):
-            for a in range(size + 1):
-                for inner in all_partitions(a):
-                    if contains(outer, inner):
-                        yield outer, inner
-
-
-def compositions(total, parts):
-    """Every vector of parts nonnegative integers summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first, *rest)
+def arrangements(letters):
+    """Every distinct ordering of the sorted tuple letters, each once."""
+    if not letters:
+        yield ()
+    for k, x in enumerate(letters):
+        if k and x == letters[k - 1]:
+            continue
+        for rest in arrangements(letters[:k] + letters[k + 1:]):
+            yield (x, *rest)
 
 
 def brute_ssyt(shape, n):
@@ -126,38 +113,29 @@ def test_enumerate_ssyt_examples():
 
 
 def test_enumerate_ssyt_matches_brute_force():
-    # 4-row shapes at n = 4 leave no room in their first column
-    for size in range(1, 6):
+    # a column of n cells has one filling, and a longer one none
+    for size in range(6):
         for shape in all_partitions(size):
-            for n in (1, 2, 3, 4):
+            for n in (0, 1, 2, 3, 4):
                 assert enumerate_ssyt(shape, n) == brute_ssyt(shape, n), (shape, n)
 
 
-def padded_weight(st, parts):
-    """The weight of st as a vector of the given length, or None when an
-    entry exceeds it."""
-    w = weight(st)
-    if len(w) > parts:
-        return None
-    return w + (0,) * (parts - len(w))
-
-
-def test_enumerate_skew_ssyt_matches_brute_force():
-    for outer, inner in skew_pairs(5):
-        size = sum(outer) - sum(inner)
-        for n in (0, 1, 2, 3):
-            brute = [
-                SkewTableau(outer, inner, rows)
-                for rows in skew_fillings(outer, inner, range(1, n + 1))
-                if skew_oracle(SkewTableau(outer, inner, rows))
-            ]
-            assert enumerate_skew_ssyt(outer, inner, n) == brute, (outer, inner, n)
-            for parts in range(n + 1):
-                for w in compositions(size, parts):
-                    want = [st for st in brute if padded_weight(st, parts) == w]
-                    got = enumerate_skew_ssyt(outer, inner, n, weight=w)
-                    assert got == want, (outer, inner, n, w)
-            assert enumerate_skew_ssyt(outer, inner, n, weight=(size + 1,)) == []
+def test_ssyt_counts_match_the_hook_content_formula():
+    # prod (n + content) / hook over the cells, for shapes past brute force,
+    # columns longer than n among them
+    for size in range(9):
+        for shape in all_partitions(size):
+            cols = conjugate(shape)
+            for n in range(7):
+                num = den = 1
+                for i, j in cells(shape):
+                    num *= n + j - i
+                    den *= shape[i - 1] - j + cols[j - 1] - i + 1
+                assert len(cached_ssyt(shape, n)) == num // den, (shape, n)
+    assert len(cached_ssyt((2, 2, 1, 1), 4)) == 6
+    assert len(cached_ssyt((1, 1, 1, 1, 1), 4)) == 0
+    assert len(cached_ssyt((3, 3, 2), 5)) == 315
+    assert len(cached_ssyt((4, 1, 1, 1), 5)) == 160
 
 
 def test_fillings_have_no_dead_ends():
@@ -171,27 +149,25 @@ def test_fillings_have_no_dead_ends():
         if event == "call" and code.co_name == "fill" and code.co_filename == tableaux.__file__:
             fill_calls += 1
 
-    for outer, inner in skew_pairs(5):
-        for n in (1, 2, 3, 4):
-            fill_calls = 0
-            sys.setprofile(profile)
-            try:
-                found = enumerate_skew_ssyt(outer, inner, n)
-            finally:
-                sys.setprofile(None)
-            size = sum(outer) - sum(inner)
-            if found:
-                assert fill_calls <= 1 + size * len(found), (outer, inner, n)
+    for size in range(6):
+        for shape in all_partitions(size):
+            for n in (1, 2, 3, 4):
+                fill_calls = 0
+                sys.setprofile(profile)
+                try:
+                    found = tableaux._fillings(shape, n)
+                finally:
+                    sys.setprofile(None)
+                if found:
+                    assert fill_calls <= 1 + size * len(found), (shape, n)
 
 
 def test_semistandard_checks_match_the_oracle():
-    for outer, inner in skew_pairs(5):
-        for rows in skew_fillings(outer, inner, range(4)):
-            st = SkewTableau(outer, inner, rows)
-            expected = skew_oracle(st)
-            assert is_skew_ssyt(st) == expected, st
-            if not inner:
-                assert is_ssyt(rows) == expected, rows
+    for size in range(6):
+        for shape in all_partitions(size):
+            flats = product(range(4), repeat=size)
+            for rows in skew_fillings(shape, (), flats):
+                assert is_ssyt(rows) == skew_oracle(shape, (), rows), rows
 
 
 @pytest.mark.parametrize(
@@ -200,7 +176,7 @@ def test_semistandard_checks_match_the_oracle():
         pytest.param(tableaux.as_tableau, id="as_tableau"),
         pytest.param(tableaux.require_ssyt, id="require_ssyt"),
         pytest.param(lambda t: row_insert(t, 1), id="row_insert"),
-        pytest.param(column_word, id="column_word"),
+        pytest.param(lambda t: column_insert(1, t), id="column_insert"),
         pytest.param(lambda t: rr(t, 2), id="rr"),
         pytest.param(weight, id="weight"),
     ],
@@ -213,16 +189,9 @@ def test_rows_that_are_not_rows_are_bad_input(call, t):
         call(t)
 
 
-def test_is_skew_ssyt_rejects_a_shape_mismatch():
-    # inner not inside outer, and rows that do not fill outer/inner
-    assert not is_skew_ssyt(SkewTableau((1,), (2,), ((),)))
-    assert not is_skew_ssyt(SkewTableau((2,), (1,), ((1, 2),)))
-
-
-def test_is_skew_ssyt_rejects_non_integer_entries():
-    assert not is_skew_ssyt(SkewTableau((2,), (), ((1, "a"),)))
-    assert not is_skew_ssyt(SkewTableau((2, 1), (1,), ((None,), (2,))))
+def test_is_ssyt_rejects_non_integer_entries():
     assert not is_ssyt(((1, "a"),))
+    assert not is_ssyt(((None,), (2,)))
 
 
 def test_enumeration_monotone_and_clean():
@@ -238,34 +207,10 @@ def test_enumeration_monotone_and_clean():
                 previous = current
 
 
-def test_enumerate_skew_examples():
-    assert len(enumerate_skew_ssyt((1,), (1,), 3)) == 1
-    assert len(enumerate_skew_ssyt((2, 1), (1,), 2, weight=(1, 1))) == 2
-    only = enumerate_skew_ssyt((2,), (), 2, weight=(2,))
-    assert len(only) == 1 and only[0].rows == ((1, 1),)
-    with pytest.raises(ValueError):
-        enumerate_skew_ssyt((1,), (2,), 3)
-
-
-@pytest.mark.parametrize(
-    "bad", [(2, -1), (1.0,), (True,), [1], (1, "1")], ids=str
-)
-def test_enumerate_skew_ssyt_rejects_a_weight_not_of_nonnegative_integers(bad):
-    # only the weight's sum used to be compared with the skew size, so
-    # (2, -1) gave the one tableau of (1,) of weight (1,)
-    with pytest.raises(ValueError, match="weight"):
-        enumerate_skew_ssyt((1,), (), 2, weight=bad)
-
-
-def test_skew_enumeration_validates():
-    for st in enumerate_skew_ssyt((3, 2, 1), (1, 1), 3):
-        assert is_skew_ssyt(st)
-
-
 def test_reading_word_examples():
-    skew = SkewTableau((5, 3, 1), (1,), ((1, 1, 2, 3), (2, 2, 3), (3,)))
-    assert is_skew_ssyt(skew)
-    assert reading_word(skew) == (3, 2, 2, 3, 1, 1, 2, 3)
+    rows = ((1, 1, 2, 3), (2, 2, 3), (3,))
+    assert is_ssyt(rows)
+    assert reading_word(rows) == (3, 2, 2, 3, 1, 1, 2, 3)
     assert reading_word(((1, 1), (2,))) == (2, 1, 1)
     assert reading_word(()) == ()
 
@@ -309,14 +254,18 @@ def test_lr_fillings_examples():
 
 
 def yamanouchi_oracle(mu, nu, lam):
-    """Definitional LR coefficient: the skew SSYT of shape lam/mu with
-    weight nu whose reading word is Yamanouchi; 0 on size mismatch or when
-    mu is not inside lam."""
+    """Definitional LR coefficient: of the arrangements of nu's letters, nu[i]
+    letters i + 1, in the cells of lam/mu, the skew SSYT whose reading word
+    is Yamanouchi; 0 on size mismatch or when mu is not inside lam."""
     mu, nu, lam = as_partition(mu), as_partition(nu), as_partition(lam)
     if not contains(lam, mu) or sum(lam) != sum(mu) + sum(nu):
         return 0
-    fillings = enumerate_skew_ssyt(lam, mu, len(nu) if nu else 1, weight=nu)
-    return sum(1 for st in fillings if is_yamanouchi(reading_word(st)))
+    letters = tuple(v for v, k in enumerate(nu, 1) for _ in range(k))
+    return sum(
+        1
+        for rows in skew_fillings(lam, mu, arrangements(letters))
+        if skew_oracle(lam, mu, rows) and is_yamanouchi(reading_word(rows))
+    )
 
 
 def test_lr_fillings_match_the_yamanouchi_oracle():

@@ -42,7 +42,6 @@ from schurzeta.zeta import (
     grid_vars,
     h_sym_spec,
     horizontal_push_filling,
-    in_convergence_domain,
     monomial,
     seq_vars,
     sym_sum,
@@ -105,7 +104,7 @@ _TWO_CELLS = ([(1, [((2,), (("a", "b"),))])], SymSpec(("a",), frozenset()))
     [
         pytest.param(lambda a: monomial(((1, 2),), (("a", "b"),), a), "b", id="monomial"),
         pytest.param(lambda a: eval_zeta_truncated((2,), (("a", "b"),), a, 2), "b", id="eval_zeta_truncated"),
-        pytest.param(lambda a: in_convergence_domain((2,), (("a", "b"),), a), "b", id="in_convergence_domain"),
+        pytest.param(lambda a: eval_zeta_limit((2,), (("a", "b"),), a, 1e-3), "b", id="eval_zeta_limit"),
         pytest.param(lambda a: sym_sum(*_TWO_CELLS, a, 2), "b", id="sym_sum"),
         pytest.param(lambda a: sym_sum_direct(*_TWO_CELLS, a, 2), "b", id="sym_sum_direct"),
         pytest.param(lambda a: verify_lr((1,), (1,), a, 2), "s_1_1", id="verify_lr"),
@@ -126,7 +125,7 @@ def test_monomial_and_domain_reject_bad_exponents(bad):
     with pytest.raises(ValueError, match="exponents"):
         monomial(((2,),), (("a",),), {"a": bad})
     with pytest.raises(ValueError, match="exponents"):
-        in_convergence_domain((1,), (("a",),), {"a": bad})
+        eval_zeta_limit((1,), (("a",),), {"a": bad}, 1e-3)
 
 
 def test_eval_zeta_truncated_examples():
@@ -171,14 +170,24 @@ def test_row_shape_is_weak_chain_and_column_shape_is_strict_chain():
                 brute_zeta_column(exponents, n)
 
 
-def test_in_convergence_domain_examples():
-    assert in_convergence_domain(
-        (2, 1), grid_vars((2, 1), "x"), {"x_1_1": 1, "x_1_2": 2, "x_2_1": 2}
-    )
-    assert not in_convergence_domain((1,), (("a",),), {"a": 1})
-    assert in_convergence_domain((2,), (("a", "b"),), {"a": 1, "b": 1.5})
+def test_eval_zeta_limit_refuses_exponents_outside_the_convergence_domain():
+    # exponents >= 1 everywhere and > 1 at every corner cell, checked before
+    # any level is summed, so a few levels do
+    def limit(shape, rows, assign):
+        return eval_zeta_limit(shape, rows, assign, 1e-3, max_level=4)
+
+    limit((2, 1), grid_vars((2, 1), "x"), {"x_1_1": 1, "x_1_2": 2, "x_2_1": 2})
+    # a non-corner 1 next to a corner of 1.5
+    limit((2,), (("a", "b"),), {"a": 1, "b": 1.5})
+    # a corner exponent of 1
+    for shape, rows, assign in [
+        ((1,), (("a",),), {"a": 1}),
+        ((2,), (("a", "b"),), {"a": 1.5, "b": 1}),
+    ]:
+        with pytest.raises(ValueError, match="^exponents outside the convergence domain$"):
+            limit(shape, rows, assign)
     with pytest.raises(ValueError, match="does not match the shape"):
-        in_convergence_domain((2,), (("a",),), {"a": 2})
+        limit((2,), (("a",),), {"a": 2})
 
 
 def test_horizontal_push_filling_examples():
@@ -1308,12 +1317,12 @@ def test_fault_injected_insertion_order_fails_loudly(monkeypatch):
     # applying the column letters in the wrong order lands outside the
     # vertical-strip family for some pairs; the term verifier must not
     # silently accept that
-    from schurzeta.insertion import _row_fold
+    from schurzeta.insertion import _column_fold
 
-    def reversed_order(t, word, weak=False):
-        return _row_fold(t, tuple(reversed(word)), weak)
+    def reversed_order(t, letters):
+        return _column_fold(t, tuple(reversed(letters)))
 
-    monkeypatch.setattr(zmod, "_row_fold", reversed_order)
+    monkeypatch.setattr(zmod, "_column_fold", reversed_order)
     with pytest.raises(RuntimeError):
         zmod.verify_insertion_term(((1,), (2,)), (), (), 2, "e")
 
