@@ -229,6 +229,18 @@ def test_bottom_up_column_order_differs():
     assert up != down
 
 
+def test_column_insert_word_validation():
+    # a column's letters go in top first; the tableau and the letters are
+    # checked at this boundary, before the unchecked column fold
+    assert column_insert_word((3, 5), ())[0] == ((3,), (5,))
+    with pytest.raises(ValueError, match="not a semistandard tableau"):
+        column_insert_word((1,), ((2,), (1,)))
+    with pytest.raises(ValueError, match="weakly decrease"):
+        column_insert_word((1,), ((1,), (2, 3)))
+    with pytest.raises(ValueError, match="inserted values"):
+        column_insert_word((0,), ())
+
+
 def oracle_column_insert_word(word, t):
     """Oracle: column insertion by its own bump, bumping the topmost entry
     greater than or equal to x down each column in place."""

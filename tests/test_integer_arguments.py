@@ -33,6 +33,7 @@ from schurzeta import (
     highest_weight_elements,
     horizontal_push_filling,
     horizontal_strip_cols,
+    lr_coefficient,
     monomial,
     phi,
     row_insert,
@@ -52,7 +53,7 @@ from schurzeta import (
     wt,
 )
 from schurzeta.crystal import is_highest_weight
-from schurzeta.tableaux import as_tableau
+from schurzeta.tableaux import as_tableau, lr_fillings
 
 _ONE_CELL = ([(1, [((1,), (("a",),))])], SymSpec(("a",), frozenset()))
 _PIERI_H = {"s_1_1": 2, "t_1": 3}
@@ -77,6 +78,8 @@ ENTRIES = {
     "as_tableau-entry": (lambda x: as_tableau(((x,),)), 1, 1, None),
     "weight-entry": (lambda x: weight(((x, 2),)), 1, 1, None),
     "enumerate_ssyt-n": (lambda x: enumerate_ssyt((1,), x), 1, 0, None),
+    "lr_fillings-part": (lambda x: lr_fillings((2, x), (1,)), 1, 0, None),
+    "lr_coefficient-part": (lambda x: lr_coefficient((1,), (1,), (1, x)), 1, 0, None),
     # insertion
     "row_insert-letter": (lambda x: row_insert(((1,),), x), 1, 1, None),
     "row_insert-entry": (lambda x: row_insert(((x,),), 1), 1, 1, None),
@@ -84,6 +87,8 @@ ENTRIES = {
     "column_insert-letter": (lambda x: column_insert(x, ((1,),)), 1, 1, None),
     "column_insert_word-letter": (lambda x: column_insert_word((2, x), ((1,),)), 1, 1, None),
     "column_insert-entry": (lambda x: column_insert(1, ((x,), (3,))), 1, 1, None),
+    "row_insert_word-entry": (lambda x: row_insert_word(((x,),), (2,)), 1, 1, None),
+    "column_insert_word-entry": (lambda x: column_insert_word((1,), ((x,), (3,))), 1, 1, None),
     # crystal
     "wt-n": (lambda x: wt((1,), x), 1, 1, None),
     "wt-letter": (lambda x: wt((x, 1), 2), 1, 1, 2),
@@ -92,6 +97,7 @@ ENTRIES = {
     "phi-index": (lambda x: phi(x, (1,), 2), 1, 1, 1),
     "eps-index": (lambda x: eps(x, (2,), 2), 1, 1, 1),
     "f-n": (lambda x: f(1, (1,), x), 2, 2, None),
+    "e-n": (lambda x: e(1, (2,), x), 2, 2, None),
     "rr-n": (lambda x: rr(((1,),), x), 1, 1, None),
     "connected_component-n": (lambda x: connected_component((1,), x), 1, 1, None),
     "is_highest_weight-n": (lambda x: is_highest_weight((1,), x), 1, 1, None),

@@ -223,6 +223,8 @@ def test_non_integers_are_rejected_not_truncated(fn, args):
         pytest.param([[1.5, 1.2]], id="floats"),
         pytest.param([[1, 2.0]], id="integral-float"),
         pytest.param([[True, 2]], id="bool"),
+        pytest.param([[1], [1.5]], id="column-float"),
+        pytest.param([[1], [True]], id="column-bool"),
     ],
 )
 def test_tableaux_with_non_integer_entries_are_not_semistandard(t):

@@ -194,6 +194,13 @@ def test_is_ssyt_rejects_non_integer_entries():
     assert not is_ssyt(((None,), (2,)))
 
 
+def test_is_ssyt_rejects_rows_that_are_not_a_shape():
+    # row lengths must weakly decrease once trailing empty rows are dropped
+    assert not is_ssyt(((1,), (2, 3)))
+    assert not is_ssyt(((), (1,)))
+    assert is_ssyt(((1, 2), ()))
+
+
 def test_enumeration_monotone_and_clean():
     for size in range(1, 6):
         for shape in all_partitions(size):
