@@ -8,30 +8,32 @@ arbitrary-precision rationals) or floats.  The identity checks run in
 exact mode only: the truncated identities hold for every truncation level
 and every integer assignment, so equality is tested with zero tolerance.
 
-Every sum over tableaux walks strip graphs (_strip_graph): the nodes of
-a shape's graph are its sub-shapes and its edges the horizontal strips
-between them.  A tableau with entries <= N is a path of N strips through
-it, one per level, so a sum over tableaux is a DP over the levels
-a = 1..N.  Each symmetrized variable fills one cell of every term, as in
-the paper's formulas, and the exact sums keep per node a weight per count
-vector of the values drawn so far: for distinct values of multiplicities
-m_i there are prod(m_i + 1) count vectors (2^k for k distinct values),
-where an enumeration visits about N^|shape| tableaux.  A side of an
-identity is one walk: the last factors of its terms share their
-sub-shapes in one union graph (_walk_graph), whose node is a sub-shape
-with the labels of its cells, and start from the count vectors the
-factors before them drew; a product walks the factor with fewer
-sub-shapes first.  The shapes of a Pieri or Littlewood-Richardson
-identity fix one cached record (_Setup): its symmetrized set, its terms,
-the LR coefficients taken from the crystal decomposition
-(crystal.decompose_product), and the plans (_SymPlan) of both sides.  A
-verifier builds it once per identity and checks only the assignment and
-the truncation level per call; the work guard (_sym_work) reads the
-plans' walks.  Float truncation and the untruncated limit walk one
-shape's graph in floats, a chunk of levels at a time with one
-compensated sum per sub-shape.  The limit's tail terms follow from the
-same strips' exponent sums, and a float fit over its readings cancels
-them with weights solved in exact integers and rounded once each.
+Every sum over tableaux walks a strip graph, built by one builder
+(_walk_graph) for one shape or for several: its nodes are sub-shapes and
+its edges the horizontal strips between them.  A tableau with entries
+<= N is a path of N strips through it, one per level, so a sum over
+tableaux is a DP over the levels a = 1..N.  Each symmetrized variable
+fills one cell of every term, as in the paper's formulas, and the exact
+sums keep per node a weight per count vector of the values drawn so far:
+for distinct values of multiplicities m_i there are prod(m_i + 1) count
+vectors (2^k for k distinct values), where an enumeration visits about
+N^|shape| tableaux.  A side of an identity is one walk: the last factors
+of its terms, the walk's ends, share one graph in which a sub-shape has
+one node, split only where two ends label one of its cells differently,
+and start from the count vectors the factors before them drew; a
+product walks the factor with fewer sub-shapes first.  The shapes of a
+Pieri or Littlewood-Richardson identity fix one cached record (_Setup):
+its symmetrized set, its terms, the LR coefficients taken from the
+crystal decomposition (crystal.decompose_product), and the plans
+(_SymPlan) of both sides.  A verifier builds it once per identity and
+checks only the assignment and the truncation level per call; the work
+guard (_sym_work) reads the plans' walks, and an exact one-shape sum is
+guarded as a one-factor plan.  Float truncation and the untruncated
+limit walk one shape's graph in floats, a chunk of levels at a time
+with one compensated sum per sub-shape.  The limit's tail terms follow
+from the same strips' exponent sums, and a float fit over its readings
+cancels them with weights solved in exact integers and rounded once
+each.
 """
 
 import decimal
@@ -40,8 +42,8 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, permutations, product, repeat
-from operator import add, mul, sub
+from itertools import accumulate, chain, permutations, product, repeat
+from operator import add, getitem, mul
 from numbers import Real
 from typing import NamedTuple
 
@@ -173,45 +175,23 @@ def monomial(tableau, var_rows, assign):
 
 
 @cache
-def _strip_graph(shape: Partition):
-    """(nodes, start, end, need, succ): the sub-shapes of shape, padded
-    with zeros to len(shape) rows; the indices of the empty shape and of
-    shape; per node the levels it still needs (the most cells it lacks in
-    one column); and per node the nodes one horizontal strip inside shape
-    away, the empty strip included, in order of need."""
-    rows = len(shape)
+def _subshapes(shape: tuple) -> tuple:
+    """The sub-shapes of shape, a partition that may end in zeros, each
+    with as many parts, in lexicographic order, so every strict sub-shape
+    comes first."""
     nodes = [()]
     for part in shape:
         nodes = [mu + (x,) for mu in nodes for x in range(min(mu[-1:] + (part,)) + 1)]
-    index = {mu: k for k, mu in enumerate(nodes)}
-    # the cells mu lacks in column j: shape's column length less mu's, each
-    # the count of parts > j, accumulated from the widest column down; the
-    # last entry, rows for both, adds a gap of 0
-    widths = range(shape[0] if shape else 0, -1, -1)
-    full = list(accumulate(map(shape.count, widths)))
-    need = tuple(max(map(sub, full, accumulate(map(mu.count, widths)))) for mu in nodes)
-    succ = tuple(
-        tuple(sorted(
-            (
-                index[nu]
-                for nu in product(*(
-                    range(mu[i], (min(shape[i], mu[i - 1]) if i else shape[0]) + 1)
-                    for i in range(rows)
-                ))
-            ),
-            key=need.__getitem__,
-        ))
-        for mu in nodes
-    )
-    return tuple(nodes), index[(0,) * rows], index[shape], need, succ
+    return tuple(nodes)
 
 
 @cache
 def _subshape_count(shape: Partition) -> int:
-    """The number of nodes of shape's strip graph, counted without it: row
-    by row from the top, ways[x] counts the sub-shapes of the rows so far
-    whose last row has x cells, and a row under one of x cells has at most
-    x, so a row's counts are the suffix sums of those above it."""
+    """The number of sub-shapes of shape (_subshapes), counted without
+    listing them: row by row from the top, ways[x] counts the sub-shapes
+    of the rows so far whose last row has x cells, and a row under one of
+    x cells has at most x, so a row's counts are the suffix sums of those
+    above it."""
     ways = [1] * (shape[0] + 1) if shape else [1]
     for part in shape[1:]:
         ways = list(accumulate(reversed(ways)))[::-1][:part + 1]
@@ -219,45 +199,106 @@ def _subshape_count(shape: Partition) -> int:
 
 
 @cache
+def _inside(nu: tuple) -> tuple:
+    """The sub-shapes mu one horizontal strip inside nu, nu[i + 1] <= mu[i]
+    <= nu[i], in lexicographic order.  Cached: every walk graph that holds
+    nu asks for them again."""
+    return tuple(product(*map(range, nu[1:] + (0,), map((1).__add__, nu))))
+
+
+def _prefixes(label_rows) -> list:
+    """Per label row and length n, the labels of its first n cells that
+    are not None."""
+    return [list(accumulate(((x,) if x is not None else () for x in row), initial=())) for row in label_rows]
+
+
+@cache
 def _walk_graph(ends: tuple):
-    """(start, at, depth, labels, need, succ): the union of the strip graphs
-    of the ends (shape, labels), labels the row-major labels of the cells:
-    None for a drawn cell, the fixed variable's name otherwise.  A node is
-    a sub-shape with the labels of its cells, kept as its nonempty label
-    rows, so ends that contain the same sub-shape labelled alike share its
-    node.  start is the empty shape's node and at[i] the node of end i; per
-    node, depth counts its drawn cells, labels lists its fixed labels, need
-    is the fewest levels in which an end that holds the node can still be
-    filled from it, and succ lists the nodes one horizontal strip away,
-    the empty strip included, in order of need.  A strip joins two nodes of
-    one end, and the labels of a node fix those of every node inside it,
-    so every path into at[i] is a tableau of end i alone."""
-    index: dict[tuple, int] = {}
-    need: list[int] = []
-    succ: list[set] = []
-    at = []
-    for shape, labels in ends:
-        nodes, _, end, node_need, node_succ = _strip_graph(shape)
-        rows = [labels[a - b:a] for a, b in zip(accumulate(shape), shape)]
-        ids = []
-        for mu, n in zip(nodes, node_need):
-            key = tuple(row[:x] for row, x in zip(rows, mu) if x)
-            k = index.setdefault(key, len(need))
-            if k == len(need):
-                need.append(n)
-                succ.append(set())
-            elif n < need[k]:
-                need[k] = n
-            ids.append(k)
-        for k, nus in zip(ids, node_succ):
-            succ[k].update(ids[nu] for nu in nus)
-        at.append(ids[end])
-    keys = list(index)
+    """(nodes, at, depth, labels, need, succ): the walk graph of the ends
+    (shape, labels), labels the row-major labels of the cells: None for a
+    drawn cell, the fixed variable's name otherwise.  The one graph builder
+    of the level engine; the float walks read its one-end call.
+
+    A node is a sub-shape of an end, padded with zeros to the ends' most
+    rows, with the labels that end gives its cells.  The ends share the
+    node of a sub-shape unless two of them label one of its cells
+    differently: such conflict cells split it by their labels.  nodes
+    lists the nodes' sub-shapes in lexicographic order, every strict
+    sub-shape first and node 0 the empty shape, and at[i] is the node of
+    end i.  Per node, depth counts its drawn cells, labels lists its fixed
+    labels in row-major order, need is the fewest levels in which an end
+    that holds the node can still be filled from it, and succ lists the
+    nodes one horizontal strip away, the empty strip included, in order of
+    need and then of nodes.  A strip joins two nodes that one end holds,
+    and the labels of a node fix those of every node inside it, so every
+    path into at[i] is a tableau of end i alone."""
+    rows = max(len(shape) for shape, _ in ends)
+    shapes = tuple(shape + (0,) * (rows - len(shape)) for shape, _ in ends)
+    label_rows = [[labels[a - b:a] for a, b in zip(accumulate(shape), shape)] for shape, labels in ends]
+    # per row the longest of the ends' label rows; a cell that some end
+    # labels otherwise is a conflict cell
+    grid = [max((lr[i] for lr in label_rows if len(lr) > i), key=len) for i in range(rows)]
+    conflicts = [set() for _ in grid]
+    for lr in label_rows:
+        for i, row in enumerate(lr):
+            if row != grid[i][:len(row)]:
+                conflicts[i].update(c for c, x in enumerate(row) if x != grid[i][c])
+    if not any(conflicts):
+        # one node per sub-shape, held by every end that contains it
+        nodes = sorted({mu for shape in shapes for mu in _subshapes(shape)})
+        variants = {mu: ((-1, k),) for k, mu in enumerate(nodes)}
+        holders = [-1] * len(nodes)
+        at = tuple(variants[shape][0][1] for shape in shapes)
+        fixed = [_prefixes(grid)] * len(nodes)
+    else:
+        # a node is a sub-shape and the labels of its conflict cells, held
+        # by the ends in the bit mask holders[k] and labelled as the first
+        found: dict[tuple, list] = {}
+        last = []
+        for j, (shape, lr) in enumerate(zip(shapes, label_rows)):
+            # the labels of the conflict cells, wrapped so that a drawn
+            # cell's None is kept
+            tags = _prefixes([[(x,) if c in cols else None for c, x in enumerate(row)]
+                              for row, cols in zip(lr, conflicts)])
+            for mu in _subshapes(shape):
+                key = (mu, tuple(chain.from_iterable(map(getitem, tags, mu))))
+                found.setdefault(key, [0, j])[0] |= 1 << j
+            # an end's shape is the last of its sub-shapes
+            last.append(key)
+        keys = sorted(found, key=lambda key: key[0])
+        number = {key: k for k, key in enumerate(keys)}
+        variants = {}
+        for key in keys:
+            variants.setdefault(key[0], []).append((found[key][0], number[key]))
+        nodes = [mu for mu, _ in keys]
+        holders = [found[key][0] for key in keys]
+        at = tuple(map(number.__getitem__, last))
+        tables = list(map(_prefixes, label_rows))
+        fixed = [tables[found[key][1]] for key in keys]
+    # one box pass per node nu over the sub-shapes mu one horizontal strip
+    # inside it (_inside), each a sub-shape of every end that holds nu, and
+    # a strip from the node of mu that shares such an end; nu runs in
+    # order, so each list of successors is in order
+    succ: list[list] = [[] for _ in nodes]
+    for k, (nu, mask) in enumerate(zip(nodes, holders)):
+        for mu in _inside(nu):
+            for held, j in variants[mu]:
+                if held & mask:
+                    succ[j].append(k)
+    # every strip but the empty one leads to a later node, whose need a
+    # reverse pass has set: 0 at an end's node, else 1 plus the least need
+    # over the nonempty strips; the empty strip reads the node's own entry,
+    # still len(nodes), which no need reaches
+    need = [len(nodes)] * len(nodes)
+    at_end = set(at)
+    for k in reversed(range(len(nodes))):
+        need[k] = 0 if k in at_end else 1 + min(map(need.__getitem__, succ[k]))
+    labels = tuple(tuple(chain.from_iterable(map(getitem, table, mu))) for mu, table in zip(nodes, fixed))
     return (
-        index[()],
-        tuple(at),
-        tuple(sum(x is None for row in key for x in row) for key in keys),
-        tuple(tuple(x for row in key for x in row if x is not None) for key in keys),
+        tuple(nodes),
+        at,
+        tuple(sum(mu) - len(names) for mu, names in zip(nodes, labels)),
+        labels,
         tuple(need),
         tuple(tuple(sorted(nus, key=need.__getitem__)) for nus in succ),
     )
@@ -299,22 +340,22 @@ def _draw(vec, moves, q, size: int) -> list:
 
 def _levels(ends, exps, n_trunc: int, values, caps, layer: int, init) -> list:
     """Per end (shape, labels), the sum over its SSYT with entries <=
-    n_trunc, one walk over the union of the ends' strip graphs
-    (_walk_graph) started from the weight vector init over layer `layer` of
-    _count_layers(caps): (k, out) per end, out the sum per count vector of
-    layer k, k = layer plus the end's drawn cells, and empty when no SSYT
-    exists.  exps maps each fixed label to its exponent.  values are
-    distinct, drawn at most caps times each; at level a the fixed exponent
-    sum F of a strip weighs (L // a)**F and drawing value v weighs
-    (L // a)**v, L = lcm(1..N).  Linear in init, and a draw stops at caps,
-    so out pairs each count vector of init with every count vector the
-    end draws on top of it within caps.  Nodes that no end can fill in the
-    levels left are pruned."""
+    n_trunc, one walk over the ends' walk graph (_walk_graph) started at
+    its empty shape, node 0, from the weight vector init over layer
+    `layer` of _count_layers(caps): (k, out) per end, out the sum per
+    count vector of layer k, k = layer plus the end's drawn cells, and
+    empty when no SSYT exists.  exps maps each fixed label to its
+    exponent.  values are distinct, drawn at most caps times each; at
+    level a the fixed exponent sum F of a strip weighs (L // a)**F and
+    drawing value v weighs (L // a)**v, L = lcm(1..N).  Linear in init,
+    and a draw stops at caps, so out pairs each count vector of init with
+    every count vector the end draws on top of it within caps.  Nodes
+    that no end can fill in the levels left are pruned."""
     scale = _lcm_upto(n_trunc)
-    start, at, depth, labels, need, succ = _walk_graph(ends)
+    _, at, depth, labels, need, succ = _walk_graph(ends)
     fixed = [sum(map(exps.__getitem__, names)) for names in labels]
     sizes, moves = _count_layers(caps)
-    state = {start: list(init)}
+    state = {0: list(init)}
     for a in range(1, n_trunc + 1):
         spare = n_trunc - a
         base = scale // a
@@ -399,12 +440,16 @@ def eval_zeta_truncated(shape, var_rows, assign, n_trunc: int):
 
     Exact rational when every exponent is an integer, float otherwise;
     zero when the shape has more rows than n_trunc.  Exponents must be
-    finite numbers >= 0 (not bools) in both modes.
+    finite numbers >= 0 (not bools) in both modes.  An exact sum is
+    refused, before its DP runs, when the work guard's count of a
+    one-factor sum (_sym_work), sub-shapes times n_trunc, exceeds
+    WORK_LIMIT.
     """
     shape = as_partition(shape)
     require_ints((n_trunc,), "truncation level", 1)
     flat = _checked_exponents(shape, var_rows, assign)
     if all(map(is_int, flat)):
+        _require_work(_subshape_count(shape) * n_trunc if len(shape) <= n_trunc else 0)
         labels = tuple(_flatten(var_rows))
         ((fixed, _, vec),) = _product_sum(
             (), ((shape, labels),), tuple(dict(zip(labels, flat)).items()), n_trunc, (), ()
@@ -433,19 +478,19 @@ _FLOAT_MAX = Fraction(sys.float_info.max)
 
 
 def _strips(shape: Partition, kinds: tuple):
-    """(size, start, end, strips) of the shape's strip graph for the float
-    walks: its number of nodes, the indices of the empty shape and of
-    shape, and its nonempty strips (mu, nu, e) in increasing mu, e the
-    exponent sum of the strip's cells for the row-major cell exponents
-    kinds, exact numbers."""
-    nodes, start, end, _, succ = _strip_graph(shape)
+    """(size, end, strips) of the shape's walk graph for the float walks,
+    its one-end graph (_walk_graph): its number of nodes, the index of
+    shape (the empty shape is node 0), and its nonempty strips (mu, nu, e)
+    in increasing mu, e the exponent sum of the strip's cells for the
+    row-major cell exponents kinds, exact numbers."""
+    nodes, (end,), _, _, _, succ = _walk_graph(((shape, (None,) * sum(shape)),))
     prefix, at = [], 0
     for part in shape:
         prefix.append(list(accumulate(kinds[at:at + part], initial=0)))
         at += part
     fixed = [sum(p[x] for p, x in zip(prefix, mu)) for mu in nodes]
     strips = [(mu, nu, fixed[nu] - fixed[mu]) for mu in range(len(nodes)) for nu in succ[mu] if nu != mu]
-    return len(nodes), start, end, strips
+    return len(nodes), end, strips
 
 
 def _tail_terms(shape: Partition, kinds: tuple) -> dict:
@@ -467,9 +512,9 @@ def _tail_terms(shape: Partition, kinds: tuple) -> dict:
     slowest, and a run stops after LIMIT_MAX_ORDER steps or at a beta
     already holding p or more.
     """
-    size, start, end, strips = _strips(shape, kinds)
+    size, end, strips = _strips(shape, kinds)
     grow: list[dict] = [{} for _ in range(size)]
-    grow[start][0] = 0
+    grow[0][0] = 0
     src = None
     for mu, nu, e in strips:
         if mu != src:
@@ -521,14 +566,14 @@ def _partial_sums(shape: Partition, kinds: tuple, stops):
     the chunk, 1 only while V starts from 0.  The floor holds by that
     expected size, not by the worst case.  Seeded with s, P would round
     at the scale of V on every level."""
-    size, start, end, edges = _strips(shape, kinds)
+    size, end, edges = _strips(shape, kinds)
     into: list[list] = [[] for _ in range(size)]
     for mu, nu, e in edges:
         # n**-e is 1.0 at n = 1 and 0.0 beyond for e past the largest float
         into[nu].append((mu, -float(min(e, _FLOAT_MAX))))
     exponents = {ex for strips in into for _, ex in strips}
     sums, comps = [0.0] * size, [0.0] * size
-    sums[start] = 1.0
+    sums[0] = 1.0
     n = 0
     for stop in stops:
         while n < stop:
@@ -541,8 +586,8 @@ def _partial_sums(shape: Partition, kinds: tuple, stops):
                     continue
                 terms = None
                 for mu, ex in strips:
-                    # T_start is 1 on every level
-                    part = pw[ex] if mu == start else map(mul, pw[ex], running[mu])
+                    # T of the empty shape, node 0, is 1 on every level
+                    part = pw[ex] if mu == 0 else map(mul, pw[ex], running[mu])
                     terms = list(part) if terms is None else list(map(add, terms, part))
                 s, t = sums[nu], math.fsum(terms)
                 if nu != end:
@@ -754,8 +799,9 @@ def _terms_sum(plan: "_SymPlan", assign, n_trunc: int, values, caps) -> Fraction
     sum(coeff * the product of the term's truncated factors) over the terms
     of the plan, those with more rows than n_trunc left out as empty sums.
 
-    Each group of the plan is one _product_sum: one walk over the union of
-    its last factors' strip graphs, started from the vector of the factors
+    Each group of the plan is one _product_sum: one walk over the walk
+    graph of its last factors (_walk_graph), which share the node of a
+    sub-shape they label alike, started from the vector of the factors
     before.  Every symmetrized variable fills one cell of each term, so a
     term draws every value caps times: an end's vector is empty or holds
     the one count vector caps, at exponent total F + caps . values.

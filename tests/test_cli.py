@@ -484,6 +484,16 @@ def test_work_guard_refusal_exits_2_naming_the_predicted_count(capsys):
     assert err.count("\n") == 1
 
 
+def test_exact_zeta_eval_refused_by_the_work_guard_exits_2(capsys):
+    # 70 sub-shapes of (4,4,4,4) times N = 100,000: refused before the DP
+    code, out, err = run(
+        capsys,
+        ["zeta", "eval", "--shape", "4,4,4,4", "--exponents", json.dumps([[2] * 4] * 4), "--n", "100000"],
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: predicted work of 7,000,000 units exceeds the limit of 2,000,000\n"
+
+
 def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
     def crash(*args, **kwargs):
         raise RuntimeError("boom")

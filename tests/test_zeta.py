@@ -418,10 +418,11 @@ def test_sym_sum_work_guard_admits_its_limit(monkeypatch):
     terms = [(1, [((2, 1), rows)])]
     spec = SymSpec(names[:3], frozenset())
     assign = {v: 2 for v in names}
+    # the oracle first: its exact evaluations go through the guard too
+    expected = sym_sum_direct(terms, spec, assign, 2)
     seen = []
     guard = zmod._require_work
     monkeypatch.setattr(zmod, "_require_work", lambda work: seen.append(work) or guard(work))
-    expected = sym_sum_direct(terms, spec, assign, 2)
     assert sym_sum(terms, spec, assign, 2) == expected
     (work,) = seen
     monkeypatch.setattr(zmod, "WORK_LIMIT", work)
@@ -436,6 +437,7 @@ def _distinct(names):
 
 
 WIDE = tuple(f"v_{k}" for k in range(30))
+BLOCK = grid_vars((4, 4, 4, 4), "x")
 
 
 @pytest.mark.parametrize(
@@ -449,6 +451,10 @@ WIDE = tuple(f"v_{k}" for k in range(30))
         ("sym_sum of 30 variables",
          lambda: sym_sum([(1, [((30,), (WIDE,))])], SymSpec(WIDE, frozenset()), _distinct(WIDE), 2),
          2**30 * 31 * 2),
+        # an exact one-factor sum: 70 sub-shapes of (4,4,4,4) * N
+        ("exact eval_zeta_truncated of (4,4,4,4) at N=100000",
+         lambda: eval_zeta_truncated((4, 4, 4, 4), BLOCK, dict.fromkeys(zmod._flatten(BLOCK), 2), 100_000),
+         70 * 100_000),
     ],
 )
 def test_work_guard_refuses_large_sums_before_building_them(label, call, work):
@@ -1480,15 +1486,17 @@ def test_strip_graph_walks_match_chain_oracles():
 
 
 def test_strip_graph_matches_its_definition():
-    # every shape of size <= 8: the sub-shapes padded to len(shape) rows in
-    # lexicographic order; need by the cells each column lacks, counted row
-    # by row; succ every nu one horizontal strip inside shape away (mu <= nu
-    # and nu[i + 1] <= mu[i], the empty strip included), stably by need; and
-    # the sub-shape count read without the graph
+    # every shape of size <= 8, the one-end walk graph that the float walks
+    # read: the sub-shapes padded to len(shape) rows in lexicographic order;
+    # need by the cells each column lacks, counted row by row; succ every nu
+    # one horizontal strip inside shape away (mu <= nu and nu[i + 1] <=
+    # mu[i], the empty strip included), stably by need; and the sub-shape
+    # count read without the graph
     cases = 0
     for size in range(9):
         for shape in all_partitions(size):
-            nodes, start, end, need, succ = zmod._strip_graph(shape)
+            nodes, (end,), _, _, need, succ = zmod._walk_graph(((shape, (None,) * size),))
+            start = 0
             rows = len(shape)
             padded = [mu for mu in product(*(range(part + 1) for part in shape))
                       if all(a >= b for a, b in zip(mu, mu[1:]))]
@@ -1505,6 +1513,127 @@ def test_strip_graph_matches_its_definition():
                 assert nus == tuple(sorted(strips, key=need.__getitem__)), (shape, mu)
             cases += 1
     assert cases == 67
+
+
+def _oracle_walk_graph(ends):
+    """The walk graph of the ends (shape, labels) by its definition: each
+    end's own strip graph, its sub-shapes padded to the ends' most rows
+    and the horizontal strips between them inside its shape, with every
+    node keyed by its label rows, merged over the ends.  (graph, at):
+    graph maps a key to [sub-shape, need, successor keys], need the least
+    over the ends that hold the node of the most cells it lacks in one
+    column, and at lists the keys of the ends."""
+    rows = max(len(shape) for shape, _ in ends)
+    graph, at = {}, []
+    for shape, labels in ends:
+        padded = shape + (0,) * (rows - len(shape))
+        label_rows = [labels[a - b:a] for a, b in zip(accumulate(shape), shape)]
+        label_rows += [()] * (rows - len(shape))
+        subs = [mu for mu in product(*(range(part + 1) for part in padded))
+                if all(a >= b for a, b in zip(mu, mu[1:]))]
+
+        def key(mu):
+            return tuple(row[:x] for row, x in zip(label_rows, mu))
+
+        for mu in subs:
+            gaps = [sum(mu[i] <= j < padded[i] for i in range(rows)) for j in range(max(padded, default=0))]
+            need = max(gaps, default=0)
+            strips = {key(nu) for nu in subs
+                      if all(map(int.__le__, mu, nu)) and all(map(int.__le__, nu[1:], mu))}
+            node = graph.setdefault(key(mu), [mu, need, set()])
+            node[1] = min(node[1], need)
+            node[2] |= strips
+        at.append(key(padded))
+    return graph, at
+
+
+def _check_walk_graph(ends):
+    """Compare _walk_graph(ends) with _oracle_walk_graph.  A built node's
+    label rows are read from an end whose node it reaches: every path into
+    an end's node lies in that end, so all of them must agree."""
+    nodes, at, depth, labels, need, succ = zmod._walk_graph(ends)
+    graph, oracle_at = _oracle_walk_graph(ends)
+    assert nodes[0] == (0,) * max(len(shape) for shape, _ in ends) and list(nodes) == sorted(nodes)
+    reach = [set() for _ in nodes]
+    for k in range(len(nodes) - 1, -1, -1):
+        reach[k].update(i for i, e in enumerate(at) if e == k)
+        for nu in succ[k]:
+            assert nu >= k, ends
+            reach[k] |= reach[nu]
+    keys = []
+    for k, mu in enumerate(nodes):
+        assert reach[k], (ends, mu)
+        seen = set()
+        for i in reach[k]:
+            shape, row_labels = ends[i]
+            label_rows = [row_labels[a - b:a] for a, b in zip(accumulate(shape), shape)]
+            seen.add(tuple(row[:x] for row, x in zip(label_rows + [()] * len(mu), mu)))
+        assert len(seen) == 1, (ends, mu, seen)
+        keys.append(seen.pop())
+    assert len(set(keys)) == len(keys), ends
+    assert set(zip(nodes, keys)) == {(node[0], key) for key, node in graph.items()}, ends
+    assert [keys[e] for e in at] == oracle_at, ends
+    for k, key in enumerate(keys):
+        cells = [x for row in key for x in row]
+        assert depth[k] == cells.count(None), (ends, key)
+        assert Counter(labels[k]) == Counter(x for x in cells if x is not None), (ends, key)
+        assert need[k] == graph[key][1], (ends, key)
+        assert len(set(succ[k])) == len(succ[k]), (ends, key)
+        assert {keys[nu] for nu in succ[k]} == graph[key][2], (ends, key)
+        assert [need[nu] for nu in succ[k]] == sorted(need[nu] for nu in succ[k]), (ends, key)
+
+
+def _conflict(ends) -> bool:
+    """Whether two of the ends label a cell they both hold differently."""
+    seen = {}
+    for shape, labels in ends:
+        for cell, x in zip(partitions.cells(shape), labels):
+            if seen.setdefault(cell, x) != x:
+                return True
+    return False
+
+
+def test_walk_graph_matches_the_union_of_its_ends_strip_graphs():
+    # every walk of both sides of every Pieri identity of |lam| <= 4 with
+    # both strip sizes, h and e, and of every LR identity of total size
+    # <= 6, each factor of a prefix walked alone as _product_sum does; and
+    # seeded random groups of 2-6 ends whose fixed labels conflict
+    pieri = [
+        _pieri_setup(lam, strip, mode)
+        for size in range(1, 5)
+        for lam in all_partitions(size)
+        for mode, side in (("h", lam[0]), ("e", len(lam)))
+        for strip in (side, side + 1)
+    ]
+    setups = pieri + [
+        zmod._lr_setup(mu, nu)
+        for total in range(2, 7)
+        for a in range(1, total)
+        for mu in all_partitions(a)
+        for nu in all_partitions(total - a)
+    ]
+    groups = set()
+    for setup in setups:
+        for plan in (setup.lhs, setup.rhs):
+            for prefix, ends in plan.groups:
+                groups.add(tuple(last for last, _, _ in ends))
+                groups.update((factor,) for factor in prefix)
+    # 124 walks, the 36 whose ends' fixed labels conflict all Pieri right
+    # sides
+    pieri_rhs = {tuple(last for last, _, _ in ends) for setup in pieri for _, ends in setup.rhs.groups}
+    conflicts = set(filter(_conflict, groups))
+    assert (len(groups), len(conflicts), conflicts <= pieri_rhs) == (124, 36, True)
+    rng = random.Random(34)
+    shapes = [lam for size in range(1, 6) for lam in all_partitions(size)]
+    while len(groups) < 424:
+        ends = tuple(
+            (lam, tuple(rng.choice((None, None, "a", "b", "c")) for _ in range(sum(lam))))
+            for lam in rng.sample(shapes, rng.randint(2, 6))
+        )
+        if _conflict(ends):
+            groups.add(ends)
+    for ends in groups:
+        _check_walk_graph(ends)
 
 
 def test_count_layers_reach_every_count_vector_once():
