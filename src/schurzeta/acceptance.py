@@ -71,11 +71,27 @@ def _criterion(number: int, name: str):
 PIERI_SHAPES = [(1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1)]
 
 
+def _anchor() -> None:
+    """Fail unless one truncated zeta value of the level engine equals the
+    sum of its monomials over the tableaux.  Both sides of an identity run
+    through the engine, so an engine that loses the same tableaux on both
+    passes every identity; this value does not."""
+    shape, n_trunc = (2, 1), 2
+    rows = grid_vars(shape, "s")
+    assign = {"s_1_1": 1, "s_1_2": 2, "s_2_1": 3}
+    engine = zeta.eval_zeta_truncated(shape, rows, assign, n_trunc)
+    brute = sum(zeta.monomial(t, rows, assign) for t in cached_ssyt(shape, n_trunc))
+    if engine != brute:
+        raise _Fail(f"zeta{shape} at N={n_trunc} {assign}: level engine {engine} != tableau sum {brute}")
+
+
 def _identity_grid(cases, quick: bool) -> str:
     """Check each case (where, names, seeds, verifier, args): the zeta
     verifier of that name, looked up as it runs, called as verifier(*args,
     assign, N) at the seeded assignment of names for each seed and each
-    truncation level N; fail at the first mismatch."""
+    truncation level N; fail at the first mismatch.  The engine's absolute
+    anchor (_anchor) is checked first."""
+    _anchor()
     checked = 0
     for where, names, seeds, verifier, args in cases:
         for s in seeds:

@@ -25,15 +25,19 @@ product walks the factor with fewer sub-shapes first.  The shapes of a
 Pieri or Littlewood-Richardson identity fix one cached record (_Setup):
 its symmetrized set, its terms, the LR coefficients taken from the
 crystal decomposition (crystal.decompose_product), and the plans
-(_SymPlan) of both sides.  A verifier builds it once per identity and
-checks only the assignment and the truncation level per call; the work
-guard (_sym_work) reads the plans' walks, and an exact one-shape sum is
-guarded as a one-factor plan.  Float truncation and the untruncated
-limit walk one shape's graph in floats, a chunk of levels at a time
-with one compensated sum per sub-shape.  The limit's tail terms follow
-from the same strips' exponent sums, and a float fit over its readings
-cancels them with weights solved in exact integers and rounded once
-each.
+(_SymPlan) of both sides.  A verifier builds it once per identity, and
+a plan holds, per truncation level up to its most rows, all that the
+level fixes: the walks, each with its last factors, their coefficients
+and the order of its fixed labels, and the work guard's count of nodes
+(_sym_work).  A call checks the assignment and the level, takes the
+value multiset, guards both sides, pairs each walk's fixed labels with
+their values and sums the walks, each a cached level DP; an exact
+one-shape sum is guarded as a one-factor plan.  Float truncation and the
+untruncated limit walk one shape's graph in floats, a chunk of levels at
+a time with one compensated sum per sub-shape.  The limit's tail terms
+follow from the same strips' exponent sums, and a float fit over its
+readings cancels them with weights solved in exact integers and rounded
+once each.
 """
 
 import decimal
@@ -251,30 +255,36 @@ def _walk_graph(ends: tuple):
         at = tuple(variants[shape][0][1] for shape in shapes)
         fixed = [_prefixes(grid)] * len(nodes)
     else:
-        # a node is a sub-shape and the labels of its conflict cells, held
-        # by the ends in the bit mask holders[k] and labelled as the first
-        found: dict[tuple, list] = {}
-        last = []
-        for j, (shape, lr) in enumerate(zip(shapes, label_rows)):
-            # the labels of the conflict cells, wrapped so that a drawn
-            # cell's None is kept
-            tags = _prefixes([[(x,) if c in cols else None for c, x in enumerate(row)]
-                              for row, cols in zip(lr, conflicts)])
+        # a node is a sub-shape and the ends in the bit mask holders[k]
+        # that hold it and agree on its conflict cells, labelled as the
+        # first of them: per sub-shape the ends that hold it, split by the
+        # labels of each conflict cell inside it
+        held: dict[tuple, int] = {}
+        for j, shape in enumerate(shapes):
             for mu in _subshapes(shape):
-                key = (mu, tuple(chain.from_iterable(map(getitem, tags, mu))))
-                found.setdefault(key, [0, j])[0] |= 1 << j
-            # an end's shape is the last of its sub-shapes
-            last.append(key)
-        keys = sorted(found, key=lambda key: key[0])
-        number = {key: k for k, key in enumerate(keys)}
-        variants = {}
-        for key in keys:
-            variants.setdefault(key[0], []).append((found[key][0], number[key]))
-        nodes = [mu for mu, _ in keys]
-        holders = [found[key][0] for key in keys]
-        at = tuple(map(number.__getitem__, last))
+                held[mu] = held.get(mu, 0) | 1 << j
+        # per conflict cell (i, c), the masks of the ends that give it each
+        # label
+        splits = []
+        for i, cols in enumerate(conflicts):
+            for c in cols:
+                by_label: dict = {}
+                for j, lr in enumerate(label_rows):
+                    if len(lr) > i and len(lr[i]) > c:
+                        by_label[lr[i][c]] = by_label.get(lr[i][c], 0) | 1 << j
+                splits.append((i, c, tuple(by_label.values())))
+        nodes, holders, variants = [], [], {}
+        for mu in sorted(held):
+            parts = [held[mu]]
+            for i, c, masks in splits:
+                if mu[i] > c:
+                    parts = [part & m for part in parts for m in masks if part & m]
+            variants[mu] = [(part, len(nodes) + k) for k, part in enumerate(parts)]
+            nodes += [mu] * len(parts)
+            holders += parts
+        at = tuple(k for j, shape in enumerate(shapes) for part, k in variants[shape] if part >> j & 1)
         tables = list(map(_prefixes, label_rows))
-        fixed = [tables[found[key][1]] for key in keys]
+        fixed = [tables[(part & -part).bit_length() - 1] for part in holders]
     # one box pass per node nu over the sub-shapes mu one horizontal strip
     # inside it (_inside), each a sub-shape of every end that holds nu, and
     # a strip from the node of mu that shares such an end; nu runs in
@@ -386,7 +396,10 @@ def _levels(ends, exps, n_trunc: int, values, caps, layer: int, init) -> list:
     return [(layer + depth[e], state.get(e, [])) for e in at]
 
 
+@cache
 def _lcm_upto(n: int) -> int:
+    """lcm(1..n), the scale of the level weights.  Cached: both sides of
+    every verify call at level n ask for it."""
     return math.lcm(*range(1, n + 1))
 
 
@@ -715,7 +728,10 @@ def eval_zeta_limit(
     error_estimate is the larger of two gaps, to the value with the last
     group of terms left out and to the value one reading earlier, plus a
     rounding floor; it is never 0, and converged means it is at most tol.
-    Levels double until then, until the gap falls below the rounding floor
+    The first extrapolation has no earlier value, and on a tall shape, whose
+    S(N) is nearly 0 at the first readings, its gap alone understates its
+    error, so it only seeds the next one.  Levels double until the estimate
+    is at most tol, until the gap falls below the rounding floor
     (more levels cannot help), or until max_level, where the plain
     S(max_level) is returned with converged=False and an error estimate
     from the last extrapolation (inf if there was none).  Requires finite
@@ -748,8 +764,11 @@ def eval_zeta_limit(
         if fit is None:
             continue
         value, gap, floor = fit
-        if last is not None:
-            gap = max(gap, abs(value - last[0]))
+        if last is None:
+            # the first fit has no earlier value to be checked against
+            last = (value, gap + floor)
+            continue
+        gap = max(gap, abs(value - last[0]))
         last = (value, gap + floor)
         if gap + floor <= tol or gap <= floor:
             return LimitReport(value, stop, gap + floor, gap + floor <= tol)
@@ -793,49 +812,41 @@ def e_sym_spec(lam, n: int) -> SymSpec:
     return _pieri(lam, n, "e").spec
 
 
-def _terms_sum(plan: "_SymPlan", assign, n_trunc: int, values, caps) -> Fraction:
-    """Sum over the distinct assignments of a value multiset (distinct
-    values with multiplicities caps) to the symmetrized variables of
+def _terms_sum(call: "_Admitted", assign, n_trunc: int) -> Fraction:
+    """Sum over the distinct assignments of a value multiset (call.values
+    with multiplicities call.caps) to the symmetrized variables of
     sum(coeff * the product of the term's truncated factors) over the terms
-    of the plan, those with more rows than n_trunc left out as empty sums.
+    of the call's walks, the plan's terms of at most n_trunc rows, times
+    prod(caps_i!), the orders of the variables that give each assignment.
 
-    Each group of the plan is one _product_sum: one walk over the walk
-    graph of its last factors (_walk_graph), which share the node of a
-    sub-shape they label alike, started from the vector of the factors
-    before.  Every symmetrized variable fills one cell of each term, so a
-    term draws every value caps times: an end's vector is empty or holds
-    the one count vector caps, at exponent total F + caps . values.
+    Each walk is one _product_sum over the walk graph of its last factors
+    (_walk_graph), which share the node of a sub-shape they label alike,
+    started from the vector of the factors before; its key pairs the
+    walk's fixed labels with their values.  Every symmetrized variable
+    fills one cell of each term, so a term draws every value caps times: an
+    end's vector is empty or holds the one count vector caps, at exponent
+    total F + caps . values.
     """
-    drawn = sum(map(mul, caps, values))
-    sums: dict[int, int] = {}  # exponent total E -> numerator over L**E
-    for prefix, group in plan.groups:
-        ends = [(last, coeff) for last, coeff, rows in group if rows <= n_trunc]
-        if not ends:
-            continue
-        lasts = tuple(last for last, _ in ends)
-        walks = _product_sum(prefix, lasts, _fixed_pairs(prefix + lasts, assign), n_trunc, values, caps)
-        for (_, coeff), (total, _, vec) in zip(ends, walks):
+    walks, values, caps = call
+    sums: dict[int, int] = {}  # fixed exponent total F -> numerator over L**F
+    for prefix, lasts, coeffs, keys in walks:
+        fixed = tuple(zip(keys, map(assign.__getitem__, keys)))
+        for coeff, (total, _, vec) in zip(coeffs, _product_sum(prefix, lasts, fixed, n_trunc, values, caps)):
             if vec:
-                sums[total + drawn] = sums.get(total + drawn, 0) + coeff * vec[0]
+                sums[total] = sums.get(total, 0) + coeff * vec[0]
     if not sums:
         return Fraction(0)
     scale, top = _lcm_upto(n_trunc), max(sums)
-    return Fraction(sum(w * scale ** (top - e) for e, w in sums.items()), scale**top)
+    num = sum(w * scale ** (top - e) for e, w in sums.items())
+    return Fraction(num * math.prod(map(math.factorial, caps)), scale ** (top + sum(map(mul, caps, values))))
 
 
 def _sym_work(plan: "_SymPlan", n_trunc: int, caps: tuple) -> int:
     """The predicted work of _terms_sum over the plan's walks, from the
     shapes and the value multiplicities caps alone: the level DP's
-    prod(m_i + 1) count vectors times n_trunc times the largest, over the
-    last factors of terms of at most n_trunc rows, of the summed
-    sub-shapes of their group's prefix and the last factor."""
-    units = 0
-    for prefix, ends in plan.groups:
-        nodes = sum(_subshape_count(shape) for shape, _ in prefix)
-        for (shape, _), _, rows in ends:
-            if rows <= n_trunc:
-                units = max(units, nodes + _subshape_count(shape))
-    return math.prod(m + 1 for m in caps) * units * n_trunc
+    prod(m_i + 1) count vectors times n_trunc times the plan's units at
+    n_trunc (_SymPlan.cuts)."""
+    return math.prod(map((1).__add__, caps)) * plan.cuts[min(n_trunc, plan.rows)][0] * n_trunc
 
 
 def _require_work(work: int) -> None:
@@ -885,21 +896,32 @@ class _SymPlan(NamedTuple):
     """The structure of a symmetrized sum, fixed by its terms and spec
     alone and built without looking at an assignment or a truncation level
     (_sym_plan).  Per call only the assignment and the level are checked
-    against it.
+    against it, and only they are read with it.
 
     names lists every variable the sum needs: those of its cells in order
-    of first use, then the symmetrized ones.  groups are the walks of
-    _terms_sum, one per prefix, the factors before the last of a term,
-    each as (prefix, ends) with ends the last factors as (factor, coeff,
-    rows): the coefficients of equal last factors added and rows the most
-    rows of the prefix and the last factor, below which the term is an
-    empty sum.  A factor is (shape, labels) with labels its row-major cell
-    labels: None for a symmetrized variable, which the level DP draws, the
-    variable's name otherwise.  A term's factors are in the order of its
-    walk, the fewest sub-shapes first."""
+    of first use, then the symmetrized ones.  groups are the sum's walks,
+    one per prefix, the factors before the last of a term, each as (prefix,
+    ends) with ends the last factors as (factor, coeff, rows): the
+    coefficients of equal last factors added and rows the most rows of the
+    prefix and the last factor, above which the term is an empty sum.  A
+    factor is (shape, labels) with labels its row-major cell labels: None
+    for a symmetrized variable, which the level DP draws, the variable's
+    name otherwise.  A term's factors are in the order of its walk, the
+    fewest sub-shapes first.  rows is the most rows of a term.
+
+    cuts[r], r = 0..rows, holds what a truncation level N reads, with r =
+    min(N, rows): (units, walks) over the terms of at most r rows.  units
+    is the work guard's count of nodes (_sym_work): the largest, over those
+    terms, of the summed sub-shapes of the prefix and the last factor.
+    walks lists, per group with such a term, (prefix, lasts, coeffs, keys)
+    for _terms_sum: the group's last factors of those terms, their
+    coefficients, and the walk's fixed labels in order of first appearance
+    in prefix + lasts (_fixed_pairs)."""
 
     names: tuple[str, ...]
     groups: tuple
+    rows: int
+    cuts: tuple
 
 
 def _sym_plan(terms, spec: SymSpec) -> _SymPlan:
@@ -907,42 +929,63 @@ def _sym_plan(terms, spec: SymSpec) -> _SymPlan:
     var_rows), ...]) under spec, which it trusts to pass _check_spec and
     each shape to be the Partition of its var_rows' row lengths."""
     sym = frozenset(spec.symmetrized)
-    groups: dict[tuple, dict] = {}
+    found: dict[tuple, dict] = {}
     for coeff, factors in terms:
         walk = sorted(
             ((shape, tuple(None if v in sym else v for v in _flatten(rows))) for shape, rows in factors),
             key=lambda factor: _subshape_count(factor[0]),
         )
         *prefix, last = walk or [((), ())]
-        ends = groups.setdefault(tuple(prefix), {})
+        ends = found.setdefault(tuple(prefix), {})
         ends[last] = ends.get(last, 0) + coeff
-    names = [v for _, factors in terms for _, rows in factors for v in _flatten(rows)]
-    return _SymPlan(
-        tuple(dict.fromkeys(names + list(spec.symmetrized))),
-        tuple(
-            (prefix, tuple(
-                (last, coeff, max(len(shape) for shape, _ in (*prefix, last)))
-                for last, coeff in ends.items()
-            ))
-            for prefix, ends in groups.items()
-        ),
+    groups = tuple(
+        (prefix, tuple(
+            (last, coeff, max(len(shape) for shape, _ in (*prefix, last)))
+            for last, coeff in ends.items()
+        ))
+        for prefix, ends in found.items()
     )
+    # a cut changes only at the rows of a term, and holds from there on
+    heights = sorted({r for _, ends in groups for _, _, r in ends})
+    rows = heights[-1] if heights else 0
+    cuts = [(0, ())] * (rows + 1)
+    for cut in heights:
+        units, walks = 0, []
+        for prefix, ends in groups:
+            kept = [(last, coeff) for last, coeff, r in ends if r <= cut]
+            if kept:
+                lasts = tuple(last for last, _ in kept)
+                nodes = sum(_subshape_count(shape) for shape, _ in prefix)
+                units = max(units, nodes + max(_subshape_count(shape) for shape, _ in lasts))
+                keys = tuple(dict.fromkeys(x for _, labels in prefix + lasts for x in labels if x is not None))
+                walks.append((prefix, lasts, tuple(coeff for _, coeff in kept), keys))
+        cuts[cut:] = [(units, tuple(walks))] * (rows + 1 - cut)
+    names = [v for _, factors in terms for _, rows in factors for v in _flatten(rows)]
+    return _SymPlan(tuple(dict.fromkeys(names + list(spec.symmetrized))), groups, rows, tuple(cuts))
 
 
-def _draws(spec: SymSpec, assign) -> tuple[tuple, tuple]:
-    """(values, caps): the distinct values of the symmetrized variables in
-    increasing order and their multiplicities."""
-    values = [assign[v] for v in spec.symmetrized]
+class _Admitted(NamedTuple):
+    """A symmetrized sum checked and admitted by the work guard for one
+    assignment and level (_admit): the walks of its plan at that level
+    (_SymPlan.cuts), and the distinct values of the symmetrized variables
+    in increasing order with their multiplicities."""
+
+    walks: tuple
+    values: tuple
+    caps: tuple
+
+
+def _admit(plans, spec: SymSpec, assign, n_trunc: int) -> list:
+    """The _Admitted sums of the plans under one assignment and level, each
+    of which must already pass their checks; a ValueError at the first
+    whose predicted work (_sym_work) exceeds WORK_LIMIT, before any of
+    their DPs runs."""
+    values = list(map(assign.__getitem__, spec.symmetrized))
     distinct = tuple(sorted(set(values)))
-    return distinct, tuple(values.count(v) for v in distinct)
-
-
-def _admit(plans, spec: SymSpec, assign, n_trunc: int) -> None:
-    """Refuse the first of the plans whose predicted work (_sym_work)
-    exceeds WORK_LIMIT, before any of their DPs runs."""
-    caps = _draws(spec, assign)[1]
+    caps = tuple(map(values.count, distinct))
     for plan in plans:
         _require_work(_sym_work(plan, n_trunc, caps))
+    return [_Admitted(plan.cuts[min(n_trunc, plan.rows)][1], distinct, caps) for plan in plans]
 
 
 def sym_sum(terms, spec: SymSpec, assign, n_trunc: int) -> Fraction:
@@ -954,22 +997,21 @@ def sym_sum(terms, spec: SymSpec, assign, n_trunc: int) -> Fraction:
     exponent must be an integer >= 0.  The terms, spec, assignment and
     n_trunc are checked in full, planned by _sym_plan, and refused when
     their predicted work (_sym_work) exceeds WORK_LIMIT, before any of the
-    sum is done.  terms may also be a _SymPlan of the same spec that the
-    caller has already checked against assign and n_trunc and admitted
-    (_verify), which is summed without any check.
+    sum is done.  terms may also be an _Admitted sum of the same spec,
+    assign and n_trunc, which the caller has checked and admitted (_verify)
+    and which is summed without any check.
     """
-    if not isinstance(terms, _SymPlan):
+    if not isinstance(terms, _Admitted):
         require_ints((n_trunc,), "truncation level", 1)
         if not all(map(is_int, _exponents(_check_spec(terms, spec), assign))):
             raise ValueError("sym_sum needs integer exponents; use sym_sum_direct")
-        terms = _sym_plan(
+        plan = _sym_plan(
             [(coeff, [(_require_shape(as_partition(s), rows), rows) for s, rows in factors])
              for coeff, factors in terms],
             spec,
         )
-        _admit((terms,), spec, assign, n_trunc)
-    values, caps = _draws(spec, assign)
-    return _terms_sum(terms, assign, n_trunc, values, caps) * math.prod(map(math.factorial, caps))
+        (terms,) = _admit((plan,), spec, assign, n_trunc)
+    return _terms_sum(terms, assign, n_trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -985,17 +1027,20 @@ def horizontal_push_filling(lam, s_rows: VarRows, t_names, cols) -> VarRows:
     if len(t_names) != len(cols):
         raise ValueError("one new variable per strip cell required")
     _require_shape(lam, s_rows)
-    new_shape = grow_cols(lam, cols)
-    cols = tuple(sorted(cols))
-    colset = set(cols)
-    grid: list[list] = [[None] * part for part in new_shape]
-    for idx, c in enumerate(cols):
-        grid[0][c - 1] = t_names[idx]
-    for i, row in enumerate(s_rows):
-        for j, var in enumerate(row):
-            ti = i + 1 if (j + 1) in colset else i
-            grid[ti][j] = var
-    return tuple(tuple(row) for row in grid)
+    grow_cols(lam, cols)  # a ValueError unless cols add a horizontal strip
+    return _push(s_rows, t_names, sorted(cols))
+
+
+def _push(s_rows: VarRows, t_names, cols) -> VarRows:
+    """The horizontal push, unchecked: cols are the columns of a horizontal
+    strip on the shape of s_rows in increasing order, one name of t_names
+    each, and each grown column takes its name on top of its entries."""
+    columns = list(transpose(s_rows))
+    for name, c in zip(t_names, cols):
+        if c > len(columns):
+            columns.append(())
+        columns[c - 1] = (name, *columns[c - 1])
+    return transpose(columns)
 
 
 def vertical_push_filling(lam, s_names, t_rows: VarRows, rows) -> VarRows:
@@ -1053,7 +1098,7 @@ def _pieri_setup(lam: Partition, size: int, mode: str) -> _Setup:
     factors = tuple((shape_of(rows), rows) for rows in map(orient, (s_rows, (t_names,))))
     extensions = []
     for strip in horizontal_strip_cols(shape, size):
-        rows = orient(horizontal_push_filling(shape, s_rows, t_names, strip))
+        rows = orient(_push(s_rows, t_names, strip))
         extensions.append((strip, shape_of(rows), rows))
     rhs = [(1, [(grown, rows)]) for _, grown, rows in extensions]
     return _Setup(spec, factors, tuple(extensions), _sym_plan([(1, factors)], spec), _sym_plan(rhs, spec))
@@ -1063,11 +1108,10 @@ def _vacuous_note(lhs: _SymPlan, n_trunc: int) -> str:
     """The note of an identity with a left-hand factor of more rows than
     n_trunc: no tableau with entries <= n_trunc fills it, nor any shape on
     the right, each of which contains it, so both sides are empty sums."""
-    rows = max(rows for _, ends in lhs.groups for _, _, rows in ends)
-    if rows <= n_trunc:
+    if lhs.rows <= n_trunc:
         return ""
     return (
-        f"vacuous: truncation {n_trunc} < {rows} rows of a left-hand factor, "
+        f"vacuous: truncation {n_trunc} < {lhs.rows} rows of a left-hand factor, "
         "both sides are empty sums"
     )
 
@@ -1086,8 +1130,7 @@ def _verify(setup: _Setup, assign, n_trunc: int) -> IdentityReport:
     for var, x in zip(lhs.names, _exponents(lhs.names, assign)):
         if type(x) is not int and not is_int(x) or x < 1:
             raise ValueError(f"exact mode needs integer exponents >= 1, got {var}={x!r}")
-    _admit((lhs, rhs), spec, assign, n_trunc)
-    left, right = sym_sum(lhs, spec, assign, n_trunc), sym_sum(rhs, spec, assign, n_trunc)
+    left, right = [sym_sum(call, spec, assign, n_trunc) for call in _admit((lhs, rhs), spec, assign, n_trunc)]
     return IdentityReport(left, right, left == right, _vacuous_note(lhs, n_trunc))
 
 
@@ -1114,11 +1157,13 @@ def canonical_filling(lam, mu, nu) -> VarRows:
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     if sum(lam) != sum(mu) + sum(nu):
         raise ValueError("sizes must satisfy |lam| = |mu| + |nu|")
-    names = _flatten(grid_vars(mu, "s")) + _flatten(grid_vars(nu, "t"))
-    grid: list[list] = [[None] * part for part in lam]
-    for (i, j), name in zip(cells(lam), names):
-        grid[i - 1][j - 1] = name
-    return tuple(tuple(row) for row in grid)
+    return _row_filling(lam, (*_flatten(grid_vars(mu, "s")), *_flatten(grid_vars(nu, "t"))))
+
+
+def _row_filling(lam: Partition, names: tuple) -> VarRows:
+    """The filling of lam by names, row by row; unchecked: one name per
+    cell."""
+    return tuple(names[a - part:a] for a, part in zip(accumulate(lam), lam))
 
 
 @cache
@@ -1131,7 +1176,7 @@ def _lr_setup(mu: Partition, nu: Partition) -> _Setup:
     factors = ((mu, grid_vars(mu, "s")), (nu, grid_vars(nu, "t")))
     spec = SymSpec(tuple(v for _, rows in factors for v in _flatten(rows)), frozenset())
     terms = tuple(
-        (lam, coeff, canonical_filling(lam, mu, nu))
+        (lam, coeff, _row_filling(lam, spec.symmetrized))
         for lam, coeff in crystal.decompose_product(mu, nu, len(mu) + len(nu)).items()
     )
     rhs = [(coeff, [(lam, filling)]) for lam, coeff, filling in terms]

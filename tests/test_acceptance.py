@@ -150,6 +150,29 @@ def test_false_identity_fails_its_criterion_at_its_shape(
     assert len(calls) == 1
 
 
+def test_identity_grids_fail_on_an_over_pruning_level_engine(monkeypatch):
+    # need one too high at every node of a walk graph that is no end's: both
+    # sides of an identity lose the same tableaux and still agree, and only
+    # the grids' absolute anchor, zeta((2,1)) at N = 2, sees it
+    built = zeta._walk_graph
+
+    def over_pruned(ends):
+        nodes, at, depth, labels, need, succ = built(ends)
+        need = tuple(x if k in at else x + 1 for k, x in enumerate(need))
+        return nodes, at, depth, labels, need, succ
+
+    monkeypatch.setattr(zeta, "_walk_graph", over_pruned)
+    zeta._product_sum.cache_clear()
+    try:
+        names = zeta._pieri_setup((2, 1), 2, "h").lhs.names
+        assert zeta.verify_pieri_h((2, 1), 2, dict.fromkeys(names, 1), 3).equal
+        for criterion in (acceptance.criterion_pieri_h, acceptance.criterion_pieri_e, acceptance.criterion_lr):
+            result = criterion(quick=True)
+            assert not result.passed and "level engine 0 != tableau sum 5/32" in result.detail, result
+    finally:
+        zeta._product_sum.cache_clear()
+
+
 def test_crash_in_a_criterion_is_not_a_failed_identity(monkeypatch, capsys):
     def crash(*args, **kwargs):
         raise ZeroDivisionError("boom")

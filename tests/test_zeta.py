@@ -537,6 +537,35 @@ def test_guard_reads_the_plans_as_the_per_term_sizes_would():
     assert cases > 5000
 
 
+def test_plans_carry_the_walks_and_units_each_level_would_recompute():
+    # per identity, side and level N = 1..6, levels that drop terms among
+    # them: a plan's cut is what a call would otherwise rebuild from its
+    # groups, the last factors of terms of at most N rows with their
+    # coefficients, the walk's key by _fixed_pairs, and the guard's units
+    # as the largest summed sub-shapes of a prefix and a kept last factor
+    dropped = 0
+    for setup, _, _ in _guarded_identities():
+        assign = {v: k + 1 for k, v in enumerate(setup.lhs.names)}
+        for plan in (setup.lhs, setup.rhs):
+            for n_trunc in range(1, 7):
+                units, walks = plan.cuts[min(n_trunc, plan.rows)]
+                expected, most = [], 0
+                for prefix, ends in plan.groups:
+                    kept = [(last, coeff) for last, coeff, rows in ends if rows <= n_trunc]
+                    dropped += len(kept) < len(ends)
+                    if not kept:
+                        continue
+                    lasts = tuple(last for last, _ in kept)
+                    nodes = sum(zmod._subshape_count(shape) for shape, _ in prefix)
+                    most = max([most] + [nodes + zmod._subshape_count(shape) for shape, _ in lasts])
+                    expected.append((prefix, lasts, tuple(coeff for _, coeff in kept),
+                                     zmod._fixed_pairs(prefix + lasts, assign)))
+                carried = [(prefix, lasts, coeffs, tuple(zip(keys, map(assign.__getitem__, keys))))
+                           for prefix, lasts, coeffs, keys in walks]
+                assert carried == expected and units == most, (setup.spec, n_trunc)
+    assert dropped > 800
+
+
 def test_thirteen_distinct_values_lr_verifies_at_n_1():
     # 2**13 count vectors * 15 sub-shapes of (7) and (6) * N: the product
     # is one walk, with no pairing of the factors' count vectors after it
@@ -1993,6 +2022,23 @@ def test_eval_zeta_limit_against_mpmath():
         err = abs(mp.mpf(reps[0].value) + reps[1].value - ref)
         assert all(r.converged for r in reps)
         assert err <= reps[0].error_estimate + reps[1].error_estimate
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-12])
+@pytest.mark.parametrize("n", [8, 10, 12, 14])
+def test_eval_zeta_limit_estimate_covers_the_error_on_tall_columns(n, tol):
+    # the column (1^n) with every exponent 2 is e_n(1, 1/4, 1/9, ...), the
+    # coefficient of x**(2n) in sinh(pi x)/(pi x): pi**(2n)/(2n + 1)!.  Its
+    # S(N) is nearly 0 at the first readings, and the first extrapolation
+    # returned converged at 32 levels, 34% to 91% off under its estimate
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    rows = tuple((f"a_{i}",) for i in range(n))
+    rep = eval_zeta_limit((1,) * n, rows, dict.fromkeys(zmod._flatten(rows), 2.0), tol)
+    err = abs(mp.mpf(rep.value) - mp.pi ** (2 * n) / mp.factorial(2 * n + 1))
+    assert rep.converged and rep.levels > 32, rep
+    assert err <= rep.error_estimate <= tol, (err, rep)
 
 
 def test_eval_zeta_limit_error_estimate_is_never_0_where_every_term_underflows():
