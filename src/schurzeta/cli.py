@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import acceptance, crystal, insertion, zeta
 from .partitions import as_partition, is_int
-from .tableaux import as_tableau, enumerate_ssyt, shape_of
+from .tableaux import as_tableau, count_ssyt, enumerate_ssyt, shape_of
 
 
 def _parse_shape(text: str):
@@ -164,10 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_ssyt(args) -> int:
     shape = _parse_shape(args.shape)
-    tabs = enumerate_ssyt(shape, args.n)
     if args.count:
-        _emit({"count": len(tabs)}, args.json, [str(len(tabs))])
+        count = count_ssyt(shape, args.n)
+        _emit({"count": count}, args.json, [str(count)])
         return 0
+    tabs = enumerate_ssyt(shape, args.n)
     payload = [_tableau_json(t) for t in tabs]
     lines = [" / ".join(" ".join(str(x) for x in row) for row in t) or "(empty)" for t in tabs]
     _emit(payload, args.json, lines)

@@ -10,7 +10,7 @@ them; only lr_fillings, the Yamanouchi search, fills skew shapes.
 from collections import Counter
 from functools import cache
 
-from .partitions import Partition, as_partition, conjugate, contains, require_ints
+from .partitions import Partition, as_partition, cells, conjugate, contains, require_ints
 
 Tableau = tuple[tuple[int, ...], ...]
 Word = tuple[int, ...]
@@ -212,6 +212,20 @@ def kostka(shape: Partition, content: Partition) -> int:
         for kept, left in states
         if not left
     )
+
+
+def count_ssyt(shape, n: int) -> int:
+    """The number of SSYT of shape with entries <= n, checked as
+    enumerate_ssyt checks, by the hook-content formula: the product over
+    the cells (i, j) of (n + j - i) / hook(i, j), 0 past n rows, exact."""
+    require_ints((n,), "largest entry", 0)
+    shape = as_partition(shape)
+    cols = conjugate(shape)
+    top = bottom = 1
+    for i, j in cells(shape):
+        top *= n + j - i
+        bottom *= shape[i - 1] - j + cols[j - 1] - i + 1
+    return top // bottom
 
 
 def lr_fillings(outer, inner) -> Counter:

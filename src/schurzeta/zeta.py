@@ -74,11 +74,11 @@ from .tableaux import (
 
 VarRows = tuple[tuple[str, ...], ...]
 
-# The most predicted work (_sym_work) a symmetrized sum may take on.  On a
-# 2-core machine with Python 3.11 a unit costs 0.12-4.5 us across the
-# exact frontier cases, growing with N as the integer weights grow: 3.4 us
-# at Pieri-h (4,2), m=4, N=40, which the limit admits at 5.1 s.  The count
-# does not follow what the walk walks; see item 3 of ROADMAP.md.
+# The most predicted work (_sym_work) a symmetrized sum may take on.  With
+# Python 3.11 on 2 cores a unit costs 0.12-4.5 us across the exact frontier
+# cases, growing with N as the integer weights grow: 3.4 us at Pieri-h (4,2),
+# m=4, N=40, which the limit admits at 5.1 s.  The count does not follow what
+# the walk walks: see "A work guard that sees integer width" in ROADMAP.md.
 WORK_LIMIT = 2_000_000
 
 

@@ -87,22 +87,15 @@ def test_lr_triple_oracle_fails_on_false_highest_weight(monkeypatch):
     assert not result.passed and "(2,),(1, 1),(2, 2)" in result.detail
 
 
-def test_lr_triple_oracle_fails_on_miscounted_filling(monkeypatch):
-    # one extra Yamanouchi filling of (2, 1)/(1,) of weight (1, 1)
-    honest = tableaux.lr_fillings
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_lr_triple_oracle_reads_no_yamanouchi_filling(monkeypatch, quick):
+    # the content counts prove every coefficient of the grid on their own
+    def unused(outer, inner):
+        raise AssertionError("criterion 4 filled a skew shape")
 
-    def faulty(outer, inner):
-        out = honest(outer, inner)
-        if (outer, inner) == ((2, 1), (1,)):
-            out[1, 1] += 1
-        return out
-
-    monkeypatch.setattr(tableaux, "lr_fillings", faulty)
-    result = acceptance.criterion_lr_triple_oracle(quick=True)
-    assert not result.passed
-    assert result.detail.startswith(
-        "crystal multiplicity != Yamanouchi count at (1,),(1, 1),(2, 1): 1 != 2"
-    )
+    monkeypatch.setattr(tableaux, "lr_fillings", unused)
+    result = acceptance.criterion_lr_triple_oracle(quick=quick)
+    assert result.passed, result
 
 
 def test_criteria_keep_their_numbers_names_and_order():
@@ -224,45 +217,70 @@ def test_regressions_fail_on_a_shifted_public_bump(monkeypatch, search):
     assert result.detail == "structural mismatch against worked examples"
 
 
-def _agree_on_a_wrong_coefficient(monkeypatch, lam, edit):
-    """Apply edit(counts, key) to lam's entry of the (1,) x (1,) counts of
-    both the crystal route (keyed by lam) and the Yamanouchi route (the
-    fillings of lam/(1,), keyed by their weight (1,)), so that the two
-    still agree and only the content route is left to catch it."""
-    crystal_honest, yamanouchi_honest = crystal.decompose_product, tableaux.lr_fillings
+def _edit_crystal(monkeypatch, factors, edit):
+    """Apply edit(counts) to the crystal's counts of the product of the two
+    factors, the only coefficients criterion 4 reads."""
+    honest = crystal.decompose_product
 
     def decompose(mu, nu, n):
-        out = crystal_honest(mu, nu, n)
-        if (mu, nu) == ((1,), (1,)):
-            edit(out, lam)
-        return out
-
-    def fillings(outer, inner):
-        out = yamanouchi_honest(outer, inner)
-        if (outer, inner) == (lam, (1,)):
-            edit(out, (1,))
+        out = honest(mu, nu, n)
+        if (mu, nu) == factors:
+            edit(out)
         return out
 
     monkeypatch.setattr(crystal, "decompose_product", decompose)
-    monkeypatch.setattr(tableaux, "lr_fillings", fillings)
 
 
 def test_lr_triple_oracle_content_route_catches_a_raised_coefficient(monkeypatch):
-    # c_(1),(1)^(2) = 2 in both routes: s_1 * s_1 has one pair of content
-    # (2), the shapes (2) and (1, 1) then two tableaux of it
-    _agree_on_a_wrong_coefficient(monkeypatch, (2,), lambda counts, key: counts.update([key]))
+    # c_(1),(1)^(2) = 2: s_1 * s_1 has one pair of content (2), the shapes
+    # (2) and (1, 1) then two tableaux of it
+    _edit_crystal(monkeypatch, ((1,), (1,)), lambda counts: counts.update([(2,)]))
     result = acceptance.criterion_lr_triple_oracle(quick=True)
     assert not result.passed
     assert result.detail == "content counts differ at (1,),(1,),(2,): 1 pairs != 2 tableaux"
 
 
 def test_lr_triple_oracle_content_route_catches_a_dropped_shape(monkeypatch):
-    # c_(1),(1)^(1,1) = 0 in both routes: two pairs have content (1, 1),
-    # and only the tableau 1 2 of shape (2) is left to match them
-    _agree_on_a_wrong_coefficient(monkeypatch, (1, 1), lambda counts, key: counts.pop(key))
+    # c_(1),(1)^(1,1) = 0: two pairs have content (1, 1), and only the
+    # tableau 1 2 of shape (2) is left to match them
+    _edit_crystal(monkeypatch, ((1,), (1,)), lambda counts: counts.pop((1, 1)))
     result = acceptance.criterion_lr_triple_oracle(quick=True)
     assert not result.passed
     assert result.detail == "content counts differ at (1,),(1,),(1, 1): 2 pairs != 1 tableaux"
+
+
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_lr_triple_oracle_catches_a_dropped_four_row_shape(monkeypatch, quick):
+    # (1, 1, 1, 1) is the one shape of (1, 1) x (1, 1) at the row bound
+    # n = 4: the six pairs of content (1, 1, 1, 1) against the 2 + 3
+    # standard tableaux of (2, 2) and (2, 1, 1)
+    _edit_crystal(monkeypatch, ((1, 1), (1, 1)), lambda counts: counts.pop((1, 1, 1, 1)))
+    result = acceptance.criterion_lr_triple_oracle(quick=quick)
+    assert not result.passed
+    assert result.detail == (
+        "content counts differ at (1, 1),(1, 1),(1, 1, 1, 1): 6 pairs != 5 tableaux"
+    )
+
+
+@pytest.mark.parametrize(
+    "quick, factors, stray, detail",
+    [
+        (True, ((1,), (1,)), (3,),
+         "crystal shape (3,) at (1,),(1,) is not a partition of 2 with at most 4 rows"),
+        (False, ((1, 1, 1), (1, 1)), (1, 1, 1, 1, 1),
+         "crystal shape (1, 1, 1, 1, 1) at (1, 1, 1),(1, 1) is not a partition of 5 "
+         "with at most 4 rows"),
+    ],
+    ids=["wrong-size", "five-rows"],
+)
+def test_lr_triple_oracle_catches_a_shape_outside_the_grid(
+    monkeypatch, quick, factors, stray, detail
+):
+    # such a shape has no tableau of any content gamma in the grid, so the
+    # content counts alone would pass it
+    _edit_crystal(monkeypatch, factors, lambda counts: counts.update([stray]))
+    result = acceptance.criterion_lr_triple_oracle(quick=quick)
+    assert not result.passed and result.detail == detail
 
 
 def test_crystal_axioms_fail_on_the_tensor_power(monkeypatch):

@@ -31,6 +31,19 @@ def test_ssyt_count(capsys):
     assert code == 0 and out.strip() == "8"
 
 
+def test_ssyt_count_enumerates_no_tableau(capsys, monkeypatch):
+    # 4,209,920 tableaux of (3, 2, 1) with entries <= 24, by the
+    # hook-content formula
+    def unused(shape, n):
+        raise AssertionError("--count enumerated the tableaux")
+
+    monkeypatch.setattr(cli, "enumerate_ssyt", unused)
+    code, out, _ = run(capsys, ["ssyt", "--shape", "3,2,1", "--n", "24", "--count"])
+    assert code == 0 and out.strip() == "4209920"
+    code, out, _ = run(capsys, ["ssyt", "--shape", "2,1", "--n", "3", "--count", "--json"])
+    assert code == 0 and json.loads(out) == {"count": 8}
+
+
 def test_ssyt_listing_json(capsys):
     code, out, _ = run(capsys, ["ssyt", "--shape", "1,1", "--n", "2", "--json"])
     assert code == 0

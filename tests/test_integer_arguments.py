@@ -53,7 +53,7 @@ from schurzeta import (
     wt,
 )
 from schurzeta.crystal import is_highest_weight
-from schurzeta.tableaux import as_tableau, lr_fillings
+from schurzeta.tableaux import as_tableau, count_ssyt, lr_fillings
 
 _ONE_CELL = ([(1, [((1,), (("a",),))])], SymSpec(("a",), frozenset()))
 _PIERI_H = {"s_1_1": 2, "t_1": 3}
@@ -78,6 +78,8 @@ ENTRIES = {
     "as_tableau-entry": (lambda x: as_tableau(((x,),)), 1, 1, None),
     "weight-entry": (lambda x: weight(((x, 2),)), 1, 1, None),
     "enumerate_ssyt-n": (lambda x: enumerate_ssyt((1,), x), 1, 0, None),
+    "count_ssyt-n": (lambda x: count_ssyt((1,), x), 1, 0, None),
+    "count_ssyt-part": (lambda x: count_ssyt((2, x), 3), 1, 0, None),
     "lr_fillings-part": (lambda x: lr_fillings((2, x), (1,)), 1, 0, None),
     "lr_coefficient-part": (lambda x: lr_coefficient((1,), (1,), (1, x)), 1, 0, None),
     # insertion

@@ -10,6 +10,7 @@ from schurzeta.insertion import column_insert, row_insert
 from schurzeta.partitions import all_partitions, as_partition, cells, conjugate, contains
 from schurzeta.tableaux import (
     cached_ssyt,
+    count_ssyt,
     enumerate_ssyt,
     is_ssyt,
     is_yamanouchi,
@@ -352,6 +353,16 @@ def test_kostka_counts_the_tableaux_of_each_content():
     assert kostka((2, 1), (1, 1, 1)) == 2
     assert kostka((3, 2, 1), (2, 2, 1, 1)) == 4
     assert kostka((), ()) == 1 and kostka((1,), ()) == 0 and kostka((1, 1), (2,)) == 0
+
+
+def test_count_ssyt_is_the_number_of_enumerated_tableaux():
+    # n = 0..5 covers 0 tableaux when n < rows and 1 for the empty shape
+    for size in range(7):
+        for lam in all_partitions(size):
+            for n in range(6):
+                assert count_ssyt(lam, n) == len(cached_ssyt(lam, n)), (lam, n)
+    assert count_ssyt((), 0) == 1 and count_ssyt((1,), 0) == 0
+    assert count_ssyt([3, 2, 1, 0], 24) == 4209920
 
 
 def test_kostka_is_unitriangular_in_dominance_order():
