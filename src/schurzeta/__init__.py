@@ -38,7 +38,6 @@ from .partitions import (
 from .tableaux import (
     enumerate_ssyt,
     is_ssyt,
-    is_yamanouchi,
     lr_coefficient,
     reading_word,
     shape_of,

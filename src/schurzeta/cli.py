@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import acceptance, crystal, insertion, zeta
 from .partitions import as_partition, is_int
-from .tableaux import as_tableau, count_ssyt, enumerate_ssyt, shape_of
+from .tableaux import as_tableau, count_ssyt, enumerate_ssyt, lr_coefficient, shape_of
 
 
 def _parse_shape(text: str):
@@ -228,13 +228,13 @@ def _cmd_insert(args) -> int:
 
 def _cmd_lr(args) -> int:
     mu, nu = _parse_shape(args.mu), _parse_shape(args.nu)
+    if args.lam is not None:
+        c = lr_coefficient(mu, nu, _parse_shape(args.lam))
+        _emit({"coefficient": c}, args.json, [str(c)])
+        return 0
     # no shape of the product has more than len(mu) + len(nu) rows, and
     # n is at least 1 even when both shapes are empty
     expansion = crystal.decompose_product(mu, nu, max(1, len(mu) + len(nu)))
-    if args.lam is not None:
-        c = expansion.get(_parse_shape(args.lam), 0)
-        _emit({"coefficient": c}, args.json, [str(c)])
-        return 0
     # the empty shape is written "-", as on the input side
     table = {",".join(map(str, lam)) or "-": c for lam, c in sorted(expansion.items(), reverse=True)}
     lines = [f"{k} {v}" for k, v in table.items()]

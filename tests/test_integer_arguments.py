@@ -53,7 +53,7 @@ from schurzeta import (
     wt,
 )
 from schurzeta.crystal import is_highest_weight
-from schurzeta.tableaux import as_tableau, count_ssyt, lr_fillings
+from schurzeta.tableaux import as_tableau, count_ssyt
 
 _ONE_CELL = ([(1, [((1,), (("a",),))])], SymSpec(("a",), frozenset()))
 _PIERI_H = {"s_1_1": 2, "t_1": 3}
@@ -80,7 +80,8 @@ ENTRIES = {
     "enumerate_ssyt-n": (lambda x: enumerate_ssyt((1,), x), 1, 0, None),
     "count_ssyt-n": (lambda x: count_ssyt((1,), x), 1, 0, None),
     "count_ssyt-part": (lambda x: count_ssyt((2, x), 3), 1, 0, None),
-    "lr_fillings-part": (lambda x: lr_fillings((2, x), (1,)), 1, 0, None),
+    "lr_coefficient-mu": (lambda x: lr_coefficient((1, x), (1,), (2, 1)), 1, 0, None),
+    "lr_coefficient-nu": (lambda x: lr_coefficient((1,), (1, x), (2, 1)), 1, 0, None),
     "lr_coefficient-part": (lambda x: lr_coefficient((1,), (1,), (1, x)), 1, 0, None),
     # insertion
     "row_insert-letter": (lambda x: row_insert(((1,),), x), 1, 1, None),

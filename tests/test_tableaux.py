@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from schurzeta import tableaux
+from schurzeta import crystal, tableaux
 from schurzeta.crystal import decompose_product, rr
 from schurzeta.insertion import column_insert, row_insert
 from schurzeta.partitions import all_partitions, as_partition, cells, conjugate, contains
@@ -13,10 +13,8 @@ from schurzeta.tableaux import (
     count_ssyt,
     enumerate_ssyt,
     is_ssyt,
-    is_yamanouchi,
     kostka,
     lr_coefficient,
-    lr_fillings,
     reading_word,
     shape_of,
     transpose,
@@ -239,6 +237,16 @@ def test_weight_reads_only_entries_of_ints_above_zero(rows):
         weight(rows)
 
 
+def is_yamanouchi(word):
+    """In every suffix, letter i occurs at least as often as letter i+1."""
+    counts = Counter()
+    for v in reversed(word):
+        counts[v] += 1
+        if v > 1 and counts[v] > counts[v - 1]:
+            return False
+    return True
+
+
 def test_yamanouchi_examples():
     assert is_yamanouchi((2, 1))
     assert not is_yamanouchi((1, 2))
@@ -251,14 +259,6 @@ def test_lr_coefficient_examples():
     assert lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == 2
     assert lr_coefficient((1,), (1,), (3,)) == 0
     assert lr_coefficient((2,), (1,), (1, 1, 1)) == 0
-
-
-def test_lr_fillings_examples():
-    assert lr_fillings((3, 2, 1), (2, 1)) == {
-        (3,): 1, (2, 1): 2, (1, 1, 1): 1
-    }
-    assert lr_fillings((2,), (2,)) == {(): 1}
-    assert lr_fillings((1,), (2,)) == {}
 
 
 def yamanouchi_oracle(mu, nu, lam):
@@ -276,9 +276,10 @@ def yamanouchi_oracle(mu, nu, lam):
     )
 
 
-def test_lr_fillings_match_the_yamanouchi_oracle():
-    # every triple of criterion 4: sizes 1..4 at most 4 rows
-    triples = [
+def test_crystal_coefficients_match_the_yamanouchi_oracle():
+    # every triple of criterion 4: sizes 1..4 at most 4 rows, read from the
+    # crystal's decomposition over 4 letters as criterion 4 reads it
+    grid = [
         (mu, nu, lam)
         for a in range(1, 5)
         for b in range(1, 5)
@@ -286,10 +287,16 @@ def test_lr_fillings_match_the_yamanouchi_oracle():
         for nu in all_partitions(b, max_length=4)
         for lam in all_partitions(a + b, max_length=4)
     ]
-    assert len(triples) == 1162
-    # every triple of total size <= 6, empty shapes and inner shapes not
-    # inside included
-    triples += [
+    assert len(grid) == 1162
+    products = {}
+    for mu, nu, lam in grid:
+        if (mu, nu) not in products:
+            products[mu, nu] = decompose_product(mu, nu, 4)
+        assert products[mu, nu][lam] == yamanouchi_oracle(mu, nu, lam), (mu, nu, lam)
+    assert all(sum(lam) == sum(mu) + sum(nu) for (mu, nu), c in products.items() for lam in c)
+    # lr_coefficient on the grid and on every triple of total size <= 6,
+    # empty shapes and inner shapes not inside included
+    triples = grid + [
         (mu, nu, lam)
         for size in range(7)
         for lam in all_partitions(size)
@@ -299,16 +306,34 @@ def test_lr_fillings_match_the_yamanouchi_oracle():
     ]
     assert any(not mu for mu, _, _ in triples)
     assert any(not contains(lam, mu) for mu, _, lam in triples)
-    fillings = {}
     for mu, nu, lam in triples:
-        if (lam, mu) not in fillings:
-            fillings[lam, mu] = lr_fillings(lam, mu)
-        expected = yamanouchi_oracle(mu, nu, lam)
-        assert fillings[lam, mu][nu] == expected == lr_coefficient(mu, nu, lam), (mu, nu, lam)
-    for (lam, mu), counts in fillings.items():
-        assert all(sum(nu) == sum(lam) - sum(mu) for nu in counts)
+        assert lr_coefficient(mu, nu, lam) == yamanouchi_oracle(mu, nu, lam), (mu, nu, lam)
     # a size mismatch is 0, not an error
     assert lr_coefficient((1,), (2,), (2,)) == 0
+
+
+@pytest.mark.parametrize(
+    "mu, nu, lam",
+    [
+        ((1,), (2,), (2,)),
+        ((4, 3, 2, 1), (3, 2, 1), (5, 4, 3, 2, 2, 1, 1)),
+        ((3,), (1,), (2, 2)),
+        ((1,), (3,), (2, 2)),
+        ((2,), (2, 1), (2, 1, 1, 1)),
+    ],
+    ids=["size", "tall-size", "mu-outside", "nu-outside", "rows"],
+)
+def test_lr_coefficient_is_zero_before_any_enumeration(monkeypatch, mu, nu, lam):
+    # a size mismatch, a factor outside lam, or more rows than both
+    # factors together: 0 with no tableau filled and no crystal built
+    def unused(*args):
+        raise AssertionError("lr_coefficient enumerated tableaux")
+
+    monkeypatch.setattr(tableaux, "cached_ssyt", unused)
+    monkeypatch.setattr(crystal, "decompose_product", unused)
+    assert lr_coefficient(mu, nu, lam) == 0
+    with pytest.raises(AssertionError, match="enumerated"):
+        lr_coefficient((1,), (1,), (1, 1))
 
 
 def test_lr_symmetry_with_crystal_referee():

@@ -966,8 +966,7 @@ def test_lr_walks_do_not_depend_on_the_filling():
 
 def test_lr_expansion_matches_lr_coefficient():
     # the terms of every LR setup with nonempty shapes of total size <= 6,
-    # against the skew Yamanouchi count of tableaux.lr_coefficient, zeros
-    # included
+    # against tableaux.lr_coefficient, zeros included
     for total in range(2, 7):
         for a in range(1, total):
             for mu in all_partitions(a):
