@@ -8,11 +8,15 @@ arbitrary-precision rationals) or floats.  The identity checks run in
 exact mode only: the truncated identities hold for every truncation level
 and every integer assignment, so equality is tested with zero tolerance.
 
-Every sum over tableaux walks a strip graph, built by one builder
+Every sum over tableaux walks a walk graph, built by one builder
 (_walk_graph) for one shape or for several: its nodes are sub-shapes and
-its edges the horizontal strips between them.  A tableau with entries
-<= N is a path of N strips through it, one per level, so a sum over
-tableaux is a DP over the levels a = 1..N.  Each symmetrized variable
+its edges single cells, listed in one cell pass per row, bottom row
+first.  A tableau with entries <= N is a chain of N horizontal strips,
+one per level, and the passes, taken in order, add each strip by
+exactly one path of cells: a row grows only up to the length that the
+row above had when the level began.  So a sum over tableaux is a DP
+over the levels a = 1..N, each one run of the passes over one state,
+updated in place a cell at a time.  Each symmetrized variable
 fills one cell of every term, as in the paper's formulas, and the exact
 sums keep per node a weight per count vector of the values drawn so far:
 for distinct values of multiplicities m_i there are prod(m_i + 1) count
@@ -34,10 +38,10 @@ value multiset, guards both sides, pairs each walk's fixed labels with
 their values and sums the walks, each a cached level DP; an exact
 one-shape sum is guarded as a one-factor plan.  Float truncation and the
 untruncated limit walk one shape's graph in floats, a chunk of levels at
-a time with one compensated sum per sub-shape.  The limit's tail terms
-follow from the same strips' exponent sums, and a float fit over its
-readings cancels them with weights solved in exact integers and rounded
-once each.
+a time with one compensated sum per sub-shape, over the strips its
+passes reach from each node.  The limit's tail terms follow from the
+same strips' exponent sums, and a float fit over its readings cancels
+them with weights solved in exact integers and rounded once each.
 """
 
 import decimal
@@ -46,8 +50,8 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, chain, permutations, product, repeat
-from operator import add, getitem, mul
+from itertools import accumulate, permutations, product, repeat
+from operator import add, mul
 from numbers import Real
 from typing import NamedTuple
 
@@ -75,10 +79,11 @@ from .tableaux import (
 VarRows = tuple[tuple[str, ...], ...]
 
 # The most predicted work (_sym_work) a symmetrized sum may take on.  With
-# Python 3.11 on 2 cores a unit costs 0.12-4.5 us across the exact frontier
-# cases, growing with N as the integer weights grow: 3.4 us at Pieri-h (4,2),
-# m=4, N=40, which the limit admits at 5.1 s.  The count does not follow what
-# the walk walks: see "A work guard that sees integer width" in ROADMAP.md.
+# Python 3.11 on 2 cores a unit of the larger side costs 0.11-0.96 us across
+# the exact frontier cases, growing with N as the integer weights grow:
+# 0.96 us at Pieri-h (4,2), m=4, N=40, which the limit admits at 1.5 s.  The
+# count does not follow what the walk walks: see "A work guard that sees
+# integer width" in ROADMAP.md.
 WORK_LIMIT = 2_000_000
 
 
@@ -203,22 +208,8 @@ def _subshape_count(shape: Partition) -> int:
 
 
 @cache
-def _inside(nu: tuple) -> tuple:
-    """The sub-shapes mu one horizontal strip inside nu, nu[i + 1] <= mu[i]
-    <= nu[i], in lexicographic order.  Cached: every walk graph that holds
-    nu asks for them again."""
-    return tuple(product(*map(range, nu[1:] + (0,), map((1).__add__, nu))))
-
-
-def _prefixes(label_rows) -> list:
-    """Per label row and length n, the labels of its first n cells that
-    are not None."""
-    return [list(accumulate(((x,) if x is not None else () for x in row), initial=())) for row in label_rows]
-
-
-@cache
 def _walk_graph(ends: tuple):
-    """(nodes, at, depth, labels, need, succ): the walk graph of the ends
+    """(nodes, at, depth, labels, need, passes): the walk graph of the ends
     (shape, labels), labels the row-major labels of the cells: None for a
     drawn cell, the fixed variable's name otherwise.  The one graph builder
     of the level engine; the float walks read its one-end call.
@@ -230,12 +221,16 @@ def _walk_graph(ends: tuple):
     lists the nodes' sub-shapes in lexicographic order, every strict
     sub-shape first and node 0 the empty shape, and at[i] is the node of
     end i.  Per node, depth counts its drawn cells, labels lists its fixed
-    labels in row-major order, need is the fewest levels in which an end
-    that holds the node can still be filled from it, and succ lists the
-    nodes one horizontal strip away, the empty strip included, in order of
-    need and then of nodes.  A strip joins two nodes that one end holds,
-    and the labels of a node fix those of every node inside it, so every
-    path into at[i] is a tableau of end i alone."""
+    labels in row-major order, and need is the fewest levels in which an
+    end that holds the node can still be filled from it.  passes holds one
+    cell pass per row, bottom row first: the edges (mu, nu, label), in
+    increasing mu, from each node mu to each node nu one cell longer in
+    that row that is still a partition and shares an end with mu, label
+    that of the new cell.  Run in order, the passes add each horizontal
+    strip by exactly one path, bottom row first: row i - 1 keeps its
+    length until row i has grown.  Every edge joins two nodes that one end
+    holds, and the labels of a node fix those of every node inside it, so
+    every path into at[i] is a tableau of end i alone."""
     rows = max(len(shape) for shape, _ in ends)
     shapes = tuple(shape + (0,) * (rows - len(shape)) for shape, _ in ends)
     label_rows = [[labels[a - b:a] for a, b in zip(accumulate(shape), shape)] for shape, labels in ends]
@@ -249,15 +244,15 @@ def _walk_graph(ends: tuple):
                 conflicts[i].update(c for c, x in enumerate(row) if x != grid[i][c])
     # The general branch below builds the same graphs (checked on the 97
     # end sets of the full selftest and the verify-sweep and -frontier
-    # items); this fast path only skips its bit masks, about 7% less time
-    # per graph (9.9 against 10.6 ms for those 97, best of 30).
+    # items); this fast path only skips its bit masks, about 12% less time
+    # per graph (5.9 against 6.8 ms for those 97, best of 30).
     if not any(conflicts):
         # one node per sub-shape, held by every end that contains it
         nodes = sorted({mu for shape in shapes for mu in _subshapes(shape)})
         variants = {mu: ((-1, k),) for k, mu in enumerate(nodes)}
         holders = [-1] * len(nodes)
         at = tuple(variants[shape][0][1] for shape in shapes)
-        fixed = [_prefixes(grid)] * len(nodes)
+        cell_rows = [grid] * len(nodes)
     else:
         # a node is a sub-shape and the ends in the bit mask holders[k]
         # that hold it and agree on its conflict cells, labelled as the
@@ -287,34 +282,45 @@ def _walk_graph(ends: tuple):
             nodes += [mu] * len(parts)
             holders += parts
         at = tuple(k for j, shape in enumerate(shapes) for part, k in variants[shape] if part >> j & 1)
-        tables = list(map(_prefixes, label_rows))
-        fixed = [tables[(part & -part).bit_length() - 1] for part in holders]
-    # one box pass per node nu over the sub-shapes mu one horizontal strip
-    # inside it (_inside), each a sub-shape of every end that holds nu, and
-    # a strip from the node of mu that shares such an end; nu runs in
-    # order, so each list of successors is in order
-    succ: list[list] = [[] for _ in nodes]
-    for k, (nu, mask) in enumerate(zip(nodes, holders)):
-        for mu in _inside(nu):
-            for held, j in variants[mu]:
-                if held & mask:
-                    succ[j].append(k)
-    # every strip but the empty one leads to a later node, whose need a
-    # reverse pass has set: 0 at an end's node, else 1 plus the least need
-    # over the nonempty strips; the empty strip reads the node's own entry,
-    # still len(nodes), which no need reaches
-    need = [len(nodes)] * len(nodes)
+        cell_rows = [label_rows[(part & -part).bit_length() - 1] for part in holders]
+    # one reverse pass over the nodes lists each node's edges and sets its
+    # need, with no strip list: an edge leads to a later node, whose
+    # reach[p], the least need over the nodes that the passes p, p + 1,
+    # ... take it to, is set.  A node's need is 0 at an end, else 1 plus
+    # the least reach over its edges, and each pass, listed from the last
+    # node down, is reversed at the end.
+    passes: list[list] = [[] for _ in range(rows)]
+    need = [0] * len(nodes)
+    reach: list = [None] * len(nodes)
     at_end = set(at)
     for k in reversed(range(len(nodes))):
-        need[k] = 0 if k in at_end else 1 + min(map(need.__getitem__, succ[k]))
-    labels = tuple(tuple(chain.from_iterable(map(getitem, table, mu))) for mu, table in zip(nodes, fixed))
+        mu, mask = nodes[k], holders[k]
+        least = len(nodes)
+        tops = []
+        for i, x in enumerate(mu):
+            if not i or x < mu[i - 1]:
+                p = rows - 1 - i
+                for held, j in variants.get(mu[:i] + (x + 1,) + mu[i + 1:], ()):
+                    if held & mask:
+                        passes[p].append((k, j, cell_rows[j][i][x]))
+                        if reach[j][p] < least:
+                            least = reach[j][p]
+            tops.append(least)
+        if k in at_end:
+            reach[k] = [0] * rows
+        else:
+            need[k] = top = 1 + least
+            reach[k] = [x if x < top else top for x in reversed(tops)]
+    labels = tuple(
+        tuple(x for row, n in zip(lr, mu) for x in row[:n] if x is not None) for mu, lr in zip(nodes, cell_rows)
+    )
     return (
         tuple(nodes),
         at,
         tuple(sum(mu) - len(names) for mu, names in zip(nodes, labels)),
         labels,
         tuple(need),
-        tuple(tuple(sorted(nus, key=need.__getitem__)) for nus in succ),
+        tuple(tuple(reversed(cells)) for cells in passes),
     )
 
 
@@ -341,15 +347,14 @@ def _count_layers(caps: tuple[int, ...]):
     return tuple(sizes), tuple(moves)
 
 
-def _draw(vec, moves, q, size: int) -> list:
+def _draw(vec, moves, q, out) -> None:
     """One symmetrized cell: a weight vector over one layer of count
-    vectors, moved up a layer by drawing value i at weight q[i]."""
-    out = [0] * size
+    vectors, moved up a layer by drawing value i at weight q[i] and added
+    into out."""
     for x, targets in zip(vec, moves):
         if x:
             for i, j in targets:
                 out[j] += x * q[i]
-    return out
 
 
 def _levels(ends, exps, n_trunc: int, values, caps, layer: int, init) -> list:
@@ -360,43 +365,47 @@ def _levels(ends, exps, n_trunc: int, values, caps, layer: int, init) -> list:
     count vector of layer k, k = layer plus the end's drawn cells, and
     empty when no SSYT exists.  exps maps each fixed label to its
     exponent.  values are distinct, drawn at most caps times each; at
-    level a the fixed exponent sum F of a strip weighs (L // a)**F and
-    drawing value v weighs (L // a)**v, L = lcm(1..N).  Linear in init,
-    and a draw stops at caps, so out pairs each count vector of init with
-    every count vector the end draws on top of it within caps.  Nodes
-    that no end can fill in the levels left are pruned."""
+    level a a fixed cell of exponent e weighs (L // a)**e and drawing
+    value v weighs (L // a)**v, L = lcm(1..N).  Linear in init, and a draw
+    stops at caps, so out pairs each count vector of init with every count
+    vector the end draws on top of it within caps.
+
+    A level runs the graph's cell passes in order over one state, node to
+    weight vector, in place: an edge adds its source, drawn or weighed,
+    into its target, so each node ends the level with the sum over every
+    horizontal strip into it, the empty strip included.  A node that no
+    end can fill in the levels left is pruned: a target mid-level when its
+    need exceeds them by more than one, as the rest of the level may still
+    grow it, and any node at the end of the level when its need exceeds
+    them."""
     scale = _lcm_upto(n_trunc)
-    _, at, depth, labels, need, succ = _walk_graph(ends)
-    fixed = [sum(map(exps.__getitem__, names)) for names in labels]
+    _, at, depth, _, need, passes = _walk_graph(ends)
     sizes, moves = _count_layers(caps)
     state = {0: list(init)}
     for a in range(1, n_trunc + 1):
         spare = n_trunc - a
         base = scale // a
         q = [base**v for v in values]
-        weights = {}
-        nxt: dict[int, list] = {}
-        for mu, vec in state.items():
-            drawn = [vec]
-            for nu in succ[mu]:
-                if need[nu] > spare:
-                    break
-                r = depth[nu] - depth[mu]
-                while len(drawn) <= r:
-                    k = layer + depth[mu] + len(drawn)
-                    drawn.append(_draw(drawn[-1], moves[k - 1], q, sizes[k]))
-                f = fixed[nu] - fixed[mu]
-                w = weights.get(f)
-                if w is None:
-                    w = weights[f] = base**f
-                src = drawn[r]
-                tgt = nxt.get(nu)
-                if tgt is None:
-                    nxt[nu] = [w * x for x in src]
+        powers = {x: base**e for x, e in exps.items()}
+        for cells in passes:
+            for mu, nu, label in cells:
+                vec = state.get(mu)
+                if vec is None or need[nu] > spare + 1:
+                    continue
+                tgt = state.get(nu)
+                if label is None:
+                    k = layer + depth[nu]
+                    if tgt is None:
+                        tgt = state[nu] = [0] * sizes[k]
+                    _draw(vec, moves[k - 1], q, tgt)
                 else:
-                    for j, x in enumerate(src):
-                        tgt[j] += w * x
-        state = nxt
+                    w = powers[label]
+                    if tgt is None:
+                        state[nu] = [w * x for x in vec]
+                    else:
+                        for j, x in enumerate(vec):
+                            tgt[j] += w * x
+        state = {mu: vec for mu, vec in state.items() if need[mu] <= spare}
     return [(layer + depth[e], state.get(e, [])) for e in at]
 
 
@@ -498,15 +507,24 @@ def _strips(shape: Partition, kinds: tuple):
     """(size, end, strips) of the shape's walk graph for the float walks,
     its one-end graph (_walk_graph): its number of nodes, the index of
     shape (the empty shape is node 0), and its nonempty strips (mu, nu, e)
-    in increasing mu, e the exponent sum of the strip's cells for the
-    row-major cell exponents kinds, exact numbers."""
-    nodes, (end,), _, _, _, succ = _walk_graph(((shape, (None,) * sum(shape)),))
+    in increasing mu and then nu, e the exponent sum of the strip's cells
+    for the row-major cell exponents kinds, exact numbers.  The strips out
+    of mu are the nodes its cell passes reach, taken in order."""
+    nodes, (end,), _, _, _, passes = _walk_graph(((shape, (None,) * sum(shape)),))
+    steps = [dict((mu, nu) for mu, nu, _ in cells) for cells in passes]
     prefix, at = [], 0
     for part in shape:
         prefix.append(list(accumulate(kinds[at:at + part], initial=0)))
         at += part
     fixed = [sum(p[x] for p, x in zip(prefix, mu)) for mu in nodes]
-    strips = [(mu, nu, fixed[nu] - fixed[mu]) for mu in range(len(nodes)) for nu in succ[mu] if nu != mu]
+    strips = []
+    for mu in range(len(nodes)):
+        reached = [mu]
+        for step in steps:
+            for nu in reached[:]:
+                while (nu := step.get(nu)) is not None:
+                    reached.append(nu)
+        strips += [(mu, nu, fixed[nu] - fixed[mu]) for nu in sorted(reached[1:])]
     return len(nodes), end, strips
 
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import re
@@ -12,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import schurzeta.zeta as zmod
-from schurzeta import partitions, tableaux
+from schurzeta import acceptance, partitions, tableaux
 from schurzeta.partitions import (
     all_partitions,
     as_partition,
@@ -1513,17 +1514,50 @@ def test_strip_graph_walks_match_chain_oracles():
     assert cases == 145
 
 
+def _cell_paths(nodes, passes, k):
+    """Counter of the nodes that the cell passes take node k to, taken in
+    order, one count per path: in each pass any number of its edges, one
+    after another, then the next pass.  Checks that each pass lists its
+    edges in increasing source node, as the level DP's in-place update
+    needs, and that each edge adds one cell to the pass's row, the bottom
+    row in the first pass."""
+    rows = len(nodes[0])
+    out = []
+    for p, cells in enumerate(passes):
+        assert [mu for mu, _, _ in cells] == sorted(mu for mu, _, _ in cells)
+        i = rows - 1 - p
+        step: dict = {}
+        for mu, nu, _ in cells:
+            assert nodes[nu] == nodes[mu][:i] + (nodes[mu][i] + 1,) + nodes[mu][i + 1:]
+            step.setdefault(mu, []).append(nu)
+        out.append(step)
+    assert len(out) == rows
+    reached = Counter()
+
+    def walk(node, p):
+        if p == len(out):
+            reached[node] += 1
+            return
+        walk(node, p + 1)
+        for nu in out[p].get(node, ()):
+            walk(nu, p)
+
+    walk(k, 0)
+    return reached
+
+
 def test_strip_graph_matches_its_definition():
     # every shape of size <= 8, the one-end walk graph that the float walks
     # read: the sub-shapes padded to len(shape) rows in lexicographic order;
-    # need by the cells each column lacks, counted row by row; succ every nu
-    # one horizontal strip inside shape away (mu <= nu and nu[i + 1] <=
-    # mu[i], the empty strip included), stably by need; and the sub-shape
-    # count read without the graph
+    # need by the cells each column lacks, counted row by row; from every
+    # node the cell passes, taken in order, reach each nu one horizontal
+    # strip inside shape away (mu <= nu and nu[i + 1] <= mu[i], the empty
+    # strip included) by exactly one path, and nothing else; every edge
+    # draws; and the sub-shape count read without the graph
     cases = 0
     for size in range(9):
         for shape in all_partitions(size):
-            nodes, (end,), _, _, need, succ = zmod._walk_graph(((shape, (None,) * size),))
+            nodes, (end,), _, _, need, passes = zmod._walk_graph(((shape, (None,) * size),))
             start = 0
             rows = len(shape)
             padded = [mu for mu in product(*(range(part + 1) for part in shape))
@@ -1535,10 +1569,11 @@ def test_strip_graph_matches_its_definition():
                 if shape else 0
                 for mu in nodes
             ), shape
-            for mu, nus in zip(nodes, succ):
-                strips = [k for k, nu in enumerate(nodes)
+            assert {label for cells in passes for _, _, label in cells} <= {None}, shape
+            for k, mu in enumerate(nodes):
+                strips = [j for j, nu in enumerate(nodes)
                           if all(map(int.__le__, mu, nu)) and all(map(int.__le__, nu[1:], mu))]
-                assert nus == tuple(sorted(strips, key=need.__getitem__)), (shape, mu)
+                assert _cell_paths(nodes, passes, k) == Counter(strips), (shape, mu)
             cases += 1
     assert cases == 67
 
@@ -1578,10 +1613,17 @@ def _oracle_walk_graph(ends):
 def _check_walk_graph(ends):
     """Compare _walk_graph(ends) with _oracle_walk_graph.  A built node's
     label rows are read from an end whose node it reaches: every path into
-    an end's node lies in that end, so all of them must agree."""
-    nodes, at, depth, labels, need, succ = zmod._walk_graph(ends)
+    an end's node lies in that end, so all of them must agree.  The strips
+    out of a node are the nodes its cell passes reach (_cell_paths), each
+    by exactly one path, and each edge carries the label of its new cell."""
+    nodes, at, depth, labels, need, passes = zmod._walk_graph(ends)
     graph, oracle_at = _oracle_walk_graph(ends)
     assert nodes[0] == (0,) * max(len(shape) for shape, _ in ends) and list(nodes) == sorted(nodes)
+    succ = []
+    for k in range(len(nodes)):
+        paths = _cell_paths(nodes, passes, k)
+        assert set(paths.values()) == {1}, (ends, nodes[k])
+        succ.append(list(paths))
     reach = [set() for _ in nodes]
     for k in range(len(nodes) - 1, -1, -1):
         reach[k].update(i for i, e in enumerate(at) if e == k)
@@ -1606,9 +1648,11 @@ def _check_walk_graph(ends):
         assert depth[k] == cells.count(None), (ends, key)
         assert Counter(labels[k]) == Counter(x for x in cells if x is not None), (ends, key)
         assert need[k] == graph[key][1], (ends, key)
-        assert len(set(succ[k])) == len(succ[k]), (ends, key)
         assert {keys[nu] for nu in succ[k]} == graph[key][2], (ends, key)
-        assert [need[nu] for nu in succ[k]] == sorted(need[nu] for nu in succ[k]), (ends, key)
+    for p, cells in enumerate(passes):
+        i = len(nodes[0]) - 1 - p
+        for mu, nu, label in cells:
+            assert label == keys[nu][i][nodes[mu][i]], (ends, nodes[mu], nodes[nu])
 
 
 def _conflict(ends) -> bool:
@@ -1662,6 +1706,85 @@ def test_walk_graph_matches_the_union_of_its_ends_strip_graphs():
             groups.add(ends)
     for ends in groups:
         _check_walk_graph(ends)
+
+
+def _top_row_first(monkeypatch):
+    """Mutation: the level DP runs the cell passes top row first, so a row
+    grows past the start-of-level length of the row above it and one level
+    can fill a vertical domino."""
+    built = zmod._walk_graph
+
+    def mutated(ends):
+        *graph, passes = built(ends)
+        return (*graph, passes[::-1])
+
+    monkeypatch.setattr(zmod, "_walk_graph", mutated)
+
+
+def _pruned_at_spare(monkeypatch):
+    """Mutation: the level DP skips a target mid-level when its need exceeds
+    the levels left, not the levels left plus one, and so loses every strip
+    through a node that the rest of its level grows into a fillable one."""
+    source = inspect.getsource(zmod._levels)
+    assert source.count("need[nu] > spare + 1") == 1
+    namespace = dict(vars(zmod))
+    exec(compile(source.replace("need[nu] > spare + 1", "need[nu] > spare"), zmod.__file__, "exec"), namespace)
+    monkeypatch.setattr(zmod, "_levels", namespace["_levels"])
+
+
+LEVEL_ENGINE_MUTATIONS = {
+    # (mutate, values of all-ones zeta(shape) at N, the named tests that
+    # fail, the grids' anchor zeta((2,1)) at N = 2 as the engine reads it)
+    "top-row-first": (
+        _top_row_first,
+        {((1, 1), 1): 1, ((2, 1), 2): Fraction(9, 4), ((2, 2), 2): Fraction(7, 4)},
+        [
+            test_eval_zeta_truncated_examples,
+            test_eval_zeta_zero_when_too_tall,
+            test_row_shape_is_weak_chain_and_column_shape_is_strict_chain,
+        ],
+        "45/32",
+    ),
+    "pruned-at-spare": (
+        _pruned_at_spare,
+        {((2,), 1): 0, ((2, 1), 2): Fraction(1, 2), ((2, 2), 2): 0},
+        [
+            test_eval_zeta_truncated_examples,
+            test_row_shape_is_weak_chain_and_column_shape_is_strict_chain,
+            test_harmonic_product_against_double_sum_oracle,
+        ],
+        "1/8",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(LEVEL_ENGINE_MUTATIONS))
+def test_level_engine_mutations_fail_named_tests_and_the_grids_anchor(monkeypatch, mutation):
+    # the two rules the level DP rests on: the cell passes run bottom row
+    # first, and a target mid-level is kept while its need is at most the
+    # levels left plus one.  Unmutated, the all-ones values of (1,1) and
+    # (2) at N = 1 are 0 and 1, those of (2,1) and (2,2) at N = 2 are 3/4
+    # and 1/4, and the anchor reads 5/32.
+    mutate, values, named, engine = LEVEL_ENGINE_MUTATIONS[mutation]
+    for (shape, n_trunc), value in values.items():
+        assert value != eval_zeta_truncated(shape, grid_vars(shape, "x"), _ones(shape), n_trunc)
+    mutate(monkeypatch)
+    zmod._product_sum.cache_clear()
+    try:
+        for (shape, n_trunc), value in values.items():
+            assert eval_zeta_truncated(shape, grid_vars(shape, "x"), _ones(shape), n_trunc) == value, shape
+        for test in named:
+            with pytest.raises(AssertionError):
+                test()
+        for criterion in (acceptance.criterion_pieri_h, acceptance.criterion_pieri_e, acceptance.criterion_lr):
+            result = criterion(quick=True)
+            assert not result.passed and f"level engine {engine} != tableau sum 5/32" in result.detail, result
+    finally:
+        zmod._product_sum.cache_clear()
+
+
+def _ones(shape) -> dict:
+    return dict.fromkeys((v for row in grid_vars(shape, "x") for v in row), 1)
 
 
 def test_count_layers_reach_every_count_vector_once():
