@@ -36,11 +36,14 @@ def _parse_word(text: str):
 
 def _load_json(value: str, flag: str):
     value = value.strip()
-    if value.startswith(("{", "[")):
-        return json.loads(value)
-    if os.path.exists(value):
-        with open(value, encoding="utf-8") as fh:
-            return json.load(fh)
+    try:
+        if value.startswith(("{", "[")):
+            return json.loads(value)
+        if os.path.exists(value):
+            with open(value, encoding="utf-8") as fh:
+                return json.load(fh)
+    except RecursionError:
+        raise ValueError(f"{flag}: JSON nested too deeply") from None
     raise ValueError(f"{flag}: {value!r} is neither inline JSON nor a file")
 
 

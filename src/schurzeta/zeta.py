@@ -22,10 +22,11 @@ sums keep per node a weight per count vector of the values drawn so far:
 for distinct values of multiplicities m_i there are prod(m_i + 1) count
 vectors (2^k for k distinct values), where an enumeration visits about
 N^|shape| tableaux.  A side of an identity is one walk: the last factors
-of its terms, the walk's ends, share one graph in which a sub-shape has
-one node, split only where two ends label one of its cells differently,
-and start from the count vectors the factors before them drew; a
-product walks the factor with fewer sub-shapes first.  The shapes of a
+of its terms, the walk's ends, share one graph whose nodes are keyed by
+a sub-shape and the fixed labels that an end has inside it, so ends
+share the node of a sub-shape they label alike, and start from the
+count vectors the factors before them drew; a product walks the factor
+with fewer sub-shapes first.  The shapes of a
 Pieri or Littlewood-Richardson identity fix one cached record (_Setup):
 its symmetrized set, its terms, the LR coefficients taken from the
 crystal decomposition (crystal.decompose_product), and the plans
@@ -36,12 +37,13 @@ and the order of its fixed labels, and the work guard's count of nodes
 (_sym_work).  A call checks the assignment and the level, takes the
 value multiset, guards both sides, pairs each walk's fixed labels with
 their values and sums the walks, each a cached level DP; an exact
-one-shape sum is guarded as a one-factor plan.  Float truncation and the
-untruncated limit walk one shape's graph in floats, a chunk of levels at
-a time with one compensated sum per sub-shape, over the strips its
-passes reach from each node.  The limit's tail terms follow from the
-same strips' exponent sums, and a float fit over its readings cancels
-them with weights solved in exact integers and rounded once each.
+one-shape sum is a one-term plan that symmetrizes nothing.  Float
+truncation and the untruncated limit walk one shape's graph in floats,
+a chunk of levels at a time with one compensated sum per sub-shape, over
+the strips its passes reach from each node.  The limit's tail terms
+follow from the same strips' exponent sums, and a float fit over its
+readings cancels them with weights solved in exact integers and rounded
+once each.
 """
 
 import decimal
@@ -51,7 +53,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, permutations, product, repeat
-from operator import add, mul
+from operator import add, itemgetter, mul
 from numbers import Real
 from typing import NamedTuple
 
@@ -209,80 +211,53 @@ def _subshape_count(shape: Partition) -> int:
 
 @cache
 def _walk_graph(ends: tuple):
-    """(nodes, at, depth, labels, need, passes): the walk graph of the ends
-    (shape, labels), labels the row-major labels of the cells: None for a
-    drawn cell, the fixed variable's name otherwise.  The one graph builder
-    of the level engine; the float walks read its one-end call.
+    """(nodes, at, depth, need, passes): the walk graph of the ends (shape,
+    labels), labels the row-major labels of the cells: None for a drawn
+    cell, the fixed variable's name otherwise.  The one graph builder of
+    the level engine; the float walks read its one-end call.
 
-    A node is a sub-shape of an end, padded with zeros to the ends' most
-    rows, with the labels that end gives its cells.  The ends share the
-    node of a sub-shape unless two of them label one of its cells
-    differently: such conflict cells split it by their labels.  nodes
-    lists the nodes' sub-shapes in lexicographic order, every strict
-    sub-shape first and node 0 the empty shape, and at[i] is the node of
-    end i.  Per node, depth counts its drawn cells, labels lists its fixed
-    labels in row-major order, and need is the fewest levels in which an
-    end that holds the node can still be filled from it.  passes holds one
-    cell pass per row, bottom row first: the edges (mu, nu, label), in
-    increasing mu, from each node mu to each node nu one cell longer in
-    that row that is still a partition and shares an end with mu, label
-    that of the new cell.  Run in order, the passes add each horizontal
-    strip by exactly one path, bottom row first: row i - 1 keeps its
-    length until row i has grown.  Every edge joins two nodes that one end
-    holds, and the labels of a node fix those of every node inside it, so
-    every path into at[i] is a tableau of end i alone."""
+    A node is keyed by a sub-shape mu of an end, padded with zeros to the
+    ends' most rows, and the fixed cells (i, c, label) that end has inside
+    mu, () for an end with no fixed label: ends share a node exactly when
+    they label its cells alike.  nodes lists the nodes' sub-shapes in
+    lexicographic order, every strict sub-shape first and node 0 the empty
+    shape, a sub-shape's nodes in the order of their first ends, and at[i]
+    is the node of end i.  Per node, depth counts its drawn cells and need
+    is the fewest levels in which an end that holds the node can still be
+    filled from it.  passes holds one cell pass per row, bottom row first:
+    the edges (mu, nu, label), in increasing mu, from each node mu to each
+    node nu one cell longer in that row that is still a partition and
+    shares an end with mu, label that of the new cell in the first end of
+    nu.  Run in order, the passes add each horizontal strip by exactly one
+    path, bottom row first: row i - 1 keeps its length until row i has
+    grown.  Every edge joins two nodes that one end holds, and the key of a
+    node fixes those of every node inside it, so every path into at[i] is
+    a tableau of end i alone."""
     rows = max(len(shape) for shape, _ in ends)
-    shapes = tuple(shape + (0,) * (rows - len(shape)) for shape, _ in ends)
     label_rows = [[labels[a - b:a] for a, b in zip(accumulate(shape), shape)] for shape, labels in ends]
-    # per row the longest of the ends' label rows; a cell that some end
-    # labels otherwise is a conflict cell
-    grid = [max((lr[i] for lr in label_rows if len(lr) > i), key=len) for i in range(rows)]
-    conflicts = [set() for _ in grid]
-    for lr in label_rows:
-        for i, row in enumerate(lr):
-            if row != grid[i][:len(row)]:
-                conflicts[i].update(c for c, x in enumerate(row) if x != grid[i][c])
-    # The general branch below builds the same graphs (checked on the 97
-    # end sets of the full selftest and the verify-sweep and -frontier
-    # items); this fast path only skips its bit masks, about 12% less time
-    # per graph (5.9 against 6.8 ms for those 97, best of 30).
-    if not any(conflicts):
-        # one node per sub-shape, held by every end that contains it
-        nodes = sorted({mu for shape in shapes for mu in _subshapes(shape)})
-        variants = {mu: ((-1, k),) for k, mu in enumerate(nodes)}
-        holders = [-1] * len(nodes)
-        at = tuple(variants[shape][0][1] for shape in shapes)
-        cell_rows = [grid] * len(nodes)
-    else:
-        # a node is a sub-shape and the ends in the bit mask holders[k]
-        # that hold it and agree on its conflict cells, labelled as the
-        # first of them: per sub-shape the ends that hold it, split by the
-        # labels of each conflict cell inside it
-        held: dict[tuple, int] = {}
-        for j, shape in enumerate(shapes):
-            for mu in _subshapes(shape):
-                held[mu] = held.get(mu, 0) | 1 << j
-        # per conflict cell (i, c), the masks of the ends that give it each
-        # label
-        splits = []
-        for i, cols in enumerate(conflicts):
-            for c in cols:
-                by_label: dict = {}
-                for j, lr in enumerate(label_rows):
-                    if len(lr) > i and len(lr[i]) > c:
-                        by_label[lr[i][c]] = by_label.get(lr[i][c], 0) | 1 << j
-                splits.append((i, c, tuple(by_label.values())))
-        nodes, holders, variants = [], [], {}
-        for mu in sorted(held):
-            parts = [held[mu]]
-            for i, c, masks in splits:
-                if mu[i] > c:
-                    parts = [part & m for part in parts for m in masks if part & m]
-            variants[mu] = [(part, len(nodes) + k) for k, part in enumerate(parts)]
-            nodes += [mu] * len(parts)
-            holders += parts
-        at = tuple(k for j, shape in enumerate(shapes) for part, k in variants[shape] if part >> j & 1)
-        cell_rows = [label_rows[(part & -part).bit_length() - 1] for part in holders]
+    # per key the bit mask of the ends that hold it, in order of first end
+    masks: dict[tuple, int] = {}
+    whole = []
+    for j, ((shape, _), lr) in enumerate(zip(ends, label_rows)):
+        padded = shape + (0,) * (rows - len(shape))
+        fixed = tuple((i, c, x) for i, row in enumerate(lr) for c, x in enumerate(row) if x is not None)
+        for mu in _subshapes(padded):
+            # an end with no fixed label, as on every fully symmetrized
+            # side, skips the filter
+            key = (mu, tuple(cell for cell in fixed if mu[cell[0]] > cell[1]) if fixed else ())
+            masks[key] = masks.get(key, 0) | 1 << j
+        whole.append((padded, fixed))
+    keys = sorted(masks, key=itemgetter(0))
+    nodes = [mu for mu, _ in keys]
+    holders = [masks[key] for key in keys]
+    index = {key: k for k, key in enumerate(keys)}
+    at = tuple(index[key] for key in whole)
+    # per sub-shape its nodes (mask, k), and per node the label rows of its
+    # first end
+    variants: dict[tuple, list] = {}
+    for k, mu in enumerate(nodes):
+        variants.setdefault(mu, []).append((holders[k], k))
+    cell_rows = [label_rows[(mask & -mask).bit_length() - 1] for mask in holders]
     # one reverse pass over the nodes lists each node's edges and sets its
     # need, with no strip list: an edge leads to a later node, whose
     # reach[p], the least need over the nodes that the passes p, p + 1,
@@ -311,14 +286,10 @@ def _walk_graph(ends: tuple):
         else:
             need[k] = top = 1 + least
             reach[k] = [x if x < top else top for x in reversed(tops)]
-    labels = tuple(
-        tuple(x for row, n in zip(lr, mu) for x in row[:n] if x is not None) for mu, lr in zip(nodes, cell_rows)
-    )
     return (
         tuple(nodes),
         at,
-        tuple(sum(mu) - len(names) for mu, names in zip(nodes, labels)),
-        labels,
+        tuple(sum(mu) - len(fixed) for mu, fixed in keys),
         tuple(need),
         tuple(tuple(reversed(cells)) for cells in passes),
     )
@@ -379,7 +350,7 @@ def _levels(ends, exps, n_trunc: int, values, caps, layer: int, init) -> list:
     grow it, and any node at the end of the level when its need exceeds
     them."""
     scale = _lcm_upto(n_trunc)
-    _, at, depth, _, need, passes = _walk_graph(ends)
+    _, at, depth, need, passes = _walk_graph(ends)
     sizes, moves = _count_layers(caps)
     state = {0: list(init)}
     for a in range(1, n_trunc + 1):
@@ -466,21 +437,18 @@ def eval_zeta_truncated(shape, var_rows, assign, n_trunc: int):
 
     Exact rational when every exponent is an integer, float otherwise;
     zero when the shape has more rows than n_trunc.  Exponents must be
-    finite numbers >= 0 (not bools) in both modes.  An exact sum is
-    refused, before its DP runs, when the work guard's count of a
-    one-factor sum (_sym_work), sub-shapes times n_trunc, exceeds
-    WORK_LIMIT.
+    finite numbers >= 0 (not bools) in both modes.  An exact sum is a
+    one-term sum that symmetrizes nothing, planned (_sym_plan) and guarded
+    (_admit) as sym_sum does: refused, before its DP runs, when its work
+    (_sym_work), sub-shapes times n_trunc, exceeds WORK_LIMIT.
     """
     shape = as_partition(shape)
     require_ints((n_trunc,), "truncation level", 1)
     flat = _checked_exponents(shape, var_rows, assign)
     if all(map(is_int, flat)):
-        _require_work(_subshape_count(shape) * n_trunc if len(shape) <= n_trunc else 0)
-        labels = tuple(_flatten(var_rows))
-        ((fixed, _, vec),) = _product_sum(
-            (), ((shape, labels),), tuple(dict(zip(labels, flat)).items()), n_trunc, (), ()
-        )
-        return Fraction(vec[0] if vec else 0, _lcm_upto(n_trunc) ** fixed)
+        spec = SymSpec((), frozenset())
+        (call,) = _admit((_sym_plan([(1, [(shape, var_rows)])], spec),), spec, assign, n_trunc)
+        return _terms_sum(call, assign, n_trunc)
     return math.fsum(next(_partial_sums(shape, tuple(map(Fraction, flat)), (n_trunc,))))
 
 
@@ -510,7 +478,7 @@ def _strips(shape: Partition, kinds: tuple):
     in increasing mu and then nu, e the exponent sum of the strip's cells
     for the row-major cell exponents kinds, exact numbers.  The strips out
     of mu are the nodes its cell passes reach, taken in order."""
-    nodes, (end,), _, _, _, passes = _walk_graph(((shape, (None,) * sum(shape)),))
+    nodes, (end,), _, _, passes = _walk_graph(((shape, (None,) * sum(shape)),))
     steps = [dict((mu, nu) for mu, nu, _ in cells) for cells in passes]
     prefix, at = [], 0
     for part in shape:

@@ -139,9 +139,9 @@ def test_identity_grids_fail_on_an_over_pruning_level_engine(monkeypatch):
     built = zeta._walk_graph
 
     def over_pruned(ends):
-        nodes, at, depth, labels, need, succ = built(ends)
+        nodes, at, depth, need, passes = built(ends)
         need = tuple(x if k in at else x + 1 for k, x in enumerate(need))
-        return nodes, at, depth, labels, need, succ
+        return nodes, at, depth, need, passes
 
     monkeypatch.setattr(zeta, "_walk_graph", over_pruned)
     zeta._product_sum.cache_clear()

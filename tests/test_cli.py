@@ -335,6 +335,28 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "shape" in err
 
 
+@pytest.mark.parametrize("source", ["inline", "file"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "pieri-h", "--lambda", "1", "--m", "1", "--n-trunc", "2", "--assign"],
+        ["zeta", "eval", "--shape", "1", "--n", "3", "--exponents"],
+        ["insert", "row", "--word", "1", "--tableau"],
+    ],
+    ids=["assign", "exponents", "tableau"],
+)
+def test_deeply_nested_json_exits_2(capsys, tmp_path, argv, source):
+    # json raises RecursionError past Python's recursion limit, which must
+    # read as bad input, not as an internal error (exit 3)
+    value = "[" * 5000 + "]" * 5000
+    if source == "file":
+        path = tmp_path / "deep.json"
+        path.write_text(value, encoding="utf-8")
+        value = str(path)
+    code, _, err = run(capsys, argv + [value])
+    assert code == 2 and err.startswith(f"error: {argv[-1]}: JSON nested too deeply"), err
+
+
 def test_insert_round_trip(capsys, tmp_path):
     code, out, _ = run(
         capsys,
