@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import acceptance, crystal, insertion, zeta
-from .partitions import as_partition, is_int
+from .partitions import as_partition, echo, is_int
 from .tableaux import as_tableau, count_ssyt, enumerate_ssyt, lr_coefficient, shape_of
 
 
@@ -24,14 +24,14 @@ def _parse_shape(text: str):
     try:
         return as_partition(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"bad shape {text!r}: {exc}") from None
+        raise ValueError(f"bad shape {echo(text)}: {exc}") from None
 
 
 def _parse_word(text: str):
     try:
         return tuple(int(x) for x in text.strip().split(","))
     except ValueError:
-        raise ValueError(f"bad word {text!r}: expected comma-separated integers") from None
+        raise ValueError(f"bad word {echo(text)}: expected comma-separated integers") from None
 
 
 def _load_json(value: str, flag: str):
@@ -44,7 +44,7 @@ def _load_json(value: str, flag: str):
                 return json.load(fh)
     except RecursionError:
         raise ValueError(f"{flag}: JSON nested too deeply") from None
-    raise ValueError(f"{flag}: {value!r} is neither inline JSON nor a file")
+    raise ValueError(f"{flag}: {echo(value)} is neither inline JSON nor a file")
 
 
 def _parse_tableau(value: str, flag: str):

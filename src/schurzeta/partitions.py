@@ -5,11 +5,30 @@ trailing zeros; the empty partition is ``()``.  Cells are 1-indexed
 ``(row, col)`` pairs, row 1 at the top.
 """
 
+import reprlib
 from functools import cache
 from itertools import combinations
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]
+
+_ECHO_LIMIT = 80
+# reprlib stops at six levels of nesting and six items a list; strings and
+# numbers it keeps to _ECHO_LIMIT characters
+_ECHO = reprlib.Repr()
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = _ECHO_LIMIT
+
+
+def echo(x) -> str:
+    """The repr of a rejected value for an error message, at most
+    _ECHO_LIMIT characters long: reprlib's abbreviation, cut with "...".
+    An int past Python's cap on int-to-str conversion (4,300 digits) is
+    named by its type alone."""
+    try:
+        text = _ECHO.repr(x)
+    except ValueError:
+        text = f"<{type(x).__name__} too long to print>"
+    return text if len(text) <= _ECHO_LIMIT else text[:_ECHO_LIMIT - 3] + "..."
 
 
 def is_int(x) -> bool:
@@ -28,7 +47,7 @@ def require_ints(values, what: str, lo: int, hi: int | None = None) -> tuple[int
         # type() first: plain ints skip the call
         if type(x) is not int and not is_int(x) or x < lo or hi is not None and x > hi:
             bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-            raise ValueError(f"{what} must be integers {bound}, got {x!r}")
+            raise ValueError(f"{what} must be integers {bound}, got {echo(x)}")
     return t
 
 
@@ -41,7 +60,7 @@ def as_partition(parts) -> Partition:
         t = t[:-1]
     for a, b in zip(t, t[1:]):
         if a < b:
-            raise ValueError(f"parts must weakly decrease, got {t}")
+            raise ValueError(f"parts must weakly decrease, got {echo(t)}")
     return t
 
 

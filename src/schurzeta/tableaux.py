@@ -9,7 +9,7 @@ them; no skew shape is filled.
 
 from functools import cache
 
-from .partitions import Partition, as_partition, cells, conjugate, contains, require_ints
+from .partitions import Partition, as_partition, cells, conjugate, contains, echo, require_ints
 
 Tableau = tuple[tuple[int, ...], ...]
 Word = tuple[int, ...]
@@ -37,7 +37,7 @@ def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
     try:
         t = tuple(map(tuple, rows))
     except TypeError:
-        raise ValueError(f"tableau rows must be iterables, got {rows!r}") from None
+        raise ValueError(f"tableau rows must be iterables, got {echo(rows)}") from None
     # one check of all entries; sum of a few row tuples is cheaper than chain
     require_ints(sum(t, ()), "tableau entries", 1)
     return t

@@ -21,12 +21,15 @@ fills one cell of every term, as in the paper's formulas, and the exact
 sums keep per node a weight per count vector of the values drawn so far:
 for distinct values of multiplicities m_i there are prod(m_i + 1) count
 vectors (2^k for k distinct values), where an enumeration visits about
-N^|shape| tableaux.  A side of an identity is one walk: the last factors
-of its terms, the walk's ends, share one graph whose nodes are keyed by
-a sub-shape and the fixed labels that an end has inside it, so ends
-share the node of a sub-shape they label alike, and start from the
-count vectors the factors before them drew; a product walks the factor
-with fewer sub-shapes first.  The shapes of a
+N^|shape| tableaux.  The values are listed by multiplicity, then value,
+so assignments with the same multiplicities share one table of count
+vectors (_count_layers), whose moves a drawn cell runs one value at a
+time, each at its one level weight.  A side of an identity is one
+walk: the last factors of its terms, the walk's ends, share one graph
+whose nodes are keyed by a sub-shape and the fixed labels that an end
+has inside it, so ends share the node of a sub-shape they label alike,
+and start from the count vectors the factors before them drew; a
+product walks the factor with fewer sub-shapes first.  The shapes of a
 Pieri or Littlewood-Richardson identity fix one cached record (_Setup):
 its symmetrized set, its terms, the LR coefficients taken from the
 crystal decomposition (crystal.decompose_product), and the plans
@@ -65,6 +68,7 @@ from .partitions import (
     cells,
     conjugate,
     corners,
+    echo,
     grow_cols,
     horizontal_strip_cols,
     is_int,
@@ -81,9 +85,9 @@ from .tableaux import (
 VarRows = tuple[tuple[str, ...], ...]
 
 # The most predicted work (_sym_work) a symmetrized sum may take on.  With
-# Python 3.11 on 2 cores a unit of the larger side costs 0.11-0.96 us across
+# Python 3.11 on 2 cores a unit of the larger side costs 0.09-0.91 us across
 # the exact frontier cases, growing with N as the integer weights grow:
-# 0.96 us at Pieri-h (4,2), m=4, N=40, which the limit admits at 1.5 s.  The
+# 0.91 us at Pieri-h (4,2), m=4, N=40, which the limit admits at 1.4 s.  The
 # count does not follow what the walk walks: see "A work guard that sees
 # integer width" in ROADMAP.md.
 WORK_LIMIT = 2_000_000
@@ -149,7 +153,7 @@ def _exponents(names, assign) -> list:
         x = assign[var]
         # type() first: a plain int skips the abstract Real check
         if type(x) is not int and (isinstance(x, bool) or not isinstance(x, Real)) or not 0 <= x < math.inf:
-            raise ValueError(f"exponents must be finite numbers >= 0, got {var}={x!r}")
+            raise ValueError(f"exponents must be finite numbers >= 0, got {var}={echo(x)}")
         out.append(x)
     return out
 
@@ -298,11 +302,13 @@ def _walk_graph(ends: tuple):
 @cache
 def _count_layers(caps: tuple[int, ...]):
     """(sizes, moves) over the count vectors c <= caps: sizes[k] counts
-    those with sum k, and moves[k][j] lists the pairs (i, index in layer
-    k + 1 of c + e_i) for the j-th vector c of layer k, over each value i
-    drawn fewer than caps[i] times.  A vector is the integer code
-    sum(c_i * stride_i), the codes in product order, and a layer lists its
-    codes in order of first reach from the layer below."""
+    those with sum k, and moves[k] lists, per value i drawn from some
+    vector of layer k, (i, pairs) with pairs the (j, index in layer k + 1
+    of c + e_i) over the j-th vectors c of layer k with c_i < caps[i], in
+    increasing j.  A vector is the integer code sum(c_i * stride_i), the
+    codes in product order, and a layer lists its codes in order of first
+    reach from the layer below.  Keyed by caps alone, so assignments with
+    the same multiplicities in the same order (_admit) share one table."""
     strides = list(accumulate(reversed([m + 1 for m in caps[1:]]), mul, initial=1))[::-1]
     # per code, the draws (i, stride_i) open to it: None where c_i = caps[i]
     steps = product(*([d] * m + [None] for d, m in zip(enumerate(strides), caps)))
@@ -310,22 +316,14 @@ def _count_layers(caps: tuple[int, ...]):
     sizes, moves, layer = [1], [], [0]
     for _ in range(sum(caps)):
         where: dict[int, int] = {}
-        moves.append(tuple(
-            tuple([(i, where.setdefault(c + s, len(where))) for i, s in opens[c]]) for c in layer
-        ))
+        pairs: list[list] = [[] for _ in caps]
+        for j, c in enumerate(layer):
+            for i, s in opens[c]:
+                pairs[i].append((j, where.setdefault(c + s, len(where))))
+        moves.append(tuple((i, tuple(p)) for i, p in enumerate(pairs) if p))
         layer = list(where)
         sizes.append(len(layer))
     return tuple(sizes), tuple(moves)
-
-
-def _draw(vec, moves, q, out) -> None:
-    """One symmetrized cell: a weight vector over one layer of count
-    vectors, moved up a layer by drawing value i at weight q[i] and added
-    into out."""
-    for x, targets in zip(vec, moves):
-        if x:
-            for i, j in targets:
-                out[j] += x * q[i]
 
 
 def _levels(ends, exps, n_trunc: int, values, caps, layer: int, init) -> list:
@@ -341,43 +339,47 @@ def _levels(ends, exps, n_trunc: int, values, caps, layer: int, init) -> list:
     stops at caps, so out pairs each count vector of init with every count
     vector the end draws on top of it within caps.
 
-    A level runs the graph's cell passes in order over one state, node to
-    weight vector, in place: an edge adds its source, drawn or weighed,
-    into its target, so each node ends the level with the sum over every
-    horizontal strip into it, the empty strip included.  A node that no
-    end can fill in the levels left is pruned: a target mid-level when its
-    need exceeds them by more than one, as the rest of the level may still
-    grow it, and any node at the end of the level when its need exceeds
-    them."""
+    A level runs the graph's cell passes in order over one state, a weight
+    vector or None per node, in place: an edge adds its source, drawn or
+    weighed, into its target, so each node ends the level with the sum
+    over every horizontal strip into it, the empty strip included.  A
+    drawn edge runs the moves of its layer one value at a time, each value
+    with its one level weight.  A node that no end can fill in the levels
+    left is pruned: a target mid-level when its need exceeds them by more
+    than one, as the rest of the level may still grow it, and any node at
+    the end of the level when its need exceeds them."""
     scale = _lcm_upto(n_trunc)
     _, at, depth, need, passes = _walk_graph(ends)
     sizes, moves = _count_layers(caps)
-    state = {0: list(init)}
+    state: list = [None] * len(need)
+    state[0] = list(init)
     for a in range(1, n_trunc + 1):
         spare = n_trunc - a
         base = scale // a
         q = [base**v for v in values]
-        powers = {x: base**e for x, e in exps.items()}
         for cells in passes:
             for mu, nu, label in cells:
-                vec = state.get(mu)
+                vec = state[mu]
                 if vec is None or need[nu] > spare + 1:
                     continue
-                tgt = state.get(nu)
+                tgt = state[nu]
                 if label is None:
                     k = layer + depth[nu]
                     if tgt is None:
                         tgt = state[nu] = [0] * sizes[k]
-                    _draw(vec, moves[k - 1], q, tgt)
+                    for i, pairs in moves[k - 1]:
+                        qi = q[i]
+                        for s, j in pairs:
+                            tgt[j] += vec[s] * qi
                 else:
-                    w = powers[label]
+                    w = base ** exps[label]
                     if tgt is None:
                         state[nu] = [w * x for x in vec]
                     else:
                         for j, x in enumerate(vec):
                             tgt[j] += w * x
-        state = {mu: vec for mu, vec in state.items() if need[mu] <= spare}
-    return [(layer + depth[e], state.get(e, [])) for e in at]
+        state = [vec if need[k] <= spare else None for k, vec in enumerate(state)]
+    return [(layer + depth[e], state[e] or []) for e in at]
 
 
 @cache
@@ -438,18 +440,30 @@ def eval_zeta_truncated(shape, var_rows, assign, n_trunc: int):
     Exact rational when every exponent is an integer, float otherwise;
     zero when the shape has more rows than n_trunc.  Exponents must be
     finite numbers >= 0 (not bools) in both modes.  An exact sum is a
-    one-term sum that symmetrizes nothing, planned (_sym_plan) and guarded
-    (_admit) as sym_sum does: refused, before its DP runs, when its work
-    (_sym_work), sub-shapes times n_trunc, exceeds WORK_LIMIT.
+    one-term sum that symmetrizes nothing, planned once per shape and
+    labels (_shape_plan) and guarded (_admit) as sym_sum does: refused,
+    before its DP runs, when its work (_sym_work), sub-shapes times
+    n_trunc, exceeds WORK_LIMIT.
     """
     shape = as_partition(shape)
     require_ints((n_trunc,), "truncation level", 1)
     flat = _checked_exponents(shape, var_rows, assign)
     if all(map(is_int, flat)):
-        spec = SymSpec((), frozenset())
-        (call,) = _admit((_sym_plan([(1, [(shape, var_rows)])], spec),), spec, assign, n_trunc)
+        (call,) = _admit((_shape_plan(shape, tuple(map(tuple, var_rows))),), _NO_SYM, assign, n_trunc)
         return _terms_sum(call, assign, n_trunc)
     return math.fsum(next(_partial_sums(shape, tuple(map(Fraction, flat)), (n_trunc,))))
+
+
+_NO_SYM = SymSpec((), frozenset())
+
+
+@cache
+def _shape_plan(shape: Partition, var_rows: VarRows) -> "_SymPlan":
+    """The plan (_sym_plan) of the one-term sum of one shape over var_rows,
+    rows as tuples, that symmetrizes nothing.  Cached: the sum's structure
+    is fixed by the shape and the labels, and sym_sum_direct asks for it
+    once per factor per permutation."""
+    return _sym_plan([(1, [(shape, var_rows)])], _NO_SYM)
 
 
 def _in_domain(shape: Partition, exps) -> bool:
@@ -958,7 +972,8 @@ class _Admitted(NamedTuple):
     """A symmetrized sum checked and admitted by the work guard for one
     assignment and level (_admit): the walks of its plan at that level
     (_SymPlan.cuts), and the distinct values of the symmetrized variables
-    in increasing order with their multiplicities."""
+    in the canonical order, by multiplicity and then by value, with their
+    multiplicities."""
 
     walks: tuple
     values: tuple
@@ -971,8 +986,12 @@ def _admit(plans, spec: SymSpec, assign, n_trunc: int) -> list:
     whose predicted work (_sym_work) exceeds WORK_LIMIT, before any of
     their DPs runs."""
     values = list(map(assign.__getitem__, spec.symmetrized))
-    distinct = tuple(sorted(set(values)))
-    caps = tuple(map(values.count, distinct))
+    # the canonical order, by multiplicity and then by value (a stable sort
+    # of the sorted values), so that assignments with the same
+    # multiplicities share one count-vector table (_count_layers)
+    order = sorted(set(values))
+    order.sort(key=values.count)
+    distinct, caps = tuple(order), tuple(map(values.count, order))
     for plan in plans:
         _require_work(_sym_work(plan, n_trunc, caps))
     return [_Admitted(plan.cuts[min(n_trunc, plan.rows)][1], distinct, caps) for plan in plans]
@@ -1119,7 +1138,7 @@ def _verify(setup: _Setup, assign, n_trunc: int) -> IdentityReport:
     require_ints((n_trunc,), "truncation level", 1)
     for var, x in zip(lhs.names, _exponents(lhs.names, assign)):
         if type(x) is not int and not is_int(x) or x < 1:
-            raise ValueError(f"exact mode needs integer exponents >= 1, got {var}={x!r}")
+            raise ValueError(f"exact mode needs integer exponents >= 1, got {var}={echo(x)}")
     left, right = [sym_sum(call, spec, assign, n_trunc) for call in _admit((lhs, rhs), spec, assign, n_trunc)]
     return IdentityReport(left, right, left == right, _vacuous_note(lhs, n_trunc))
 

@@ -357,6 +357,35 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path, argv, source):
     assert code == 2 and err.startswith(f"error: {argv[-1]}: JSON nested too deeply"), err
 
 
+DEEP = "[" * 980 + "1" + "]" * 980
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["zeta", "eval", "--shape", "1", "--n", "3", "--exponents", f"[[{DEEP}]]"], "x_1_1="),
+        (["verify", "pieri-h", "--lambda", "1", "--m", "1", "--n-trunc", "2",
+          "--assign", f'{{"s_1_1": {DEEP}, "t_1": 1}}'], "s_1_1="),
+        (["insert", "row", "--word", "1", "--tableau", DEEP], "tableau entries"),
+        (["zeta", "eval", "--shape", "1", "--n", "3", "--exponents", "x" * 2000], "--exponents"),
+    ],
+    ids=["exponents", "assign", "tableau", "neither-json-nor-file"],
+)
+def test_a_rejected_value_is_echoed_in_a_short_message(argv, named):
+    # nested 980 deep, just under the recursion limit, the JSON parses and
+    # its value is rejected; the message names the variable or flag and
+    # echoes the value cut short (over 1,900 characters in full).  In a
+    # fresh interpreter, whose stack is shallow enough for that depth.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurzeta.cli", *argv], env=env, capture_output=True,
+        text=True, timeout=20,
+    )
+    message = proc.stderr.strip()
+    assert proc.returncode == 2 and "\n" not in message and named in message, message
+    assert "nested too deeply" not in message and len(message) <= 160, message
+
+
 def test_insert_round_trip(capsys, tmp_path):
     code, out, _ = run(
         capsys,

@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 
 import pytest
@@ -10,11 +11,13 @@ from schurzeta.partitions import (
     conjugate,
     contains,
     corners,
+    echo,
     grow_cols,
     grow_rows,
     horizontal_strip_cols,
     is_horizontal_strip,
     is_vertical_strip,
+    require_ints,
     vertical_strip_rows,
 )
 from schurzeta.tableaux import as_tableau, enumerate_ssyt, is_ssyt
@@ -33,6 +36,13 @@ def brute_vertical_row_sets(p, n):
     return out
 
 
+def _nested(depth: int):
+    value = 1
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 def test_as_partition_normalizes():
     assert as_partition([3, 2, 0, 0]) == (3, 2)
     assert as_partition(()) == ()
@@ -40,6 +50,41 @@ def test_as_partition_normalizes():
         as_partition((1, 2))
     with pytest.raises(ValueError):
         as_partition((2, -1))
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (-1, "-1"),
+        ((1, 2), "(1, 2)"),
+        ([[1, 2], [3]], "[[1, 2], [3]]"),
+        ("[" * 980 + "]" * 980, "'" + "[" * 37 + "..." + "]" * 38 + "'"),
+        (tuple(range(100)), "(0, 1, 2, 3, 4, 5, ...)"),
+        (_nested(980), "[[[[[[[...]]]]]]]"),
+        (-(10**90), "-1" + "0" * 36 + "..." + "0" * 39),
+    ],
+    ids=["int", "tuple", "rows", "long-string", "long-tuple", "deep-list", "long-int"],
+)
+def test_echo_shows_a_rejected_value_in_at_most_80_characters(value, shown):
+    assert echo(value) == shown and len(shown) <= 80
+    with pytest.raises(ValueError) as info:
+        require_ints((value,), "parts", 0)
+    assert str(info.value) == f"parts must be integers >= 0, got {shown}"
+
+
+def test_echo_names_an_int_past_the_str_cap_by_its_type():
+    # Python caps int-to-str conversion at 4,300 digits by default; the CLI
+    # lifts the cap for its process, a library caller may not
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no cap on int-to-str conversion")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert echo(-(10**5000)) == "<int too long to print>"
+        with pytest.raises(ValueError, match="^parts must be integers >= 0, got <int too long to print>$"):
+            require_ints((-(10**5000),), "parts", 0)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_conjugate_examples():

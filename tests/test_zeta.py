@@ -143,6 +143,31 @@ def test_eval_zeta_truncated_examples():
     assert eval_zeta_truncated((2, 1), rows, assign, 2) == expected
 
 
+def test_exact_eval_plans_a_shape_and_its_labels_once(monkeypatch):
+    # the one-term plan is cached by shape and label rows as tuples, so a
+    # warm call, with rows given as lists or tuples, runs no _sym_plan
+    calls = []
+    plan = zmod._sym_plan
+    monkeypatch.setattr(zmod, "_sym_plan", lambda *args: calls.append(args) or plan(*args))
+    zmod._shape_plan.cache_clear()
+    rows = [["a", "b", "c"], ["d", "e"], ["f"]]
+    assign = {"a": 1, "b": 2, "c": 3, "d": 2, "e": 1, "f": 3}
+    # the exact value that CI pins for `zeta eval --shape 3,2,1 --n 12`
+    pinned = Fraction(
+        542247180185257543147094199492897479681, 9036095344068352558548293517312000000000
+    )
+    assert eval_zeta_truncated((3, 2, 1), rows, assign, 12) == pinned
+    assert len(calls) == 1
+    other = dict(assign, a=2)
+    expected = sum((monomial(t, rows, other) for t in cached_ssyt((3, 2, 1), 3)), Fraction(0))
+    for labels in (rows, tuple(map(tuple, rows))):
+        assert eval_zeta_truncated((3, 2, 1), labels, assign, 12) == pinned
+        assert eval_zeta_truncated([3, 2, 1], labels, other, 3) == expected
+    assert len(calls) == 1
+    assert eval_zeta_truncated((1,), (("a",),), {"a": 2}, 3) == Fraction(49, 36)
+    assert len(calls) == 2
+
+
 def test_eval_zeta_zero_when_too_tall():
     assert eval_zeta_truncated(
         (1, 1, 1), grid_vars((1, 1, 1), "x"),
@@ -1787,10 +1812,11 @@ def _ones(shape) -> dict:
 
 
 def test_count_layers_reach_every_count_vector_once():
-    # every caps of sum <= 8 over up to 6 values: walking the moves from
-    # the zero vector gives each (layer, index) the same count vector by
-    # every path, draws value i exactly where c_i < caps[i], and each layer
-    # holds every vector <= caps of its sum exactly once
+    # every caps of sum <= 8 over up to 6 values: walking the moves, grouped
+    # by the value drawn, from the zero vector gives each (layer, index) the
+    # same count vector by every path, draws value i exactly where c_i <
+    # caps[i], and each layer holds every vector <= caps of its sum exactly
+    # once
     cases = 0
     for k in range(7):
         for caps in product(range(1, 10 - k), repeat=k):
@@ -1800,20 +1826,51 @@ def test_count_layers_reach_every_count_vector_once():
             assert len(sizes) == sum(caps) + 1 and len(moves) == sum(caps)
             vectors = {(0, 0): (0,) * k}
             for layer, row in enumerate(moves):
-                assert len(row) == sizes[layer]
-                for j, targets in enumerate(row):
-                    c = vectors[layer, j]
-                    assert sorted(i for i, _ in targets) == [i for i in range(k) if c[i] < caps[i]]
-                    for i, t in targets:
+                assert [i for i, _ in row] == sorted({i for i, _ in row})
+                drawn: dict[int, list] = {j: [] for j in range(sizes[layer])}
+                for i, pairs in row:
+                    assert pairs and [j for j, _ in pairs] == sorted({j for j, _ in pairs})
+                    for j, t in pairs:
+                        c = vectors[layer, j]
+                        drawn[j].append(i)
                         up = c[:i] + (c[i] + 1,) + c[i + 1:]
                         assert 0 <= t < sizes[layer + 1]
                         assert vectors.setdefault((layer + 1, t), up) == up, (caps, layer, j, i)
+                for j, values in drawn.items():
+                    c = vectors[layer, j]
+                    assert values == [i for i in range(k) if c[i] < caps[i]], (caps, layer, j)
             for layer, size in enumerate(sizes):
                 assert sorted(vectors[layer, j] for j in range(size)) == [
                     c for c in product(*(range(m + 1) for m in caps)) if sum(c) == layer
                 ], (caps, layer)
             cases += 1
     assert cases == 247
+
+
+def test_moving_multiplicities_among_values_keeps_both_sides_and_one_table_per_pattern():
+    # _admit orders the distinct values by multiplicity, then value: every
+    # way of giving the multiplicities 1, 1, 2 to the values 1, 2, 3 (or
+    # 1, 3 to 1, 2) sums both sides as the permutations do, and each
+    # pattern builds one count-vector table, not one per order of its caps
+    lam, m, n_trunc = (2, 1), 2, 3
+    setup = _pieri_setup(lam, m, "h")
+    lhs = [(1, list(setup.factors))]
+    rhs = [(1, [(grown, rows)]) for _, grown, rows in setup.terms]
+    cases = []
+    for mults, values in (((1, 1, 2), (1, 2, 3)), ((1, 3), (1, 2))):
+        for order in sorted(set(permutations(mults))):
+            drawn = [v for v, count in zip(values, order) for _ in range(count)]
+            assign = dict(zip(setup.spec.symmetrized, drawn), s_2_1=2)
+            direct = [sym_sum_direct(side, setup.spec, assign, n_trunc) for side in (lhs, rhs)]
+            cases.append((assign, direct))
+    assert len(cases) == 5 and len(setup.spec.symmetrized) == 4
+    zmod._count_layers.cache_clear()
+    zmod._product_sum.cache_clear()
+    for assign, direct in cases:
+        rep = verify_pieri_h(lam, m, assign, n_trunc)
+        assert rep.equal and [rep.lhs, rep.rhs] == direct, assign
+    info = zmod._count_layers.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
 
 
 def test_eval_zeta_limit_basics():
