@@ -31,8 +31,6 @@ from .partitions import (
     grow_cols,
     grow_rows,
     horizontal_strip_cols,
-    is_horizontal_strip,
-    is_vertical_strip,
     vertical_strip_rows,
 )
 from .tableaux import (
@@ -41,14 +39,12 @@ from .tableaux import (
     lr_coefficient,
     reading_word,
     shape_of,
-    weight,
 )
 from .zeta import (
     IdentityReport,
     InsertionTermReport,
     LimitReport,
     SymSpec,
-    canonical_filling,
     e_sym_spec,
     eval_zeta_limit,
     eval_zeta_truncated,

@@ -167,10 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_ssyt(args) -> int:
     shape = _parse_shape(args.shape)
+    count = count_ssyt(shape, args.n)
     if args.count:
-        count = count_ssyt(shape, args.n)
         _emit({"count": count}, args.json, [str(count)])
         return 0
+    # each tableau's cells and its output line, priced before any is built
+    zeta._require_work(count * (sum(shape) + 1))
     tabs = enumerate_ssyt(shape, args.n)
     payload = [_tableau_json(t) for t in tabs]
     lines = [" / ".join(" ".join(str(x) for x in row) for row in t) or "(empty)" for t in tabs]

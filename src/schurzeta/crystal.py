@@ -120,10 +120,6 @@ def connected_component(word, n: int) -> set[TensorWord]:
     return seen
 
 
-def is_highest_weight(word, n: int) -> bool:
-    return _extend_phi(_check_word(word, n), [0] * (n + 1)) is not None
-
-
 def highest_weight_elements(words, n: int) -> list[TensorWord]:
     """Elements killed by every raising operator, in sorted order."""
     words = _check_words(words, n)

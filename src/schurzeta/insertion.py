@@ -12,10 +12,8 @@ column), ending at the newly created cell.
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
-from .partitions import require_ints
+from .partitions import Cell, require_ints
 from .tableaux import Tableau, Word, require_ssyt, transpose
-
-Cell = tuple[int, int]
 
 
 class InsertionResult(NamedTuple):

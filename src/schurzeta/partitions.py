@@ -100,21 +100,6 @@ def contains(outer: Partition, inner: Partition) -> bool:
     return all(a <= b for a, b in zip(inner, outer))
 
 
-def is_horizontal_strip(outer: Partition, inner: Partition) -> bool:
-    """True when outer/inner has at most one cell per column: a vertical
-    strip between the conjugates."""
-    return is_vertical_strip(conjugate(outer), conjugate(inner))
-
-
-def is_vertical_strip(outer: Partition, inner: Partition) -> bool:
-    """True when outer/inner has at most one cell per row."""
-    outer, inner = as_partition(outer), as_partition(inner)
-    if not contains(outer, inner):
-        return False
-    padded = inner + (0,) * (len(outer) - len(inner))
-    return all(a - b in (0, 1) for a, b in zip(outer, padded))
-
-
 def vertical_strip_rows(p: Partition, n: int) -> list[tuple[int, ...]]:
     """All n-element row-index sets whose simultaneous growth by one cell
     keeps the sequence a partition (equivalently: adds a vertical strip).

@@ -31,23 +31,17 @@ def transpose(rows) -> tuple[tuple, ...]:
     return tuple(map(tuple, cols))
 
 
-def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
-    """rows as tuples; a ValueError unless rows is an iterable of rows and
-    every entry an int >= 1."""
+def as_tableau(rows) -> Tableau:
+    """rows as a tuple of row tuples, trailing empty rows dropped as
+    as_partition drops trailing zeros; a ValueError unless rows is an
+    iterable of rows, every entry an int >= 1, and the row lengths then
+    weakly decrease."""
     try:
         t = tuple(map(tuple, rows))
     except TypeError:
         raise ValueError(f"tableau rows must be iterables, got {echo(rows)}") from None
     # one check of all entries; sum of a few row tuples is cheaper than chain
     require_ints(sum(t, ()), "tableau entries", 1)
-    return t
-
-
-def as_tableau(rows) -> Tableau:
-    """rows as a tableau (_int_rows), trailing empty rows dropped as
-    as_partition drops trailing zeros; a ValueError unless the row lengths
-    then weakly decrease."""
-    t = _int_rows(rows)
     while t and not t[-1]:
         t = t[:-1]
     as_partition(shape_of(t))
@@ -73,7 +67,7 @@ def is_ssyt(t) -> bool:
 
 
 def _semistandard(rows) -> bool:
-    """Whether rows of ints >= 1 (_int_rows) weakly increase along each row
+    """Whether rows of ints >= 1 (as_tableau) weakly increase along each row
     and strictly down each column.  The shape is not checked."""
     for row in rows:
         for a, b in zip(row, row[1:]):
@@ -152,18 +146,6 @@ def cached_reading_words(shape: Partition, n: int) -> tuple[Word, ...]:
     """The reading words of cached_ssyt(shape, n), in its order.  Cached
     and unchecked like it."""
     return tuple(map(reading_word, cached_ssyt(shape, n)))
-
-
-def weight(t) -> tuple[int, ...]:
-    """Multiplicity vector of the entries 1 .. the largest, ints >= 1."""
-    rows = _int_rows(t)
-    counts: list[int] = []
-    for row in rows:
-        for v in row:
-            if v > len(counts):
-                counts.extend([0] * (v - len(counts)))
-            counts[v - 1] += 1
-    return tuple(counts)
 
 
 def lr_coefficient(mu, nu, lam) -> int:

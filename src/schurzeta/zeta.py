@@ -88,8 +88,8 @@ VarRows = tuple[tuple[str, ...], ...]
 # Python 3.11 on 2 cores a unit of the larger side costs 0.09-0.91 us across
 # the exact frontier cases, growing with N as the integer weights grow:
 # 0.91 us at Pieri-h (4,2), m=4, N=40, which the limit admits at 1.4 s.  The
-# count does not follow what the walk walks: see "A work guard that sees
-# integer width" in ROADMAP.md.
+# count does not price the width of the integer weights: see item 4 of
+# ROADMAP.md, "A work guard that prices integer width".
 WORK_LIMIT = 2_000_000
 
 
@@ -854,8 +854,12 @@ def _sym_work(plan: "_SymPlan", n_trunc: int, caps: tuple) -> int:
 
 
 def _require_work(work: int) -> None:
+    """A ValueError when work exceeds WORK_LIMIT, naming the count with
+    thousands separators while that takes at most 80 characters (60
+    digits), and as echo cuts a rejected value past that."""
     if work > WORK_LIMIT:
-        raise ValueError(f"predicted work of {work:,} units exceeds the limit of {WORK_LIMIT:,}")
+        count = f"{work:,}" if work < 10**60 else echo(work)
+        raise ValueError(f"predicted work of {count} units exceeds the limit of {WORK_LIMIT:,}")
 
 
 def _check_spec(terms, spec) -> list:
@@ -1158,34 +1162,20 @@ def verify_pieri_e(lam, n: int, assign, n_trunc: int) -> IdentityReport:
     return _verify(_pieri(lam, n, "e"), assign, n_trunc)
 
 
-def canonical_filling(lam, mu, nu) -> VarRows:
-    """Deterministic filling of lam by the mu-variables then the
-    nu-variables, row-major on both sides.  Any filling by these variables
-    gives the same symmetrized sum: every one of them is symmetrized, so
-    the sum runs over all their orders and none is tied to a cell."""
-    lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
-    if sum(lam) != sum(mu) + sum(nu):
-        raise ValueError("sizes must satisfy |lam| = |mu| + |nu|")
-    return _row_filling(lam, (*_flatten(grid_vars(mu, "s")), *_flatten(grid_vars(nu, "t"))))
-
-
-def _row_filling(lam: Partition, names: tuple) -> VarRows:
-    """The filling of lam by names, row by row; unchecked: one name per
-    cell."""
-    return tuple(names[a - part:a] for a, part in zip(accumulate(lam), lam))
-
-
 @cache
 def _lr_setup(mu: Partition, nu: Partition) -> _Setup:
     """The _Setup of the Littlewood-Richardson identity of mu and nu: all
     their variables symmetrized, and one term per component of the
     product of their GL(len(mu) + len(nu)) tableau crystals
     (crystal.decompose_product), enough letters for every shape of the
-    product.  Cached."""
+    product, each shape filled row-major by the mu-variables then the
+    nu-variables.  Any filling gives the same sum: every variable is
+    symmetrized, so none is tied to a cell.  Cached."""
     factors = ((mu, grid_vars(mu, "s")), (nu, grid_vars(nu, "t")))
-    spec = SymSpec(tuple(v for _, rows in factors for v in _flatten(rows)), frozenset())
+    names = tuple(v for _, rows in factors for v in _flatten(rows))
+    spec = SymSpec(names, frozenset())
     terms = tuple(
-        (lam, coeff, _row_filling(lam, spec.symmetrized))
+        (lam, coeff, tuple(names[a - part:a] for a, part in zip(accumulate(lam), lam)))
         for lam, coeff in crystal.decompose_product(mu, nu, len(mu) + len(nu)).items()
     )
     rhs = [(coeff, [(lam, filling)]) for lam, coeff, filling in terms]
@@ -1196,7 +1186,8 @@ def verify_lr(mu, nu, assign, n_trunc: int) -> IdentityReport:
     """Exact truncated check of the Littlewood-Richardson product formula:
     the fully symmetrized product of two Schur multiple zeta values against
     the coefficient-weighted symmetrized sum over all shapes of the right
-    size, each filled by canonical_filling."""
+    size, each filled row-major by the mu-variables then the
+    nu-variables."""
     mu, nu = as_partition(mu), as_partition(nu)
     if not mu or not nu:
         raise ValueError("both shapes must be nonempty")

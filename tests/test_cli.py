@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurzeta import acceptance, cli, crystal, zeta
+from schurzeta import acceptance, cli, crystal, tableaux, zeta
 from schurzeta.partitions import all_partitions
 from schurzeta.tableaux import lr_coefficient
 from schurzeta.zeta import IdentityReport
@@ -577,6 +577,55 @@ def test_exact_zeta_eval_refused_by_the_work_guard_exits_2(capsys):
     )
     assert (code, out) == (2, "")
     assert err == "error: predicted work of 7,000,000 units exceeds the limit of 2,000,000\n"
+
+
+def test_ssyt_listing_refused_by_the_work_guard_before_any_tableau(capsys, monkeypatch):
+    # 365,568 tableaux of (3,2,1) with entries <= 16, each priced at its
+    # six cells and its output line
+    def unused(*args):
+        raise AssertionError("a refused listing built a tableau")
+
+    monkeypatch.setattr(cli, "enumerate_ssyt", unused)
+    monkeypatch.setattr(tableaux, "cached_ssyt", unused)
+    code, out, err = run(capsys, ["ssyt", "--shape", "3,2,1", "--n", "16"])
+    assert (code, out) == (2, "")
+    assert err == "error: predicted work of 2,558,976 units exceeds the limit of 2,000,000\n"
+
+
+def test_ssyt_listing_is_priced_at_cells_plus_one_per_tableau(capsys, monkeypatch):
+    # 3 tableaux of (1) with entries <= 3 at 2 units each meet a limit of 6
+    monkeypatch.setattr(zeta, "WORK_LIMIT", 6)
+    code, out, _ = run(capsys, ["ssyt", "--shape", "1", "--n", "3"])
+    assert (code, out) == (0, "1\n2\n3\n")
+    code, out, err = run(capsys, ["ssyt", "--shape", "1", "--n", "4"])
+    assert (code, out) == (2, "")
+    assert err == "error: predicted work of 8 units exceeds the limit of 6\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["zeta", "eval", "--shape", "1", "--exponents", "[[2]]"], id="zeta-eval"),
+        pytest.param(["ssyt", "--shape", "2,1"], id="ssyt"),
+    ],
+)
+def test_work_guard_message_cuts_a_count_of_thousands_of_digits(capsys, argv):
+    code, out, err = run(capsys, [*argv, "--n", "9" * 3000])
+    assert (code, out) == (2, "")
+    head, tail = "error: predicted work of ", " units exceeds the limit of 2,000,000\n"
+    assert err.startswith(head) and err.endswith(tail)
+    count = err[len(head):-len(tail)]
+    assert len(count) == 80 and count[38:41] == "..."
+
+
+def test_work_guard_message_keeps_separators_up_to_80_characters():
+    with pytest.raises(ValueError) as info:
+        zeta._require_work(10**60 - 1)
+    assert str(info.value) == f"predicted work of {10**60 - 1:,} units exceeds the limit of 2,000,000"
+    assert len(f"{10**60 - 1:,}") == 79
+    with pytest.raises(ValueError) as info:
+        zeta._require_work(10**81)
+    assert str(info.value).split()[3] == "1" + "0" * 37 + "..." + "0" * 39
 
 
 def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):

@@ -12,7 +12,6 @@ from schurzeta.crystal import (
     eps,
     f,
     highest_weight_elements,
-    is_highest_weight,
     phi,
     rr,
     verify_crystal_axioms,
@@ -380,7 +379,7 @@ def test_operators_match_bracket_rule_oracle():
                     assert phi(i, w, n) == nplus, (w, i)
                     assert eps(i, w, n) == nminus, (w, i)
                 top = all(bracket_rule(w, i)[3] == 0 for i in range(1, n))
-                assert is_highest_weight(w, n) == top, w
+                assert (highest_weight_elements([w], n) == [w]) == top, w
 
 
 def closure_oracle(word, n):
@@ -425,14 +424,14 @@ def test_crystal_checks_each_word_once(monkeypatch):
         assert len(calls) <= 2 * len(set(words)) + 2, (fn.__name__, len(calls))
 
 
-def test_is_highest_weight():
-    assert is_highest_weight((1, 1), 2)
-    assert not is_highest_weight((1, 2), 2)
+def test_highest_weight_elements_of_one_word():
+    assert highest_weight_elements([(1, 1)], 2) == [(1, 1)]
+    assert highest_weight_elements([(1, 2)], 2) == []
     # n = 1 has no raising operator, but the word is still checked
-    assert is_highest_weight((1, 1), 1)
+    assert highest_weight_elements([(1, 1)], 1) == [(1, 1)]
     for word in ((5,), ()):
         with pytest.raises(ValueError):
-            is_highest_weight(word, 1)
+            highest_weight_elements([word], 1)
 
 
 def test_crystal_dot_output():
@@ -458,7 +457,7 @@ def test_crystal_dot_output():
         pytest.param(e, (1.0, (2,), 2), id="e-float-index"),
         pytest.param(phi, (1, (1,), "2"), id="phi-str-n"),
         pytest.param(eps, (1, (1, 2.0), 2), id="eps-float-letter"),
-        pytest.param(is_highest_weight, ((1, 1), 1.5), id="hw-float-n"),
+        pytest.param(highest_weight_elements, ([(1, 1)], 1.5), id="hw-float-n"),
         pytest.param(highest_weight_elements, ([], 2.5), id="hw-elements-float-n"),
         pytest.param(decompose_product, ((1,), (1,), 1.5), id="decompose-float-n"),
         pytest.param(decompose_product, ((1,), (1,), True), id="decompose-bool-n"),

@@ -14,10 +14,13 @@ from schurzeta import (
     SymSpec,
     all_partitions,
     as_partition,
-    canonical_filling,
+    cells,
     column_insert,
     column_insert_word,
+    conjugate,
     connected_component,
+    contains,
+    corners,
     crystal_dot,
     decompose_product,
     e,
@@ -27,6 +30,7 @@ from schurzeta import (
     eval_zeta_limit,
     eval_zeta_truncated,
     f,
+    grid_vars,
     grow_cols,
     grow_rows,
     h_sym_spec,
@@ -49,10 +53,8 @@ from schurzeta import (
     verify_pieri_h,
     vertical_push_filling,
     vertical_strip_rows,
-    weight,
     wt,
 )
-from schurzeta.crystal import is_highest_weight
 from schurzeta.tableaux import as_tableau, count_ssyt
 
 _ONE_CELL = ([(1, [((1,), (("a",),))])], SymSpec(("a",), frozenset()))
@@ -68,6 +70,10 @@ _LR2 = {"s_1_1": 2, "s_2_1": 3, "t_1_1": 4}
 ENTRIES = {
     # partitions
     "as_partition-part": (lambda x: as_partition((2, x)), 1, 0, None),
+    "conjugate-part": (lambda x: conjugate((2, x)), 1, 0, None),
+    "cells-part": (lambda x: cells((2, x)), 1, 0, None),
+    "corners-part": (lambda x: corners((2, x)), 1, 0, None),
+    "contains-part": (lambda x: contains((2, 1), (1, x)), 1, 0, None),
     "all_partitions-n": (lambda x: all_partitions(x), 1, 0, None),
     "all_partitions-max_length": (lambda x: all_partitions(3, x), 1, 0, None),
     "vertical_strip_rows-n": (lambda x: vertical_strip_rows((1,), x), 1, 1, None),
@@ -76,7 +82,6 @@ ENTRIES = {
     "grow_cols-column": (lambda x: grow_cols((1,), (x,)), 1, 1, None),
     # tableaux
     "as_tableau-entry": (lambda x: as_tableau(((x,),)), 1, 1, None),
-    "weight-entry": (lambda x: weight(((x, 2),)), 1, 1, None),
     "enumerate_ssyt-n": (lambda x: enumerate_ssyt((1,), x), 1, 0, None),
     "count_ssyt-n": (lambda x: count_ssyt((1,), x), 1, 0, None),
     "count_ssyt-part": (lambda x: count_ssyt((2, x), 3), 1, 0, None),
@@ -103,13 +108,13 @@ ENTRIES = {
     "e-n": (lambda x: e(1, (2,), x), 2, 2, None),
     "rr-n": (lambda x: rr(((1,),), x), 1, 1, None),
     "connected_component-n": (lambda x: connected_component((1,), x), 1, 1, None),
-    "is_highest_weight-n": (lambda x: is_highest_weight((1,), x), 1, 1, None),
     "highest_weight_elements-n": (lambda x: highest_weight_elements([(1,)], x), 1, 1, None),
     "decompose_product-n": (lambda x: decompose_product((1,), (), x), 1, 1, None),
     "verify_crystal_axioms-n": (lambda x: verify_crystal_axioms([(1,)], x), 1, 1, None),
     "crystal_dot-n": (lambda x: crystal_dot([(1,)], x), 1, 1, None),
     # zeta
     "seq_vars-count": (lambda x: seq_vars(x, "t"), 1, 0, None),
+    "grid_vars-part": (lambda x: grid_vars((2, x), "s"), 1, 0, None),
     "monomial-entry": (lambda x: monomial(((x,),), (("a",),), {"a": 2}), 1, 1, None),
     "horizontal_push_filling-column": (
         lambda x: horizontal_push_filling((1,), (("s",),), ("t",), (x,)), 1, 1, None
@@ -136,7 +141,6 @@ ENTRIES = {
     "verify_pieri_h-part": (lambda x: verify_pieri_h((1, x), 1, _PIERI_H2, 2), 1, 0, None),
     "verify_pieri_e-part": (lambda x: verify_pieri_e((1, x), 2, _PIERI_E2, 2), 1, 0, None),
     "verify_lr-part": (lambda x: verify_lr((1, x), (1,), _LR2, 2), 1, 0, None),
-    "canonical_filling-part": (lambda x: canonical_filling((3,), (1, x), (1,)), 1, 0, None),
     "verify_insertion_term-size": (
         lambda x: verify_insertion_term(((1,),), ((2,),), (1,), x, "h"), 1, 1, None
     ),

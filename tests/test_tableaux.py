@@ -18,7 +18,6 @@ from schurzeta.tableaux import (
     reading_word,
     shape_of,
     transpose,
-    weight,
 )
 from schurzeta.zeta import grid_vars
 
@@ -177,7 +176,6 @@ def test_semistandard_checks_match_the_oracle():
         pytest.param(lambda t: row_insert(t, 1), id="row_insert"),
         pytest.param(lambda t: column_insert(1, t), id="column_insert"),
         pytest.param(lambda t: rr(t, 2), id="rr"),
-        pytest.param(weight, id="weight"),
     ],
 )
 @pytest.mark.parametrize("t", [5, ((1,), 2)], ids=["int", "int-row"])
@@ -219,22 +217,6 @@ def test_reading_word_examples():
     assert reading_word(rows) == (3, 2, 2, 3, 1, 1, 2, 3)
     assert reading_word(((1, 1), (2,))) == (2, 1, 1)
     assert reading_word(()) == ()
-
-
-def test_weight_examples():
-    assert weight(((1, 1), (2,))) == (2, 1)
-    assert weight(()) == ()
-    assert weight(((1, 2), (2,))) == (1, 2)
-
-
-@pytest.mark.parametrize(
-    "rows", [((2, 0),), ((0,),), ((1, 1.5),), ((1, True),), ((-1,),)], ids=str
-)
-def test_weight_reads_only_entries_of_ints_above_zero(rows):
-    # a 0 used to count at index -1 ((2, 0) gave (0, 2)), a lone 0 was an
-    # IndexError and a float a TypeError
-    with pytest.raises(ValueError, match="tableau entries"):
-        weight(rows)
 
 
 def is_yamanouchi(word):
@@ -369,9 +351,10 @@ def test_kostka_counts_the_tableaux_of_each_content():
     n = 4
     for size in range(7):
         for lam in all_partitions(size, max_length=n):
-            by_content = Counter(
-                weight(t) + (0,) * (n - len(weight(t))) for t in cached_ssyt(lam, n)
-            )
+            by_content = Counter()
+            for t in cached_ssyt(lam, n):
+                entries = Counter(v for row in t for v in row)
+                by_content[tuple(entries[v] for v in range(1, n + 1))] += 1
             for gamma in all_partitions(size, max_length=n):
                 padded = gamma + (0,) * (n - len(gamma))
                 assert kostka(lam, gamma) == by_content[padded], (lam, gamma)

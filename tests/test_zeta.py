@@ -36,7 +36,6 @@ from schurzeta.zeta import (
     _pieri_setup,
     _ratio,
     _tail_terms,
-    canonical_filling,
     e_sym_spec,
     eval_zeta_limit,
     eval_zeta_truncated,
@@ -1014,7 +1013,7 @@ def test_sym_sum_matches_direct_on_seven_variable_lr():
     lhs = sym_sum_direct([(1, [(mu, s_rows), (nu, t_rows)])], spec, assign, n_trunc)
     rhs = sym_sum_direct(
         [
-            (lr_coefficient(mu, nu, lam), [(lam, canonical_filling(lam, mu, nu))])
+            (lr_coefficient(mu, nu, lam), [(lam, _row_major(lam, names))])
             for lam in all_partitions(7)
             if lr_coefficient(mu, nu, lam)
         ],
@@ -1142,17 +1141,6 @@ def test_verify_lr_vacuous_note():
     assert "vacuous" in rep.note
     rep = verify_lr((1, 1, 1), (1,), assign, 3)
     assert rep.equal and rep.lhs > 0 and rep.note == ""
-
-
-def test_canonical_filling_examples():
-    assert canonical_filling((2,), (1,), (1,)) == (("s_1_1", "t_1_1"),)
-    assert canonical_filling((1, 1), (1,), (1,)) == (("s_1_1",), ("t_1_1",))
-    assert canonical_filling((2, 1), (1, 1), (1,)) == (
-        ("s_1_1", "s_2_1"),
-        ("t_1_1",),
-    )
-    with pytest.raises(ValueError):
-        canonical_filling((2,), (1,), (2,))
 
 
 def test_verify_lr_examples():
