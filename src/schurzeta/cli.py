@@ -239,7 +239,7 @@ def _cmd_lr(args) -> int:
         return 0
     # no shape of the product has more than len(mu) + len(nu) rows, and
     # n is at least 1 even when both shapes are empty
-    expansion = crystal.decompose_product(mu, nu, max(1, len(mu) + len(nu)))
+    expansion = zeta._lr_expansion(mu, nu, max(1, len(mu) + len(nu)))
     # the empty shape is written "-", as on the input side
     table = {",".join(map(str, lam)) or "-": c for lam, c in sorted(expansion.items(), reverse=True)}
     lines = [f"{k} {v}" for k, v in table.items()]

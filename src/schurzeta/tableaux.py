@@ -149,18 +149,18 @@ def cached_reading_words(shape: Partition, n: int) -> tuple[Word, ...]:
 
 
 def lr_coefficient(mu, nu, lam) -> int:
-    """c^lam_(mu, nu), read from crystal.decompose_product over len(lam)
-    letters; 0, with no tableau enumerated, on a size mismatch, when mu
-    or nu is not inside lam, or when lam has more rows than both."""
+    """c^lam_(mu, nu) from zeta._lr_expansion over len(lam) letters; 0,
+    with no tableau enumerated, on a size mismatch, when mu or nu is not
+    inside lam, or when lam has more rows than both."""
     mu, nu, lam = as_partition(mu), as_partition(nu), as_partition(lam)
     if sum(lam) != sum(mu) + sum(nu) or len(lam) > len(mu) + len(nu):
         return 0
     if not (contains(lam, mu) and contains(lam, nu)):
         return 0
-    # crystal imports this module, so the import waits for the first call
-    from .crystal import decompose_product
+    # zeta imports this module, so the import waits for the first call
+    from .zeta import _lr_expansion
 
-    return decompose_product(mu, nu, max(1, len(lam)))[lam]
+    return _lr_expansion(mu, nu, max(1, len(lam)))[lam]
 
 
 @cache

@@ -16,7 +16,9 @@ one per level, and the passes, taken in order, add each strip by
 exactly one path of cells: a row grows only up to the length that the
 row above had when the level began.  So a sum over tableaux is a DP
 over the levels a = 1..N, each one run of the passes over one state,
-updated in place a cell at a time.  Each symmetrized variable
+updated in place a cell at a time.  A node is dropped once its need, the
+fewest levels that fill an end that holds it (the least longest column
+such an end lacks), exceeds the levels left.  Each symmetrized variable
 fills one cell of every term, as in the paper's formulas, and the exact
 sums keep per node a weight per count vector of the values drawn so far:
 for distinct values of multiplicities m_i there are prod(m_i + 1) count
@@ -77,6 +79,7 @@ from .partitions import (
 from .tableaux import (
     Tableau,
     as_tableau,
+    count_ssyt,
     require_ssyt,
     shape_of,
     transpose,
@@ -191,12 +194,18 @@ def monomial(tableau, var_rows, assign):
 
 @cache
 def _subshapes(shape: tuple) -> tuple:
-    """The sub-shapes of shape, a partition that may end in zeros, each
-    with as many parts, in lexicographic order, so every strict sub-shape
-    comes first."""
-    nodes = [()]
-    for part in shape:
-        nodes = [mu + (x,) for mu in nodes for x in range(min(mu[-1:] + (part,)) + 1)]
+    """(mu, left) per sub-shape mu of shape, a partition that may end in
+    zeros, with as many parts, in lexicographic order, so every strict
+    sub-shape comes first, and left the longest column of shape less mu.
+    Row i of mu, x cells long, is the top of that gap in the columns from
+    x to the end of row i - 1, and column x, lacking longer[x] - i cells
+    (longer[x] rows of shape are longer than x), is the longest of them."""
+    longer = [sum(part > x for part in shape) for x in range(max(shape, default=0) + 1)]
+    nodes = [((), 0)]
+    for i, part in enumerate(shape):
+        gap = [c - i for c in longer]
+        nodes = [(mu + (x,), left if left > gap[x] else gap[x])
+                 for mu, left in nodes for x in range(min(mu[-1:] + (part,)) + 1)]
     return tuple(nodes)
 
 
@@ -227,75 +236,56 @@ def _walk_graph(ends: tuple):
     lexicographic order, every strict sub-shape first and node 0 the empty
     shape, a sub-shape's nodes in the order of their first ends, and at[i]
     is the node of end i.  Per node, depth counts its drawn cells and need
-    is the fewest levels in which an end that holds the node can still be
-    filled from it.  passes holds one cell pass per row, bottom row first:
-    the edges (mu, nu, label), in increasing mu, from each node mu to each
-    node nu one cell longer in that row that is still a partition and
-    shares an end with mu, label that of the new cell in the first end of
-    nu.  Run in order, the passes add each horizontal strip by exactly one
-    path, bottom row first: row i - 1 keeps its length until row i has
-    grown.  Every edge joins two nodes that one end holds, and the key of a
+    is the least, over the ends that hold it, longest column of the end
+    less the node's sub-shape (_subshapes): the fewest levels, a
+    horizontal strip each, that fill one of them from it.  passes holds
+    one cell pass per row, bottom row first: the edges (mu, nu, label),
+    in increasing mu, from each node mu to each node nu one cell longer in
+    that row that is still a partition and shares an end with mu, label
+    that of the new cell in the first end of nu.  Run in order, the passes
+    add each horizontal strip by exactly one path, bottom row first: row
+    i - 1 keeps its length until row i has grown.  Every edge joins two nodes that one end holds, and the key of a
     node fixes those of every node inside it, so every path into at[i] is
     a tableau of end i alone."""
     rows = max(len(shape) for shape, _ in ends)
     label_rows = [[labels[a - b:a] for a, b in zip(accumulate(shape), shape)] for shape, labels in ends]
-    # per key the bit mask of the ends that hold it, in order of first end
-    masks: dict[tuple, int] = {}
+    # per key (mask, least): the bit mask of the ends that hold it, in order
+    # of first end, and the least longest column left over them
+    holds: dict[tuple, tuple] = {}
     whole = []
     for j, ((shape, _), lr) in enumerate(zip(ends, label_rows)):
         padded = shape + (0,) * (rows - len(shape))
         fixed = tuple((i, c, x) for i, row in enumerate(lr) for c, x in enumerate(row) if x is not None)
-        for mu in _subshapes(padded):
+        for mu, left in _subshapes(padded):
             # an end with no fixed label, as on every fully symmetrized
             # side, skips the filter
             key = (mu, tuple(cell for cell in fixed if mu[cell[0]] > cell[1]) if fixed else ())
-            masks[key] = masks.get(key, 0) | 1 << j
+            mask, least = holds.get(key, (0, left))
+            holds[key] = (mask | 1 << j, least if least < left else left)
         whole.append((padded, fixed))
-    keys = sorted(masks, key=itemgetter(0))
+    keys = sorted(holds, key=itemgetter(0))
     nodes = [mu for mu, _ in keys]
-    holders = [masks[key] for key in keys]
+    holders = [holds[key][0] for key in keys]
     index = {key: k for k, key in enumerate(keys)}
-    at = tuple(index[key] for key in whole)
     # per sub-shape its nodes (mask, k), and per node the label rows of its
     # first end
     variants: dict[tuple, list] = {}
     for k, mu in enumerate(nodes):
         variants.setdefault(mu, []).append((holders[k], k))
     cell_rows = [label_rows[(mask & -mask).bit_length() - 1] for mask in holders]
-    # one reverse pass over the nodes lists each node's edges and sets its
-    # need, with no strip list: an edge leads to a later node, whose
-    # reach[p], the least need over the nodes that the passes p, p + 1,
-    # ... take it to, is set.  A node's need is 0 at an end, else 1 plus
-    # the least reach over its edges, and each pass, listed from the last
-    # node down, is reversed at the end.
     passes: list[list] = [[] for _ in range(rows)]
-    need = [0] * len(nodes)
-    reach: list = [None] * len(nodes)
-    at_end = set(at)
-    for k in reversed(range(len(nodes))):
-        mu, mask = nodes[k], holders[k]
-        least = len(nodes)
-        tops = []
+    for k, mu in enumerate(nodes):
         for i, x in enumerate(mu):
             if not i or x < mu[i - 1]:
-                p = rows - 1 - i
                 for held, j in variants.get(mu[:i] + (x + 1,) + mu[i + 1:], ()):
-                    if held & mask:
-                        passes[p].append((k, j, cell_rows[j][i][x]))
-                        if reach[j][p] < least:
-                            least = reach[j][p]
-            tops.append(least)
-        if k in at_end:
-            reach[k] = [0] * rows
-        else:
-            need[k] = top = 1 + least
-            reach[k] = [x if x < top else top for x in reversed(tops)]
+                    if held & holders[k]:
+                        passes[rows - 1 - i].append((k, j, cell_rows[j][i][x]))
     return (
         tuple(nodes),
-        at,
+        tuple(index[key] for key in whole),
         tuple(sum(mu) - len(fixed) for mu, fixed in keys),
-        tuple(need),
-        tuple(tuple(reversed(cells)) for cells in passes),
+        tuple(holds[key][1] for key in keys),
+        tuple(map(tuple, passes)),
     )
 
 
@@ -1167,19 +1157,27 @@ def _lr_setup(mu: Partition, nu: Partition) -> _Setup:
     """The _Setup of the Littlewood-Richardson identity of mu and nu: all
     their variables symmetrized, and one term per component of the
     product of their GL(len(mu) + len(nu)) tableau crystals
-    (crystal.decompose_product), enough letters for every shape of the
-    product, each shape filled row-major by the mu-variables then the
-    nu-variables.  Any filling gives the same sum: every variable is
-    symmetrized, so none is tied to a cell.  Cached."""
+    (_lr_expansion), enough letters for every shape of the product, each
+    shape filled row-major by the mu-variables then the nu-variables.
+    Any filling gives the same sum: every variable is symmetrized, so
+    none is tied to a cell.  Cached, so a sweep prices each crystal once."""
     factors = ((mu, grid_vars(mu, "s")), (nu, grid_vars(nu, "t")))
     names = tuple(v for _, rows in factors for v in _flatten(rows))
     spec = SymSpec(names, frozenset())
     terms = tuple(
         (lam, coeff, tuple(names[a - part:a] for a, part in zip(accumulate(lam), lam)))
-        for lam, coeff in crystal.decompose_product(mu, nu, len(mu) + len(nu)).items()
+        for lam, coeff in _lr_expansion(mu, nu, len(mu) + len(nu)).items()
     )
     rhs = [(coeff, [(lam, filling)]) for lam, coeff, filling in terms]
     return _Setup(spec, factors, terms, _sym_plan([(1, factors)], spec), _sym_plan(rhs, spec))
+
+
+def _lr_expansion(mu: Partition, nu: Partition, n: int) -> Counter:
+    """crystal.decompose_product(mu, nu, n), the one LR rule of verify_lr,
+    `lr` and lr_coefficient, refused (_require_work) before it runs when
+    the tableaux of mu and nu over n letters that it reads are too many."""
+    _require_work(count_ssyt(mu, n) + count_ssyt(nu, n))
+    return crystal.decompose_product(mu, nu, n)
 
 
 def verify_lr(mu, nu, assign, n_trunc: int) -> IdentityReport:

@@ -8,6 +8,7 @@ through the CLI.
 import math
 import sys
 from bisect import bisect_left
+from fractions import Fraction
 
 import pytest
 
@@ -151,6 +152,62 @@ def test_identity_grids_fail_on_an_over_pruning_level_engine(monkeypatch):
         for criterion in (acceptance.criterion_pieri_h, acceptance.criterion_pieri_e, acceptance.criterion_lr):
             result = criterion(quick=True)
             assert not result.passed and "level engine 0 != tableau sum 5/32" in result.detail, result
+    finally:
+        zeta._product_sum.cache_clear()
+
+
+# the two fixed-variable Pieri identities pinned in CI: (verifier, args,
+# the value of both sides)
+PINNED_PIERI = [
+    ("verify_pieri_h",
+     ((3, 1), 4, {"s_1_1": 1, "s_1_2": 2, "s_1_3": 3, "s_2_1": 4, "t_1": 5, "t_2": 6, "t_3": 7, "t_4": 8}, 4),
+     Fraction(124403939663312568644737962581397365779, 1640745080984008901345704414374002688)),
+    ("verify_pieri_e",
+     ((2, 1, 1), 4, {"t_1_1": 1, "t_1_2": 2, "t_2_1": 3, "t_3_1": 4, "s_1": 5, "s_2": 6, "s_3": 7, "s_4": 8}, 6),
+     Fraction(392549341061300725705963997232107, 4912753771571852397772800000000000000000)),
+]
+
+
+def test_pruning_only_saves_work(monkeypatch):
+    # need 0 at every node keeps every node to the last level: both sides
+    # of every identity of criteria 1-3's quick grids and of the pinned
+    # Pieri identities, and a pinned zeta value, keep the exact values of
+    # the pruning engine
+    seen = []
+    for name in ("verify_pieri_h", "verify_pieri_e", "verify_lr"):
+        def record(*args, honest=getattr(zeta, name)):
+            rep = honest(*args)
+            seen.append((args, rep.lhs, rep.rhs))
+            return rep
+
+        monkeypatch.setattr(zeta, name, record)
+
+    def sides():
+        seen.clear()
+        zeta._product_sum.cache_clear()
+        for criterion in (acceptance.criterion_pieri_h, acceptance.criterion_pieri_e, acceptance.criterion_lr):
+            assert criterion(quick=True).passed
+        for name, args, value in PINNED_PIERI:
+            rep = getattr(zeta, name)(*args)
+            assert rep.lhs == rep.rhs == value
+        # a column as tall as N, pinned in CI: every level prunes
+        rows = zeta.grid_vars((2, 2, 1, 1), "x")
+        assign = dict(zip(zeta._flatten(rows), (1, 2, 3, 1, 2, 1)))
+        assert zeta.eval_zeta_truncated((2, 2, 1, 1), rows, assign, 4) == Fraction(181, 41472)
+        return list(seen)
+
+    built = zeta._walk_graph
+    unpruned = []
+
+    def never_pruned(ends):
+        nodes, at, depth, need, passes = built(ends)
+        unpruned.append(ends)
+        return nodes, at, depth, (0,) * len(need), passes
+
+    try:
+        pruned = sides()
+        monkeypatch.setattr(zeta, "_walk_graph", never_pruned)
+        assert sides() == pruned and unpruned
     finally:
         zeta._product_sum.cache_clear()
 

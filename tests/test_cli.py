@@ -602,6 +602,54 @@ def test_ssyt_listing_is_priced_at_cells_plus_one_per_tableau(capsys, monkeypatc
     assert err == "error: predicted work of 8 units exceeds the limit of 6\n"
 
 
+LR_ALL_ONES = json.dumps(
+    {f"{x}_{i + 1}_{j + 1}": 1 for x, shape in (("s", (5, 4, 3, 2)), ("t", (4, 3, 2, 1)))
+     for i, part in enumerate(shape) for j in range(part)}
+)
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        pytest.param(["lr"], [], id="lr"),
+        pytest.param(["lr"], ["--lambda", "6,5,4,3,2,2,1,1"], id="lr-lambda"),
+        pytest.param(["verify", "lr"], ["--n-trunc", "1", "--assign", LR_ALL_ONES], id="verify-lr"),
+    ],
+)
+def test_lr_crystal_refused_by_the_work_guard_before_it_is_built(capsys, monkeypatch, command, extra):
+    # the product crystal of (5,4,3,2) and (4,3,2,1) over 8 letters reads
+    # 2,661,120 + 177,408 tableaux; verify lr refuses it even at N = 1,
+    # where both sides are empty sums
+    def unused(*args):
+        raise AssertionError("a refused LR product built its crystal")
+
+    monkeypatch.setattr(crystal, "decompose_product", unused)
+    code, out, err = run(capsys, [*command, "--mu", "5,4,3,2", "--nu", "4,3,2,1", *extra])
+    assert (code, out) == (2, "")
+    assert err == "error: predicted work of 2,838,528 units exceeds the limit of 2,000,000\n"
+
+
+def test_lr_crystal_guard_admits_its_limit(capsys, monkeypatch):
+    # (2,1) and (1) over 3 letters read 8 + 3 tableaux: the LR expansion,
+    # a coefficient over a 3-row lam and the cached LR setup
+    zeta._lr_setup.cache_clear()
+    monkeypatch.setattr(zeta, "WORK_LIMIT", 11)
+    assert run(capsys, ["lr", "--mu", "2,1", "--nu", "1"]) == (0, "3,1 1\n2,2 1\n2,1,1 1\n", "")
+    assert lr_coefficient((2, 1), (1,), (2, 1, 1)) == 1
+    zeta._lr_setup((2, 1), (1,))
+    zeta._lr_setup.cache_clear()
+    monkeypatch.setattr(zeta, "WORK_LIMIT", 10)
+    refused = "predicted work of 11 units exceeds the limit of 10"
+    assert run(capsys, ["lr", "--mu", "2,1", "--nu", "1"]) == (2, "", f"error: {refused}\n")
+    for call in (lambda: lr_coefficient((2, 1), (1,), (2, 1, 1)), lambda: zeta._lr_setup((2, 1), (1,))):
+        with pytest.raises(ValueError, match=refused):
+            call()
+    # a 2-row lam reads the crystal over 2 letters, 2 + 2 tableaux, and a
+    # lam of more rows than both factors is 0 unpriced (24 units over 4)
+    assert lr_coefficient((2, 1), (1,), (3, 1)) == 1
+    assert lr_coefficient((2, 1), (1,), (1, 1, 1, 1)) == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1677,11 +1677,13 @@ def _conflict(ends) -> bool:
     return False
 
 
-def test_walk_graph_matches_the_union_of_its_ends_strip_graphs():
-    # every walk of both sides of every Pieri identity of |lam| <= 4 with
-    # both strip sizes, h and e, and of every LR identity of total size
-    # <= 6, each factor of a prefix walked alone as _product_sum does; and
-    # seeded random groups of 2-6 ends whose fixed labels conflict
+@cache
+def _labelled_end_sets():
+    """The end sets of the labelled walk-graph tests, 424 in all: every
+    walk of both sides of every Pieri identity of |lam| <= 4 with both
+    strip sizes, h and e, and of every LR identity of total size <= 6,
+    each factor of a prefix walked alone as _product_sum does; and seeded
+    random groups of 2-6 ends whose fixed labels conflict."""
     pieri = [
         _pieri_setup(lam, strip, mode)
         for size in range(1, 5)
@@ -1716,8 +1718,44 @@ def test_walk_graph_matches_the_union_of_its_ends_strip_graphs():
         )
         if _conflict(ends):
             groups.add(ends)
-    for ends in groups:
+    return tuple(groups)
+
+
+def test_walk_graph_matches_the_union_of_its_ends_strip_graphs():
+    for ends in _labelled_end_sets():
         _check_walk_graph(ends)
+
+
+def _levels_to_an_end(ends):
+    """Per node of _walk_graph(ends), the fewest levels that take it to the
+    node of an end, a level one path through the cell passes
+    (_cell_paths): a breadth-first search back from the ends' nodes."""
+    nodes, at, _, _, passes = zmod._walk_graph(ends)
+    into = [[] for _ in nodes]
+    for k in range(len(nodes)):
+        for nu in _cell_paths(nodes, passes, k):
+            into[nu].append(k)
+    levels = dict.fromkeys(at, 0)
+    frontier = list(levels)
+    while frontier:
+        reached = []
+        for nu in frontier:
+            for mu in into[nu]:
+                if mu not in levels:
+                    levels[mu] = levels[nu] + 1
+                    reached.append(mu)
+        frontier = reached
+    return [levels[k] for k in range(len(nodes))]
+
+
+def test_need_is_the_fewest_levels_to_an_end():
+    # need, read off the longest column an end lacks, against what the
+    # pruning takes it for: the fewest levels, each a horizontal strip, to
+    # an end that holds the node; every shape of size <= 8 as one end, and
+    # the labelled end sets
+    one_ends = [((shape, (None,) * size),) for size in range(9) for shape in all_partitions(size)]
+    for ends in one_ends + list(_labelled_end_sets()):
+        assert list(zmod._walk_graph(ends)[3]) == _levels_to_an_end(ends), ends
 
 
 def _top_row_first(monkeypatch):
